@@ -1,13 +1,10 @@
 /// E11b — google-benchmark micro-benchmarks of the optimiser substrate:
 /// archive insertion (AGA vs crowding), non-dominated sorting, exact 3-D
-/// hypervolume, the Eq.-2 BLX step, Wilcoxon, and the parallel primitives
-/// (mailbox round trip, shared-population access, archive-actor insert).
+/// hypervolume, the Eq.-2 BLX step, Wilcoxon, and the mailbox round trip.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "core/archive_actor.hpp"
-#include "core/shared_population.hpp"
 #include "moo/core/aga_archive.hpp"
 #include "moo/core/crowding_archive.hpp"
 #include "moo/core/nds.hpp"
@@ -108,28 +105,5 @@ void BM_MailboxRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MailboxRoundTrip);
-
-void BM_SharedPopulationAccess(benchmark::State& state) {
-  core::SharedPopulation population(12);  // the paper's threads-per-node
-  Xoshiro256 rng(6);
-  for (std::size_t i = 0; i < 12; ++i) {
-    population.set(i, random_solution(rng));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(population.random_other(3, rng));
-  }
-}
-BENCHMARK(BM_SharedPopulationAccess);
-
-void BM_ArchiveActorInsert(benchmark::State& state) {
-  core::ArchiveActor actor(100, 4, 7);
-  Xoshiro256 rng(8);
-  for (auto _ : state) {
-    actor.insert(random_solution(rng));
-  }
-  actor.stop();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ArchiveActorInsert);
 
 }  // namespace

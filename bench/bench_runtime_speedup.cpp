@@ -8,7 +8,7 @@
 /// report evaluations/second and the wall-clock ratio, and (c) project the
 /// paper's full campaign (EAs 10000 evals serial, MLS 24000 evals parallel)
 /// from the measured rates — the honest equivalent of the paper's minutes
-/// table on different hardware (DESIGN.md substitution #3).
+/// table on different hardware (EXPERIMENTS.md "Deviations").
 
 #include <chrono>
 #include <cstdio>

@@ -165,8 +165,6 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
       }
       case CampaignMode::kConnect: {
         CampaignWorkerOptions worker;
-        worker.cell_delay = std::chrono::milliseconds(
-            std::max(0L, env_or_int("AEDB_ELASTIC_CELL_DELAY_MS", 0)));
         worker.driver = std::move(options);
         const auto transport = par::net::TcpTransport::connect(
             campaign.connect_host, campaign.connect_port,

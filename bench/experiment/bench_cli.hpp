@@ -57,9 +57,7 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 ///                  (retrying with backoff while it boots), compute cells
 ///                  on demand, then exit 0.  Env knobs:
 ///                  AEDB_NET_HEARTBEAT_MS / AEDB_NET_DEADLINE_MS /
-///                  AEDB_NET_CONNECT_ATTEMPTS tune liveness + retries, and
-///                  AEDB_ELASTIC_CELL_DELAY_MS stalls each cell (failure-
-///                  injection window for the CI kill test)
+///                  AEDB_NET_CONNECT_ATTEMPTS tune liveness + retries
 ///   --cache-dir=D  where the CSV cache / merge artifacts live (default
 ///                  options.cache_dir, i.e. "results")
 ///   --progress[=N] live `[progress]` lines on stderr every N completed

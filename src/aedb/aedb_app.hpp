@@ -25,7 +25,7 @@
 /// drop rule are only consistent if the variable tracks the power of the
 /// *nearest* (strongest) sender — the standard distance-based rule — so this
 /// implementation tracks `strongest_rx_dbm = max over copies` and drops when
-/// it exceeds the border.  (documented in DESIGN.md)
+/// it exceeds the border (EXPERIMENTS.md "Deviations").
 
 #include <vector>
 

@@ -8,7 +8,7 @@
 /// * energy_dbm_sum  — sum of the forwarding transmission powers in dBm.
 ///                     This is the paper's "energy used" axis: its Pareto
 ///                     plots span negative values, which only a dBm sum
-///                     produces (DESIGN.md substitution #4);
+///                     produces (EXPERIMENTS.md "Deviations");
 /// * energy_mj       — physical radiated energy (mW·s) of the forwardings,
 ///                     reported alongside as the linear-scale alternative;
 /// * broadcast_time  — origination to the last first-reception (0 when

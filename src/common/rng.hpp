@@ -12,7 +12,7 @@
 ///    of Philox/Threefry: the k-th draw of stream (seed, id0, id1, ...) is a
 ///    pure function of its inputs.  This is what makes mobility traces and
 ///    the 10 evaluation networks bit-reproducible regardless of thread
-///    interleaving or lazy evaluation order (DESIGN.md §5).
+///    interleaving or lazy evaluation order.
 ///
 /// All helpers draw doubles in [0,1) with 53-bit resolution.
 

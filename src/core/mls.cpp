@@ -1,24 +1,23 @@
 #include "core/mls.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <memory>
-#include <thread>
+#include <functional>
+#include <optional>
 
 #include "common/assert.hpp"
 #include "common/clock.hpp"
-#include "moo/core/nds.hpp"
+#include "moo/core/aga_archive.hpp"
 #include "moo/operators/blx_alpha.hpp"
+#include "par/thread_pool.hpp"
 
 namespace aedbmls::core {
 namespace {
 
 /// Canonical order for reported fronts: objectives, then violation, then
-/// decision vector — all lexicographic.  The archive snapshot arrives in
-/// insertion order, which depends on how worker wall-times interleaved;
-/// sorting makes two runs that admitted the same point *set* compare
-/// byte-identical (the race==full contract, and `--front-out` artifacts).
+/// decision vector — all lexicographic.  The archive's member order records
+/// its eviction history; sorting makes two runs that admitted the same point
+/// *set* compare byte-identical (the race==full contract, and `--front-out`
+/// artifacts).
 bool canonical_less(const moo::Solution& a, const moo::Solution& b) {
   if (a.objectives != b.objectives) return a.objectives < b.objectives;
   if (a.constraint_violation != b.constraint_violation) {
@@ -27,135 +26,21 @@ bool canonical_less(const moo::Solution& a, const moo::Solution& b) {
   return a.x < b.x;
 }
 
-/// Shared state of one island: its population plus the epoch snapshot and
-/// the reset-sample requests served inside the barrier completion step.
-///
-/// `snapshot` is written only by the completion function (while every
-/// non-dropped worker is blocked in the barrier) and read only between
-/// barrier phases, so workers read it without locks; the barrier's
-/// release/acquire ordering publishes it.
-struct Island {
-  SharedPopulation population;
-  ArchiveActor* archive;
-  std::vector<moo::Solution> snapshot;
-  std::vector<std::uint8_t> wants_sample;  ///< slot-indexed reset requests
-
-  Island(std::size_t size, ArchiveActor* archive_actor)
-      : population(size), archive(archive_actor), wants_sample(size, 0) {}
-
-  /// Barrier completion: serve this phase's reset samples in slot order
-  /// (deterministic within the island — the draw order no longer depends
-  /// on which worker reached the archive first), then refresh the epoch
-  /// snapshot every teammate read of the next phase is served from.
-  void on_phase() noexcept {
-    for (std::size_t slot = 0; slot < wants_sample.size(); ++slot) {
-      if (wants_sample[slot] == 0) continue;
-      wants_sample[slot] = 0;
-      auto sampled = archive->sample(1);
-      if (!sampled.empty()) population.set(slot, sampled.front());
-    }
-    snapshot = population.slots();
-  }
-};
-
-/// `std::barrier` requires a nothrow-invocable completion; a small functor
-/// (not `std::function`) satisfies that.
-struct IslandCompletion {
-  Island* island;
-  void operator()() noexcept { island->on_phase(); }
-};
-
-using IslandBarrier = std::barrier<IslandCompletion>;
-
-/// Everything one worker thread needs; shared pieces by reference.
-struct WorkerContext {
-  const moo::Problem& problem;
-  const MlsConfig& config;
-  const std::vector<SearchCriterion>& criteria;
-  Island& island;
-  IslandBarrier& population_barrier;
-  ArchiveActor& archive;
-  const moo::EvaluationEngine& evaluator;
-  std::size_t slot;     ///< this worker's slot in its population
-  std::size_t budget;   ///< candidates this worker may walk
+/// One local-search procedure of Fig. 3.  Its state persists across epochs;
+/// inside an epoch a worker writes only its own state, so workers walk in
+/// parallel without locks.
+struct Worker {
+  std::size_t island = 0;  ///< population index
+  std::size_t slot = 0;    ///< slot within the population
+  std::size_t budget = 0;  ///< candidates this worker may walk
   Xoshiro256 rng;
-  const moo::Solution* warm_start = nullptr;  ///< optional initial solution
-
-  // Shared counters.
-  std::atomic<std::uint64_t>& evaluations;
-  std::atomic<std::uint64_t>& accepted;
-  std::atomic<std::uint64_t>& rejected_infeasible;
-  std::atomic<std::uint64_t>& resets;
-  std::atomic<std::uint64_t>& screened;
-  std::atomic<std::uint64_t>& screen_rejected;
-  std::atomic<std::uint64_t>& promoted;
-};
-
-/// Initial solution: warm start if provided, otherwise random with a few
-/// retries toward feasibility (the paper initialises with feasible
-/// solutions; retries are capped because feasibility can be rare).
-moo::Solution initialise_solution(WorkerContext& ctx) {
-  if (ctx.warm_start != nullptr) {
-    moo::Solution s = *ctx.warm_start;
-    if (!s.evaluated) {
-      ctx.problem.evaluate_into(s);
-      ctx.evaluations.fetch_add(1, std::memory_order_relaxed);
-    }
-    return s;
-  }
-  moo::Solution best;
-  for (std::size_t attempt = 0;
-       attempt <= ctx.config.feasible_init_retries; ++attempt) {
-    moo::Solution s;
-    s.x = ctx.problem.random_point(ctx.rng);
-    ctx.problem.evaluate_into(s);
-    ctx.evaluations.fetch_add(1, std::memory_order_relaxed);
-    if (!best.evaluated ||
-        s.constraint_violation < best.constraint_violation) {
-      best = std::move(s);
-    }
-    if (best.feasible()) break;
-  }
-  return best;
-}
-
-/// Teammate `t` from the island's epoch snapshot.  Same draw semantics as
-/// `SharedPopulation::random_other` (single-slot islands use their own
-/// slot and consume no draw), but against the barrier-refreshed copy, so
-/// the pick is independent of how live worker timings interleave.
-const moo::Solution& snapshot_teammate(WorkerContext& ctx) {
-  const std::vector<moo::Solution>& snap = ctx.island.snapshot;
-  if (snap.size() == 1) return snap[ctx.slot];
-  std::size_t pick = ctx.rng.uniform_int(snap.size() - 1);
-  if (pick >= ctx.slot) ++pick;
-  return snap[pick];
-}
-
-/// The local-search procedure of Fig. 3, lines 1-17, with the optional
-/// racing fast path.  Both modes walk the *identical* candidate sequence
-/// and make identical accept/reject decisions; racing only changes how
-/// cheaply a rejection is discovered.
-void worker_loop(WorkerContext ctx) {
-  // Lines 1-3: initialise, evaluate, store.
-  moo::Solution s = initialise_solution(ctx);
-  ctx.archive.insert(s);
-  ctx.island.population.set(ctx.slot, s);
-
-  // Line 4: wait until the local population is fully initialised (the
-  // completion step takes the first epoch snapshot).
-  ctx.population_barrier.arrive_and_wait();
-
-  const std::size_t budget = ctx.budget;
-  std::size_t spent = 1;  // the initial evaluation above (at least one)
+  moo::Solution s;  ///< current solution (the worker's population slot)
+  std::size_t spent = 0;
   std::size_t iteration = 0;
 
   // Racing state: the speculative chain and the RNG state recorded after
   // generating each entry (so an accepted move can discard the stale tail
   // and resume exactly where sequential generation would be).
-  const std::size_t screen_tier =
-      ctx.config.screen_moves ? ctx.problem.screening_tier() : 0;
-  const std::size_t chain_limit = std::max<std::size_t>(
-      1, ctx.config.screen_chain);
   std::vector<moo::Solution> chain;
   std::vector<Xoshiro256> rng_after;
   std::size_t chain_pos = 0;
@@ -168,60 +53,117 @@ void worker_loop(WorkerContext ctx) {
   std::size_t chain_target = 1;
   bool grow_pending = false;
 
-  // Lines 6-7: one speculative move from `s` (Eq. 2): teammate `t` guides
-  // the perturbation magnitude, one search criterion picks the variables.
-  const auto generate_candidate = [&ctx, &s](moo::Solution& out) {
-    const moo::Solution& t = snapshot_teammate(ctx);
-    const SearchCriterion& criterion =
-        ctx.criteria[ctx.rng.uniform_int(ctx.criteria.size())];
-    out.x = s.x;
-    for (const std::size_t v : criterion.variables) {
-      out.x[v] =
-          ctx.config.symmetric_step
-              ? moo::symmetric_blx_step(s.x[v], t.x[v], ctx.config.alpha,
-                                        ctx.rng)
-              : moo::paper_blx_step(s.x[v], t.x[v], ctx.config.alpha, ctx.rng);
+  std::vector<moo::Solution> submitted;  ///< this epoch's archive offers
+  bool wants_sample = false;             ///< reached a reset this epoch
+  AedbMls::Stats counters;               ///< summed over workers at the end
+};
+
+/// What every worker reads, and nobody writes, during an epoch.
+struct Shared {
+  const moo::Problem& problem;
+  const MlsConfig& config;
+  const std::vector<SearchCriterion>& criteria;
+  const moo::EvaluationEngine& evaluator;
+  std::size_t screen_tier;  ///< 0 = plain sequential loop
+  /// Per-island copy of the population, refreshed at epoch boundaries.
+  const std::vector<std::vector<moo::Solution>>& snapshots;
+};
+
+/// Lines 1-2: warm start if provided, otherwise random with a few retries
+/// toward feasibility (the paper initialises with feasible solutions;
+/// retries are capped because feasibility can be rare).
+void initialise(Worker& w, const Shared& shared, const moo::Solution* warm) {
+  w.spent = 1;  // the initial evaluation (at least one)
+  if (warm != nullptr) {
+    w.s = *warm;
+    if (!w.s.evaluated) {
+      shared.problem.evaluate_into(w.s);
+      ++w.counters.evaluations;
     }
-    ctx.problem.clamp(out.x);
+  } else {
+    for (std::size_t attempt = 0;
+         attempt <= shared.config.feasible_init_retries; ++attempt) {
+      moo::Solution s;
+      s.x = shared.problem.random_point(w.rng);
+      shared.problem.evaluate_into(s);
+      ++w.counters.evaluations;
+      if (!w.s.evaluated ||
+          s.constraint_violation < w.s.constraint_violation) {
+        w.s = std::move(s);
+      }
+      if (w.s.feasible()) break;
+    }
+  }
+  // Line 3: store.
+  w.submitted.push_back(w.s);
+}
+
+/// Lines 5-17 up to the next reset boundary or the end of the budget, with
+/// the optional racing fast path.  Both modes walk the *identical*
+/// candidate sequence and make identical accept/reject decisions; racing
+/// only changes how cheaply a rejection is discovered.
+void walk_epoch(Worker& w, const Shared& shared) {
+  const MlsConfig& config = shared.config;
+  const std::vector<moo::Solution>& snapshot = shared.snapshots[w.island];
+  const std::size_t chain_limit = std::max<std::size_t>(1, config.screen_chain);
+
+  // Lines 6-7: one move from `s` (Eq. 2): teammate `t`, drawn from the
+  // island's epoch snapshot (single-slot islands use their own slot and
+  // consume no draw), guides the perturbation magnitude; one search
+  // criterion picks the variables.
+  const auto generate_candidate = [&](moo::Solution& out) {
+    std::size_t pick = w.slot;
+    if (snapshot.size() > 1) {
+      pick = w.rng.uniform_int(snapshot.size() - 1);
+      if (pick >= w.slot) ++pick;
+    }
+    const moo::Solution& t = snapshot[pick];
+    const SearchCriterion& criterion =
+        shared.criteria[w.rng.uniform_int(shared.criteria.size())];
+    out.x = w.s.x;
+    for (const std::size_t v : criterion.variables) {
+      out.x[v] = config.symmetric_step
+                     ? moo::symmetric_blx_step(w.s.x[v], t.x[v], config.alpha,
+                                               w.rng)
+                     : moo::paper_blx_step(w.s.x[v], t.x[v], config.alpha,
+                                           w.rng);
+    }
+    shared.problem.clamp(out.x);
   };
 
-  // Line 5: main loop.  Budgets may differ by one across workers (remainder
-  // distribution); the reset barriers still line up because a finished
-  // worker's arrive_and_drop both completes the phase it is due and removes
-  // it from later phases.
-  while (spent < budget) {
+  while (w.spent < w.budget) {
     moo::Solution candidate;
     bool screen_says_infeasible = false;
 
-    if (screen_tier != 0) {
-      if (chain_pos >= chain.size()) {
+    if (shared.screen_tier != 0) {
+      if (w.chain_pos >= w.chain.size()) {
         // The previous chain was walked to the end without an accept (or
         // this is the first): rejections are streaking, so batch harder.
-        if (grow_pending) {
-          chain_target = std::min(chain_limit, chain_target * 2);
+        if (w.grow_pending) {
+          w.chain_target = std::min(chain_limit, w.chain_target * 2);
         }
-        grow_pending = true;
+        w.grow_pending = true;
         // (Re)fill the chain.  Its length never crosses the next reset
         // boundary or the budget, so walking it in full keeps the reset
         // schedule and the spend exactly sequential.
         const std::size_t until_reset =
-            ctx.config.reset_period - (iteration % ctx.config.reset_period);
+            config.reset_period - (w.iteration % config.reset_period);
         const std::size_t length =
-            std::min({chain_target, until_reset, budget - spent});
-        chain.assign(length, moo::Solution{});
-        rng_after.assign(length, ctx.rng);
+            std::min({w.chain_target, until_reset, w.budget - w.spent});
+        w.chain.assign(length, moo::Solution{});
+        w.rng_after.assign(length, w.rng);
         for (std::size_t k = 0; k < length; ++k) {
-          generate_candidate(chain[k]);
-          chain[k].fidelity = static_cast<std::uint32_t>(screen_tier);
-          rng_after[k] = ctx.rng;
+          generate_candidate(w.chain[k]);
+          w.chain[k].fidelity = static_cast<std::uint32_t>(shared.screen_tier);
+          w.rng_after[k] = w.rng;
         }
         // One batched conservative screen for the whole chain.
-        ctx.evaluator.evaluate(ctx.problem, chain);
-        ctx.screened.fetch_add(length, std::memory_order_relaxed);
-        chain_pos = 0;
+        shared.evaluator.evaluate(shared.problem, w.chain);
+        w.counters.screened += length;
+        w.chain_pos = 0;
       }
-      candidate = std::move(chain[chain_pos]);
-      ++chain_pos;
+      candidate = std::move(w.chain[w.chain_pos]);
+      ++w.chain_pos;
       // The screen's violation is a lower bound of the full tier's, so a
       // positive value *proves* the candidate infeasible at full fidelity.
       screen_says_infeasible = candidate.constraint_violation > 0.0;
@@ -229,15 +171,15 @@ void worker_loop(WorkerContext ctx) {
       generate_candidate(candidate);
     }
 
-    ++spent;
+    ++w.spent;
     bool was_accepted = false;
 
     if (screen_says_infeasible) {
       // Line 9's feasibility test, decided without a full simulation.
-      ctx.screen_rejected.fetch_add(1, std::memory_order_relaxed);
-      ctx.rejected_infeasible.fetch_add(1, std::memory_order_relaxed);
+      ++w.counters.screen_rejected;
+      ++w.counters.rejected_infeasible;
     } else {
-      if (screen_tier != 0) {
+      if (shared.screen_tier != 0) {
         // Promote the survivor: acceptance (and archive admission) is
         // decided by a full-fidelity result only — screen objectives are
         // discarded wholesale.
@@ -245,61 +187,52 @@ void worker_loop(WorkerContext ctx) {
         candidate.constraint_violation = 0.0;
         candidate.evaluated = false;
         candidate.fidelity = 0;
-        ctx.promoted.fetch_add(1, std::memory_order_relaxed);
+        ++w.counters.promoted;
       }
       // Line 8: evaluate (full fidelity).
-      ctx.evaluator.evaluate(ctx.problem,
-                             std::span<moo::Solution>(&candidate, 1));
-      ctx.evaluations.fetch_add(1, std::memory_order_relaxed);
+      shared.evaluator.evaluate(shared.problem,
+                                std::span<moo::Solution>(&candidate, 1));
+      ++w.counters.evaluations;
 
       // Lines 9-12: accept only feasible perturbations.
       if (candidate.feasible()) {
-        ctx.archive.insert(candidate);
-        s = std::move(candidate);
-        ctx.island.population.set(ctx.slot, s);
-        ctx.accepted.fetch_add(1, std::memory_order_relaxed);
+        w.submitted.push_back(candidate);
+        w.s = std::move(candidate);
+        ++w.counters.accepted_moves;
         was_accepted = true;
       } else {
-        ctx.rejected_infeasible.fetch_add(1, std::memory_order_relaxed);
+        ++w.counters.rejected_infeasible;
       }
     }
 
-    if (was_accepted && screen_tier != 0 && !chain.empty()) {
+    if (was_accepted && shared.screen_tier != 0 && !w.chain.empty()) {
       // `s` changed: the rest of the chain was generated from the old `s`
       // and is stale.  Rewind the RNG to just after the accepted
       // candidate's generation — the state sequential generation would
       // have here — and drop the tail.
-      ctx.rng = rng_after[chain_pos - 1];
-      chain.clear();
-      rng_after.clear();
-      chain_pos = 0;
+      w.rng = w.rng_after[w.chain_pos - 1];
+      w.chain.clear();
+      w.rng_after.clear();
+      w.chain_pos = 0;
       // Accepts mean we are descending a basin: stop speculating ahead.
-      chain_target = 1;
-      grow_pending = false;
+      w.chain_target = 1;
+      w.grow_pending = false;
     }
 
-    // Lines 13-16: periodic re-initialisation from the external archive.
-    // The sample itself is served in slot order by the barrier completion
-    // (which then refreshes the epoch snapshot); the worker re-reads its
-    // slot after release.
-    ++iteration;
-    if (iteration % ctx.config.reset_period == 0 && spent < budget) {
-      AEDB_REQUIRE(chain_pos >= chain.size(),
+    // Lines 13-16: periodic re-initialisation from the external archive
+    // ends the epoch; the sample is served at the boundary.
+    ++w.iteration;
+    if (w.iteration % config.reset_period == 0 && w.spent < w.budget) {
+      AEDB_REQUIRE(w.chain_pos >= w.chain.size(),
                    "speculative chain crossed a reset boundary");
-      ctx.island.wants_sample[ctx.slot] = 1;
-      ctx.resets.fetch_add(1, std::memory_order_relaxed);
-      ctx.population_barrier.arrive_and_wait();
-      s = ctx.island.population.get(ctx.slot);
-      chain.clear();
-      rng_after.clear();
-      chain_pos = 0;
+      w.wants_sample = true;
+      ++w.counters.resets;
+      w.chain.clear();
+      w.rng_after.clear();
+      w.chain_pos = 0;
+      return;
     }
   }
-
-  // Drop out of future barrier rounds: teammates with a one-larger budget
-  // (remainder distribution) may still have a reset phase to complete, and
-  // this arrival both finishes the current phase and shrinks later ones.
-  ctx.population_barrier.arrive_and_drop();
 }
 
 }  // namespace
@@ -319,9 +252,6 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
   }
   validate_criteria(criteria, problem.dimensions());
 
-  ArchiveActor archive(config_.archive_capacity, config_.grid_depth,
-                       hash_combine(seed, 0xA2C41));
-
   // Racing mode batches screens (and promotions) through an engine; a
   // pool-less fallback keeps the single code path when the caller brings
   // none.
@@ -329,85 +259,86 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
   const moo::EvaluationEngine& engine =
       config_.evaluator != nullptr ? *config_.evaluator : fallback_engine;
 
-  std::atomic<std::uint64_t> evaluations{0};
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> resets{0};
-  std::atomic<std::uint64_t> screened{0};
-  std::atomic<std::uint64_t> screen_rejected{0};
-  std::atomic<std::uint64_t> promoted{0};
-
-  // One island (SharedPopulation + epoch snapshot) and barrier per
-  // population; one OS thread per worker (the paper's deployment maps
-  // islands to cluster nodes and workers to cores; see DESIGN.md
-  // substitution #2).  The barrier's completion step serves reset samples
-  // and refreshes the island snapshot.
-  std::vector<std::unique_ptr<Island>> islands;
-  std::vector<std::unique_ptr<IslandBarrier>> barriers;
-  for (std::size_t p = 0; p < config_.populations; ++p) {
-    islands.push_back(
-        std::make_unique<Island>(config_.threads_per_population, &archive));
-    barriers.push_back(std::make_unique<IslandBarrier>(
-        static_cast<std::ptrdiff_t>(config_.threads_per_population),
-        IslandCompletion{islands.back().get()}));
+  const std::size_t team = config_.threads_per_population;
+  std::vector<Worker> workers(config_.populations * team);
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    Worker& w = workers[i];
+    w.island = i / team;
+    w.slot = i % team;
+    w.rng = Xoshiro256(
+        hash_combine(hash_combine(seed, w.island + 1), w.slot + 1));
+    // Remainder distribution: the first `extra_evaluation_workers` flat
+    // worker indices spend one evaluation more than the base budget.
+    w.budget = config_.evaluations_per_thread +
+               (i < config_.extra_evaluation_workers ? 1 : 0);
   }
 
-  std::vector<std::thread> workers;
-  workers.reserve(config_.populations * config_.threads_per_population);
-  for (std::size_t p = 0; p < config_.populations; ++p) {
-    for (std::size_t w = 0; w < config_.threads_per_population; ++w) {
-      const std::uint64_t worker_seed =
-          hash_combine(hash_combine(seed, p + 1), w + 1);
-      const moo::Solution* warm = nullptr;
-      const std::size_t flat = p * config_.threads_per_population + w;
-      if (flat < config_.initial_solutions.size()) {
-        warm = &config_.initial_solutions[flat];
+  std::vector<std::vector<moo::Solution>> snapshots(
+      config_.populations, std::vector<moo::Solution>(team));
+  const Shared shared{problem, config_, criteria, engine,
+                      config_.screen_moves ? problem.screening_tier() : 0,
+                      snapshots};
+  moo::AgaArchive archive(config_.archive_capacity, config_.grid_depth);
+  Xoshiro256 sample_rng(hash_combine(seed, 0xA2C41));
+  stats_ = Stats{};
+
+  // Epoch boundary, on the calling thread and in a fixed order: admit the
+  // submissions in (population, worker, walk) order, serve reset samples in
+  // flat worker order, then refresh every island's snapshot.
+  const auto reconcile = [&] {
+    for (Worker& w : workers) {
+      for (const moo::Solution& s : w.submitted) {
+        if (archive.try_insert(s)) ++stats_.archive_inserts_accepted;
       }
-      // Remainder distribution: the first `extra_evaluation_workers` flat
-      // worker indices spend one evaluation more than the base budget.
-      const std::size_t budget =
-          config_.evaluations_per_thread +
-          (flat < config_.extra_evaluation_workers ? 1 : 0);
-      workers.emplace_back([&, p, w, worker_seed, warm, budget] {
-        WorkerContext ctx{problem,
-                          config_,
-                          criteria,
-                          *islands[p],
-                          *barriers[p],
-                          archive,
-                          engine,
-                          w,
-                          budget,
-                          Xoshiro256(worker_seed),
-                          warm,
-                          evaluations,
-                          accepted,
-                          rejected,
-                          resets,
-                          screened,
-                          screen_rejected,
-                          promoted};
-        worker_loop(std::move(ctx));
-      });
+      w.submitted.clear();
     }
+    for (Worker& w : workers) {
+      if (w.wants_sample && !archive.empty()) {
+        w.s = archive.sample(1, sample_rng).front();
+      }
+      w.wants_sample = false;
+    }
+    for (const Worker& w : workers) snapshots[w.island][w.slot] = w.s;
+  };
+
+  // One pool thread per worker (the paper's deployment maps islands to
+  // cluster nodes and workers to cores; see EXPERIMENTS.md "Deviations").
+  // A lone worker walks on the calling thread instead: single-worker runs
+  // on a fresh pool thread measured 12 % fewer candidates/s (same section).
+  std::optional<par::ThreadPool> pool;
+  if (workers.size() > 1) pool.emplace(workers.size());
+  const auto for_each_worker =
+      [&](const std::function<void(std::size_t)>& fn) {
+        if (pool) {
+          pool->parallel_for(workers.size(), fn);
+        } else {
+          fn(0);
+        }
+      };
+  for_each_worker([&](std::size_t i) {
+    const std::vector<moo::Solution>& warm = config_.initial_solutions;
+    initialise(workers[i], shared, i < warm.size() ? &warm[i] : nullptr);
+  });
+  reconcile();  // line 4: every population is initialised
+  while (std::any_of(workers.begin(), workers.end(),
+                     [](const Worker& w) { return w.spent < w.budget; })) {
+    for_each_worker([&](std::size_t i) { walk_epoch(workers[i], shared); });
+    reconcile();
   }
-  for (std::thread& worker : workers) worker.join();
+
+  for (const Worker& w : workers) {
+    stats_.evaluations += w.counters.evaluations;
+    stats_.accepted_moves += w.counters.accepted_moves;
+    stats_.rejected_infeasible += w.counters.rejected_infeasible;
+    stats_.resets += w.counters.resets;
+    stats_.screened += w.counters.screened;
+    stats_.screen_rejected += w.counters.screen_rejected;
+    stats_.promoted += w.counters.promoted;
+  }
 
   moo::AlgorithmResult result;
-  result.front = archive.snapshot();
+  result.front = archive.contents();
   std::sort(result.front.begin(), result.front.end(), canonical_less);
-  archive.stop();
-
-  stats_ = Stats{};
-  stats_.evaluations = evaluations.load();
-  stats_.accepted_moves = accepted.load();
-  stats_.rejected_infeasible = rejected.load();
-  stats_.resets = resets.load();
-  stats_.archive_inserts_accepted = archive.counters().inserts_accepted;
-  stats_.screened = screened.load();
-  stats_.screen_rejected = screen_rejected.load();
-  stats_.promoted = promoted.load();
-
   result.evaluations = stats_.evaluations;
   result.wall_seconds = timer.seconds();
   return result;

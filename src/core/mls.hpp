@@ -4,26 +4,32 @@
 /// multi-start multi-objective local search.
 ///
 /// Structure (Fig. 3 / Fig. 4):
-///  * `populations` islands, each a `SharedPopulation` of
-///    `threads_per_population` worker threads (shared memory);
-///  * one external AGA archive running as a message-passing actor;
+///  * `populations` islands of `threads_per_population` local-search
+///    workers each;
+///  * one external AGA archive fed by every worker;
 ///  * every worker repeatedly: picks a teammate `t` from its island's
 ///    *epoch snapshot* (see below), draws one of the sensitivity-guided
 ///    search criteria, applies the Eq.-2 BLX-α step to that criterion's
 ///    variables, evaluates, and accepts the move iff the perturbed
 ///    solution is feasible (bt < 2 s), submitting every accepted solution
 ///    to the archive;
-///  * every `reset_period` iterations the island discards its population,
-///    re-seeds every slot from the archive, and re-synchronises its
-///    threads.
+///  * every `reset_period` iterations each worker discards its solution
+///    and re-seeds it from the archive.
 ///
-/// **Epoch snapshots.**  Teammate reads are served from a per-island copy
-/// of the population refreshed only at barrier phases (initialisation and
-/// resets), and reset re-seeding is served *inside* the barrier's
-/// completion step in slot order.  Between barriers a worker's candidate
-/// sequence is therefore a pure function of (seed, snapshot) — never of
-/// how worker wall-times interleave — which is what lets the racing mode
-/// below change per-candidate cost without changing any trajectory.
+/// **Bulk-synchronous epochs.**  The paper's workers run asynchronously
+/// against the shared archive; here they run in epochs of `reset_period`
+/// iterations, which is one legal interleaving of that model.  Inside an
+/// epoch every worker walks in parallel (one `par::ThreadPool` thread
+/// each; a lone worker walks on the calling thread), reads teammates only
+/// from its island's snapshot of the population taken at the epoch start,
+/// and buffers the solutions it accepts.  At the boundary the calling
+/// thread admits the buffers into a plain `moo::AgaArchive` in
+/// (population, worker, walk) order, serves the reset samples in flat
+/// worker order from one seeded RNG and refreshes the snapshots.  The
+/// front and `Stats` are therefore a pure function of (problem, config,
+/// seed), whatever the thread timing or the caller's thread layout —
+/// which also lets the racing mode below change per-candidate cost
+/// without changing any trajectory.
 ///
 /// **Racing mode** (`screen_moves`).  When the problem exposes a
 /// conservative screening tier (`Problem::screening_tier`), each worker
@@ -45,18 +51,10 @@
 ///
 /// Budget: `evaluations_per_thread` *candidates* per worker (250 in the
 /// paper => 8×12×250 = 24000 total; in racing mode screen-rejected
-/// candidates consume budget without a full simulation).  Runs are
-/// deterministic given (problem, seed) up to the arrival order of archive
-/// messages, which can only change *which* equally non-dominated points
-/// the bounded archive retains and what reset re-seeding samples (the
-/// returned front is canonically sorted, so runs that admit the same
-/// point set compare byte-identical).
+/// candidates consume budget without a full simulation).  The returned
+/// front is canonically sorted.
 
-#include <optional>
-
-#include "core/archive_actor.hpp"
 #include "core/search_criteria.hpp"
-#include "core/shared_population.hpp"
 #include "moo/algorithms/algorithm.hpp"
 
 namespace aedbmls::core {
@@ -70,8 +68,7 @@ struct MlsConfig {
   /// grid; distributing the remainder here lets callers consume exactly
   /// the declared budget instead of silently truncating it (with 120
   /// evaluations over 96 workers the plain division drops 24 of them).
-  /// Safe with the reset barriers: a finished worker drops out via
-  /// `arrive_and_drop`, so budgets may differ across the island.
+  /// A worker whose budget runs out sits out the remaining epochs.
   std::size_t extra_evaluation_workers = 0;
   std::size_t reset_period = 50;            ///< paper's tuned value (§V)
   double alpha = 0.2;                       ///< paper's tuned BLX-α value (§V)

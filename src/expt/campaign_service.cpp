@@ -550,9 +550,6 @@ WorkerReport run_campaign_worker(const ExperimentPlan& plan,
         transport.close();
         return report;
       }
-      if (options.cell_delay.count() > 0) {
-        std::this_thread::sleep_for(options.cell_delay);
-      }
       double stall_ms = 0.0;
       if (fault::fire("cell.stall_ms", stall_ms) && stall_ms > 0) {
         std::this_thread::sleep_for(

@@ -104,9 +104,6 @@ struct CampaignWorkerOptions {
   /// worker abandons its next assignment by closing the transport
   /// (simulating a crash mid-cell).  0 = no limit.
   std::size_t max_cells = 0;
-  /// Fault injection: stall this long before starting each cell — gives a
-  /// kill signal a window to land while the cell is in flight.
-  std::chrono::milliseconds cell_delay{0};
 };
 
 /// What a worker did, for operator reporting (`--telemetry-out`).  The

@@ -22,12 +22,11 @@ class Algorithm {
  public:
   virtual ~Algorithm() = default;
 
-  /// Runs to completion.  The generational algorithms are deterministic
-  /// given (problem, seed), including under a parallel evaluator:
-  /// `EvaluationEngine` partitions populations by index, so results never
-  /// depend on thread count or scheduling.  `core::AedbMls` is the
-  /// exception — its asynchronous workers race on the shared archive by
-  /// design (the paper's model), so only its statistics are reproducible.
+  /// Runs to completion.  Every algorithm is deterministic given (problem,
+  /// seed), including under a parallel evaluator: `EvaluationEngine`
+  /// partitions populations by index, and `core::AedbMls` runs its workers
+  /// in bulk-synchronous epochs reconciled in a fixed order, so results
+  /// never depend on thread count or scheduling.
   [[nodiscard]] virtual AlgorithmResult run(const Problem& problem,
                                             std::uint64_t seed) = 0;
 

@@ -2,12 +2,10 @@
 
 /// Blocking multi-producer/multi-consumer mailbox.
 ///
-/// This is the transport of the in-process message-passing layer (DESIGN.md
-/// substitution #2): AEDB-MLS populations talk to the external-archive actor
-/// by sending messages to its mailbox, mirroring the paper's
-/// "message-passing ... between the distributed populations and the external
-/// archive".  A mailbox can be closed; receivers then drain remaining
-/// messages and get `std::nullopt`.
+/// The queue under the in-process message passing: `ThreadPool` task
+/// queues, `Communicator` rank inboxes and the per-rank inboxes of the
+/// in-process and TCP byte transports.  A mailbox can be closed; receivers
+/// then drain remaining messages and get `std::nullopt`.
 
 #include <condition_variable>
 #include <deque>

@@ -5,7 +5,7 @@
 /// Models are *queried*, not stepped: `position(t)` must be valid for any
 /// non-decreasing sequence of query times (implementations may cache).  This
 /// lets the 30-second topology warm-up of the paper's scenarios cost zero
-/// simulation events (DESIGN.md §5).
+/// simulation events.
 
 #include "sim/core/time.hpp"
 #include "sim/geom/vec2.hpp"

@@ -6,7 +6,7 @@
 /// Topologies are pure functions of (seed, network_index): the paper
 /// evaluates every candidate configuration on the *same* 10 networks, which
 /// requires bit-identical placement and mobility across all evaluations and
-/// threads (counter-based RNG streams; DESIGN.md §5).
+/// threads (counter-based RNG streams).
 
 #include <memory>
 #include <vector>

@@ -37,8 +37,7 @@ Scale tiny_scale() {
   return scale;
 }
 
-/// Deterministic generational contenders (AEDB-MLS races on its archive by
-/// design, so campaign-level bitwise guarantees use the others).
+/// Two cheap contenders.
 ExperimentPlan tiny_plan() {
   return ExperimentPlan::of({"NSGAII", "Random"}, tiny_scale());
 }

@@ -11,7 +11,9 @@
 /// by a resumed run, and the `cell.stall_ms` wiring under a live plan.
 ///
 /// The fork-based drill self-skips under ThreadSanitizer (fork() from a
-/// threaded sanitizer runtime is unsupported).
+/// threaded sanitizer runtime is unsupported).  Built without fault
+/// injection it still runs the kill and the poisoned cache; only the
+/// fault-plan sabotage is gone.
 
 #include <gtest/gtest.h>
 
@@ -133,7 +135,8 @@ TEST(ChaosCampaign, EverythingAtOnceIsByteIdentical) {
   // Five workers, four of them sabotaged.  Per-child fault plans are
   // installed after fork(), so each process runs its own chaos:
   //   0: every cell stalled 300ms by the cell.stall_ms site (slow, alive)
-  //   1: the victim — parked mid-cell and SIGKILLed below
+  //   1: the victim — parked 2.5s in every cell by the same site and
+  //      SIGKILLed below
   //   2: corrupts the 4th chunk its reader receives (poisons its link)
   //   3: tears one of its own sends mid-frame
   //   4: clean
@@ -148,6 +151,7 @@ TEST(ChaosCampaign, EverythingAtOnceIsByteIdentical) {
       try {
         switch (i) {
           case 0: fault::configure("cell.stall_ms=always,value=300"); break;
+          case 1: fault::configure("cell.stall_ms=always,value=2500"); break;
           case 2: fault::configure("net.frame.corrupt=nth:4"); break;
           case 3: fault::configure("net.send.short_write=nth:3"); break;
           default: break;
@@ -156,7 +160,6 @@ TEST(ChaosCampaign, EverythingAtOnceIsByteIdentical) {
             par::net::TcpTransport::connect("127.0.0.1", listener.port(), net);
         CampaignWorkerOptions worker;
         worker.driver = quiet(1);
-        if (i == 1) worker.cell_delay = 2500ms;
         (void)run_campaign_worker(plan, *transport, worker);
         status = 0;
       } catch (const CoordinatorLostError&) {
@@ -173,8 +176,11 @@ TEST(ChaosCampaign, EverythingAtOnceIsByteIdentical) {
   fault::ScopedPlan drop_one("seed=42;net.frame.drop=nth:7");
 
   const auto coordinator = listener.accept_workers(5);
+  // Without the fault sites nothing parks the victim, so it is killed as
+  // soon as the fleet has connected, around its first assignment.
+  const auto kill_after = fault::kCompiledIn ? 600ms : 0ms;
   std::thread killer([&] {
-    std::this_thread::sleep_for(600ms);
+    std::this_thread::sleep_for(kill_after);
     ::kill(children[1], SIGKILL);
   });
 

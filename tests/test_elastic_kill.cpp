@@ -5,7 +5,8 @@
 /// cached CSV byte-identical to an unsharded in-process run.
 ///
 /// Not part of the TSan suite: fork() from a threaded sanitizer runtime
-/// is unsupported, and the kill timing is wall-clock based.
+/// is unsupported, and the kill timing is wall-clock based.  Skipped when
+/// fault injection is compiled out: the victim's stall is a fault site.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "expt/campaign_service.hpp"
 #include "expt/experiment.hpp"
 #include "par/net/tcp_transport.hpp"
@@ -68,6 +70,9 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(ElasticKill, SigkilledWorkerIsRequeuedByteIdentical) {
+  if constexpr (!fault::kCompiledIn) {
+    GTEST_SKIP() << "the victim's stall needs the cell.stall_ms fault site";
+  }
   const auto plan = tiny_plan();
   const std::string ref_dir = scratch_dir("kill_ref");
   const std::string elastic_dir = scratch_dir("kill_run");
@@ -84,8 +89,9 @@ TEST(ElasticKill, SigkilledWorkerIsRequeuedByteIdentical) {
   net.peer_deadline = 1000ms;
   par::net::TcpListener listener(0, net);
 
-  // 3 workers; the first stalls 2s before every cell so the SIGKILL at
-  // ~500ms is guaranteed to land while it holds an in-flight assignment.
+  // 3 workers; the first stalls 2s before every cell (its own fault plan,
+  // installed after fork()) so the SIGKILL at ~500ms is guaranteed to land
+  // while it holds an in-flight assignment.
   std::vector<pid_t> children;
   for (int i = 0; i < 3; ++i) {
     const pid_t pid = fork();
@@ -93,11 +99,11 @@ TEST(ElasticKill, SigkilledWorkerIsRequeuedByteIdentical) {
     if (pid == 0) {
       int status = 1;
       try {
+        if (i == 0) fault::configure("cell.stall_ms=always,value=2000");
         const auto transport =
             par::net::TcpTransport::connect("127.0.0.1", listener.port(), net);
         CampaignWorkerOptions worker;
         worker.driver = quiet(1);
-        if (i == 0) worker.cell_delay = 2000ms;
         (void)run_campaign_worker(plan, *transport, worker);
         status = 0;
       } catch (...) {

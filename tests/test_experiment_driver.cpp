@@ -26,8 +26,8 @@ Scale tiny_scale() {
   return scale;
 }
 
-/// Deterministic generational contenders (AEDB-MLS races on its archive by
-/// design, so it is exercised in the registry round-trip instead).
+/// Two cheap contenders; AEDB-MLS gets its own plan at a budget where its
+/// workers reset (below).
 ExperimentPlan tiny_plan() {
   return ExperimentPlan::of({"NSGAII", "Random"}, tiny_scale());
 }
@@ -110,6 +110,23 @@ TEST(ExperimentDriver, ShardedSamplesAreBitwiseIdenticalAt1_4_12Workers) {
   for (const std::size_t workers : {4u, 12u}) {
     const auto sharded = ExperimentDriver(quiet(workers)).run(plan);
     expect_identical(serial.samples, sharded.samples);
+  }
+}
+
+TEST(ExperimentDriver, MlsSamplesAreBitwiseIdenticalAt1_4_12Workers) {
+  // 240 evaluations over the smoke 2x2 layout: 60 candidates and one reset
+  // per worker, so reset samples and archive admission order both shape
+  // the fronts while driver workers run other cells alongside.
+  Scale scale = tiny_scale();
+  scale.evals = 240;
+  const ExperimentPlan plan = ExperimentPlan::of({"AEDB-MLS"}, scale);
+  const auto serial = ExperimentDriver(quiet(1)).run(plan);
+  ASSERT_EQ(serial.samples.size(), plan.cell_count());
+  for (const std::size_t workers : {4u, 12u}) {
+    const auto sharded = ExperimentDriver(quiet(workers)).run(plan);
+    expect_identical(serial.samples, sharded.samples);
+    EXPECT_EQ(sharded.telemetry.counters, serial.telemetry.counters)
+        << workers << " workers";
   }
 }
 

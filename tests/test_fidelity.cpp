@@ -238,55 +238,70 @@ TEST(FidelityLadder, ForcedTierRebasesRequestedFullEvaluations) {
 TEST(FidelityRacing, MlsRaceFrontIsByteIdenticalToFull) {
   const AedbTuningProblem problem(problem_config("d100", tiny_scale()));
 
-  core::MlsConfig base;
-  base.populations = 1;
-  base.threads_per_population = 2;
-  base.evaluations_per_thread = 8;
-  base.reset_period = 50;  // > budget: no resets at this scale
-  base.archive_capacity = 100;
-  base.criteria = core::aedb_criteria();
+  core::MlsConfig uninterrupted;
+  uninterrupted.populations = 1;
+  uninterrupted.threads_per_population = 2;
+  uninterrupted.evaluations_per_thread = 8;
+  uninterrupted.reset_period = 50;  // > budget: one epoch, no resets
+  uninterrupted.archive_capacity = 100;
+  uninterrupted.criteria = core::aedb_criteria();
+  // Two islands resetting every 4 candidates into a 3-point archive: reset
+  // samples and evictions both shape the walk.
+  core::MlsConfig resetting = uninterrupted;
+  resetting.populations = 2;
+  resetting.evaluations_per_thread = 12;
+  resetting.reset_period = 4;
+  resetting.archive_capacity = 3;
 
   const moo::EvaluationEngine engine;  // pool-less: batches run inline
-  for (const std::uint64_t seed : {1ull, 42ull}) {
-    core::MlsConfig full_config = base;
-    core::AedbMls full(full_config);
-    const auto full_result = full.run(problem, seed);
+  for (const core::MlsConfig& base : {uninterrupted, resetting}) {
+    for (const std::uint64_t seed : {1ull, 42ull}) {
+      core::MlsConfig full_config = base;
+      core::AedbMls full(full_config);
+      const auto full_result = full.run(problem, seed);
 
-    core::MlsConfig race_config = base;
-    race_config.screen_moves = true;
-    race_config.evaluator = &engine;
-    core::AedbMls race(race_config);
-    const auto race_result = race.run(problem, seed);
+      core::MlsConfig race_config = base;
+      race_config.screen_moves = true;
+      race_config.evaluator = &engine;
+      core::AedbMls race(race_config);
+      const auto race_result = race.run(problem, seed);
 
-    ASSERT_EQ(race_result.front.size(), full_result.front.size())
-        << "seed " << seed;
-    for (std::size_t i = 0; i < full_result.front.size(); ++i) {
-      EXPECT_EQ(race_result.front[i].objectives,
-                full_result.front[i].objectives)
-          << "seed " << seed << " point " << i;
-      EXPECT_EQ(race_result.front[i].x, full_result.front[i].x);
-      EXPECT_EQ(race_result.front[i].constraint_violation,
-                full_result.front[i].constraint_violation);
+      if (base.reset_period < base.evaluations_per_thread) {
+        EXPECT_GT(full.stats().resets, 0u);
+      }
+      ASSERT_EQ(race_result.front.size(), full_result.front.size())
+          << "seed " << seed;
+      for (std::size_t i = 0; i < full_result.front.size(); ++i) {
+        EXPECT_EQ(race_result.front[i].objectives,
+                  full_result.front[i].objectives)
+            << "seed " << seed << " point " << i;
+        EXPECT_EQ(race_result.front[i].x, full_result.front[i].x);
+        EXPECT_EQ(race_result.front[i].constraint_violation,
+                  full_result.front[i].constraint_violation);
+      }
+      // Both modes walk the identical candidate sequence, but the racing
+      // run pays no full simulation for screen-proven rejections — its
+      // reported (full-fidelity) evaluation count is lower by exactly that.
+      EXPECT_EQ(race_result.evaluations + race.stats().screen_rejected,
+                full_result.evaluations);
+
+      // Same accept/reject trajectory, different work profile.
+      EXPECT_EQ(race.stats().accepted_moves, full.stats().accepted_moves);
+      EXPECT_EQ(race.stats().rejected_infeasible,
+                full.stats().rejected_infeasible);
+      EXPECT_EQ(race.stats().resets, full.stats().resets);
+      EXPECT_EQ(race.stats().archive_inserts_accepted,
+                full.stats().archive_inserts_accepted);
+      EXPECT_GT(race.stats().screened, 0u);
+      EXPECT_EQ(full.stats().screened, 0u);
+      // Screens past an accepted move are discarded (the chain's tail is
+      // stale), so walked candidates never exceed screened ones.
+      EXPECT_LE(race.stats().screen_rejected + race.stats().promoted,
+                race.stats().screened);
+      // Full evaluations saved = candidates the screen rejected outright.
+      EXPECT_EQ(race.stats().evaluations + race.stats().screen_rejected,
+                full.stats().evaluations);
     }
-    // Both modes walk the identical candidate sequence, but the racing
-    // run pays no full simulation for screen-proven rejections — its
-    // reported (full-fidelity) evaluation count is lower by exactly that.
-    EXPECT_EQ(race_result.evaluations + race.stats().screen_rejected,
-              full_result.evaluations);
-
-    // Same accept/reject trajectory, different work profile.
-    EXPECT_EQ(race.stats().accepted_moves, full.stats().accepted_moves);
-    EXPECT_EQ(race.stats().rejected_infeasible,
-              full.stats().rejected_infeasible);
-    EXPECT_GT(race.stats().screened, 0u);
-    EXPECT_EQ(full.stats().screened, 0u);
-    // Screens past an accepted move are discarded (the chain's tail is
-    // stale), so walked candidates never exceed screened ones.
-    EXPECT_LE(race.stats().screen_rejected + race.stats().promoted,
-              race.stats().screened);
-    // Full evaluations saved = candidates the screen rejected outright.
-    EXPECT_EQ(race.stats().evaluations + race.stats().screen_rejected,
-              full.stats().evaluations);
   }
 }
 

@@ -3,7 +3,8 @@
 /// path before the SoA (flat NodeId-indexed) rewrite.  The flat path must
 /// reproduce these byte-for-byte — any drift means the statistics rewrite
 /// (or anything upstream of it) changed simulated behaviour, not just its
-/// storage layout.
+/// storage layout.  One more pin covers an AEDB-MLS cell at a budget where
+/// its workers reset.
 ///
 /// Regenerate after an *intentional* behaviour change with:
 ///   AEDB_REGENERATE_GOLDEN=1 ./test_golden_indicators
@@ -39,8 +40,8 @@ Scale golden_scale(const std::string& scenario) {
   return scale;
 }
 
-std::string golden_path(const std::string& scenario) {
-  return std::string(AEDB_GOLDEN_DIR) + "/indicators_" + scenario + ".csv";
+std::string golden_path(const std::string& name) {
+  return std::string(AEDB_GOLDEN_DIR) + "/indicators_" + name + ".csv";
 }
 
 std::optional<std::string> read_file(const std::string& path) {
@@ -51,24 +52,20 @@ std::optional<std::string> read_file(const std::string& path) {
   return data.str();
 }
 
-std::string run_cell_csv(const std::string& scenario) {
+std::string run_cell_csv(const std::string& algorithm, const Scale& scale) {
   ExperimentDriver::Options options;
   options.workers = 1;
   options.use_cache = false;
   options.verbose = false;
-  const ExperimentPlan plan =
-      ExperimentPlan::of({"Random"}, golden_scale(scenario));
+  const ExperimentPlan plan = ExperimentPlan::of({algorithm}, scale);
   const ExperimentResult result = ExperimentDriver(options).run(plan);
   return indicator_csv(result.samples);
 }
 
-class GoldenIndicators : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(GoldenIndicators, CellCsvBytesArePinned) {
-  const std::string scenario = GetParam();
-  const std::string csv = run_cell_csv(scenario);
-  const std::string path = golden_path(scenario);
-
+/// Compares `csv` with the golden file `name`, or rewrites that file when
+/// AEDB_REGENERATE_GOLDEN is set.
+void expect_pinned(const std::string& csv, const std::string& name) {
+  const std::string path = golden_path(name);
   if (std::getenv("AEDB_REGENERATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out) << "cannot write " << path;
@@ -80,8 +77,23 @@ TEST_P(GoldenIndicators, CellCsvBytesArePinned) {
   ASSERT_TRUE(golden.has_value())
       << path << " missing — run AEDB_REGENERATE_GOLDEN=1 to create it";
   EXPECT_EQ(csv, *golden)
-      << "indicator CSV for '" << scenario
-      << "' drifted from the pinned hash-map-path bytes";
+      << "indicator CSV '" << name << "' drifted from the pinned bytes";
+}
+
+class GoldenIndicators : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenIndicators, CellCsvBytesArePinned) {
+  const std::string scenario = GetParam();
+  expect_pinned(run_cell_csv("Random", golden_scale(scenario)), scenario);
+}
+
+/// The paper's own algorithm on d100: 240 evaluations over the smoke 2x2
+/// layout give each worker 60 candidates and one reset, so the pinned
+/// front also depends on reset sampling and archive admission order.
+TEST(GoldenMls, CellCsvBytesArePinned) {
+  Scale scale = golden_scale("d100");
+  scale.evals = 240;
+  expect_pinned(run_cell_csv("AEDB-MLS", scale), "AEDB-MLS_d100");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <optional>
+#include <thread>
+
 #include "moo/core/dominance.hpp"
 #include "moo/core/front_io.hpp"
 #include "moo/core/nds.hpp"
@@ -171,6 +176,84 @@ TEST(Mls, SingleThreadSinglePopulationDegenerateCase) {
   AedbMls mls(config);
   const moo::AlgorithmResult result = mls.run(problem, 10);
   EXPECT_FALSE(result.front.empty());
+}
+
+/// Sleeps a seeded 0-400 us before every evaluation of `inner`.  The delay
+/// is keyed by a call counter, never by `x`, so it reshuffles how worker
+/// wall-times interleave without changing what any evaluation returns.
+class JitteredProblem final : public moo::Problem {
+ public:
+  JitteredProblem(const moo::Problem& inner, std::uint64_t seed)
+      : inner_(inner), delays_(seed) {}
+
+  [[nodiscard]] std::size_t dimensions() const override {
+    return inner_.dimensions();
+  }
+  [[nodiscard]] std::size_t objective_count() const override {
+    return inner_.objective_count();
+  }
+  [[nodiscard]] std::pair<double, double> bounds(
+      std::size_t dim) const override {
+    return inner_.bounds(dim);
+  }
+  [[nodiscard]] Result evaluate(const std::vector<double>& x) const override {
+    const std::uint64_t call = calls_.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(delays_.bits(call) % 401));
+    return inner_.evaluate(x);
+  }
+
+ private:
+  const moo::Problem& inner_;
+  CounterRng delays_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+TEST(Mls, FrontAndStatsAreInvariantUnderTimingJitter) {
+  // Two islands of three workers that reset every 10 iterations into an
+  // 8-point archive: reset samples and archive evictions both shape the
+  // walk, so any dependence on which worker finished first would show.
+  const moo::MiniAedbLikeProblem problem;
+  MlsConfig config = tiny_config();
+  config.evaluations_per_thread = 40;
+  config.reset_period = 10;
+  config.archive_capacity = 8;
+
+  const auto run = [&](std::optional<std::uint64_t> jitter_seed) {
+    AedbMls mls(config);
+    moo::AlgorithmResult result;
+    if (jitter_seed) {
+      const JitteredProblem jittered(problem, *jitter_seed);
+      result = mls.run(jittered, 12);
+    } else {
+      result = mls.run(problem, 12);
+    }
+    return std::make_pair(result.front, mls.stats());
+  };
+
+  const auto [front, stats] = run(std::nullopt);
+  ASSERT_EQ(front.size(), config.archive_capacity);
+  EXPECT_GT(stats.resets, 0u);
+  EXPECT_GT(stats.archive_inserts_accepted, front.size());
+  for (const std::uint64_t jitter_seed : {1u, 2u, 3u}) {
+    const auto [jittered_front, jittered_stats] = run(jitter_seed);
+    ASSERT_EQ(jittered_front.size(), front.size()) << "jitter " << jitter_seed;
+    for (std::size_t i = 0; i < front.size(); ++i) {
+      EXPECT_EQ(jittered_front[i].objectives, front[i].objectives) << i;
+      EXPECT_EQ(jittered_front[i].x, front[i].x) << i;
+      EXPECT_EQ(jittered_front[i].constraint_violation,
+                front[i].constraint_violation) << i;
+    }
+    EXPECT_EQ(jittered_stats.evaluations, stats.evaluations);
+    EXPECT_EQ(jittered_stats.accepted_moves, stats.accepted_moves);
+    EXPECT_EQ(jittered_stats.rejected_infeasible, stats.rejected_infeasible);
+    EXPECT_EQ(jittered_stats.resets, stats.resets);
+    EXPECT_EQ(jittered_stats.archive_inserts_accepted,
+              stats.archive_inserts_accepted);
+    EXPECT_EQ(jittered_stats.screened, stats.screened);
+    EXPECT_EQ(jittered_stats.screen_rejected, stats.screen_rejected);
+    EXPECT_EQ(jittered_stats.promoted, stats.promoted);
+  }
 }
 
 TEST(Mls, ResetCountMatchesSchedule) {
