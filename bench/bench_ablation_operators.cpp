@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   // threads workers, so driver-level sharding multiplies thread counts;
   // cap with --workers=1 for paper-scale layouts (8x12 threads per cell).
   options.workers = static_cast<std::size_t>(std::max(0L, args.get_int("workers", 0)));
-  // Honours --ranks / --shard=i/N / --merge=DIR for distributed campaigns.
+  // Honours --shard=i/N / --merge=DIR for distributed campaigns.
   const auto samples =
       expt::run_campaign_or_exit(args, expt::ExperimentPlan::of(variants, scale),
                                  options)

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   // AEDB-MLS cells spawn their own islands x threads workers; cap the
   // driver with --workers=1 for paper-scale layouts.
   options.workers = static_cast<std::size_t>(std::max(0L, args.get_int("workers", 0)));
-  // Honours --ranks / --shard=i/N / --merge=DIR: with collect_records set,
+  // Honours --shard=i/N / --merge=DIR: with collect_records set,
   // a --merge run rebuilds the raw fronts from the shard manifests, so
   // even this records-hungry figure can be produced from a sharded
   // campaign.

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   expt::ExperimentDriver::Options options;
   options.use_cache = !args.has("no-cache");
   options.workers = static_cast<std::size_t>(std::max(0L, args.get_int("workers", 0)));
-  // Honours --ranks / --shard=i/N / --merge=DIR for distributed campaigns
+  // Honours --shard=i/N / --merge=DIR for distributed campaigns
   // (EXPERIMENTS.md "Distributed campaigns").
   const auto samples =
       expt::run_campaign_or_exit(args, expt::ExperimentPlan::of(algorithms, scale),

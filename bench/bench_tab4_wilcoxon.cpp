@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   // AEDB-MLS cells spawn their own islands x threads workers; cap the
   // driver with --workers=1 for paper-scale layouts.
   options.workers = static_cast<std::size_t>(std::max(0L, args.get_int("workers", 0)));
-  // Honours --ranks / --shard=i/N / --merge=DIR for distributed campaigns.
+  // Honours --shard=i/N / --merge=DIR for distributed campaigns.
   const auto samples =
       expt::run_campaign_or_exit(
           args, expt::ExperimentPlan::of(expt::paper_algorithms(), scale),

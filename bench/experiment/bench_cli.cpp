@@ -15,7 +15,6 @@
 #include "expt/algorithm_registry.hpp"
 #include "expt/campaign_options.hpp"
 #include "expt/campaign_service.hpp"
-#include "expt/distributed_driver.hpp"
 #include "expt/manifest.hpp"
 #include "expt/scenario_catalog.hpp"
 
@@ -193,8 +192,8 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
       }
       case CampaignMode::kShard: {
         // Reject bad plans before burning a shard's worth of compute — the
-        // full/distributed drivers validate inside run(), but run_cells is
-        // below that layer.
+        // driver validates inside run(), but run_cells is below that
+        // layer.
         validate_plan(plan);
         options.use_cache = false;  // partial grids must never hit the cache
         options.collect_records = false;
@@ -224,19 +223,6 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
         std::printf("[shard %zu/%zu] wrote %s\n", campaign.shard_index,
                     campaign.shard_count, path.c_str());
         std::exit(0);
-      }
-      case CampaignMode::kRanks: {
-        // One meter shared by every rank (it is thread-safe), so the feed
-        // covers the whole world, not one rank's stride.
-        const auto progress = make_progress(campaign, plan.cell_count());
-        options.progress = progress.get();
-        DistributedDriver::Options distributed;
-        distributed.ranks = campaign.ranks;
-        distributed.driver = std::move(options);
-        auto result = DistributedDriver(std::move(distributed)).run(plan);
-        maybe_write_telemetry(campaign, result.telemetry);
-        maybe_write_fronts(campaign, plan, result);
-        return result;
       }
       case CampaignMode::kLocal: {
         const auto progress = make_progress(campaign, plan.cell_count());

@@ -33,9 +33,6 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 
 /// Runs (or merges) a campaign, honouring the distribution flags shared by
 /// every campaign bench:
-///   --ranks=N      in-process distributed run: the plan's cells strided
-///                  over N communicator ranks (expt::DistributedDriver);
-///                  bitwise-identical samples at any N
 ///   --shard=i/N    run only shard i of N (0-based) and write a partial-
 ///                  results manifest under --shard-dir (default "shards"),
 ///                  then exit 0 — a later --merge run reassembles the
@@ -62,12 +59,12 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 ///                  options.cache_dir, i.e. "results")
 ///   --progress[=N] live `[progress]` lines on stderr every N completed
 ///                  cells (default 1): cells-done/total, eval throughput,
-///                  per-scenario mean cell time.  Works in plain, --ranks,
-///                  --shard and --serve modes (shard feeds count the
-///                  shard's own cells); purely observational — result
-///                  bytes are identical with or without it
+///                  per-scenario mean cell time.  Works in plain, --shard
+///                  and --serve modes (shard feeds count the shard's own
+///                  cells); purely observational — result bytes are
+///                  identical with or without it
 ///   --telemetry-out=FILE  dump the run's merged telemetry snapshot via
-///                  the line codec (plain/--ranks/--merge/--serve: the
+///                  the line codec (plain/--merge/--serve: the
 ///                  campaign-wide grid-order fold; --shard/--connect: the
 ///                  executor's own cells).  Written durably — atomic
 ///                  tmp+rename with a #crc32 trailer — and feeds straight

@@ -92,11 +92,4 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   return workspace.context_for(config.network).run(config, params, workspace);
 }
 
-ScenarioResult run_scenario(const ScenarioConfig& config,
-                            const AedbParams& params,
-                            ScenarioWorkspace* workspace) {
-  return workspace != nullptr ? run_scenario(config, params, *workspace)
-                              : run_scenario(config, params);
-}
-
 }  // namespace aedbmls::aedb

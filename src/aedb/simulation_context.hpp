@@ -51,13 +51,6 @@ class SimulationContext {
                                    const AedbParams& params,
                                    ScenarioWorkspace& workspace);
 
-  /// Deprecated pointer spelling: pass the workspace by reference, or omit
-  /// it for topology placement computed in place.
-  [[deprecated("pass ScenarioWorkspace by reference (or omit it)")]]
-  [[nodiscard]] ScenarioResult run(const ScenarioConfig& config,
-                                   const AedbParams& params,
-                                   ScenarioWorkspace* workspace);
-
   /// How runs hit the reuse tiers (test/bench visibility).
   struct Stats {
     std::uint64_t builds = 0;        ///< graphs constructed from scratch

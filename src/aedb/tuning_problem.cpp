@@ -1,7 +1,6 @@
 #include "aedb/tuning_problem.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -29,13 +28,6 @@ AedbTuningProblem::AedbTuningProblem(Config config) : config_(config) {
   for (const FidelityTier& tier : config_.tiers) {
     AEDB_REQUIRE(!tier.name.empty(), "fidelity tier needs a name");
     AEDB_REQUIRE(tier.window_s >= 0.0, "fidelity window must be >= 0");
-    AEDB_REQUIRE(tier.node_fraction > 0.0 && tier.node_fraction <= 1.0,
-                 "fidelity node_fraction must be in (0, 1]");
-    // The lower-bound argument needs the truncated run to be an exact
-    // prefix of the full run on the *same* topology; thinning nodes breaks
-    // that.
-    AEDB_REQUIRE(!tier.conservative || tier.node_fraction == 1.0,
-                 "conservative tier may not thin nodes");
   }
   AEDB_REQUIRE(config_.forced_tier <= config_.tiers.size(),
                "forced_tier out of ladder range");
@@ -71,7 +63,6 @@ AedbTuningProblem::Detail AedbTuningProblem::detail_at(
     const AedbParams& params, ScenarioWorkspace* workspace, std::size_t tier,
     bool allow_reject_stop) const {
   ScenarioConfig scenario = config_.scenario;
-  std::size_t networks = config_.network_count;
   bool conservative = false;
   if (tier != 0) {
     const FidelityTier& spec = config_.tiers[tier - 1];
@@ -82,12 +73,6 @@ AedbTuningProblem::Detail AedbTuningProblem::detail_at(
       scenario.end_at = std::min(
           scenario.end_at, scenario.broadcast_at + sim::seconds_d(spec.window_s));
     }
-    if (spec.node_fraction < 1.0) {
-      const auto scaled = static_cast<std::size_t>(std::llround(
-          static_cast<double>(scenario.network.node_count) * spec.node_fraction));
-      scenario.network.node_count = std::max<std::size_t>(2, scaled);
-    }
-    if (spec.max_networks > 0) networks = std::min(networks, spec.max_networks);
   }
   // A conservative screen only needs to *prove* infeasibility: each
   // network's truncated broadcast time lower-bounds its full-run value and
@@ -99,7 +84,7 @@ AedbTuningProblem::Detail AedbTuningProblem::detail_at(
   Detail detail;
   std::uint64_t events = 0;
   std::size_t runs = 0;
-  for (std::size_t net = 0; net < networks; ++net) {
+  for (std::size_t net = 0; net < config_.network_count; ++net) {
     scenario.network.network_index = net;
     if (conservative && allow_reject_stop) {
       // The verdict is sealed the moment one reception lands beyond this
@@ -144,11 +129,6 @@ AedbTuningProblem::Detail AedbTuningProblem::evaluate_detail(
 AedbTuningProblem::Detail AedbTuningProblem::evaluate_detail(
     const AedbParams& params, ScenarioWorkspace& workspace) const {
   return detail_at(params, &workspace, 0, false);
-}
-
-AedbTuningProblem::Detail AedbTuningProblem::evaluate_detail(
-    const AedbParams& params, ScenarioWorkspace* workspace) const {
-  return detail_at(params, workspace, 0, false);
 }
 
 moo::Problem::Result AedbTuningProblem::evaluate_with(

@@ -31,22 +31,18 @@ namespace aedbmls::aedb {
 
 /// One reduced-fidelity evaluation tier: a cheaper, approximate spelling of
 /// the tuning problem derived from the full scenario by shrinking the
-/// simulated window, the node count and/or the evaluation-network ensemble.
-/// Tier 0 is always the full problem; tiers are numbered 1..N in ladder
-/// order.
+/// simulated window.  Tier 0 is always the full problem; tiers are numbered
+/// 1..N in ladder order.
 ///
-/// A **conservative** tier changes only the simulated window (and possibly
-/// the network count): its truncated run is an exact event-by-event prefix
-/// of the full run, so each network's broadcast time can only shrink and
-/// the tier's reported constraint violation is a *lower bound* of tier 0's
-/// — violation > 0 at the tier proves the candidate infeasible at full
+/// A **conservative** tier's truncated run is an exact event-by-event
+/// prefix of the full run, so each network's broadcast time can only shrink
+/// and the tier's reported constraint violation is a *lower bound* of tier
+/// 0's — violation > 0 at the tier proves the candidate infeasible at full
 /// fidelity, with zero false rejections of feasible points.
 struct FidelityTier {
-  std::string name;              ///< label ("screen", "sketch", ...)
-  double window_s = 0.0;         ///< > 0: truncate to broadcast_at + window_s
-  double node_fraction = 1.0;    ///< (0, 1]: scale node_count down
-  std::size_t max_networks = 0;  ///< > 0: cap the evaluation networks run
-  bool conservative = false;     ///< violation is a lower bound of tier 0's
+  std::string name;           ///< label ("screen", ...)
+  double window_s = 0.0;      ///< > 0: truncate to broadcast_at + window_s
+  bool conservative = false;  ///< violation is a lower bound of tier 0's
 };
 
 class AedbTuningProblem final : public moo::Problem {
@@ -114,12 +110,6 @@ class AedbTuningProblem final : public moo::Problem {
   /// contexts across calls; identical results either way.
   [[nodiscard]] Detail evaluate_detail(const AedbParams& params,
                                        ScenarioWorkspace& workspace) const;
-
-  /// Deprecated pointer spelling: pass the workspace by reference, or omit
-  /// it.
-  [[deprecated("pass ScenarioWorkspace by reference (or omit it)")]]
-  [[nodiscard]] Detail evaluate_detail(const AedbParams& params,
-                                       ScenarioWorkspace* workspace) const;
 
   /// Number of *full-fidelity* (tier 0) evaluations so far (thread-safe;
   /// benches report it).  Screening-tier evaluations are visible through

@@ -287,7 +287,7 @@ void configure(const std::string& spec) {
   const bool live = plan_has_live_site(plan);
   std::unique_lock lock(g_mutex);
   g_plan = std::move(plan);
-  detail::g_active.store(live && kCompiledIn, std::memory_order_relaxed);
+  detail::g_active.store(live, std::memory_order_relaxed);
 }
 
 bool configure_from_env() {

@@ -34,8 +34,6 @@
 // thread draws which occurrence may of course vary.
 //
 // Cost when inactive: `fire()` is an inline relaxed atomic load of one bool.
-// Building with -DAEDBMLS_FAULT_INJECTION=OFF (which defines
-// AEDBMLS_NO_FAULT_INJECTION) compiles every site to a constant-false no-op.
 //
 // Site names are validated against the known-site registry at configure
 // time so a typo in a plan fails loudly instead of silently never firing.
@@ -47,12 +45,6 @@
 #include <vector>
 
 namespace aedbmls::fault {
-
-#if defined(AEDBMLS_NO_FAULT_INJECTION)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 namespace detail {
 extern std::atomic<bool> g_active;
@@ -75,14 +67,12 @@ void clear();
 
 /// True while a plan with at least one non-off site is installed.
 [[nodiscard]] inline bool active() noexcept {
-  if constexpr (!kCompiledIn) return false;
   return detail::g_active.load(std::memory_order_relaxed);
 }
 
 /// Should this occurrence of `site` fail?  Counts one occurrence and
 /// consults the site's trigger.  Unconfigured sites always return false.
 [[nodiscard]] inline bool fire(std::string_view site) {
-  if constexpr (!kCompiledIn) return false;
   if (!detail::g_active.load(std::memory_order_relaxed)) return false;
   return detail::fire_slow(site, nullptr);
 }
@@ -90,7 +80,6 @@ void clear();
 /// As above; additionally writes the site's configured `value=` parameter
 /// (default 0.0) into `value` when the site fires.
 [[nodiscard]] inline bool fire(std::string_view site, double& value) {
-  if constexpr (!kCompiledIn) return false;
   if (!detail::g_active.load(std::memory_order_relaxed)) return false;
   return detail::fire_slow(site, &value);
 }

@@ -92,12 +92,6 @@ struct ModeRow {
 };
 
 constexpr ModeRow kModes[] = {
-    {"ranks", CampaignMode::kRanks,
-     [](const CliArgs& args, CampaignOptions& out) {
-       const long ranks = args.get_int("ranks", 0);
-       if (ranks < 1) fail("--ranks needs a positive rank count");
-       out.ranks = static_cast<std::size_t>(ranks);
-     }},
     {"shard", CampaignMode::kShard,
      [](const CliArgs& args, CampaignOptions& out) {
        parse_shard_spec(args.get("shard"), out);
@@ -193,8 +187,8 @@ CampaignOptions parse_campaign_options(const CliArgs& args) {
     if (!args.has(row.flag)) continue;
     if (first != nullptr) {
       fail(std::string("--") + first + " conflicts with --" + row.flag +
-           "; pick one distribution mode (--ranks | --shard | --merge | "
-           "--serve | --connect)");
+           "; pick one distribution mode (--shard | --merge | --serve | "
+           "--connect)");
     }
     first = row.flag;
     out.mode = row.mode;

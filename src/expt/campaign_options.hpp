@@ -3,9 +3,9 @@
 /// CampaignOptions — the unified campaign CLI surface.
 ///
 /// Every campaign bench accepts the same distribution / observability
-/// flags (`--ranks`, `--shard`, `--merge`, `--serve`, `--connect`,
-/// `--progress`, `--telemetry-out`, `--front-out`, `--cost-priors`,
-/// `--fault-plan`, `--cache-dir`).  This header owns their parsing and
+/// flags (`--shard`, `--merge`, `--serve`, `--connect`, `--progress`,
+/// `--telemetry-out`, `--front-out`, `--cost-priors`, `--fault-plan`,
+/// `--cache-dir`).  This header owns their parsing and
 /// validation as one table-driven pass: each flag has a single descriptor
 /// (spelling, operand grammar, which mode it selects), mode mutual
 /// exclusion is diagnosed in one loop that names the clashing pair, and
@@ -30,7 +30,6 @@ namespace aedbmls::expt {
 /// non-`kLocal` modes may be selected per invocation.
 enum class CampaignMode {
   kLocal,    ///< plain in-process run (no distribution flag)
-  kRanks,    ///< --ranks=N: in-process DistributedDriver over N ranks
   kShard,    ///< --shard=i/N: run one shard, write a manifest, exit
   kMerge,    ///< --merge=DIR: reassemble shard manifests, no execution
   kServe,    ///< --serve=PORT: elastic coordinator over TCP workers
@@ -41,8 +40,6 @@ enum class CampaignMode {
 struct CampaignOptions {
   CampaignMode mode = CampaignMode::kLocal;
 
-  // --ranks
-  std::size_t ranks = 0;
   // --shard=i/N + --shard-dir
   std::size_t shard_index = 0;
   std::size_t shard_count = 0;

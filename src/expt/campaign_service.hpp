@@ -3,7 +3,7 @@
 /// Elastic campaign service — pull-based cell scheduling over a
 /// `par::net::Transport` world.
 ///
-/// The shard/rank modes partition the grid statically: every executor must
+/// The `--shard` mode partitions the grid statically: every executor must
 /// finish its slice or the campaign fails.  This service replaces the
 /// static partition with a coordinator-owned queue: rank 0 holds the
 /// plan's cells, workers *pull* one cell at a time (`ready`/`result` each
@@ -62,8 +62,8 @@
 #include <vector>
 
 #include "common/telemetry.hpp"
-#include "expt/distributed_driver.hpp"  // CellResult
 #include "expt/experiment.hpp"
+#include "expt/manifest.hpp"  // CellResult
 #include "par/net/transport.hpp"
 
 namespace aedbmls::expt {

@@ -201,9 +201,6 @@ std::uint64_t ExperimentPlan::fingerprint() const {
       for (const aedb::FidelityTier& tier : spec->fidelity_tiers) {
         key = hash_string(key, tier.name);
         key = hash_combine(key, std::bit_cast<std::uint64_t>(tier.window_s));
-        key = hash_combine(key,
-                           std::bit_cast<std::uint64_t>(tier.node_fraction));
-        key = hash_combine(key, tier.max_networks);
         key = hash_combine(key, static_cast<std::uint64_t>(tier.conservative));
       }
     }

@@ -114,8 +114,8 @@ struct ExperimentResult {
   std::vector<RunRecord> records;        ///< populated iff collect_records
   bool from_cache = false;
   /// Campaign-wide fold of the per-cell snapshots, merged in grid order
-  /// (`merge_telemetry`) — identical for any worker count, rank count or
-  /// shard layout.  Empty on cache hits (the CSV cache carries no
+  /// (`merge_telemetry`) — identical for any worker count, shard layout or
+  /// elastic fleet.  Empty on cache hits (the CSV cache carries no
   /// telemetry).
   telemetry::Snapshot telemetry;
 };
@@ -139,10 +139,9 @@ class ExperimentDriver {
     bool verbose = true;
     /// Live campaign progress: after each completed cell its telemetry
     /// snapshot is folded into this meter (thread-safe), which prints its
-    /// `[progress]` line to stderr every N cells.  Shared across
-    /// `DistributedDriver` ranks so the feed covers the whole world.
-    /// nullptr = no progress stream.  Purely observational: cached CSV
-    /// bytes and indicator samples are identical with or without it.
+    /// `[progress]` line to stderr every N cells.  nullptr = no progress
+    /// stream.  Purely observational: cached CSV bytes and indicator
+    /// samples are identical with or without it.
     telemetry::ProgressMeter* progress = nullptr;
   };
 
@@ -155,11 +154,11 @@ class ExperimentDriver {
 
   /// Runs an arbitrary subset of `plan.cells()` — the phase-1 shard loop
   /// alone, no cache, no reduction — and returns the records in the
-  /// subset's order.  This is the unit of distribution: a communicator
-  /// rank or a `--shard=i/N` process runs its `cells_for_shard` slice
-  /// through here, and because each cell is seeded by (plan, scenario,
-  /// run) alone the records are identical to the ones a full single-node
-  /// run would produce for those cells.
+  /// subset's order.  This is the unit of distribution: a `--shard=i/N`
+  /// process runs its `cells_for_shard` slice through here, and an elastic
+  /// worker each cell it pulls; because each cell is seeded by (plan,
+  /// scenario, run) alone the records are identical to the ones a full
+  /// single-node run would produce for those cells.
   [[nodiscard]] std::vector<RunRecord> run_cells(
       const ExperimentPlan& plan,
       const std::vector<ExperimentPlan::Cell>& cells) const;
@@ -183,15 +182,15 @@ void validate_plan(const ExperimentPlan& plan);
 /// The phase-2 reduction: per-scenario reference fronts + normalised
 /// indicator samples in plan (scenario-major) order.  A pure function of
 /// (plan, records) — this is what makes every execution strategy (worker
-/// counts, communicator ranks, shard merges) bitwise-equivalent: they only
+/// counts, shard merges, elastic fleets) bitwise-equivalent: they only
 /// have to reproduce the records.
 [[nodiscard]] std::vector<IndicatorSample> reduce_to_samples(
     const ExperimentPlan& plan, const std::vector<RunRecord>& records);
 
 /// The campaign-wide telemetry fold: per-cell snapshots merged in the
 /// records' (grid) order.  A pure function of the records, so every
-/// execution strategy that reproduces them — any worker count, rank count
-/// or shard layout — produces the identical snapshot.
+/// execution strategy that reproduces them — any worker count, shard
+/// layout or elastic fleet — produces the identical snapshot.
 [[nodiscard]] telemetry::Snapshot merge_telemetry(
     const std::vector<RunRecord>& records);
 

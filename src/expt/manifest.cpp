@@ -17,8 +17,7 @@
 namespace aedbmls::expt {
 namespace {
 
-constexpr const char* kMagicV1 = "aedbmls-shard-manifest v1";
-constexpr const char* kMagicV2 = "aedbmls-shard-manifest v2";
+constexpr const char* kMagic = "aedbmls-shard-manifest v2";
 
 [[noreturn]] void fail(std::size_t line_number, const std::string& what) {
   std::ostringstream os;
@@ -129,7 +128,7 @@ std::vector<std::string> header_tokens(LineReader& reader, const char* key,
 /// consumes the block's telemetry and point lines from `reader`.  Shared by
 /// the whole-manifest decoder and `decode_cell_result`.
 CellResult decode_cell_body(LineReader& reader,
-                            const std::vector<std::string>& tokens, bool v2,
+                            const std::vector<std::string>& tokens,
                             std::size_t total_cells) {
   CellResult result;
   result.index = to_size(tokens[1], reader.line_number, "cell index");
@@ -147,7 +146,7 @@ CellResult decode_cell_body(LineReader& reader,
   result.record.algorithm = tokens[6];
   result.record.scenario = tokens[7];
   const std::size_t telemetry_lines =
-      v2 ? to_size(tokens[8], reader.line_number, "telemetry line count") : 0;
+      to_size(tokens[8], reader.line_number, "telemetry line count");
   for (std::size_t t = 0; t < telemetry_lines; ++t) {
     reader.require_next("a telemetry line");
     try {
@@ -192,6 +191,27 @@ CellResult decode_cell_body(LineReader& reader,
 
 }  // namespace
 
+std::vector<ExperimentPlan::Cell> cells_for_shard(const ExperimentPlan& plan,
+                                                  std::size_t shard_index,
+                                                  std::size_t shard_count) {
+  if (shard_count == 0) {
+    throw std::invalid_argument("shard count must be >= 1");
+  }
+  if (shard_index >= shard_count) {
+    std::ostringstream os;
+    os << "shard index " << shard_index << " out of range for " << shard_count
+       << " shards";
+    throw std::invalid_argument(os.str());
+  }
+  auto cells = plan.cells();
+  std::vector<ExperimentPlan::Cell> out;
+  out.reserve(cells.size() / shard_count + 1);
+  for (std::size_t i = shard_index; i < cells.size(); i += shard_count) {
+    out.push_back(std::move(cells[i]));
+  }
+  return out;
+}
+
 ShardManifest make_manifest(const ExperimentPlan& plan,
                             std::size_t shard_index, std::size_t shard_count,
                             std::vector<CellResult> results) {
@@ -207,7 +227,7 @@ ShardManifest make_manifest(const ExperimentPlan& plan,
 
 std::string encode_manifest(const ShardManifest& manifest) {
   std::string out;
-  out += kMagicV2;
+  out += kMagic;
   out += '\n';
   {
     char buffer[32];
@@ -232,9 +252,8 @@ std::string encode_manifest(const ShardManifest& manifest) {
 
 std::string encode_cell_result(const CellResult& result) {
   const RunRecord& record = result.record;
-  // v2: the cell line's trailing count announces how many telemetry
-  // lines follow it (before the points), so the decoder needs no
-  // look-ahead.
+  // The cell line's trailing count announces how many telemetry lines
+  // follow it (before the points), so the decoder needs no look-ahead.
   const std::vector<std::string> telemetry_lines =
       telemetry::encode_snapshot(record.telemetry);
   std::string out;
@@ -280,10 +299,9 @@ CellResult decode_cell_result(const std::string& text,
   const auto tokens = tokens_of(reader.line);
   if (tokens.size() != 9 || tokens[0] != "cell") {
     fail(reader.line_number,
-         std::string("expected a v2 'cell' line, got '") + reader.line + "'");
+         std::string("expected a 'cell' line, got '") + reader.line + "'");
   }
-  CellResult result =
-      decode_cell_body(reader, tokens, /*v2=*/true, total_cells);
+  CellResult result = decode_cell_body(reader, tokens, total_cells);
   while (reader.next()) {
     if (!reader.line.empty()) {
       fail(reader.line_number, std::string("trailing content '") +
@@ -296,12 +314,9 @@ CellResult decode_cell_result(const std::string& text,
 ShardManifest decode_manifest(const std::string& text) {
   LineReader reader(text);
   reader.require_next("the manifest header");
-  // v1 manifests (no per-cell telemetry) stay decodable: merging an old
-  // shard set must keep working, it just yields empty telemetry.
-  const bool v2 = reader.line == kMagicV2;
-  if (!v2 && reader.line != kMagicV1) {
+  if (reader.line != kMagic) {
     fail(reader.line_number, std::string("bad header '") + reader.line +
-                                 "', expected '" + kMagicV2 + "' (or v1)");
+                                 "', expected '" + kMagic + "'");
   }
 
   ShardManifest manifest;
@@ -327,13 +342,12 @@ ShardManifest decode_manifest(const std::string& text) {
     reader.require_next("'cell' or 'end'");
     if (reader.line == "end") break;
     const auto tokens = tokens_of(reader.line);
-    const std::size_t cell_tokens = v2 ? 9 : 8;
-    if (tokens.size() != cell_tokens || tokens[0] != "cell") {
+    if (tokens.size() != 9 || tokens[0] != "cell") {
       fail(reader.line_number,
            std::string("expected 'cell' or 'end', got '") + reader.line + "'");
     }
     manifest.results.push_back(
-        decode_cell_body(reader, tokens, v2, manifest.total_cells));
+        decode_cell_body(reader, tokens, manifest.total_cells));
   }
   return manifest;
 }
@@ -352,7 +366,7 @@ std::string write_manifest(const std::string& dir,
   const std::string path =
       dir + "/" + manifest_filename(manifest.shard_index, manifest.shard_count);
   // Atomic + checksummed: a merge must never see half a shard.  The CRC
-  // trailer rides after the `end` line, which v2 decoders ignore.
+  // trailer rides after the `end` line, which the decoder ignores.
   io::atomic_write_file_or_throw(
       path, io::with_crc_trailer(encode_manifest(manifest)));
   return path;

@@ -1,6 +1,6 @@
 #pragma once
 
-/// Shard manifests — the out-of-process form of the distributed campaign.
+/// Shard manifests — one campaign split across processes or machines.
 ///
 /// `--shard=i/N` runs `cells_for_shard(plan, i, N)` on one machine/CI job
 /// and serialises the resulting cell records into one self-describing text
@@ -26,18 +26,31 @@
 ///   point <n_obj> <n_x> <cv> <f...> <x...>           (front_size lines)
 ///   ...
 ///   end
-///
-/// v1 manifests (no telemetry count on the cell line, no telemetry lines)
-/// still decode — their records simply carry empty telemetry.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "expt/distributed_driver.hpp"
 #include "expt/experiment.hpp"
 
 namespace aedbmls::expt {
+
+/// One completed grid cell tagged with its plan index — the unit shard
+/// manifests store and the elastic campaign service ships and journals.
+struct CellResult {
+  std::size_t index = 0;
+  RunRecord record;
+};
+
+/// The cells of shard `shard_index` of `shard_count`: a strided partition
+/// (cell i belongs to shard i % shard_count), so every shard receives a
+/// representative mix of scenarios and algorithms instead of a contiguous
+/// scenario block.  Deterministic, and the union over all shards is
+/// exactly `plan.cells()`.  Throws std::invalid_argument when
+/// `shard_count == 0` or `shard_index >= shard_count`.
+[[nodiscard]] std::vector<ExperimentPlan::Cell> cells_for_shard(
+    const ExperimentPlan& plan, std::size_t shard_index,
+    std::size_t shard_count);
 
 /// One shard's partial campaign results plus everything needed to check it
 /// belongs: the plan fingerprint, the shard coordinates and the plan size.
@@ -74,9 +87,9 @@ struct ShardManifest {
 [[nodiscard]] CellResult decode_cell_result(const std::string& text,
                                             std::size_t total_cells);
 
-/// Parses a manifest in format v2 or v1 (the version line says which).
-/// Throws std::invalid_argument with a line-level description on anything
-/// malformed or truncated.
+/// Parses a manifest in format v2.  Throws std::invalid_argument with a
+/// line-level description on anything malformed or truncated (including a
+/// header of any other format version).
 [[nodiscard]] ShardManifest decode_manifest(const std::string& text);
 
 /// Canonical file name: `shard_<i>_of_<N>.manifest`.

@@ -48,7 +48,7 @@ struct Scale {
   ///     screen speculative moves at the scenario's conservative tier and
   ///     promote survivors to full fidelity; admitted fronts are
   ///     byte-identical to a "full" run;
-  ///   * a ladder tier name (e.g. "screen", "sketch") — the whole campaign
+  ///   * a ladder tier name (e.g. "screen") — the whole campaign
   ///     is rebased onto that tier: explicitly approximate, fingerprinted
   ///     distinctly so cached CSVs never mix with exact results.
   std::string fidelity = "full";

@@ -21,14 +21,7 @@ std::vector<aedb::FidelityTier> default_fidelity_ladder() {
   screen.name = "screen";
   screen.window_s = 2.25;
   screen.conservative = true;
-
-  aedb::FidelityTier sketch;
-  sketch.name = "sketch";
-  sketch.window_s = 2.25;
-  sketch.node_fraction = 0.5;
-  sketch.max_networks = 1;
-
-  return {screen, sketch};
+  return {screen};
 }
 
 std::size_t ScenarioSpec::fidelity_tier_index(const std::string& name) const {

@@ -46,9 +46,6 @@ struct Scale;
 ///      bt_limit + 0.25 s past the broadcast; a truncated run is an exact
 ///      prefix of the full run, so a screen-detected bt violation proves
 ///      the candidate infeasible at full fidelity (no false rejections).
-///   2. "sketch" — aggressive shape probe: same truncated window, half the
-///      nodes, a single evaluation network.  Not conservative; never used
-///      for admission decisions.
 [[nodiscard]] std::vector<aedb::FidelityTier> default_fidelity_ladder();
 
 struct ScenarioSpec {

@@ -3,8 +3,8 @@
 /// Blocking multi-producer/multi-consumer mailbox.
 ///
 /// The queue under the in-process message passing: `ThreadPool` task
-/// queues, `Communicator` rank inboxes and the per-rank inboxes of the
-/// in-process and TCP byte transports.  A mailbox can be closed; receivers
+/// queues and the per-rank inboxes of the in-process and TCP byte
+/// transports.  A mailbox can be closed; receivers
 /// then drain remaining messages and get `std::nullopt`.
 
 #include <condition_variable>

@@ -1,7 +1,7 @@
 #pragma once
 
-/// TCP implementation of `par::net::Transport` — a communicator world
-/// spanning processes and machines.
+/// TCP implementation of `par::net::Transport` — a campaign world spanning
+/// processes and machines.
 ///
 /// Topology: a star.  Rank 0 (the coordinator) listens; workers connect
 /// and are assigned ranks 1..N in accept order by the handshake
@@ -18,8 +18,7 @@
 ///  * Both sides beacon `kHeartbeat` frames every `heartbeat_interval` and
 ///    declare a peer dead when nothing (data or heartbeat) arrived within
 ///    `peer_deadline`; death, like any disconnect, surfaces as one
-///    `Message{kPeerLeft}` so the scheduler can requeue the peer's work —
-///    the socket-world analogue of `Communicator::leave()`.
+///    `Message{kPeerLeft}` so the scheduler can requeue the peer's work.
 
 #include <chrono>
 #include <cstdint>

@@ -1,27 +1,23 @@
 #pragma once
 
-/// Byte-oriented message transport — the seam that lets a communicator
-/// world span processes and machines.
+/// Byte-oriented message transport — the seam that lets one campaign world
+/// span threads, processes and machines.
 ///
-/// `par::Communicator` reproduces MPI semantics over threads; its header
-/// promised that "the transport could be swapped for MPI without touching
-/// the algorithm".  This is that swap point: a `Transport` endpoint is one
-/// rank's connection to a world of `world_size()` ranks, carrying opaque
-/// byte payloads point-to-point.  Two implementations exist:
+/// A `Transport` endpoint is one rank's connection to a world of
+/// `world_size()` ranks, carrying opaque byte payloads point-to-point.  Two
+/// implementations exist:
 ///
-///  * `InProcWorld` (below) — today's in-process `Mailbox` world, verbatim:
-///    every endpoint is backed by the same blocking mailbox the
-///    `Communicator` uses, so in-process campaigns keep their exact
-///    behaviour.
+///  * `InProcWorld` (below) — every endpoint is backed by a blocking
+///    `par::Mailbox`; no sockets, so the scheduler's tests run
+///    deterministically in one process.
 ///  * `TcpTransport` (tcp_transport.hpp) — length-prefixed frames over
 ///    sockets with a connect/accept rank-assignment handshake, retry with
 ///    jittered backoff, and heartbeat-based peer-death detection.
 ///
 /// Peer failure is part of the interface, not an exception path: when a
 /// peer's endpoint closes (gracefully or by death/deadline) every other
-/// endpoint receives one `Message{kPeerLeft, rank}` — the transport-level
-/// analogue of `Communicator::leave()`, which lets schedulers requeue the
-/// dead peer's work instead of deadlocking on it.
+/// endpoint receives one `Message{kPeerLeft, rank}`, which lets schedulers
+/// requeue the dead peer's work instead of deadlocking on it.
 
 #include <cstddef>
 #include <memory>
@@ -70,12 +66,8 @@ class Transport {
   virtual void close() = 0;
 };
 
-/// The in-process world: `size` endpoints over the same blocking
-/// `par::Mailbox` machinery the thread-backed `Communicator` uses, so a
-/// campaign scheduled over it behaves exactly like the existing
-/// `DistributedDriver` ranks — zero behaviour change, one interface.
-/// Endpoint r must be driven by the thread playing rank r, mirroring the
-/// communicator's rank-per-thread contract.
+/// The in-process world: `size` endpoints over blocking `par::Mailbox`
+/// inboxes.  Endpoint r must be driven by the thread playing rank r.
 class InProcWorld {
  public:
   explicit InProcWorld(std::size_t size);

@@ -71,7 +71,6 @@ TEST(CampaignOptions, DefaultsToLocalMode) {
 }
 
 TEST(CampaignOptions, ParsesEachDistributionMode) {
-  EXPECT_EQ(parse_campaign_options(args_of({"--ranks=3"})).ranks, 3u);
   const auto shard =
       parse_campaign_options(args_of({"--shard=1/4", "--shard-dir=parts"}));
   EXPECT_EQ(shard.mode, CampaignMode::kShard);
@@ -97,8 +96,8 @@ TEST(CampaignOptions, ModeConflictNamesTheClashingPair) {
   EXPECT_NE(message.find("pick one distribution mode"), std::string::npos)
       << message;
   // Every pair conflicts, whatever the order.
-  EXPECT_FALSE(message_of({"--ranks=2", "--serve=0", "--workers=1"}).empty());
-  EXPECT_FALSE(message_of({"--connect=h:1", "--ranks=2"}).empty());
+  EXPECT_FALSE(message_of({"--shard=0/2", "--serve=0", "--workers=1"}).empty());
+  EXPECT_FALSE(message_of({"--connect=h:1", "--shard=1/2"}).empty());
   EXPECT_FALSE(message_of({"--merge=a", "--connect=h:1"}).empty());
 }
 
@@ -114,7 +113,6 @@ TEST(CampaignOptions, RejectsMalformedOperands) {
         "--connect=h:0", "--connect=h:65536", "--connect=h:9x"}) {
     EXPECT_FALSE(message_of({spec}).empty()) << spec;
   }
-  EXPECT_FALSE(message_of({"--ranks=0"}).empty());
   EXPECT_FALSE(message_of({"--merge="}).empty());
   EXPECT_FALSE(message_of({"--serve=70000", "--workers=1"}).empty());
   EXPECT_FALSE(message_of({"--serve=0"}).empty());  // missing --workers
@@ -128,7 +126,7 @@ TEST(CampaignOptions, FrontOutRejectsPartialResultModes) {
       std::string::npos);
   EXPECT_FALSE(message_of({"--connect=h:1", "--front-out=d"}).empty());
   // ...but composes with the full-campaign modes.
-  EXPECT_EQ(parse_campaign_options(args_of({"--ranks=2", "--front-out=d"}))
+  EXPECT_EQ(parse_campaign_options(args_of({"--merge=dir", "--front-out=d"}))
                 .front_out,
             "d");
 }

@@ -1,9 +1,9 @@
 /// Elastic campaign service over an in-process transport world: the
-/// pull scheduler reproduces the single-driver indicator samples and CSV
-/// bitwise, requeues a dead worker's cells, fails loudly when the whole
-/// fleet departs, rejects fingerprint-mismatched workers, resumes from
-/// its crash journal, and warms worker caches.  The cell-block codec the
-/// wire rides on round-trips bitwise.
+/// pull scheduler reproduces the single-driver indicator samples, CSV and
+/// exact telemetry bitwise, requeues a dead worker's cells, fails loudly
+/// when the whole fleet departs, rejects fingerprint-mismatched workers,
+/// resumes from its crash journal, and warms worker caches.  The
+/// cell-block codec the wire rides on round-trips bitwise.
 
 #include <gtest/gtest.h>
 
@@ -135,6 +135,16 @@ TEST(CampaignService, ElasticRunMatchesDriverBitwise) {
   const std::string ref_csv = slurp(indicator_csv_path(ref_dir, plan));
   ASSERT_FALSE(ref_csv.empty());
   EXPECT_EQ(slurp(indicator_csv_path(elastic_dir, plan)), ref_csv);
+  // Telemetry folds in grid order too: the exact instruments (counters,
+  // histogram buckets) equal the driver run's, and the measured wall-time
+  // gauges still agree on how many observations they hold.
+  ASSERT_FALSE(reference.telemetry.empty());
+  EXPECT_EQ(result.telemetry.counters, reference.telemetry.counters);
+  EXPECT_EQ(result.telemetry.histograms, reference.telemetry.histograms);
+  ASSERT_EQ(result.telemetry.gauges.size(), reference.telemetry.gauges.size());
+  for (const auto& [name, gauge] : reference.telemetry.gauges) {
+    EXPECT_EQ(result.telemetry.gauges.at(name).count, gauge.count) << name;
+  }
   std::size_t total_cells = 0;
   for (const WorkerRun& run : runs) {
     EXPECT_TRUE(run.error.empty()) << run.error;

@@ -176,11 +176,8 @@ TEST(ChaosCampaign, EverythingAtOnceIsByteIdentical) {
   fault::ScopedPlan drop_one("seed=42;net.frame.drop=nth:7");
 
   const auto coordinator = listener.accept_workers(5);
-  // Without the fault sites nothing parks the victim, so it is killed as
-  // soon as the fleet has connected, around its first assignment.
-  const auto kill_after = fault::kCompiledIn ? 600ms : 0ms;
   std::thread killer([&] {
-    std::this_thread::sleep_for(kill_after);
+    std::this_thread::sleep_for(600ms);
     ::kill(children[1], SIGKILL);
   });
 

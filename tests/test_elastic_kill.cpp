@@ -5,8 +5,7 @@
 /// cached CSV byte-identical to an unsharded in-process run.
 ///
 /// Not part of the TSan suite: fork() from a threaded sanitizer runtime
-/// is unsupported, and the kill timing is wall-clock based.  Skipped when
-/// fault injection is compiled out: the victim's stall is a fault site.
+/// is unsupported, and the kill timing is wall-clock based.
 
 #include <gtest/gtest.h>
 
@@ -70,9 +69,6 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(ElasticKill, SigkilledWorkerIsRequeuedByteIdentical) {
-  if constexpr (!fault::kCompiledIn) {
-    GTEST_SKIP() << "the victim's stall needs the cell.stall_ms fault site";
-  }
   const auto plan = tiny_plan();
   const std::string ref_dir = scratch_dir("kill_ref");
   const std::string elastic_dir = scratch_dir("kill_run");

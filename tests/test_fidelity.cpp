@@ -51,14 +51,12 @@ std::vector<double> random_point(Xoshiro256& rng) {
 
 TEST(FidelityLadder, DefaultLadderShapesTheProblem) {
   const auto ladder = expt::default_fidelity_ladder();
-  ASSERT_EQ(ladder.size(), 2u);
+  ASSERT_EQ(ladder.size(), 1u);
   EXPECT_EQ(ladder[0].name, "screen");
   EXPECT_TRUE(ladder[0].conservative);
-  EXPECT_EQ(ladder[1].name, "sketch");
-  EXPECT_FALSE(ladder[1].conservative);
 
   const AedbTuningProblem problem(problem_config("d100", tiny_scale()));
-  EXPECT_EQ(problem.fidelity_levels(), 3u);
+  EXPECT_EQ(problem.fidelity_levels(), 2u);
   EXPECT_EQ(problem.screening_tier(), 1u);  // "screen", 1-based
 }
 
@@ -66,15 +64,9 @@ TEST(FidelityLadder, TierNameResolutionAndValidation) {
   const expt::ScenarioSpec spec = ScenarioCatalog::instance().resolve("d100");
   EXPECT_EQ(spec.fidelity_tier_index("full"), 0u);
   EXPECT_EQ(spec.fidelity_tier_index("screen"), 1u);
-  EXPECT_EQ(spec.fidelity_tier_index("sketch"), 2u);
+  EXPECT_THROW((void)spec.fidelity_tier_index("sketch"),
+               std::invalid_argument);
   EXPECT_THROW((void)spec.fidelity_tier_index("warp"), std::invalid_argument);
-}
-
-TEST(FidelityLadderDeathTest, ConservativeTierRejectsNodeThinning) {
-  auto config = problem_config("d100", tiny_scale());
-  config.tiers = {{"bad", 2.0, 0.5, 0, true}};
-  EXPECT_DEATH((void)AedbTuningProblem(config),
-               "conservative tier may not thin nodes");
 }
 
 // The load-bearing property of the whole design: the screen tier's
@@ -195,21 +187,17 @@ TEST(FidelityLadder, PerTierCountersSplitTheWork) {
   (void)problem.evaluate_at(x, 0);
   (void)problem.evaluate_at(x, 1);
   (void)problem.evaluate_at(x, 1);
-  (void)problem.evaluate_at(x, 2);
 
   EXPECT_EQ(problem.evaluations(), 1u);  // tier-0 only
   EXPECT_EQ(problem.tier_counters(0).evaluations, 1u);
   EXPECT_EQ(problem.tier_counters(1).evaluations, 2u);
-  EXPECT_EQ(problem.tier_counters(2).evaluations, 1u);
-  // The sketch tier caps the ensemble at one network; the screen tier may
-  // exit early but never runs more than the full ensemble.
-  EXPECT_EQ(problem.tier_counters(2).scenario_runs, 1u);
+  // The screen tier may exit early but never runs more than the full
+  // ensemble.
   EXPECT_LE(problem.tier_counters(1).scenario_runs, 4u);
   // Tier totals roll up into the legacy aggregate counters.
   EXPECT_EQ(problem.scenario_runs(),
             problem.tier_counters(0).scenario_runs +
-                problem.tier_counters(1).scenario_runs +
-                problem.tier_counters(2).scenario_runs);
+                problem.tier_counters(1).scenario_runs);
   EXPECT_GT(problem.events_executed(), 0u);
   // The screen is strictly cheaper per evaluation than the full tier.
   EXPECT_LT(problem.tier_counters(1).events_executed / 2,

@@ -1,32 +1,25 @@
-/// DistributedDriver + shard manifests: the campaign grid partitioned
-/// across communicator ranks (in-process) or shard processes (manifests),
-/// with the headline property that every execution strategy — 1/2/4 ranks,
-/// any rank x driver-worker combination, or a 3-way shard/merge round trip
-/// — reproduces the single-driver indicator samples and CSV bitwise.
-/// Also covers the `par::Communicator` behaviours the driver leans on:
-/// allgather under ranks that finish at very different speeds, and
-/// `leave()` keeping one failing rank from deadlocking the world.
+/// Shard manifests: the strided cell partition, the v2 codec (bitwise
+/// round trips, rejection of malformed input), and `--merge` — a 2- or
+/// 3-way shard/merge round trip reproduces the single-driver indicator
+/// samples, CSV bytes, reference fronts and exact telemetry, while
+/// foreign, missing and duplicate shards are refused.
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/durable_file.hpp"
-#include "expt/distributed_driver.hpp"
 #include "expt/experiment.hpp"
 #include "expt/manifest.hpp"
 #include "moo/core/front_io.hpp"
-#include "par/communicator.hpp"
 
 namespace aedbmls::expt {
 namespace {
@@ -51,13 +44,6 @@ ExperimentDriver::Options quiet(std::size_t workers) {
   options.workers = workers;
   options.use_cache = false;
   options.verbose = false;
-  return options;
-}
-
-DistributedDriver::Options world_of(std::size_t ranks, std::size_t workers) {
-  DistributedDriver::Options options;
-  options.ranks = ranks;
-  options.driver = quiet(workers);
   return options;
 }
 
@@ -138,98 +124,6 @@ TEST(CellsForShard, RejectsInvalidShardCoordinates) {
   EXPECT_THROW((void)cells_for_shard(plan, 3, 3), std::invalid_argument);
 }
 
-TEST(DistributedDriver, BitwiseIdenticalToSingleDriverAtWorldSizes1_2_4) {
-  const ExperimentPlan plan = tiny_plan();
-  const auto reference = ExperimentDriver(quiet(2)).run(plan);
-  ASSERT_EQ(reference.samples.size(), plan.cell_count());
-  // World sizes 1/2/4, and 2 ranks under different per-rank worker counts:
-  // the rank x worker grid must not leak into the samples.
-  const std::pair<std::size_t, std::size_t> combos[] = {
-      {1, 2}, {2, 1}, {2, 3}, {4, 2}};
-  for (const auto& [ranks, workers] : combos) {
-    const auto distributed =
-        DistributedDriver(world_of(ranks, workers)).run(plan);
-    expect_identical(reference.samples, distributed.samples);
-  }
-}
-
-TEST(DistributedDriver, CollectsFullRecordsAndWritesTheSameCache) {
-  const ExperimentPlan plan = tiny_plan();
-  auto single_options = quiet(2);
-  single_options.collect_records = true;
-  const auto reference = ExperimentDriver(single_options).run(plan);
-
-  auto world = world_of(2, 2);
-  world.driver.collect_records = true;
-  world.driver.use_cache = true;
-  world.driver.cache_dir = scratch_dir("distributed_cache");
-  const auto distributed = DistributedDriver(world).run(plan);
-  EXPECT_FALSE(distributed.from_cache);
-
-  // Records come back in grid order with fronts equal to the single run.
-  ASSERT_EQ(distributed.records.size(), reference.records.size());
-  for (std::size_t i = 0; i < reference.records.size(); ++i) {
-    EXPECT_EQ(distributed.records[i].algorithm, reference.records[i].algorithm);
-    EXPECT_EQ(distributed.records[i].run_seed, reference.records[i].run_seed);
-    ASSERT_EQ(distributed.records[i].front.size(),
-              reference.records[i].front.size());
-    for (std::size_t p = 0; p < reference.records[i].front.size(); ++p) {
-      EXPECT_EQ(distributed.records[i].front[p].objectives,
-                reference.records[i].front[p].objectives);
-    }
-  }
-
-  // The world-level CSV cache has the canonical bytes (CRC trailer
-  // included) and satisfies the next distributed run.
-  EXPECT_EQ(slurp(indicator_csv_path(world.driver.cache_dir, plan)),
-            io::with_crc_trailer(indicator_csv(reference.samples)));
-  auto cached_world = world;
-  cached_world.driver.collect_records = false;
-  const auto cached = DistributedDriver(cached_world).run(plan);
-  EXPECT_TRUE(cached.from_cache);
-  expect_identical(reference.samples, cached.samples);
-}
-
-TEST(DistributedDriver, TelemetryAggregationIsRankAndWorkerInvariant) {
-  // The exact-arithmetic instruments (counters, histogram buckets) are
-  // pure functions of the deterministic cell results, so every rank x
-  // worker execution strategy folds to identical values.  Wall-time gauges
-  // carry measured values; their observation counts are still invariant.
-  const ExperimentPlan plan = tiny_plan();
-  const auto reference = ExperimentDriver(quiet(2)).run(plan);
-  ASSERT_FALSE(reference.telemetry.empty());
-  const std::pair<std::size_t, std::size_t> combos[] = {{1, 2}, {2, 3}, {4, 1}};
-  for (const auto& [ranks, workers] : combos) {
-    const auto distributed =
-        DistributedDriver(world_of(ranks, workers)).run(plan);
-    EXPECT_EQ(distributed.telemetry.counters, reference.telemetry.counters)
-        << ranks << " ranks, " << workers << " workers";
-    EXPECT_EQ(distributed.telemetry.histograms, reference.telemetry.histograms)
-        << ranks << " ranks, " << workers << " workers";
-    ASSERT_EQ(distributed.telemetry.gauges.size(),
-              reference.telemetry.gauges.size());
-    for (const auto& [name, gauge] : reference.telemetry.gauges) {
-      EXPECT_EQ(distributed.telemetry.gauges.at(name).count, gauge.count)
-          << name;
-    }
-  }
-}
-
-TEST(DistributedDriver, FailingRankLeavesTheWorldInsteadOfDeadlocking) {
-  // "NoSuchAlgorithm" passes plan validation (which only rejects
-  // duplicates) and throws inside its rank's shard; with 2 ranks and 2
-  // cells the healthy rank would block forever in allgather if the failing
-  // rank died silently.  leave() lets it finish; the root error surfaces.
-  Scale scale = tiny_scale();
-  scale.runs = 1;
-  scale.scenarios = {"d100"};
-  const ExperimentPlan plan =
-      ExperimentPlan::of({"NSGAII", "NoSuchAlgorithm"}, scale);
-  auto world = world_of(2, 1);
-  EXPECT_THROW((void)DistributedDriver(world).run(plan),
-               std::invalid_argument);
-}
-
 TEST(ShardManifest, EncodeDecodeRoundTripsBitwise) {
   const ExperimentPlan plan = tiny_plan();
   ShardManifest manifest;
@@ -297,45 +191,6 @@ TEST(ShardManifest, EncodeDecodeRoundTripsBitwise) {
   EXPECT_EQ(record.telemetry, result.record.telemetry);
 }
 
-TEST(ShardManifest, V1ManifestsDecodeWithEmptyTelemetry) {
-  // Pre-telemetry manifests (format v1: no trailing telemetry count on the
-  // cell line, no telemetry lines) must keep decoding — merging an archive
-  // of old shard artifacts should not require regenerating them.
-  const ExperimentPlan plan = tiny_plan();
-  ShardManifest manifest = make_manifest(plan, 0, 2, {});
-  CellResult result;
-  result.index = 0;
-  result.record.algorithm = "NSGAII";
-  result.record.scenario = "d100";
-  result.record.run_seed = cell_seed(plan.scale, "d100", 0);
-  result.record.evaluations = 24;
-  result.record.wall_seconds = 0.5;
-  manifest.results.push_back(result);
-
-  // Rewrite the v2 encoding as its v1 equivalent: downgrade the magic and
-  // drop each cell line's trailing telemetry count (none of the records
-  // carry telemetry, so there are no telemetry lines to strip).
-  std::istringstream v2(encode_manifest(manifest));
-  std::string v1;
-  std::string line;
-  while (std::getline(v2, line)) {
-    if (line == "aedbmls-shard-manifest v2") {
-      line = "aedbmls-shard-manifest v1";
-    } else if (line.rfind("cell ", 0) == 0) {
-      ASSERT_EQ(line.substr(line.size() - 2), " 0");
-      line.resize(line.size() - 2);
-    }
-    v1 += line;
-    v1 += '\n';
-  }
-
-  const ShardManifest decoded = decode_manifest(v1);
-  ASSERT_EQ(decoded.results.size(), 1u);
-  EXPECT_EQ(decoded.results[0].record.algorithm, "NSGAII");
-  EXPECT_EQ(decoded.results[0].record.evaluations, 24u);
-  EXPECT_TRUE(decoded.results[0].record.telemetry.empty());
-}
-
 TEST(ShardManifest, DecodeRejectsMalformedInput) {
   const ExperimentPlan plan = tiny_plan();
   const ShardManifest manifest = make_manifest(plan, 0, 2, {});
@@ -351,6 +206,11 @@ TEST(ShardManifest, DecodeRejectsMalformedInput) {
   const auto pos = tampered.find("shard 0 2");
   tampered.replace(pos, 9, "shard 2 2");  // index out of range
   EXPECT_THROW((void)decode_manifest(tampered), std::invalid_argument);
+  // Only format v2 decodes: a v1 header (the pre-telemetry format, whose
+  // cell lines lack the telemetry count) is refused.
+  std::string v1 = good;
+  v1.replace(0, v1.find('\n'), "aedbmls-shard-manifest v1");
+  EXPECT_THROW((void)decode_manifest(v1), std::invalid_argument);
 }
 
 TEST(ShardManifest, MergeReconstructsTheUnshardedCampaignBitwise) {
@@ -444,63 +304,6 @@ TEST(ShardManifest, MergeRejectsForeignMissingAndDuplicateShards) {
   // The untampered pair still merges.
   const auto records = merge_manifests(plan, manifests);
   EXPECT_EQ(records.size(), plan.cell_count());
-}
-
-TEST(Communicator, AllgatherUnderVeryUnevenRankSpeeds) {
-  // The distributed driver's ranks finish at wildly different times (cell
-  // costs vary by orders of magnitude); the collective must simply hold
-  // the fast ranks, round after round, with no lost or reordered slots.
-  constexpr std::size_t kRanks = 4;
-  constexpr int kRounds = 3;
-  par::Communicator<std::vector<int>> world(kRanks);
-  std::vector<std::vector<std::vector<int>>> results(kRanks);
-  std::vector<std::thread> ranks;
-  for (std::size_t r = 0; r < kRanks; ++r) {
-    ranks.emplace_back([&, r] {
-      for (int round = 0; round < kRounds; ++round) {
-        // Rank r lags ~r * 30 ms behind rank 0 every round.
-        std::this_thread::sleep_for(std::chrono::milliseconds(30 * r));
-        std::vector<int> mine{static_cast<int>(r), round};
-        auto gathered = world.allgather(r, std::move(mine));
-        results[r].push_back(
-            {gathered[0][1], gathered[1][1], gathered[2][1], gathered[3][1]});
-        for (std::size_t k = 0; k < kRanks; ++k) {
-          ASSERT_EQ(gathered[k][0], static_cast<int>(k));
-        }
-      }
-    });
-  }
-  for (auto& rank : ranks) rank.join();
-  for (std::size_t r = 0; r < kRanks; ++r) {
-    ASSERT_EQ(results[r].size(), static_cast<std::size_t>(kRounds));
-    for (int round = 0; round < kRounds; ++round) {
-      // Every slot of every round carries that round's payload: a slow
-      // rank can never observe a peer's next-round contribution.
-      EXPECT_EQ(results[r][round],
-                (std::vector<int>{round, round, round, round}));
-    }
-  }
-}
-
-TEST(Communicator, LeaveUnblocksTheSurvivingRanks) {
-  constexpr std::size_t kRanks = 3;
-  par::Communicator<int> world(kRanks);
-  std::vector<std::vector<int>> results(kRanks);
-  std::thread quitter([&world] { world.leave(2); });
-  std::vector<std::thread> survivors;
-  for (std::size_t r = 0; r < 2; ++r) {
-    survivors.emplace_back([&, r] {
-      results[r] = world.allgather(r, static_cast<int>(r) + 10);
-    });
-  }
-  quitter.join();
-  for (auto& rank : survivors) rank.join();
-  for (std::size_t r = 0; r < 2; ++r) {
-    ASSERT_EQ(results[r].size(), kRanks);
-    EXPECT_EQ(results[r][0], 10);
-    EXPECT_EQ(results[r][1], 11);
-    EXPECT_EQ(results[r][2], 0);  // departed rank's slot: default value
-  }
 }
 
 }  // namespace

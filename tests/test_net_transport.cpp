@@ -1,7 +1,7 @@
 /// par/net: the byte-transport seam under the elastic campaign service.
 /// Covers the frame codec (round-trips, incremental decode, malformed and
 /// truncated input), the in-process world (delivery + departure
-/// semantics matching the Mailbox-backed communicator), and the TCP
+/// semantics over Mailbox inboxes), and the TCP
 /// transport (handshake rank assignment, bidirectional traffic, graceful
 /// and heartbeat-deadline departures, connect-retry exhaustion, and
 /// malformed-frame peer drops).
