@@ -1,8 +1,9 @@
 /// E11a — google-benchmark micro-benchmarks of the simulation substrate:
 /// event scheduling throughput, mobility queries, propagation math, full
 /// AEDB scenarios per density (fresh-construction and pooled-context), and
-/// heap-allocation counts per scenario.  These bound the cost of one
-/// fitness evaluation, which everything in §V's budget math scales with.
+/// heap-allocation and simulator-event counts per scenario.  These bound
+/// the cost of one fitness evaluation, which everything in §V's budget
+/// math scales with.
 
 #include <benchmark/benchmark.h>
 
@@ -132,6 +133,8 @@ void BM_FullScenario(benchmark::State& state) {
   state.counters["allocs_per_run"] = benchmark::Counter(
       static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocs0) /
       static_cast<double>(state.iterations()));
+  state.counters["events_per_run"] = benchmark::Counter(
+      static_cast<double>(events) / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.SetLabel("events/s");
 }
@@ -158,6 +161,8 @@ void BM_FullScenarioPooled(benchmark::State& state) {
   state.counters["allocs_per_run"] = benchmark::Counter(
       static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocs0) /
       static_cast<double>(state.iterations()));
+  state.counters["events_per_run"] = benchmark::Counter(
+      static_cast<double>(events) / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.SetLabel("events/s");
 }

@@ -19,9 +19,11 @@ namespace aedbmls::sim {
 
 class InlineFunction {
  public:
-  /// Sized for the largest scheduler callback in the simulator (the
-  /// channel's delivery lambda: receiver + Frame + power + duration).
-  static constexpr std::size_t kCapacity = 96;
+  /// Sized for the largest scheduler callback in the simulator, with
+  /// headroom: the broadcast origination in `aedb::SimulationContext`
+  /// (context + source index + message id, 24 bytes).  The channel's
+  /// fan-out events capture two pointers; the frame lives in the wave.
+  static constexpr std::size_t kCapacity = 48;
   static constexpr std::size_t kAlignment = alignof(std::max_align_t);
 
   /// True when callable `F` can be stored inline (size, alignment and a

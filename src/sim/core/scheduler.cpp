@@ -7,7 +7,7 @@
 
 namespace aedbmls::sim {
 
-EventId Scheduler::insert(Time when, Callback callback) {
+EventId Scheduler::insert_keyed(Time when, std::uint64_t seq, Callback callback) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -17,7 +17,7 @@ EventId Scheduler::insert(Time when, Callback callback) {
     slots_.emplace_back();
   }
   slots_[slot].callback = std::move(callback);
-  heap_.push_back(HeapNode{when, next_seq_++, slot, slots_[slot].generation});
+  heap_.push_back(HeapNode{when, seq, slot, slots_[slot].generation});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   return encode(slot, slots_[slot].generation);
@@ -55,6 +55,11 @@ void Scheduler::pop_top_node() noexcept {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
   --live_;
+}
+
+bool Scheduler::precedes_all(Time when, std::uint64_t seq) {
+  drop_stale_top();
+  return heap_.empty() || Later{}(heap_.front(), HeapNode{when, seq, 0, 0});
 }
 
 Time Scheduler::next_time() {

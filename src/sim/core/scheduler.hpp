@@ -2,10 +2,12 @@
 
 /// Pending-event set: a binary heap over a recycled slot arena.
 ///
-/// Heap nodes order by (time, insertion sequence); ties in time break by
-/// insertion order, which makes simulations deterministic: two events
-/// scheduled for the same instant always run in the order they were
-/// scheduled.  Callbacks live in generation-tagged arena slots
+/// Heap nodes order by (time, sequence number), a strict total order;
+/// ties in time break by insertion order, which makes simulations
+/// deterministic: two events scheduled for the same instant always run in
+/// the order they were scheduled.  A batched event source keeps that order
+/// by reserving the sequence numbers its per-event inserts would have
+/// taken (`reserve_seq`).  Callbacks live in generation-tagged arena slots
 /// (`InlineFunction`, no heap allocation per event); an `EventId` encodes
 /// (slot, generation), so cancellation is an O(1) generation bump — stale
 /// heap nodes are skipped at pop time, and a cancelled id that hits a
@@ -14,6 +16,7 @@
 /// heap all reuse their storage.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/core/event.hpp"
@@ -26,8 +29,26 @@ class Scheduler {
  public:
   using Callback = InlineFunction;
 
-  /// Inserts an event; returns its id.
-  EventId insert(Time when, Callback callback);
+  /// Inserts an event under the next insertion sequence; returns its id.
+  EventId insert(Time when, Callback callback) {
+    return insert_keyed(when, next_seq_++, std::move(callback));
+  }
+
+  /// Hands out `n` consecutive insertion sequence numbers (returns the
+  /// first).  A batched event source reserves the numbers its per-event
+  /// inserts would have taken, then runs its members under exactly those
+  /// keys (`insert_keyed`, `precedes_all`).
+  std::uint64_t reserve_seq(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Inserts an event under a sequence number from `reserve_seq`.
+  EventId insert_keyed(Time when, std::uint64_t seq, Callback callback);
+
+  /// True when key (when, seq) orders before every pending event.
+  [[nodiscard]] bool precedes_all(Time when, std::uint64_t seq);
 
   /// Marks an event cancelled.  Safe to call with ids already executed or
   /// cancelled (no effect).  Returns true if the id was pending.

@@ -45,6 +45,23 @@ class Simulator {
   /// Schedules `callback` at absolute time `when` (>= now).
   EventId schedule_at(Time when, Scheduler::Callback callback);
 
+  /// Reserves `n` consecutive event sequence numbers (returns the first).
+  std::uint64_t reserve_seq(std::uint64_t n) noexcept {
+    return scheduler_.reserve_seq(n);
+  }
+
+  /// Schedules `callback` at `when` (>= now) under a reserved sequence.
+  EventId schedule_keyed(Time when, std::uint64_t seq,
+                         Scheduler::Callback callback);
+
+  /// Lets a running batched event claim its next member, keyed
+  /// (when, seq), without a scheduler round trip.  True only when the run
+  /// loop would run that member next: the run is not stopped, `when` is
+  /// within the current `run_until` bound and the key orders before every
+  /// pending event.  Then now() and executed_events() advance exactly as
+  /// the run loop would advance them.
+  bool claim_next(Time when, std::uint64_t seq);
+
   /// Cancels a pending event; ignores already-run/cancelled ids.
   void cancel(EventId id) { scheduler_.cancel(id); }
 
@@ -82,6 +99,7 @@ class Simulator {
  private:
   Scheduler scheduler_;
   Time now_{};
+  Time until_{};  ///< bound of the current run (run: the end of time)
   bool stopped_ = false;
   std::uint64_t executed_ = 0;
   CounterRng root_stream_;

@@ -2,7 +2,8 @@
 
 /// Over-the-air frame header.
 ///
-/// Frames are tiny value types (copied into scheduled events).  The
+/// Frames are tiny value types (stored once per transmission by the
+/// channel, copied into a PHY's lock and the MAC queue).  The
 /// transmission power is carried in the header — AEDB is a cross-layer
 /// protocol: receivers use (tx_power_dbm - rx power) as the link's path-loss
 /// estimate when adapting their own forwarding power.

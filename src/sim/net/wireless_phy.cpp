@@ -53,8 +53,8 @@ void WirelessPhy::finish_tx() {
   if (tx_done_) tx_done_();
 }
 
-void WirelessPhy::begin_rx(const Frame& frame, double rx_power_dbm, Time duration) {
-  if (rx_power_dbm < params_.interference_floor_dbm) return;  // culled
+WirelessPhy::Signal WirelessPhy::begin_rx(const Frame& frame,
+                                          double rx_power_dbm) {
   const double power_mw = dbm_to_mw(rx_power_dbm);
   total_rx_mw_ += power_mw;
   const std::uint64_t token = next_token_++;
@@ -75,16 +75,16 @@ void WirelessPhy::begin_rx(const Frame& frame, double rx_power_dbm, Time duratio
           std::max(lock_->peak_interference_mw, total_rx_mw_ - lock_->signal_mw);
     }
   }
-
-  simulator_.schedule(duration,
-                      [this, power_mw, token] { signal_ended(power_mw, token); });
+  return Signal{power_mw, token};
 }
 
-void WirelessPhy::signal_ended(double power_mw, std::uint64_t token) {
-  total_rx_mw_ -= power_mw;
+void WirelessPhy::signal_ended(Signal signal) {
+  total_rx_mw_ -= signal.power_mw;
   if (total_rx_mw_ < 0.0) total_rx_mw_ = 0.0;  // guard float drift
 
-  if (lock_ && lock_->token == token) {
+  // An interferer ending needs no work: the remaining overlap can only be
+  // weaker, and the lock's peak already recorded the stronger period.
+  if (lock_ && lock_->token == signal.token) {
     // The locked frame completed: SINR decision against peak interference.
     const Lock lock = *lock_;
     lock_.reset();
@@ -99,9 +99,6 @@ void WirelessPhy::signal_ended(double power_mw, std::uint64_t token) {
     } else {
       ++counters_.rx_failed_sinr;
     }
-  } else if (lock_) {
-    // An interferer ended; the remaining overlap can only be weaker, and the
-    // peak already recorded the stronger period.
   }
 }
 

@@ -52,8 +52,15 @@ class WirelessPhy {
 
   WirelessPhy(Simulator& simulator, PhyParams params, NodeId node_id);
 
-  /// Wires the PHY to its channel (called by the network builder).
-  void set_channel(WirelessChannel* channel) noexcept { channel_ = channel; }
+  /// Wires the PHY to its channel at attach slot `slot` (called by
+  /// `WirelessChannel::attach`).
+  void set_channel(WirelessChannel* channel, std::uint32_t slot) noexcept {
+    channel_ = channel;
+    channel_slot_ = slot;
+  }
+
+  /// This PHY's attach slot on its channel (O(1) sender lookup).
+  [[nodiscard]] std::uint32_t channel_slot() const noexcept { return channel_slot_; }
 
   /// Rearms the radio for a fresh run under (possibly new) parameters:
   /// state back to idle, signal accounting, tokens, sequence numbers and
@@ -80,8 +87,19 @@ class WirelessPhy {
   /// nothing) if already transmitting.
   bool start_tx(Frame frame, double tx_power_dbm);
 
-  /// Channel-side entry point: a signal begins arriving at this PHY.
-  void begin_rx(const Frame& frame, double rx_power_dbm, Time duration);
+  /// A signal on the air at this PHY, as `signal_ended` must be told.
+  struct Signal {
+    double power_mw;
+    std::uint64_t token;  ///< matches the signal's end to a lock
+  };
+
+  /// Channel-side entry point: a signal begins arriving at this PHY.  The
+  /// channel runs `signal_ended` with the returned signal once its
+  /// airtime has passed.
+  Signal begin_rx(const Frame& frame, double rx_power_dbm);
+
+  /// Channel-side entry point: a signal from `begin_rx` stops arriving.
+  void signal_ended(Signal signal);
 
   /// 802.11-style clear channel assessment.
   [[nodiscard]] bool medium_busy() const noexcept;
@@ -110,13 +128,13 @@ class WirelessPhy {
     std::uint64_t token = 0;  ///< matches signal-end events to the lock
   };
 
-  void signal_ended(double power_mw, std::uint64_t token);
   void finish_tx();
 
   Simulator& simulator_;
   PhyParams params_;
   NodeId node_id_;
   WirelessChannel* channel_ = nullptr;
+  std::uint32_t channel_slot_ = 0;
   RxCallback rx_callback_;
   TxDoneCallback tx_done_;
 

@@ -155,6 +155,23 @@ TEST(FidelityLadder, InfeasibilityStopCutsProvenScreensShort) {
   EXPECT_EQ(std::memcmp(&pooled.stats, &stopped.stats, sizeof pooled.stats),
             0);
   EXPECT_EQ(pooled.events_executed, stopped.events_executed);
+
+  // The stop fired inside a reception, with the rest of that
+  // transmission's fan-out still pending.  The context it left behind
+  // must re-arm to a fresh run: first the full window, then the stop.
+  aedb::ScenarioConfig full_config = config;
+  full_config.stop_when_bt_exceeds_s = -1.0;
+  const aedb::ScenarioResult rearmed =
+      aedb::run_scenario(full_config, params, workspace);
+  EXPECT_EQ(std::memcmp(&rearmed.stats, &full_window.stats, sizeof rearmed.stats),
+            0);
+  EXPECT_EQ(rearmed.events_executed, full_window.events_executed);
+  const aedb::ScenarioResult stopped_again =
+      aedb::run_scenario(config, params, workspace);
+  EXPECT_EQ(std::memcmp(&stopped_again.stats, &stopped.stats,
+                        sizeof stopped_again.stats),
+            0);
+  EXPECT_EQ(stopped_again.events_executed, stopped.events_executed);
 }
 
 TEST(FidelityLadder, TiersAreDeterministicAcrossInstancesAndBatches) {

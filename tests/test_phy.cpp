@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/core/simulator.hpp"
@@ -179,6 +180,142 @@ TEST_F(PhyFixture, PropagationDelayOrdersReceptions) {
   const Time expected_flight = seconds_d(30.0 / 299792458.0);
   const Time frame_time = phys_[1]->frame_duration(256);
   EXPECT_EQ(rx_start, expected_flight + frame_time);
+}
+
+/// Node 0 and receivers 10, 40, 90 and 130 m down the line, propagation
+/// delay on: one transmission from node 0 arrives at four distinct
+/// instants (33, 133, 300 and 434 ns) and its signals end at four distinct
+/// instants one airtime later.  Every decoded frame is logged as
+/// (receiver, time).
+struct Line {
+  Line() {
+    for (const double x : {0.0, 10.0, 40.0, 90.0, 130.0}) {
+      const auto id = static_cast<NodeId>(phys.size());
+      mobilities.push_back(std::make_unique<ConstantPositionMobility>(Vec2{x, 0.0}));
+      phys.push_back(std::make_unique<WirelessPhy>(simulator, PhyParams{}, id));
+      channel.attach(phys.back().get(), mobilities.back().get());
+      phys.back()->set_receive_callback([this, id](const Frame&, double) {
+        received.emplace_back(id, simulator.now());
+      });
+    }
+  }
+  Line(const Line&) = delete;
+  Line& operator=(const Line&) = delete;
+
+  /// Node 0 sends a 256-byte frame at full power.
+  void transmit() {
+    Frame frame;
+    frame.size_bytes = 256;
+    phys[0]->start_tx(frame, 16.02);
+  }
+
+  Simulator simulator{1};
+  LogDistancePropagation propagation{};
+  WirelessChannel channel{simulator, propagation, true};
+  std::vector<std::unique_ptr<ConstantPositionMobility>> mobilities;
+  std::vector<std::unique_ptr<WirelessPhy>> phys;
+  std::vector<std::pair<NodeId, Time>> received;
+};
+
+TEST(PhyWave, SignalEndIsKeyedWhenItsArrivalRuns) {
+  // Like the PHY's own insert did, an arrival takes its signal end's
+  // sequence number when it runs.  An event scheduled for the end's
+  // instant after the transmission started, but before that arrival ran,
+  // therefore runs before the end.
+  Line line;
+  line.transmit();
+  const Time end = seconds_d(10.0 / 299792458.0) + line.phys[1]->frame_duration(256);
+  WirelessPhy::State seen = WirelessPhy::State::kIdle;
+  line.simulator.schedule_at(end, [&line, &seen] { seen = line.phys[1]->state(); });
+  line.simulator.run();
+  EXPECT_EQ(seen, WirelessPhy::State::kRx);
+  ASSERT_EQ(line.received.size(), 4u);
+  EXPECT_EQ(line.received[0].second, end);
+}
+
+TEST(PhyWave, RunUntilInsideAWaveResumesLikeOneRun) {
+  Line whole;
+  whole.transmit();
+  whole.simulator.run();
+  ASSERT_EQ(whole.received.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(whole.received[i].first, static_cast<NodeId>(i + 1));
+  }
+  // 4 arrivals, the sender's end of transmission, 4 signal ends.
+  EXPECT_EQ(whole.simulator.executed_events(), 9u);
+
+  Line split;
+  split.transmit();
+  // Strictly between the second (133 ns) and third (300 ns) arrival.
+  split.simulator.run_until(nanoseconds(200));
+  EXPECT_EQ(split.simulator.executed_events(), 2u);
+  EXPECT_EQ(split.simulator.now(), nanoseconds(200));
+  EXPECT_EQ(split.phys[2]->state(), WirelessPhy::State::kRx);
+  EXPECT_EQ(split.phys[3]->state(), WirelessPhy::State::kIdle);
+  split.simulator.run();
+
+  EXPECT_EQ(split.received, whole.received);
+  EXPECT_EQ(split.simulator.executed_events(), whole.simulator.executed_events());
+  for (std::size_t i = 1; i < split.phys.size(); ++i) {
+    EXPECT_EQ(split.phys[i]->counters().rx_ok, whole.phys[i]->counters().rx_ok);
+  }
+}
+
+TEST(PhyWave, StopFromAReceiveCallbackHaltsTheWave) {
+  Line whole;
+  whole.transmit();
+  whole.simulator.run();
+
+  Line stopped;
+  // As the scenario's infeasibility stop does: halt from inside a delivery.
+  stopped.phys[1]->set_receive_callback([&stopped](const Frame&, double) {
+    stopped.received.emplace_back(1, stopped.simulator.now());
+    stopped.simulator.stop();
+  });
+  stopped.transmit();
+  stopped.simulator.run();
+  // The nearest receiver's signal ends first; no later member of the wave
+  // ran before run() returned.
+  ASSERT_EQ(stopped.received.size(), 1u);
+  EXPECT_EQ(stopped.received[0], whole.received[0]);
+  EXPECT_EQ(stopped.simulator.now(), whole.received[0].second);
+  EXPECT_EQ(stopped.simulator.executed_events(), 6u);  // 4 arrivals, tx end, 1 end
+  for (std::size_t i = 2; i < stopped.phys.size(); ++i) {
+    EXPECT_EQ(stopped.phys[i]->state(), WirelessPhy::State::kRx);
+    EXPECT_EQ(stopped.phys[i]->counters().rx_ok, 0u);
+  }
+
+  stopped.simulator.run();
+  EXPECT_EQ(stopped.received, whole.received);
+  EXPECT_EQ(stopped.simulator.executed_events(), whole.simulator.executed_events());
+}
+
+TEST(PhyWaveDeathTest, AirtimeShorterThanArrivalSpreadIsRejected) {
+  // One byte at 1 Gb/s with no preamble is 8 ns on the air, but receivers
+  // at 10 m and 100 m hear it 33 ns and 334 ns after it starts: the near
+  // receiver's signal would end before the far one's arrival.
+  EXPECT_DEATH(
+      {
+        PhyParams params;
+        params.preamble = Time{};
+        params.bitrate_bps = 1e9;
+        Simulator simulator(1);
+        const LogDistancePropagation propagation;
+        WirelessChannel channel(simulator, propagation, true);
+        std::vector<std::unique_ptr<ConstantPositionMobility>> mobilities;
+        std::vector<std::unique_ptr<WirelessPhy>> phys;
+        for (const double x : {0.0, 10.0, 100.0}) {
+          mobilities.push_back(
+              std::make_unique<ConstantPositionMobility>(Vec2{x, 0.0}));
+          phys.push_back(std::make_unique<WirelessPhy>(
+              simulator, params, static_cast<NodeId>(phys.size())));
+          channel.attach(phys.back().get(), mobilities.back().get());
+        }
+        Frame frame;
+        frame.size_bytes = 1;
+        phys[0]->start_tx(frame, 16.02);
+      },
+      "airtime shorter than the arrival spread");
 }
 
 }  // namespace

@@ -127,16 +127,15 @@ TEST(SchedulerArena, OversizedCallbacksRejectedAtCompileTime) {
   const auto oversized = [big] { (void)big; };
   static_assert(!InlineFunction::fits_v<decltype(oversized)>);
 
-  // The largest real callback in the simulator (the channel's delivery
-  // lambda) must keep fitting; this breaks if Frame grows past the buffer.
-  struct DeliverySized {
-    void* receiver;
-    char frame[56];
-    double rx_dbm;
-    std::int64_t duration;
+  // The largest real callback in the simulator (the broadcast
+  // origination in aedb::SimulationContext) must keep fitting.
+  struct OriginationSized {
+    void* context;
+    std::uint64_t source_index;
+    std::uint64_t message;
     void operator()() const {}
   };
-  static_assert(InlineFunction::fits_v<DeliverySized>);
+  static_assert(InlineFunction::fits_v<OriginationSized>);
 }
 
 TEST(SchedulerArena, EmptyAndSizeTrackLiveEventsOnly) {
