@@ -3,11 +3,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/durable_file.hpp"
 #include "common/fault.hpp"
 #include "common/telemetry.hpp"
 #include "par/net/tcp_transport.hpp"
@@ -88,13 +90,14 @@ void maybe_write_fronts(const CampaignOptions& campaign,
 /// (flags would collide with per-bench options; the elastic CI job and
 /// failure-injection tests tune these).
 par::net::TcpOptions net_options_from_env() {
-  par::net::TcpOptions net;
-  net.heartbeat_interval = std::chrono::milliseconds(
-      std::max(0L, env_or_int("AEDB_NET_HEARTBEAT_MS", 1000)));
-  net.peer_deadline = std::chrono::milliseconds(
-      std::max(0L, env_or_int("AEDB_NET_DEADLINE_MS", 10000)));
+  par::net::TcpOptions net;  // the fallbacks are TcpOptions' defaults
+  net.heartbeat_interval = std::chrono::milliseconds(std::max(
+      0L, env_or_int("AEDB_NET_HEARTBEAT_MS", net.heartbeat_interval.count())));
+  net.peer_deadline = std::chrono::milliseconds(std::max(
+      0L, env_or_int("AEDB_NET_DEADLINE_MS", net.peer_deadline.count())));
   net.connect_attempts = static_cast<std::size_t>(
-      std::max(1L, env_or_int("AEDB_NET_CONNECT_ATTEMPTS", 30)));
+      std::max(1L, env_or_int("AEDB_NET_CONNECT_ATTEMPTS",
+                              static_cast<long>(net.connect_attempts))));
   return net;
 }
 
@@ -211,15 +214,19 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
         if (!campaign.telemetry_out.empty()) {
           maybe_write_telemetry(campaign, merge_telemetry(records));
         }
-        std::vector<CellResult> results;
-        results.reserve(cells.size());
+        // One cell log per shard, written atomically: a merge never sees
+        // half a shard.
+        std::string log = cell_log_header(plan);
         for (std::size_t i = 0; i < cells.size(); ++i) {
-          results.push_back(CellResult{cells[i].index, std::move(records[i])});
+          log += cell_log_record(
+              CellResult{cells[i].index, std::move(records[i])});
         }
-        const std::string path = write_manifest(
-            campaign.shard_dir,
-            make_manifest(plan, campaign.shard_index, campaign.shard_count,
-                          std::move(results)));
+        std::filesystem::create_directories(campaign.shard_dir);
+        const std::string path = campaign.shard_dir + "/shard_" +
+                                 std::to_string(campaign.shard_index) + "_of_" +
+                                 std::to_string(campaign.shard_count) +
+                                 ".manifest";
+        io::atomic_write_file_or_throw(path, log);
         std::printf("[shard %zu/%zu] wrote %s\n", campaign.shard_index,
                     campaign.shard_count, path.c_str());
         std::exit(0);

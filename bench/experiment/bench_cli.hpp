@@ -33,14 +33,14 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 
 /// Runs (or merges) a campaign, honouring the distribution flags shared by
 /// every campaign bench:
-///   --shard=i/N    run only shard i of N (0-based) and write a partial-
-///                  results manifest under --shard-dir (default "shards"),
-///                  then exit 0 — a later --merge run reassembles the
-///                  campaign (see EXPERIMENTS.md "Distributed campaigns")
-///   --merge=DIR    skip execution: validate + merge the manifests under
-///                  DIR against the plan fingerprint, write the canonical
-///                  indicator CSV and reference fronts, and continue the
-///                  bench on the merged samples
+///   --shard=i/N    run only shard i of N (0-based) and write its cells
+///                  as a cell log (expt/manifest.hpp) under --shard-dir
+///                  (default "shards"), then exit 0 — a later --merge run
+///                  reassembles the campaign (see EXPERIMENTS.md
+///                  "Distributed campaigns")
+///   --merge=DIR    skip execution: read + merge the cell logs under DIR
+///                  against the plan, write the canonical indicator CSV,
+///                  and continue the bench on the merged samples
 ///   --serve=PORT   elastic coordinator: listen on PORT (0 = ephemeral),
 ///                  accept --workers=N worker processes (in this mode
 ///                  --workers names the fleet size, not driver threads —

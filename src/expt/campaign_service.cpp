@@ -22,11 +22,6 @@
 namespace aedbmls::expt {
 namespace {
 
-// v2: every cell block is followed by a `crc <8 hex>` line; v1 journals
-// (no per-record checksums) read as stale and replay nothing.
-constexpr const char* kJournalMagic = "aedbmls-campaign-journal v2";
-constexpr const char* kJournalCrcPrefix = "crc ";
-
 std::string fingerprint_hex(std::uint64_t fingerprint) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%llx",
@@ -55,88 +50,7 @@ std::string read_file_or_empty(const std::string& path) {
   return bytes.str();
 }
 
-/// True when `record` matches the plan's cell table entry — the same
-/// metadata check `merge_manifests` applies to shard files.
-bool matches_cell(const RunRecord& record, const ExperimentPlan::Cell& cell) {
-  return record.algorithm == cell.algorithm &&
-         record.scenario == cell.scenario && record.run_seed == cell.seed;
-}
-
-std::string journal_header(const std::string& fp_hex, std::size_t cell_count) {
-  return std::string(kJournalMagic) + " " + fp_hex + " " +
-         std::to_string(cell_count);
-}
-
-/// One committed journal record: the cell block plus its CRC line.  A
-/// record is only replayed once the CRC line verifies, so a crash at any
-/// byte offset leaves a cleanly detectable torn tail.
-std::string journal_record(const CellResult& result) {
-  const std::string block = encode_cell_result(result);
-  return block + kJournalCrcPrefix + io::crc32_hex(block) + "\n";
-}
-
-/// Replays a crash-resume journal.  Tolerant by design: a missing file, an
-/// empty file, a stale/wrong-fingerprint header, a bit-flipped record or a
-/// torn tail (the coordinator died mid-append) all yield the valid prefix
-/// of CRC-verified records, never an error — the lost cells simply run
-/// again.
-std::vector<CellResult> load_journal(
-    const std::string& path, const std::string& fp_hex,
-    const std::vector<ExperimentPlan::Cell>& cells) {
-  const std::string text = read_file_or_empty(path);
-  if (text.empty()) return {};
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line)) return {};
-  if (line != journal_header(fp_hex, cells.size())) {
-    log_warn("elastic: ignoring stale journal ", path, " (header '", line,
-             "')");
-    return {};
-  }
-  // Records accumulate until their `crc` line; a record is committed only
-  // when the checksum verifies and the decoded cell matches the plan.
-  std::vector<CellResult> replayed;
-  std::vector<bool> seen(cells.size(), false);
-  std::string block;
-  bool intact = true;
-  while (intact && std::getline(in, line)) {
-    if (line.rfind(kJournalCrcPrefix, 0) != 0) {
-      block += line;
-      block += '\n';
-      continue;
-    }
-    if (line.substr(4) != io::crc32_hex(block)) {
-      intact = false;
-      break;
-    }
-    try {
-      CellResult result = decode_cell_result(block, cells.size());
-      if (seen[result.index] ||
-          !matches_cell(result.record, cells[result.index])) {
-        intact = false;
-        break;
-      }
-      seen[result.index] = true;
-      replayed.push_back(std::move(result));
-      block.clear();
-    } catch (const std::invalid_argument&) {
-      intact = false;
-    }
-  }
-  if (!intact || !block.empty()) {
-    log_warn("elastic: journal ", path,
-             " has a torn or corrupt tail; replaying the valid prefix (",
-             replayed.size(), " cells)");
-  }
-  return replayed;
-}
-
 }  // namespace
-
-std::vector<CellResult> load_campaign_journal(const std::string& path,
-                                              const ExperimentPlan& plan) {
-  return load_journal(path, fingerprint_hex(plan.fingerprint()), plan.cells());
-}
 
 std::map<std::string, double> cost_priors_from_snapshot(
     const telemetry::Snapshot& snapshot) {
@@ -217,26 +131,30 @@ ExperimentResult run_campaign_coordinator(
   // Crash-resume journal: replay the valid prefix, then rewrite the file
   // (atomically — a crash during the rewrite must leave either the old
   // journal or the clean new one, never a prefix of the latter).
-  const bool journaling =
-      !result.from_cache && options.journal && driver.use_cache;
+  const bool journaling = !result.from_cache && driver.use_cache;
   const std::string journal_path =
       campaign_journal_path(driver.cache_dir, plan);
   // lint: allow(durable-io): append-mode journal is flushed per record by
   // design (crash resume needs every completed cell on disk immediately);
   // the startup rewrite above it goes through io::atomic_write_file and
   // each record carries its own CRC, so torn tails replay their valid
-  // prefix (see load_campaign_journal).
+  // prefix (see read_cell_log).
   std::ofstream journal;
   if (journaling) {
-    std::size_t replayed = 0;
-    std::string rewrite = journal_header(fp_hex, cells.size()) + "\n";
-    for (CellResult& prior : load_journal(journal_path, fp_hex, cells)) {
+    std::string rewrite = cell_log_header(plan);
+    const std::string text = read_file_or_empty(journal_path);
+    CellLog prior_log = text.empty() ? CellLog{} : read_cell_log(text, plan);
+    if (!prior_log.defect.empty()) {
+      log_warn("elastic: journal ", journal_path, ": ", prior_log.defect,
+               "; replaying the valid prefix (", prior_log.results.size(),
+               " cells)");
+    }
+    for (CellResult& prior : prior_log.results) {
       cell_done[prior.index] = true;
       ++done_count;
-      ++replayed;
       observe_cost(prior.record);
       if (driver.progress) driver.progress->cell_done(prior.record.telemetry);
-      rewrite += journal_record(prior);
+      rewrite += cell_log_record(prior);
       records[prior.index] = std::move(prior.record);
     }
     std::error_code ec;
@@ -248,9 +166,9 @@ ExperimentResult run_campaign_coordinator(
       log_warn("elastic: cannot write journal ", journal_path,
                "; crash resume disabled for this run");
     }
-    if (replayed > 0) {
-      log_info("elastic: journal replayed ", replayed, " of ", cells.size(),
-               " cells");
+    if (!prior_log.results.empty()) {
+      log_info("elastic: journal replayed ", prior_log.results.size(), " of ",
+               cells.size(), " cells");
     }
   }
 
@@ -266,10 +184,8 @@ ExperimentResult run_campaign_coordinator(
 
   // Cache warm-up payload: the plan's cached indicator CSV, shipped to
   // every worker so their local caches start warm.
-  std::string warm_bytes;
-  if (options.warm_worker_caches) {
-    warm_bytes = read_file_or_empty(indicator_csv_path(driver.cache_dir, plan));
-  }
+  const std::string warm_bytes =
+      read_file_or_empty(indicator_csv_path(driver.cache_dir, plan));
 
   // Per-worker scheduler state.  A worker is resolved once it was sent
   // `done` or departed; the campaign ends when every expected worker is
@@ -406,12 +322,12 @@ ExperimentResult run_campaign_coordinator(
         }
         cell_result =
             decode_cell_result(payload.substr(newline + 1), cells.size());
-        if (cell_result.index != index ||
-            !matches_cell(cell_result.record, cells[index])) {
-          throw std::runtime_error("cell " + std::to_string(index) +
-                                   " result contradicts the plan's cell "
-                                   "table");
+        if (cell_result.index != index) {
+          throw std::runtime_error("result for cell " +
+                                   std::to_string(index) + " carries cell " +
+                                   std::to_string(cell_result.index));
         }
+        check_cell(cell_result, cells);
       } catch (const std::exception& error) {
         abandon_worker(worker, std::string("bad result: ") + error.what(),
                        true);
@@ -425,7 +341,7 @@ ExperimentResult run_campaign_coordinator(
         driver.progress->cell_done(cell_result.record.telemetry);
       }
       if (journal) {
-        const std::string record = journal_record(cell_result);
+        const std::string record = cell_log_record(cell_result);
         if (fault::fire("io.journal.torn_tail")) {
           // Persist half a record then stop journaling — the next startup
           // must truncate to the valid prefix.

@@ -25,7 +25,7 @@
 ///   coord  -> worker  reject <reason>            (fingerprint mismatch)
 ///   coord  -> worker  warm\n<indicator CSV>      (cache warm-up, optional)
 ///   coord  -> worker  cell <index>               (one assignment)
-///   worker -> coord   result <index>\n<cell block>   (manifest v2 codec)
+///   worker -> coord   result <index>\n<cell block>   (expt/manifest.hpp)
 ///   coord  -> worker  done                       (queue drained; part ways)
 ///
 /// Scheduling order: cells whose scenario has no cost estimate first (to
@@ -36,17 +36,16 @@
 /// telemetry snapshot via `cost_priors_from_snapshot`).
 ///
 /// Crash resume: with caching enabled the coordinator journals every
-/// completed cell (append + flush) to `campaign_journal_path(...)`; a
-/// restarted coordinator replays the journal and schedules only the
-/// remainder.  The journal is deleted on successful completion.
+/// completed cell to `campaign_journal_path(...)`; a restarted coordinator
+/// replays the journal and schedules only the remainder.  The journal is
+/// deleted on successful completion.
 ///
-/// Durability (journal format v2): each appended cell block is followed by
-/// a `crc <8 hex>` line checksumming it, and the startup rewrite goes
-/// through an atomic tmp+rename.  `load_campaign_journal` commits a block
-/// only once its CRC line verifies, so a torn tail, a bit-flipped record,
-/// a stale/wrong-fingerprint header or an empty file all degrade to
-/// replaying the valid prefix (with a warning) — never an error, never
-/// silently trusting corrupt bytes.
+/// Durability: the journal is a cell log (expt/manifest.hpp) — each
+/// appended record carries its own `crc` line, and the startup rewrite
+/// goes through an atomic tmp+rename.  Replay reads it with
+/// `read_cell_log`, so a torn tail, a bit-flipped record or another
+/// plan's header degrade to replaying the valid prefix (with a warning) —
+/// never an error, never silently trusting corrupt bytes.
 ///
 /// Fault tolerance: a worker that sends a malformed or contradictory
 /// result (or any unexpected message) is rejected and its in-flight cell
@@ -79,7 +78,8 @@ class CoordinatorLostError : public std::runtime_error {
 
 struct CampaignCoordinatorOptions {
   /// Reduction/cache behaviour (cache_dir, use_cache, collect_records,
-  /// progress).  The coordinator runs no cells itself, so `workers` and
+  /// progress); `use_cache` also journals completed cells next to the CSV
+  /// cache.  The coordinator runs no cells itself, so `workers` and
   /// `eval_threads` are ignored here.
   ExperimentDriver::Options driver;
   /// Expected wall seconds per scenario key, used to order the queue
@@ -87,12 +87,6 @@ struct CampaignCoordinatorOptions {
   /// `cost_priors_from_snapshot`).  Scheduling only — results are
   /// byte-identical with or without priors.
   std::map<std::string, double> cost_priors;
-  /// Ship the plan's cached indicator CSV (when present) to every worker
-  /// so a later worker-local `--merge`/plain run starts warm.
-  bool warm_worker_caches = true;
-  /// Journal completed cells for crash resume (requires
-  /// `driver.use_cache`; the journal lives next to the CSV cache).
-  bool journal = true;
 };
 
 struct CampaignWorkerOptions {
@@ -131,13 +125,6 @@ struct WorkerReport {
 [[nodiscard]] WorkerReport run_campaign_worker(
     const ExperimentPlan& plan, par::net::Transport& transport,
     const CampaignWorkerOptions& options);
-
-/// Replays the crash-resume journal at `path` for `plan`, returning the
-/// valid prefix of CRC-verified cell results (empty on a missing file or
-/// a header that does not match the plan).  Exposed for adversarial
-/// testing; the coordinator calls it on startup.
-[[nodiscard]] std::vector<CellResult> load_campaign_journal(
-    const std::string& path, const ExperimentPlan& plan);
 
 /// Extracts per-scenario expected wall seconds (gauge mean of
 /// `scenario.<key>.wall_s`) from a telemetry snapshot — feed a previous

@@ -41,7 +41,7 @@ struct RunRecord {
   /// Per-cell telemetry: counters (`cells`, `evaluations`, `sim.runs`,
   /// `sim.events`, `front.points`), wall-time gauges (`cell.wall_s`,
   /// `scenario.<key>.wall_s`) and the `front.size` histogram.  Rides the
-  /// shard manifests (format v2) and merges associatively campaign-wide.
+  /// cell logs (expt/manifest.hpp) and merges associatively campaign-wide.
   telemetry::Snapshot telemetry;
 };
 

@@ -8,20 +8,21 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/durable_file.hpp"
 #include "common/telemetry.hpp"
-#include "moo/core/front_io.hpp"
 
 namespace aedbmls::expt {
 namespace {
 
-constexpr const char* kMagic = "aedbmls-shard-manifest v2";
+constexpr std::string_view kLogMagic = "aedbmls-cell-log v1";
+constexpr std::string_view kCrcPrefix = "crc ";
 
 [[noreturn]] void fail(std::size_t line_number, const std::string& what) {
   std::ostringstream os;
-  os << "manifest line " << line_number << ": " << what;
+  os << "cell block line " << line_number << ": " << what;
   throw std::invalid_argument(os.str());
 }
 
@@ -35,12 +36,12 @@ void append_double(std::string& out, double value) {
 
 const std::string& checked_name(const std::string& name, const char* what) {
   if (name.empty()) {
-    throw std::invalid_argument(std::string("manifest ") + what + " is empty");
+    throw std::invalid_argument(std::string("cell ") + what + " is empty");
   }
   for (const char c : name) {
     if (std::isspace(static_cast<unsigned char>(c))) {
-      throw std::invalid_argument(std::string("manifest ") + what + " '" +
-                                  name + "' contains whitespace");
+      throw std::invalid_argument(std::string("cell ") + what + " '" + name +
+                                  "' contains whitespace");
     }
   }
   return name;
@@ -54,25 +55,17 @@ std::vector<std::string> tokens_of(const std::string& line) {
   return tokens;
 }
 
+/// Digits only: std::stoull alone would accept a sign, and "-1" would wrap
+/// to 2^64 - 1.
 std::size_t to_size(const std::string& token, std::size_t line_number,
                     const char* what) {
+  const bool digits =
+      !token.empty() && std::all_of(token.begin(), token.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
   try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return static_cast<std::size_t>(value);
-  } catch (const std::exception&) {
-    fail(line_number, std::string("bad ") + what + " '" + token + "'");
-  }
-}
-
-std::uint64_t to_u64_hex(const std::string& token, std::size_t line_number,
-                         const char* what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(token, &pos, 16);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return static_cast<std::uint64_t>(value);
+    if (!digits) throw std::invalid_argument(token);
+    return static_cast<std::size_t>(std::stoull(token));
   } catch (const std::exception&) {
     fail(line_number, std::string("bad ") + what + " '" + token + "'");
   }
@@ -99,10 +92,7 @@ struct LineReader {
 
   void require_next(const char* context) {
     if (!next()) {
-      std::ostringstream os;
-      os << "manifest truncated at line " << line_number << ", expected "
-         << context;
-      throw std::invalid_argument(os.str());
+      fail(line_number, std::string("truncated, expected ") + context);
     }
   }
 
@@ -110,84 +100,6 @@ struct LineReader {
   std::string line;
   std::size_t line_number = 0;
 };
-
-/// One `key v0 v1 ...` header line with an exact token count.
-std::vector<std::string> header_tokens(LineReader& reader, const char* key,
-                                       std::size_t count) {
-  reader.require_next(key);
-  const auto tokens = tokens_of(reader.line);
-  if (tokens.size() != count + 1 || tokens[0] != key) {
-    fail(reader.line_number,
-         std::string("expected '") + key + "' header, got '" + reader.line +
-             "'");
-  }
-  return tokens;
-}
-
-/// Decodes one cell block given its already-tokenised `cell` header line;
-/// consumes the block's telemetry and point lines from `reader`.  Shared by
-/// the whole-manifest decoder and `decode_cell_result`.
-CellResult decode_cell_body(LineReader& reader,
-                            const std::vector<std::string>& tokens,
-                            std::size_t total_cells) {
-  CellResult result;
-  result.index = to_size(tokens[1], reader.line_number, "cell index");
-  if (result.index >= total_cells) {
-    fail(reader.line_number, "cell index out of range");
-  }
-  result.record.run_seed = static_cast<std::uint64_t>(
-      to_size(tokens[2], reader.line_number, "run seed"));
-  result.record.evaluations =
-      to_size(tokens[3], reader.line_number, "evaluation count");
-  const std::size_t front_size =
-      to_size(tokens[4], reader.line_number, "front size");
-  result.record.wall_seconds =
-      to_double(tokens[5], reader.line_number, "wall seconds");
-  result.record.algorithm = tokens[6];
-  result.record.scenario = tokens[7];
-  const std::size_t telemetry_lines =
-      to_size(tokens[8], reader.line_number, "telemetry line count");
-  for (std::size_t t = 0; t < telemetry_lines; ++t) {
-    reader.require_next("a telemetry line");
-    try {
-      telemetry::decode_snapshot_line(reader.line, result.record.telemetry);
-    } catch (const std::invalid_argument& error) {
-      fail(reader.line_number, error.what());
-    }
-  }
-  result.record.front.reserve(front_size);
-  for (std::size_t p = 0; p < front_size; ++p) {
-    reader.require_next("a 'point' line");
-    const auto point = tokens_of(reader.line);
-    if (point.size() < 4 || point[0] != "point") {
-      fail(reader.line_number,
-           std::string("expected 'point', got '") + reader.line + "'");
-    }
-    const std::size_t n_obj =
-        to_size(point[1], reader.line_number, "objective count");
-    const std::size_t n_x =
-        to_size(point[2], reader.line_number, "variable count");
-    if (point.size() != 4 + n_obj + n_x) {
-      fail(reader.line_number, "point value count mismatch");
-    }
-    moo::Solution solution;
-    solution.constraint_violation =
-        to_double(point[3], reader.line_number, "constraint violation");
-    solution.objectives.reserve(n_obj);
-    for (std::size_t i = 0; i < n_obj; ++i) {
-      solution.objectives.push_back(
-          to_double(point[4 + i], reader.line_number, "objective"));
-    }
-    solution.x.reserve(n_x);
-    for (std::size_t i = 0; i < n_x; ++i) {
-      solution.x.push_back(
-          to_double(point[4 + n_obj + i], reader.line_number, "variable"));
-    }
-    solution.evaluated = true;
-    result.record.front.push_back(std::move(solution));
-  }
-  return result;
-}
 
 }  // namespace
 
@@ -209,44 +121,6 @@ std::vector<ExperimentPlan::Cell> cells_for_shard(const ExperimentPlan& plan,
   for (std::size_t i = shard_index; i < cells.size(); i += shard_count) {
     out.push_back(std::move(cells[i]));
   }
-  return out;
-}
-
-ShardManifest make_manifest(const ExperimentPlan& plan,
-                            std::size_t shard_index, std::size_t shard_count,
-                            std::vector<CellResult> results) {
-  ShardManifest manifest;
-  manifest.fingerprint = plan.fingerprint();
-  manifest.scale_name = plan.scale.name;
-  manifest.shard_index = shard_index;
-  manifest.shard_count = shard_count;
-  manifest.total_cells = plan.cell_count();
-  manifest.results = std::move(results);
-  return manifest;
-}
-
-std::string encode_manifest(const ShardManifest& manifest) {
-  std::string out;
-  out += kMagic;
-  out += '\n';
-  {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%llx",
-                  static_cast<unsigned long long>(manifest.fingerprint));
-    out += "fingerprint ";
-    out += buffer;
-    out += '\n';
-  }
-  out += "scale " + checked_name(manifest.scale_name, "scale name") + '\n';
-  std::ostringstream shape;
-  shape << "shard " << manifest.shard_index << ' ' << manifest.shard_count
-        << '\n'
-        << "cells " << manifest.total_cells << '\n';
-  out += shape.str();
-  for (const CellResult& result : manifest.results) {
-    out += encode_cell_result(result);
-  }
-  out += "end\n";
   return out;
 }
 
@@ -301,7 +175,63 @@ CellResult decode_cell_result(const std::string& text,
     fail(reader.line_number,
          std::string("expected a 'cell' line, got '") + reader.line + "'");
   }
-  CellResult result = decode_cell_body(reader, tokens, total_cells);
+  // Counts are untrusted: nothing below reserves from them, so a huge
+  // count fails as a truncated block instead of an allocation.
+  CellResult result;
+  result.index = to_size(tokens[1], reader.line_number, "cell index");
+  if (result.index >= total_cells) {
+    fail(reader.line_number, "cell index out of range");
+  }
+  result.record.run_seed = static_cast<std::uint64_t>(
+      to_size(tokens[2], reader.line_number, "run seed"));
+  result.record.evaluations =
+      to_size(tokens[3], reader.line_number, "evaluation count");
+  const std::size_t front_size =
+      to_size(tokens[4], reader.line_number, "front size");
+  result.record.wall_seconds =
+      to_double(tokens[5], reader.line_number, "wall seconds");
+  result.record.algorithm = tokens[6];
+  result.record.scenario = tokens[7];
+  const std::size_t telemetry_lines =
+      to_size(tokens[8], reader.line_number, "telemetry line count");
+  for (std::size_t t = 0; t < telemetry_lines; ++t) {
+    reader.require_next("a telemetry line");
+    try {
+      telemetry::decode_snapshot_line(reader.line, result.record.telemetry);
+    } catch (const std::invalid_argument& error) {
+      fail(reader.line_number, error.what());
+    }
+  }
+  for (std::size_t p = 0; p < front_size; ++p) {
+    reader.require_next("a 'point' line");
+    const auto point = tokens_of(reader.line);
+    if (point.size() < 4 || point[0] != "point") {
+      fail(reader.line_number,
+           std::string("expected 'point', got '") + reader.line + "'");
+    }
+    const std::size_t n_obj =
+        to_size(point[1], reader.line_number, "objective count");
+    const std::size_t n_x =
+        to_size(point[2], reader.line_number, "variable count");
+    // Subtract, never add: n_obj + n_x may wrap.
+    const std::size_t values = point.size() - 4;
+    if (n_obj > values || n_x != values - n_obj) {
+      fail(reader.line_number, "point value count mismatch");
+    }
+    moo::Solution solution;
+    solution.constraint_violation =
+        to_double(point[3], reader.line_number, "constraint violation");
+    for (std::size_t i = 0; i < n_obj; ++i) {
+      solution.objectives.push_back(
+          to_double(point[4 + i], reader.line_number, "objective"));
+    }
+    for (std::size_t i = 0; i < n_x; ++i) {
+      solution.x.push_back(
+          to_double(point[4 + n_obj + i], reader.line_number, "variable"));
+    }
+    solution.evaluated = true;
+    result.record.front.push_back(std::move(solution));
+  }
   while (reader.next()) {
     if (!reader.line.empty()) {
       fail(reader.line_number, std::string("trailing content '") +
@@ -311,207 +241,154 @@ CellResult decode_cell_result(const std::string& text,
   return result;
 }
 
-ShardManifest decode_manifest(const std::string& text) {
-  LineReader reader(text);
-  reader.require_next("the manifest header");
-  if (reader.line != kMagic) {
-    fail(reader.line_number, std::string("bad header '") + reader.line +
-                                 "', expected '" + kMagic + "'");
+void check_cell(const CellResult& result,
+                const std::vector<ExperimentPlan::Cell>& cells) {
+  const std::string tag = "cell " + std::to_string(result.index);
+  if (result.index >= cells.size()) {
+    throw std::invalid_argument(tag + " out of range");
   }
-
-  ShardManifest manifest;
-  manifest.fingerprint = to_u64_hex(header_tokens(reader, "fingerprint", 1)[1],
-                                    reader.line_number, "fingerprint");
-  manifest.scale_name = header_tokens(reader, "scale", 1)[1];
-  {
-    const auto tokens = header_tokens(reader, "shard", 2);
-    manifest.shard_index =
-        to_size(tokens[1], reader.line_number, "shard index");
-    manifest.shard_count =
-        to_size(tokens[2], reader.line_number, "shard count");
-    if (manifest.shard_count == 0 ||
-        manifest.shard_index >= manifest.shard_count) {
-      fail(reader.line_number, "shard index out of range");
-    }
+  const ExperimentPlan::Cell& cell = cells[result.index];
+  if (result.record.algorithm != cell.algorithm ||
+      result.record.scenario != cell.scenario ||
+      result.record.run_seed != cell.seed) {
+    throw std::invalid_argument(tag +
+                                " contradicts the plan's cell table "
+                                "(algorithm/scenario/seed)");
   }
-  manifest.total_cells =
-      to_size(header_tokens(reader, "cells", 1)[1], reader.line_number,
-              "cell count");
+}
 
+std::string cell_log_header(const ExperimentPlan& plan) {
+  std::ostringstream header;
+  header << kLogMagic << ' ' << std::hex << plan.fingerprint() << std::dec
+         << ' ' << plan.cell_count() << '\n';
+  return header.str();
+}
+
+std::string cell_log_record(const CellResult& result) {
+  const std::string block = encode_cell_result(result);
+  return block + std::string(kCrcPrefix) + io::crc32_hex(block) + '\n';
+}
+
+CellLog read_cell_log(const std::string& text, const ExperimentPlan& plan) {
+  CellLog log;
+  const std::string header = cell_log_header(plan);
+  if (text.compare(0, header.size(), header) != 0) {
+    const std::size_t shown = std::min<std::size_t>(text.find('\n'), 80);
+    log.defect = "header '" + text.substr(0, shown) +
+                 "' is not this plan's '" +
+                 header.substr(0, header.size() - 1) + "'";
+    return log;
+  }
+  const auto cells = plan.cells();
+  std::vector<bool> seen(cells.size(), false);
+  // Lines accumulate into a record until its `crc` line; only whole,
+  // newline-terminated lines count, so a cut anywhere is a torn record.
+  std::size_t record_start = header.size();
+  std::size_t line_start = record_start;
   for (;;) {
-    reader.require_next("'cell' or 'end'");
-    if (reader.line == "end") break;
-    const auto tokens = tokens_of(reader.line);
-    if (tokens.size() != 9 || tokens[0] != "cell") {
-      fail(reader.line_number,
-           std::string("expected 'cell' or 'end', got '") + reader.line + "'");
+    const std::size_t line_end = text.find('\n', line_start);
+    if (line_end == std::string::npos) break;
+    const std::string_view line(text.data() + line_start,
+                                line_end - line_start);
+    const std::size_t block_end = line_start;
+    line_start = line_end + 1;
+    if (!line.starts_with(kCrcPrefix)) continue;
+    const std::string block =
+        text.substr(record_start, block_end - record_start);
+    try {
+      if (line.substr(kCrcPrefix.size()) != io::crc32_hex(block)) {
+        throw std::invalid_argument("crc mismatch");
+      }
+      CellResult result = decode_cell_result(block, cells.size());
+      check_cell(result, cells);
+      if (seen[result.index]) {
+        throw std::invalid_argument("repeats cell " +
+                                    std::to_string(result.index));
+      }
+      seen[result.index] = true;
+      log.results.push_back(std::move(result));
+    } catch (const std::invalid_argument& error) {
+      log.defect = "record " + std::to_string(log.results.size() + 1) +
+                   ": " + error.what();
+      return log;
     }
-    manifest.results.push_back(
-        decode_cell_body(reader, tokens, manifest.total_cells));
+    record_start = line_start;
   }
-  return manifest;
+  if (record_start != text.size()) {
+    log.defect = "torn record after " + std::to_string(log.results.size()) +
+                 " whole records";
+  }
+  return log;
 }
 
-std::string manifest_filename(std::size_t shard_index,
-                              std::size_t shard_count) {
-  std::ostringstream name;
-  name << "shard_" << shard_index << "_of_" << shard_count << ".manifest";
-  return name.str();
-}
-
-std::string write_manifest(const std::string& dir,
-                           const ShardManifest& manifest) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string path =
-      dir + "/" + manifest_filename(manifest.shard_index, manifest.shard_count);
-  // Atomic + checksummed: a merge must never see half a shard.  The CRC
-  // trailer rides after the `end` line, which the decoder ignores.
-  io::atomic_write_file_or_throw(
-      path, io::with_crc_trailer(encode_manifest(manifest)));
-  return path;
-}
-
-std::vector<ShardManifest> load_manifests(const std::string& dir) {
+ExperimentResult merge_campaign(const ExperimentPlan& plan,
+                                const std::string& manifest_dir,
+                                const ExperimentDriver::Options& options) {
   namespace fs = std::filesystem;
+  validate_plan(plan);
   std::error_code ec;
   std::vector<fs::path> paths;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+  for (const auto& entry : fs::directory_iterator(manifest_dir, ec)) {
     if (entry.is_regular_file() && entry.path().extension() == ".manifest") {
       paths.push_back(entry.path());
     }
   }
   if (ec) {
-    throw std::invalid_argument("cannot read manifest directory " + dir +
-                                ": " + ec.message());
+    throw std::invalid_argument("cannot read manifest directory " +
+                                manifest_dir + ": " + ec.message());
+  }
+  if (paths.empty()) {
+    throw std::invalid_argument("no *.manifest files under " + manifest_dir);
   }
   std::sort(paths.begin(), paths.end());
-  if (paths.empty()) {
-    throw std::invalid_argument("no *.manifest files under " + dir);
-  }
-  std::vector<ShardManifest> manifests;
-  manifests.reserve(paths.size());
+
+  std::vector<RunRecord> records(plan.cell_count());
+  std::vector<bool> seen(records.size(), false);
   for (const fs::path& path : paths) {
     std::ifstream in(path, std::ios::binary);
-    std::ostringstream slurp;
-    slurp << in.rdbuf();
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
     if (!in) {
       throw std::invalid_argument("cannot read manifest " + path.string());
     }
-    std::string text = std::move(slurp).str();
-    // Named rejection, never silent acceptance: a manifest whose bytes no
-    // longer match its trailer must stop the merge, not feed it garbage.
-    if (io::strip_crc_trailer(text) == io::CrcCheck::kMismatch) {
-      throw std::invalid_argument(path.string() +
-                                  ": crc32 trailer mismatch (corrupt shard "
-                                  "manifest; regenerate this shard)");
+    CellLog log = read_cell_log(bytes.str(), plan);
+    if (!log.defect.empty()) {
+      throw std::invalid_argument(path.string() + ": " + log.defect +
+                                  " (regenerate this shard)");
     }
-    try {
-      manifests.push_back(decode_manifest(text));
-    } catch (const std::invalid_argument& error) {
-      throw std::invalid_argument(path.string() + ": " + error.what());
-    }
-  }
-  return manifests;
-}
-
-std::vector<RunRecord> merge_manifests(
-    const ExperimentPlan& plan, const std::vector<ShardManifest>& manifests) {
-  const std::uint64_t fingerprint = plan.fingerprint();
-  const auto cells = plan.cells();
-  std::vector<RunRecord> records(cells.size());
-  std::vector<bool> seen(cells.size(), false);
-
-  for (const ShardManifest& manifest : manifests) {
-    std::ostringstream tag_os;
-    tag_os << "shard " << manifest.shard_index << "/" << manifest.shard_count;
-    const std::string tag = tag_os.str();
-    if (manifest.fingerprint != fingerprint) {
-      std::ostringstream os;
-      os << tag << ": plan fingerprint mismatch (manifest " << std::hex
-         << manifest.fingerprint << ", plan " << fingerprint << std::dec
-         << ") — the shard was run against a different plan";
-      throw std::invalid_argument(os.str());
-    }
-    if (manifest.total_cells != cells.size()) {
-      std::ostringstream os;
-      os << tag << ": cell count mismatch (manifest " << manifest.total_cells
-         << ", plan " << cells.size() << ")";
-      throw std::invalid_argument(os.str());
-    }
-    for (const CellResult& result : manifest.results) {
-      std::ostringstream os;
-      os << tag << ": cell " << result.index;
-      if (result.index >= cells.size()) {
-        throw std::invalid_argument(os.str() + " out of range");
-      }
+    for (CellResult& result : log.results) {
       if (seen[result.index]) {
         throw std::invalid_argument(
-            os.str() + " already merged (overlapping or duplicate shards)");
-      }
-      const ExperimentPlan::Cell& cell = cells[result.index];
-      if (result.record.algorithm != cell.algorithm ||
-          result.record.scenario != cell.scenario ||
-          result.record.run_seed != cell.seed) {
-        throw std::invalid_argument(os.str() +
-                                    " metadata contradicts the plan's cell "
-                                    "table (algorithm/scenario/seed)");
+            path.string() + ": cell " + std::to_string(result.index) +
+            " is also in another manifest (overlapping or duplicate shards)");
       }
       seen[result.index] = true;
-      records[result.index] = result.record;
+      records[result.index] = std::move(result.record);
     }
   }
-
   const std::size_t missing = static_cast<std::size_t>(
       std::count(seen.begin(), seen.end(), false));
   if (missing > 0) {
     const std::size_t first = static_cast<std::size_t>(
         std::find(seen.begin(), seen.end(), false) - seen.begin());
     std::ostringstream os;
-    os << missing << " of " << cells.size()
+    os << missing << " of " << seen.size()
        << " cells missing (first missing: cell " << first
        << ") — merge needs every shard of the campaign";
     throw std::invalid_argument(os.str());
   }
-  return records;
-}
-
-namespace {
-
-/// Unlike the drivers' best-effort cache store, merge artifacts are the
-/// whole point of the merge — a silent write failure would let the caller
-/// report success for files that do not exist.
-void write_file_or_throw(const std::string& path, const std::string& bytes) {
-  io::atomic_write_file_or_throw(path, bytes);
-}
-
-}  // namespace
-
-ExperimentResult merge_campaign(const ExperimentPlan& plan,
-                                const std::string& manifest_dir,
-                                const ExperimentDriver::Options& options) {
-  validate_plan(plan);
-  const auto manifests = load_manifests(manifest_dir);
-  auto records = merge_manifests(plan, manifests);
 
   ExperimentResult result;
   result.samples = reduce_to_samples(plan, records);
   result.telemetry = merge_telemetry(records);
-  // The canonical artifacts CI diffs against an unsharded run: the
-  // fingerprint-keyed indicator CSV (same bytes as the driver's cache
-  // store, CRC trailer included) and the per-scenario reference fronts.
-  std::error_code ec;
-  std::filesystem::create_directories(options.cache_dir, ec);
-  write_file_or_throw(indicator_csv_path(options.cache_dir, plan),
-                      io::with_crc_trailer(indicator_csv(result.samples)));
-  for (const std::string& scenario : plan.scenarios) {
-    const auto reference = reference_front(records, scenario);
-    std::ostringstream path;
-    path << options.cache_dir << "/reference_" << plan.scale.name << "_"
-         << std::hex << plan.fingerprint() << std::dec << "_" << scenario
-         << ".csv";
-    write_file_or_throw(path.str(), moo::front_to_csv(reference));
-  }
+  // The artifact CI diffs against an unsharded run: the fingerprint-keyed
+  // indicator CSV, the same bytes as the driver's cache store (CRC trailer
+  // included).  Unlike that best-effort store, a failed write fails the
+  // merge — it is the merge's whole output.
+  fs::create_directories(options.cache_dir, ec);
+  io::atomic_write_file_or_throw(
+      indicator_csv_path(options.cache_dir, plan),
+      io::with_crc_trailer(indicator_csv(result.samples)));
   if (options.collect_records) result.records = std::move(records);
   return result;
 }

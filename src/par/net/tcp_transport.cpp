@@ -463,11 +463,4 @@ std::unique_ptr<TcpTransport> TcpTransport::connect(const std::string& host,
   return std::unique_ptr<TcpTransport>(new TcpTransport(std::move(impl)));
 }
 
-std::unique_ptr<TcpTransport> TcpTransport::serve(std::uint16_t port,
-                                                  std::size_t workers,
-                                                  TcpOptions options) {
-  TcpListener listener(port, options);
-  return listener.accept_workers(workers);
-}
-
 }  // namespace aedbmls::par::net

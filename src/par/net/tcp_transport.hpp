@@ -43,7 +43,7 @@ struct TcpOptions {
   /// deterministic per-process jitter to de-synchronise worker fleets.
   std::chrono::milliseconds connect_backoff_base{100};
   /// Connection attempts before `connect()` gives up and throws.
-  std::size_t connect_attempts = 20;
+  std::size_t connect_attempts = 30;
   /// Ceiling on a single frame's payload (guards the length prefix).
   std::size_t max_frame_bytes = FrameDecoder::kDefaultMaxPayloadBytes;
 };
@@ -85,10 +85,6 @@ class TcpTransport final : public Transport {
   /// std::runtime_error on retry exhaustion or a handshake violation.
   [[nodiscard]] static std::unique_ptr<TcpTransport> connect(
       const std::string& host, std::uint16_t port, TcpOptions options = {});
-
-  /// Coordinator side in one call: `TcpListener(port).accept_workers(n)`.
-  [[nodiscard]] static std::unique_ptr<TcpTransport> serve(
-      std::uint16_t port, std::size_t workers, TcpOptions options = {});
 
   ~TcpTransport() override;
 

@@ -179,7 +179,6 @@ TEST(CampaignService, DeadWorkerCellsAreRequeuedByteIdentical) {
   coordinator.driver = quiet(1);
   coordinator.driver.use_cache = true;
   coordinator.driver.cache_dir = elastic_dir;
-  coordinator.journal = false;
   const auto result =
       run_campaign_coordinator(plan, world.endpoint(0), coordinator);
   dying.join();

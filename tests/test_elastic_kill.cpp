@@ -120,7 +120,6 @@ TEST(ElasticKill, SigkilledWorkerIsRequeuedByteIdentical) {
   options.driver = quiet(1);
   options.driver.use_cache = true;
   options.driver.cache_dir = elastic_dir;
-  options.journal = false;
   const auto result =
       run_campaign_coordinator(plan, *coordinator, options);
   killer.join();

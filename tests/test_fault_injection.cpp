@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -69,37 +70,19 @@ void spit(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-std::string fingerprint_hex(const ExperimentPlan& plan) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%llx",
-                static_cast<unsigned long long>(plan.fingerprint()));
-  return buffer;
-}
-
-/// A decodable cell result matching `cell`'s plan metadata — enough for
-/// journal codec tests without running a simulation.
-CellResult fabricate(const ExperimentPlan::Cell& cell) {
-  CellResult result;
-  result.index = cell.index;
-  result.record.algorithm = cell.algorithm;
-  result.record.scenario = cell.scenario;
-  result.record.run_seed = cell.seed;
-  result.record.evaluations = 7;
-  result.record.wall_seconds = 0.25;
-  return result;
-}
-
-std::string journal_record(const CellResult& result) {
-  const std::string block = encode_cell_result(result);
-  return block + "crc " + io::crc32_hex(block) + "\n";
-}
-
-std::string journal_bytes(const ExperimentPlan& plan, std::size_t records) {
-  const auto cells = plan.cells();
-  std::string bytes = "aedbmls-campaign-journal v2 " + fingerprint_hex(plan) +
-                      " " + std::to_string(cells.size()) + "\n";
-  for (std::size_t i = 0; i < records; ++i) {
-    bytes += journal_record(fabricate(cells[i]));
+/// A whole-plan cell log of decodable results matching the plan's cells —
+/// enough for manifest hardening tests without running a simulation.
+std::string fabricated_log(const ExperimentPlan& plan) {
+  std::string bytes = cell_log_header(plan);
+  for (const auto& cell : plan.cells()) {
+    CellResult result;
+    result.index = cell.index;
+    result.record.algorithm = cell.algorithm;
+    result.record.scenario = cell.scenario;
+    result.record.run_seed = cell.seed;
+    result.record.evaluations = 7;
+    result.record.wall_seconds = 0.25;
+    bytes += cell_log_record(result);
   }
   return bytes;
 }
@@ -351,94 +334,112 @@ TEST(CacheHardening, WriteFailSiteSkipsTheStore) {
 TEST(ManifestHardening, CorruptManifestIsRejectedByName) {
   const auto plan = tiny_plan();
   const std::string dir = scratch_dir("manifest_hardening");
-  std::vector<CellResult> results;
-  for (const auto& cell : plan.cells()) results.push_back(fabricate(cell));
-  const std::string path =
-      write_manifest(dir, make_manifest(plan, 0, 1, std::move(results)));
-  ASSERT_NE(slurp(path).find("#crc32 "), std::string::npos);
-  EXPECT_EQ(load_manifests(dir).size(), 1u);
+  const std::string path = dir + "/shard_0_of_1.manifest";
+  io::atomic_write_file_or_throw(path, fabricated_log(plan));
+  EXPECT_EQ(read_cell_log(slurp(path), plan).defect, "");
 
   std::string corrupt = slurp(path);
   corrupt[corrupt.find("cell ") + 5] ^= 0x01;
   spit(path, corrupt);
+  ExperimentDriver::Options options;
+  options.cache_dir = scratch_dir("manifest_hardening_out");
   try {
-    (void)load_manifests(dir);
+    (void)merge_campaign(plan, dir, options);
     FAIL() << "corrupt manifest must be rejected";
   } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("crc32"), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("crc"), std::string::npos);
     EXPECT_NE(std::string(error.what()).find(path), std::string::npos);
   }
 }
 
-TEST(ManifestHardening, LegacyManifestWithoutTrailerStillLoads) {
+TEST(ManifestHardening, RetiredManifestFormatIsRejectedByName) {
+  // Shard files of the retired v2 manifest format read as a foreign
+  // header: regenerate the shard.
   const auto plan = tiny_plan();
-  const std::string dir = scratch_dir("manifest_legacy");
-  std::vector<CellResult> results;
-  for (const auto& cell : plan.cells()) results.push_back(fabricate(cell));
-  spit(dir + "/" + manifest_filename(0, 1),
-       encode_manifest(make_manifest(plan, 0, 1, std::move(results))));
-  EXPECT_EQ(load_manifests(dir).size(), 1u);
+  const std::string dir = scratch_dir("manifest_retired");
+  const std::string path = dir + "/shard_0_of_1.manifest";
+  spit(path, "aedbmls-shard-manifest v2\nfingerprint 0\nend\n");
+  ExperimentDriver::Options options;
+  options.cache_dir = scratch_dir("manifest_retired_out");
+  try {
+    (void)merge_campaign(plan, dir, options);
+    FAIL() << "a v2 manifest must be rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(path), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("aedbmls-shard-manifest v2"),
+              std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Crash-resume journal under adversarial inputs
 
-TEST(JournalAdversarial, ReplaysExactlyTheValidPrefix) {
-  const auto plan = tiny_plan();
-  const std::string dir = scratch_dir("journal_adversarial");
-  const std::string path = campaign_journal_path(dir, plan);
-
-  // Intact: both records replay.
-  spit(path, journal_bytes(plan, 2));
-  EXPECT_EQ(load_campaign_journal(path, plan).size(), 2u);
-
-  // Torn mid-record (the coordinator died inside an append): the record
-  // under the tear is discarded, the prefix survives.
-  const std::string intact = journal_bytes(plan, 2);
-  const std::string one = journal_bytes(plan, 1);
-  spit(path, intact.substr(0, one.size() + (intact.size() - one.size()) / 2));
-  EXPECT_EQ(load_campaign_journal(path, plan).size(), 1u);
-
-  // One flipped bit in the second record: its CRC line disowns it.
-  std::string flipped = intact;
-  flipped[one.size() + 10] ^= 0x04;
-  spit(path, flipped);
-  EXPECT_EQ(load_campaign_journal(path, plan).size(), 1u);
-
-  // Wrong fingerprint header (a different plan's journal): nothing
-  // replays — resuming someone else's cells would corrupt the campaign.
-  auto other_scale = tiny_scale();
-  other_scale.seed = 777;
-  const auto other_plan = ExperimentPlan::of({"NSGAII", "Random"}, other_scale);
-  spit(path, journal_bytes(other_plan, 2));
-  EXPECT_TRUE(load_campaign_journal(path, plan).empty());
-
-  // Empty and missing files: nothing to replay, no error.
-  spit(path, "");
-  EXPECT_TRUE(load_campaign_journal(path, plan).empty());
-  std::filesystem::remove(path);
-  EXPECT_TRUE(load_campaign_journal(path, plan).empty());
-}
-
-TEST(JournalAdversarial, DuplicateOrMismatchedRecordsStopTheReplay) {
-  const auto plan = tiny_plan();
-  const std::string dir = scratch_dir("journal_dupes");
-  const std::string path = campaign_journal_path(dir, plan);
+TEST(JournalAdversarial, RestartReplaysExactlyTheValidPrefix) {
+  // A restarted coordinator replays the journal's valid prefix — whatever
+  // the damage after it — recomputes the rest, and lands on the clean
+  // run's bytes.  Three cheap cells keep the seven campaigns fast.
+  auto scale = tiny_scale();
+  scale.runs = 3;
+  scale.evals = 6;
+  scale.scenarios = {"static-grid"};
+  const auto plan = ExperimentPlan::of({"Random"}, scale);
   const auto cells = plan.cells();
+  ExperimentDriver::Options driver;
+  driver.workers = 1;
+  driver.verbose = false;
+  driver.use_cache = true;
+  driver.cache_dir = scratch_dir("journal_adversarial_ref");
+  (void)ExperimentDriver(driver).run(plan);
+  const std::string reference =
+      slurp(indicator_csv_path(driver.cache_dir, plan));
 
-  // The same cell twice: the duplicate (and everything after) is dropped.
-  std::string bytes = journal_bytes(plan, 1);
-  bytes += journal_record(fabricate(cells[0]));
-  bytes += journal_record(fabricate(cells[1]));
-  spit(path, bytes);
-  EXPECT_EQ(load_campaign_journal(path, plan).size(), 1u);
-
-  // A record whose metadata contradicts the plan's cell table: dropped
-  // even though its CRC verifies.
-  CellResult imposter = fabricate(cells[1]);
-  imposter.record.run_seed ^= 1;
-  spit(path, journal_bytes(plan, 1) + journal_record(imposter));
-  EXPECT_EQ(load_campaign_journal(path, plan).size(), 1u);
+  driver.use_cache = false;
+  auto records =
+      ExperimentDriver(driver).run_cells(plan, {cells[0], cells[1], cells[2]});
+  const std::string first = cell_log_record({0, records[0]});
+  const std::string second = cell_log_record({1, records[1]});
+  const std::string third = cell_log_record({2, records[2]});
+  const std::string two = cell_log_header(plan) + first + second;
+  std::string flipped = two + third;
+  flipped[two.size() - second.size() + 10] ^= 0x04;
+  auto other_scale = scale;
+  other_scale.seed = 777;
+  const auto other = ExperimentPlan::of({"Random"}, other_scale);
+  const struct {
+    const char* damage;
+    std::string bytes;
+    std::size_t replay;
+  } journals[] = {
+      {"intact", two + third, 3},
+      {"torn tail", two + third.substr(0, third.size() / 2), 2},
+      {"flipped bit", flipped, 1},
+      {"repeated cell", two + first + third, 2},
+      {"contradicting cell", two + cell_log_record({2, records[1]}), 2},
+      {"another plan's header", cell_log_header(other) + first, 0},
+      {"empty file", "", 0},
+  };
+  for (const auto& journal : journals) {
+    SCOPED_TRACE(journal.damage);
+    const std::string dir = scratch_dir("journal_adversarial");
+    spit(campaign_journal_path(dir, plan), journal.bytes);
+    par::net::InProcWorld world(2);
+    WorkerReport report;
+    std::thread worker([&] {
+      CampaignWorkerOptions options;
+      options.driver.workers = 1;
+      options.driver.verbose = false;
+      report = run_campaign_worker(plan, world.endpoint(1), options);
+    });
+    CampaignCoordinatorOptions coordinator;
+    coordinator.driver = driver;
+    coordinator.driver.use_cache = true;
+    coordinator.driver.cache_dir = dir;
+    (void)run_campaign_coordinator(plan, world.endpoint(0), coordinator);
+    worker.join();
+    EXPECT_EQ(report.cells_completed, plan.cell_count() - journal.replay);
+    EXPECT_EQ(slurp(indicator_csv_path(dir, plan)), reference);
+    EXPECT_FALSE(std::filesystem::exists(campaign_journal_path(dir, plan)));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -618,6 +619,7 @@ TEST(NetFaultSites, RefusedConnectConsumesRetryAttempts) {
 
 TEST(CoordinatorHardening, MalformedResultFailsTheWorkerNotTheCampaign) {
   const auto plan = tiny_plan();
+  const auto cells = plan.cells();
   const std::string ref_dir = scratch_dir("hardening_ref");
   ExperimentDriver::Options ref_options;
   ref_options.workers = 2;
@@ -626,7 +628,21 @@ TEST(CoordinatorHardening, MalformedResultFailsTheWorkerNotTheCampaign) {
   ref_options.cache_dir = ref_dir;
   const auto reference = ExperimentDriver(ref_options).run(plan);
 
-  par::net::InProcWorld world(3);
+  // Two liars answer their first assignment: one with bytes that are no
+  // cell block, one with a well-formed block whose seed contradicts the
+  // plan's cell table.
+  const std::vector<std::function<std::string(std::size_t)>> lies = {
+      [](std::size_t) { return std::string("not a cell block\n"); },
+      [&cells](std::size_t index) {
+        CellResult forged;
+        forged.index = index;
+        forged.record.algorithm = cells[index].algorithm;
+        forged.record.scenario = cells[index].scenario;
+        forged.record.run_seed = cells[index].seed ^ 1;
+        return encode_cell_result(forged);
+      },
+  };
+  par::net::InProcWorld world(2 + lies.size());
   // Rank 1: an honest worker that can carry the whole campaign.
   std::thread honest([&world, &plan] {
     CampaignWorkerOptions options;
@@ -634,32 +650,34 @@ TEST(CoordinatorHardening, MalformedResultFailsTheWorkerNotTheCampaign) {
     options.driver.verbose = false;
     (void)run_campaign_worker(plan, world.endpoint(1), options);
   });
-  // Rank 2: a liar — answers its first assignment with garbage bytes.
-  std::string rejection;
-  std::thread liar([&world, &plan, &rejection] {
-    auto& me = world.endpoint(2);
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%llx",
-                  static_cast<unsigned long long>(plan.fingerprint()));
-    me.send(0, std::string("ready ") + buffer);
-    for (;;) {
-      auto message = me.recv();
-      if (!message) return;
-      if (message->kind != par::net::Message::Kind::kData) continue;
-      if (message->payload.rfind("warm", 0) == 0) continue;
-      if (message->payload.rfind("cell ", 0) == 0) {
-        me.send(0, "result " + message->payload.substr(5) +
-                       "\nnot a cell block\n");
-        continue;
-      }
-      if (message->payload.rfind("reject ", 0) == 0) {
-        rejection = message->payload;
-        me.close();
+  std::vector<std::string> rejections(lies.size());
+  std::vector<std::thread> liars;
+  for (std::size_t l = 0; l < lies.size(); ++l) {
+    liars.emplace_back([&world, &plan, &rejections, &lies, l] {
+      auto& me = world.endpoint(2 + l);
+      char buffer[32];
+      std::snprintf(buffer, sizeof buffer, "%llx",
+                    static_cast<unsigned long long>(plan.fingerprint()));
+      me.send(0, std::string("ready ") + buffer);
+      for (;;) {
+        auto message = me.recv();
+        if (!message) return;
+        if (message->kind != par::net::Message::Kind::kData) continue;
+        if (message->payload.rfind("warm", 0) == 0) continue;
+        if (message->payload.rfind("cell ", 0) == 0) {
+          const std::string index = message->payload.substr(5);
+          me.send(0, "result " + index + "\n" + lies[l](std::stoul(index)));
+          continue;
+        }
+        if (message->payload.rfind("reject ", 0) == 0) {
+          rejections[l] = message->payload;
+          me.close();
+          return;
+        }
         return;
       }
-      return;
-    }
-  });
+    });
+  }
 
   CampaignCoordinatorOptions coordinator;
   coordinator.driver.workers = 1;
@@ -668,16 +686,19 @@ TEST(CoordinatorHardening, MalformedResultFailsTheWorkerNotTheCampaign) {
   const auto result =
       run_campaign_coordinator(plan, world.endpoint(0), coordinator);
   honest.join();
-  liar.join();
+  for (std::thread& liar : liars) liar.join();
 
-  // The campaign survived the liar, recomputed its cell elsewhere, and
-  // the liar was told why it was dropped.
+  // The campaign survived the liars, recomputed their cells elsewhere, and
+  // each liar was told why it was dropped.
   ASSERT_EQ(result.samples.size(), reference.samples.size());
   for (std::size_t i = 0; i < result.samples.size(); ++i) {
     EXPECT_EQ(result.samples[i].hypervolume, reference.samples[i].hypervolume)
         << i;
   }
-  EXPECT_NE(rejection.find("bad result"), std::string::npos) << rejection;
+  EXPECT_NE(rejections[0].find("bad result"), std::string::npos)
+      << rejections[0];
+  EXPECT_NE(rejections[1].find("contradicts the plan"), std::string::npos)
+      << rejections[1];
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
-/// Shard manifests: the strided cell partition, the v2 codec (bitwise
-/// round trips, rejection of malformed input), and `--merge` — a 2- or
-/// 3-way shard/merge round trip reproduces the single-driver indicator
-/// samples, CSV bytes, reference fronts and exact telemetry, while
-/// foreign, missing and duplicate shards are refused.
+/// Cell logs: the strided cell partition, the cell-block codec and its
+/// decoder contract (bitwise round trips; adversarial counts and seeded
+/// truncation / bit-flip / splice mutants either decode or throw
+/// std::invalid_argument), `read_cell_log` (the verified prefix plus the
+/// first defect, never a throw), and `--merge` — a 2- or 3-way shard/merge
+/// round trip reproduces the single-driver indicator samples, CSV bytes,
+/// reference fronts and exact telemetry, while foreign, damaged, missing
+/// and duplicate shards are refused by name.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +20,15 @@
 #include <vector>
 
 #include "common/durable_file.hpp"
+#include "common/rng.hpp"
+#include "expt/campaign_options.hpp"
 #include "expt/experiment.hpp"
 #include "expt/manifest.hpp"
-#include "moo/core/front_io.hpp"
 
 namespace aedbmls::expt {
 namespace {
+
+namespace fs = std::filesystem;
 
 Scale tiny_scale() {
   Scale scale;
@@ -37,6 +43,12 @@ Scale tiny_scale() {
 /// Two cheap contenders.
 ExperimentPlan tiny_plan() {
   return ExperimentPlan::of({"NSGAII", "Random"}, tiny_scale());
+}
+
+ExperimentPlan reseeded(const ExperimentPlan& plan) {
+  ExperimentPlan other = plan;
+  other.scale.seed += 1;
+  return other;
 }
 
 ExperimentDriver::Options quiet(std::size_t workers) {
@@ -63,33 +75,78 @@ void expect_identical(const std::vector<IndicatorSample>& a,
 }
 
 std::string slurp(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
 }
 
+void spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << bytes;
+}
+
 /// A fresh per-test scratch directory (gtest TempDir is per-run).
 std::string scratch_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "aedbmls_" + name;
-  std::filesystem::remove_all(dir);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
   return dir;
 }
 
-/// Runs every cell of `plan` sharded `count` ways via run_cells and
-/// returns the written manifests' directory.
-std::string write_shards(const ExperimentPlan& plan, std::size_t count,
-                         const std::string& dir) {
+/// Runs every cell of `plan` sharded `count` ways via run_cells and writes
+/// each shard's cell log under `dir` the way `--shard=i/N` does.
+void write_shards(const ExperimentPlan& plan, std::size_t count,
+                  const std::string& dir) {
   for (std::size_t index = 0; index < count; ++index) {
     const auto cells = cells_for_shard(plan, index, count);
     auto records = ExperimentDriver(quiet(2)).run_cells(plan, cells);
-    std::vector<CellResult> results;
+    std::string log = cell_log_header(plan);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      results.push_back(CellResult{cells[i].index, std::move(records[i])});
+      log += cell_log_record(
+          CellResult{cells[i].index, std::move(records[i])});
     }
-    write_manifest(dir, make_manifest(plan, index, count, std::move(results)));
+    io::atomic_write_file_or_throw(dir + "/shard_" + std::to_string(index) +
+                                       "_of_" + std::to_string(count) +
+                                       ".manifest",
+                                   log);
   }
-  return dir;
+}
+
+/// A cell result matching `cell`'s plan metadata, with a seeded random
+/// front and telemetry — log material without running a simulation.
+CellResult fabricate(const ExperimentPlan::Cell& cell, Xoshiro256& rng) {
+  CellResult result;
+  result.index = cell.index;
+  result.record.algorithm = cell.algorithm;
+  result.record.scenario = cell.scenario;
+  result.record.run_seed = cell.seed;
+  result.record.evaluations = 24;
+  result.record.wall_seconds = rng.uniform();
+  telemetry::Registry registry;
+  registry.counter("evaluations").add(24);
+  registry.gauge("cell.wall_s").observe(result.record.wall_seconds);
+  registry.histogram("front.size").observe(2);
+  result.record.telemetry = registry.snapshot();
+  for (int p = 0; p < 2; ++p) {
+    moo::Solution solution;
+    solution.objectives = {rng.uniform(), -rng.uniform(), rng.uniform(0, 9)};
+    for (int i = 0; i < 5; ++i) solution.x.push_back(rng.uniform(-95, 50));
+    solution.evaluated = true;
+    result.record.front.push_back(std::move(solution));
+  }
+  return result;
+}
+
+std::string message_of(const ExperimentPlan& plan, const std::string& dir) {
+  try {
+    auto options = quiet(1);
+    options.cache_dir = scratch_dir("merge_error_out");
+    (void)merge_campaign(plan, dir, options);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
 }
 
 TEST(CellsForShard, StridedPartitionIsExactAndDeterministic) {
@@ -124,19 +181,14 @@ TEST(CellsForShard, RejectsInvalidShardCoordinates) {
   EXPECT_THROW((void)cells_for_shard(plan, 3, 3), std::invalid_argument);
 }
 
-TEST(ShardManifest, EncodeDecodeRoundTripsBitwise) {
+TEST(CellLog, RecordsRoundTripBitwise) {
   const ExperimentPlan plan = tiny_plan();
-  ShardManifest manifest;
-  manifest.fingerprint = plan.fingerprint();
-  manifest.scale_name = plan.scale.name;
-  manifest.shard_index = 1;
-  manifest.shard_count = 3;
-  manifest.total_cells = plan.cell_count();
+  const ExperimentPlan::Cell cell = plan.cells()[4];
   CellResult result;
-  result.index = 4;
-  result.record.algorithm = "NSGAII";
-  result.record.scenario = "static-grid";
-  result.record.run_seed = 0xDEADBEEFCAFEF00Dull;
+  result.index = cell.index;
+  result.record.algorithm = cell.algorithm;
+  result.record.scenario = cell.scenario;
+  result.record.run_seed = cell.seed;
   result.record.evaluations = 24;
   result.record.wall_seconds = 0.12345678901234567;
   // Doubles chosen to break lossy printf round trips: negative zero,
@@ -147,27 +199,23 @@ TEST(ShardManifest, EncodeDecodeRoundTripsBitwise) {
   tricky.constraint_violation = 1.0000000000000002;
   tricky.evaluated = true;
   result.record.front = {tricky, tricky};
-  // Telemetry rides the v2 cell block; 0.1 is inexact in binary64, so a
+  // Telemetry rides the cell block; 0.1 is inexact in binary64, so a
   // lossy double round trip would show up here.
   telemetry::Registry registry;
   registry.counter("evaluations").add(24);
   registry.gauge("cell.wall_s").observe(0.1);
   registry.histogram("front.size").observe(2);
   result.record.telemetry = registry.snapshot();
-  manifest.results.push_back(result);
 
-  const ShardManifest decoded = decode_manifest(encode_manifest(manifest));
-  EXPECT_EQ(decoded.fingerprint, manifest.fingerprint);
-  EXPECT_EQ(decoded.scale_name, manifest.scale_name);
-  EXPECT_EQ(decoded.shard_index, manifest.shard_index);
-  EXPECT_EQ(decoded.shard_count, manifest.shard_count);
-  EXPECT_EQ(decoded.total_cells, manifest.total_cells);
-  ASSERT_EQ(decoded.results.size(), 1u);
-  const RunRecord& record = decoded.results[0].record;
-  EXPECT_EQ(decoded.results[0].index, 4u);
-  EXPECT_EQ(record.algorithm, "NSGAII");
-  EXPECT_EQ(record.scenario, "static-grid");
-  EXPECT_EQ(record.run_seed, result.record.run_seed);
+  const CellLog log =
+      read_cell_log(cell_log_header(plan) + cell_log_record(result), plan);
+  EXPECT_EQ(log.defect, "");
+  ASSERT_EQ(log.results.size(), 1u);
+  const RunRecord& record = log.results[0].record;
+  EXPECT_EQ(log.results[0].index, cell.index);
+  EXPECT_EQ(record.algorithm, cell.algorithm);
+  EXPECT_EQ(record.scenario, cell.scenario);
+  EXPECT_EQ(record.run_seed, cell.seed);
   EXPECT_EQ(record.evaluations, 24u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(record.wall_seconds),
             std::bit_cast<std::uint64_t>(result.record.wall_seconds));
@@ -191,26 +239,190 @@ TEST(ShardManifest, EncodeDecodeRoundTripsBitwise) {
   EXPECT_EQ(record.telemetry, result.record.telemetry);
 }
 
-TEST(ShardManifest, DecodeRejectsMalformedInput) {
+TEST(CellLog, DamageEndsTheVerifiedPrefix) {
   const ExperimentPlan plan = tiny_plan();
-  const ShardManifest manifest = make_manifest(plan, 0, 2, {});
-  const std::string good = encode_manifest(manifest);
+  const auto cells = plan.cells();
+  Xoshiro256 rng(11);
+  const std::string header = cell_log_header(plan);
+  const std::string first = cell_log_record(fabricate(cells[0], rng));
+  const std::string second = cell_log_record(fabricate(cells[1], rng));
+  const std::string whole = header + first + second;
 
-  EXPECT_THROW((void)decode_manifest(""), std::invalid_argument);
-  EXPECT_THROW((void)decode_manifest("not a manifest\n"),
-               std::invalid_argument);
-  // Truncation anywhere must be caught, not silently accepted.
-  EXPECT_THROW((void)decode_manifest(good.substr(0, good.size() - 5)),
-               std::invalid_argument);
-  std::string tampered = good;
-  const auto pos = tampered.find("shard 0 2");
-  tampered.replace(pos, 9, "shard 2 2");  // index out of range
-  EXPECT_THROW((void)decode_manifest(tampered), std::invalid_argument);
-  // Only format v2 decodes: a v1 header (the pre-telemetry format, whose
-  // cell lines lack the telemetry count) is refused.
-  std::string v1 = good;
-  v1.replace(0, v1.find('\n'), "aedbmls-shard-manifest v1");
-  EXPECT_THROW((void)decode_manifest(v1), std::invalid_argument);
+  auto expect_prefix = [&](const std::string& text, std::size_t kept,
+                           const std::string& needle) {
+    const CellLog log = read_cell_log(text, plan);
+    EXPECT_EQ(log.results.size(), kept) << needle;
+    EXPECT_NE(log.defect.find(needle), std::string::npos)
+        << "defect '" << log.defect << "' lacks '" << needle << "'";
+  };
+  // Header plus whole records — including none — is a clean log.
+  EXPECT_EQ(read_cell_log(header, plan).defect, "");
+  EXPECT_EQ(read_cell_log(whole, plan).results.size(), 2u);
+  EXPECT_EQ(read_cell_log(whole, plan).defect, "");
+
+  expect_prefix("", 0, "header");
+  expect_prefix("not a cell log\n", 0, "header");
+  // The retired formats and other plans' logs read as foreign headers.
+  expect_prefix("aedbmls-shard-manifest v2\nfingerprint 0\n", 0,
+                "aedbmls-shard-manifest v2");
+  expect_prefix("aedbmls-campaign-journal v2 0 8\n", 0, "header");
+  expect_prefix(cell_log_header(reseeded(plan)) + first, 0, "header");
+  // Torn anywhere inside a record, even just before its last newline.
+  expect_prefix(whole.substr(0, whole.size() - second.size() / 2), 1, "torn");
+  expect_prefix(whole.substr(0, whole.size() - 1), 1, "torn");
+  // A flipped byte fails the record's CRC.
+  std::string flipped = whole;
+  flipped[header.size() + first.size() + 10] ^= 0x04;
+  expect_prefix(flipped, 1, "crc");
+  // CRC-valid records that contradict the plan or repeat a cell.
+  CellResult imposter = fabricate(cells[1], rng);
+  imposter.record.run_seed ^= 1;
+  expect_prefix(header + first + cell_log_record(imposter), 1, "contradicts");
+  expect_prefix(header + first + first, 1, "repeats cell 0");
+  // A CRC-valid block that does not decode.
+  const std::string junk = "cell x 0 0 0 0 NSGAII d100 0\n";
+  expect_prefix(header + first + junk + "crc " + io::crc32_hex(junk) + "\n",
+                1, "bad cell index");
+}
+
+TEST(CellLog, AdversarialCountsThrowInvalidArgument) {
+  // Each block passes the cell-line shape check but carries a count that
+  // must be refused, not allocated: a signed front count, a terabyte
+  // front, and an objective count for which `4 + n_obj + n_x` wraps.
+  const ExperimentPlan plan = tiny_plan();
+  const auto cells = plan.cells();
+  const std::string cell_line = "cell 0 " + std::to_string(cells[0].seed) +
+                                " 24 ";
+  const std::string tail = " 0.25 " + cells[0].algorithm + " " +
+                           cells[0].scenario + " 0\n";
+  const struct {
+    std::string block;
+    const char* refusal;
+  } cases[] = {
+      {cell_line + "-1" + tail, "bad front size '-1'"},
+      {cell_line + "1000000000000" + tail, "truncated"},
+      {cell_line + "1" + tail + "point 18446744073709551614 2 0\n",
+       "point value count mismatch"},
+  };
+  Xoshiro256 rng(3);
+  const std::string valid = cell_log_record(fabricate(cells[1], rng));
+  for (const auto& [block, refusal] : cases) {
+    try {
+      (void)decode_cell_result(block, cells.size());
+      ADD_FAILURE() << "decoded " << block;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(refusal), std::string::npos)
+          << error.what();
+    }
+    // Inside a CRC-valid record the reader keeps the earlier records and
+    // reports the damage.
+    const CellLog log = read_cell_log(cell_log_header(plan) + valid + block +
+                                          "crc " + io::crc32_hex(block) + "\n",
+                                      plan);
+    EXPECT_EQ(log.results.size(), 1u) << block;
+    EXPECT_NE(log.defect.find("record 2"), std::string::npos) << log.defect;
+  }
+}
+
+TEST(CellLog, SeededMutantsNeverEscapeTheDecoders) {
+  // Seeded mutation harness: truncate at every byte, flip a few seeded
+  // bytes, splice in another plan's records.  The reader never throws,
+  // keeps a bitwise prefix of the original records and reports damage
+  // unless the mutant is the header plus whole original records; the
+  // block decoder decodes or throws std::invalid_argument.
+  const ExperimentPlan plan = tiny_plan();
+  const ExperimentPlan other = reseeded(plan);
+  const auto cells = plan.cells();
+  Xoshiro256 rng(20240611);
+
+  std::vector<CellResult> originals;
+  std::string log = cell_log_header(plan);
+  std::vector<std::size_t> clean_ends = {log.size()};
+  for (const std::size_t index : {0u, 3u, 6u}) {
+    originals.push_back(fabricate(cells[index], rng));
+    log += cell_log_record(originals.back());
+    clean_ends.push_back(log.size());
+  }
+  std::string foreign = cell_log_header(other);
+  std::vector<std::string> foreign_records;
+  for (const std::size_t index : {1u, 3u, 7u}) {
+    foreign_records.push_back(
+        cell_log_record(fabricate(other.cells()[index], rng)));
+    foreign += foreign_records.back();
+  }
+  const std::string block = encode_cell_result(fabricate(cells[7], rng));
+
+  std::size_t mutants = 0;
+  auto check_log = [&](const std::string& mutant) {
+    ++mutants;
+    CellLog got;
+    try {
+      got = read_cell_log(mutant, plan);
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "read_cell_log threw " << error.what();
+      return;
+    }
+    ASSERT_LE(got.results.size(), originals.size());
+    for (std::size_t i = 0; i < got.results.size(); ++i) {
+      ASSERT_EQ(encode_cell_result(got.results[i]),
+                encode_cell_result(originals[i]))
+          << "record " << i << " is not the original";
+    }
+    bool clean = false;
+    for (const std::size_t end : clean_ends) {
+      clean = clean || mutant == log.substr(0, end);
+    }
+    ASSERT_EQ(got.defect.empty(), clean)
+        << "defect '" << got.defect << "' for mutant:\n" << mutant;
+  };
+  auto check_block = [&](const std::string& mutant) {
+    ++mutants;
+    try {
+      (void)decode_cell_result(mutant, cells.size());
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "decode_cell_result threw " << error.what()
+                    << " for mutant:\n" << mutant;
+    }
+  };
+  auto flip = [&](std::string text) {
+    const std::uint64_t flips = 1 + rng.uniform_int(std::uint64_t{4});
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      text[rng.uniform_int(text.size())] ^=
+          static_cast<char>(1 + rng.uniform_int(std::uint64_t{255}));
+    }
+    return text;
+  };
+  auto splice = [&](const std::string& text, const std::string& donor) {
+    const std::size_t from = rng.uniform_int(donor.size());
+    const std::size_t length = 1 + rng.uniform_int(donor.size() - from);
+    const std::size_t at = rng.uniform_int(text.size() + 1);
+    return text.substr(0, at) + donor.substr(from, length) + text.substr(at);
+  };
+
+  for (std::size_t cut = 0; cut <= log.size() && !HasFatalFailure(); ++cut) {
+    check_log(log.substr(0, cut));
+  }
+  for (std::size_t cut = 0; cut <= block.size(); ++cut) {
+    check_block(block.substr(0, cut));
+  }
+  for (int trial = 0; trial < 2000 && !HasFatalFailure(); ++trial) {
+    check_log(flip(log));
+    check_block(flip(block));
+  }
+  // Whole foreign records at every record boundary, a foreign header, and
+  // random foreign byte runs anywhere.
+  for (const std::size_t end : clean_ends) {
+    for (const std::string& record : foreign_records) {
+      check_log(log.substr(0, end) + record + log.substr(end));
+    }
+  }
+  check_log(cell_log_header(other) + log.substr(clean_ends[0]));
+  for (int trial = 0; trial < 500 && !HasFatalFailure(); ++trial) {
+    check_log(splice(log, foreign));
+    check_block(splice(block, foreign));
+  }
+  EXPECT_GT(mutants, 5000u);
 }
 
 TEST(ShardManifest, MergeReconstructsTheUnshardedCampaignBitwise) {
@@ -230,24 +442,33 @@ TEST(ShardManifest, MergeReconstructsTheUnshardedCampaignBitwise) {
   expect_identical(full.samples, merged.samples);
   ASSERT_EQ(merged.records.size(), full.records.size());
 
-  // The artifacts CI diffs: the CSV bytes equal the unsharded cache store
-  // (CRC trailer included), and each reference front file equals the one
-  // the full records imply.
-  EXPECT_EQ(slurp(indicator_csv_path(merge_options.cache_dir, plan)),
-            io::with_crc_trailer(indicator_csv(full.samples)));
-  for (const std::string& scenario : plan.scenarios) {
-    std::ostringstream path;
-    path << merge_options.cache_dir << "/reference_" << plan.scale.name << "_"
-         << std::hex << plan.fingerprint() << std::dec << "_" << scenario
-         << ".csv";
-    EXPECT_EQ(slurp(path.str()),
-              moo::front_to_csv(reference_front(full.records, scenario)))
-        << scenario;
+  // The artifacts CI diffs: the merge leaves exactly the indicator CSV,
+  // whose bytes equal the unsharded cache store (CRC trailer included),
+  // and `--front-out` writes the same reference fronts from either run.
+  const std::string csv = indicator_csv_path(merge_options.cache_dir, plan);
+  EXPECT_EQ(slurp(csv), io::with_crc_trailer(indicator_csv(full.samples)));
+  std::size_t merge_files = 0;
+  for (const auto& entry : fs::directory_iterator(merge_options.cache_dir)) {
+    EXPECT_EQ(entry.path().filename(), fs::path(csv).filename());
+    ++merge_files;
   }
+  EXPECT_EQ(merge_files, 1u);
+  const std::string full_fronts = scratch_dir("full_fronts");
+  const std::string merged_fronts = scratch_dir("merged_fronts");
+  write_front_csvs(full_fronts, plan, full.records);
+  write_front_csvs(merged_fronts, plan, merged.records);
+  std::size_t fronts = 0;
+  for (const auto& entry : fs::directory_iterator(full_fronts)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(slurp(merged_fronts + "/" + name), slurp(entry.path().string()))
+        << name;
+    ++fronts;
+  }
+  EXPECT_EQ(fronts, plan.scenarios.size());
 }
 
 TEST(ShardManifest, MergedTelemetryIsShardLayoutInvariant) {
-  // Per-cell telemetry rides the manifests; merge_campaign folds it in
+  // Per-cell telemetry rides the cell logs; merge_campaign folds it in
   // grid order, so the exact instruments agree across shard layouts and
   // with the unsharded driver run.
   const ExperimentPlan plan = tiny_plan();
@@ -273,37 +494,66 @@ TEST(ShardManifest, MergedTelemetryIsShardLayoutInvariant) {
   }
 }
 
-TEST(ShardManifest, MergeRejectsForeignMissingAndDuplicateShards) {
+TEST(ShardManifest, MergeRejectsForeignDamagedMissingAndDuplicateShards) {
   const ExperimentPlan plan = tiny_plan();
   const std::string shard_dir = scratch_dir("reject_shards");
   write_shards(plan, 2, shard_dir);
-  auto manifests = load_manifests(shard_dir);
-  ASSERT_EQ(manifests.size(), 2u);
+  const std::string first = shard_dir + "/shard_0_of_2.manifest";
+  const std::string first_bytes = slurp(first);
+  // A fresh copy of the two good shards to tamper with.
+  auto copy = [&](const std::string& name) {
+    const std::string dir = scratch_dir(name);
+    fs::copy(shard_dir, dir);
+    return dir;
+  };
 
-  // Wrong fingerprint: the shard was run against a different plan.
+  // Another plan's shards: refused at the first file's header.
+  EXPECT_NE(message_of(reseeded(plan), shard_dir).find(first),
+            std::string::npos);
+  // One flipped byte inside a record: refused, naming the file.
   {
-    auto tampered = manifests;
-    tampered[0].fingerprint += 1;
-    EXPECT_THROW((void)merge_manifests(plan, tampered),
-                 std::invalid_argument);
+    const std::string dir = copy("reject_flipped");
+    std::string bytes = first_bytes;
+    bytes[bytes.find("point ") + 8] ^= 0x01;
+    spit(dir + "/shard_0_of_2.manifest", bytes);
+    const std::string message = message_of(plan, dir);
+    EXPECT_NE(message.find("shard_0_of_2.manifest"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("crc"), std::string::npos) << message;
   }
-  // Equivalently, merging into a reseeded plan must refuse.
+  // Cut at a record boundary the file itself reads clean, so the merge
+  // refuses it as missing cells.
   {
-    ExperimentPlan reseeded = plan;
-    reseeded.scale.seed += 1;
-    EXPECT_THROW((void)merge_manifests(reseeded, manifests),
-                 std::invalid_argument);
+    const std::string dir = copy("reject_cut");
+    const std::size_t last_record = first_bytes.rfind("\ncell ") + 1;
+    spit(dir + "/shard_0_of_2.manifest", first_bytes.substr(0, last_record));
+    EXPECT_NE(message_of(plan, dir).find("1 of 8 cells missing"),
+              std::string::npos);
   }
   // A missing shard leaves holes.
-  EXPECT_THROW((void)merge_manifests(plan, {manifests[0]}),
-               std::invalid_argument);
+  {
+    const std::string dir = copy("reject_missing");
+    fs::remove(dir + "/shard_1_of_2.manifest");
+    EXPECT_NE(message_of(plan, dir).find("4 of 8 cells missing"),
+              std::string::npos);
+  }
   // The same shard twice double-covers its cells.
-  EXPECT_THROW((void)merge_manifests(plan, {manifests[0], manifests[0],
-                                            manifests[1]}),
-               std::invalid_argument);
+  {
+    const std::string dir = copy("reject_duplicate");
+    fs::copy_file(first, dir + "/shard_0_of_2.again.manifest");
+    EXPECT_NE(message_of(plan, dir).find("also in another manifest"),
+              std::string::npos);
+  }
+  // An empty directory holds no shard at all.
+  EXPECT_NE(
+      message_of(plan, scratch_dir("reject_empty")).find("no *.manifest"),
+      std::string::npos);
   // The untampered pair still merges.
-  const auto records = merge_manifests(plan, manifests);
-  EXPECT_EQ(records.size(), plan.cell_count());
+  auto options = quiet(1);
+  options.cache_dir = scratch_dir("reject_ok_out");
+  options.collect_records = true;
+  EXPECT_EQ(merge_campaign(plan, shard_dir, options).records.size(),
+            plan.cell_count());
 }
 
 }  // namespace
