@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -75,6 +76,15 @@ std::optional<long> parse_positive_long(const std::string& text) {
   if (text.empty() || consumed != text.size() || value <= 0) {
     return std::nullopt;
   }
+  return value;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
   return value;
 }
 

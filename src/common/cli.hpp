@@ -3,9 +3,11 @@
 /// Tiny command-line/environment option parser shared by the benches and
 /// examples.  Supports `--key=value`, `--key value` and boolean `--flag`.
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace aedbmls {
@@ -48,6 +50,12 @@ class CliArgs {
 /// The shared validation for flags where a silent fallback would run a
 /// different experiment than the user asked for.
 [[nodiscard]] std::optional<long> parse_positive_long(const std::string& text);
+
+/// Strictly parses `text` as an unsigned 64-bit integer: decimal digits
+/// only (no sign, no whitespace), the whole string consumed, no overflow.
+/// nullopt otherwise.  The one parser behind every decoded count, index
+/// and seed — `std::stoull` accepts a sign and wraps "-1" to 2^64 - 1.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text);
 
 /// Environment variable as string, or `fallback` when unset.
 [[nodiscard]] std::string env_or(const std::string& name, const std::string& fallback);

@@ -15,8 +15,9 @@
 // the complete new bytes, never a prefix.  The CRC32 trailer closes the
 // second: `with_crc_trailer` appends a final `#crc32 xxxxxxxx` line over
 // everything before it, and `strip_crc_trailer` verifies + removes it on
-// read.  Trailer-less files verify as `kMissing` so pre-existing artifacts
-// keep loading; callers choose whether missing is acceptable.
+// read.  Trailer-less files verify as `kMissing`; callers choose whether
+// missing is acceptable (the indicator cache refuses it, since truncation
+// removes the trailer first; hand-written `--cost-priors` files have none).
 
 #include <cstdint>
 #include <string>
@@ -39,7 +40,7 @@ inline constexpr std::string_view kCrcTrailerPrefix = "#crc32 ";
 
 enum class CrcCheck {
   kVerified,  // trailer present and matches; removed from the payload
-  kMissing,   // no trailer line (legacy file); payload untouched
+  kMissing,   // no trailer line; payload untouched
   kMismatch,  // trailer present but wrong: the payload is corrupt
 };
 

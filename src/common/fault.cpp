@@ -6,10 +6,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 
 namespace aedbmls::fault {
@@ -78,18 +80,11 @@ std::string_view trim(std::string_view text) {
   return text;
 }
 
-std::uint64_t parse_u64(std::string_view text, const std::string& entry,
-                        const std::string& what) {
-  const std::string token(text);
-  std::size_t used = 0;
-  std::uint64_t result = 0;
-  try {
-    result = std::stoull(token, &used, 10);
-  } catch (const std::exception&) {
-    bad_spec(entry, what);
-  }
-  if (used != token.size()) bad_spec(entry, what);
-  return result;
+std::uint64_t parse_count(std::string_view text, const std::string& entry,
+                          const std::string& what) {
+  const std::optional<std::uint64_t> value = parse_u64(text);
+  if (!value) bad_spec(entry, what);
+  return *value;
 }
 
 double parse_number(std::string_view text, const std::string& entry,
@@ -114,14 +109,14 @@ void parse_trigger(std::string_view text, const std::string& entry,
     site.kind = TriggerKind::kOff;
   } else if (text.rfind("nth:", 0) == 0) {
     site.kind = TriggerKind::kNth;
-    site.n = parse_u64(text.substr(4), entry, "bad nth: count");
+    site.n = parse_count(text.substr(4), entry, "bad nth: count");
     if (site.n == 0) bad_spec(entry, "nth: count must be >= 1");
   } else if (text.rfind("after:", 0) == 0) {
     site.kind = TriggerKind::kAfter;
-    site.n = parse_u64(text.substr(6), entry, "bad after: count");
+    site.n = parse_count(text.substr(6), entry, "bad after: count");
   } else if (text.rfind("every:", 0) == 0) {
     site.kind = TriggerKind::kEvery;
-    site.n = parse_u64(text.substr(6), entry, "bad every: period");
+    site.n = parse_count(text.substr(6), entry, "bad every: period");
     if (site.n == 0) bad_spec(entry, "every: period must be >= 1");
   } else if (text.rfind("prob:", 0) == 0) {
     site.kind = TriggerKind::kProb;
@@ -152,7 +147,7 @@ Plan parse_plan(const std::string& spec) {
     const std::string_view rest = trim(std::string_view(entry).substr(eq + 1));
 
     if (name == "seed") {
-      plan.seed = parse_u64(rest, entry, "bad seed");
+      plan.seed = parse_count(rest, entry, "bad seed");
       plan.seed_explicit = true;
       continue;
     }

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "common/cli.hpp"
+
 namespace aedbmls::telemetry {
 
 void HistogramStat::observe(std::uint64_t value) noexcept {
@@ -91,14 +93,8 @@ std::vector<std::string> tokens_of(const std::string& line) {
 
 std::uint64_t to_u64(const std::string& token, const std::string& line,
                      const char* what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return static_cast<std::uint64_t>(value);
-  } catch (const std::exception&) {
-    fail(line, std::string("bad ") + what + " '" + token + "'");
-  }
+  if (const auto value = parse_u64(token)) return *value;
+  fail(line, std::string("bad ") + what + " '" + token + "'");
 }
 
 double to_double(const std::string& token, const std::string& line,
@@ -198,6 +194,10 @@ void decode_snapshot_line(const std::string& line, Snapshot& snapshot) {
       }
       const std::uint64_t value =
           to_u64(pair.substr(colon + 1), line, "histogram bucket count");
+      // Checked before adding, so the running total cannot wrap.
+      if (value > stat.count - bucket_total) {
+        fail(line, "histogram buckets exceed its count");
+      }
       stat.buckets[bucket] += value;
       bucket_total += value;
     }

@@ -13,6 +13,13 @@
 namespace aedbmls::core {
 namespace {
 
+/// Cap on the racing mode's speculative chain length.  The actual length is
+/// adaptive — 1 after an accepted move, doubling up to this cap while chains
+/// keep getting fully rejected — so the cap only bounds how hard rejection
+/// streaks are batched; it never costs speculative screens during basin
+/// descents.
+constexpr std::size_t kMaxScreenChain = 8;
+
 /// Canonical order for reported fronts: objectives, then violation, then
 /// decision vector — all lexicographic.  The archive's member order records
 /// its eviction history; sorting makes two runs that admitted the same point
@@ -105,7 +112,6 @@ void initialise(Worker& w, const Shared& shared, const moo::Solution* warm) {
 void walk_epoch(Worker& w, const Shared& shared) {
   const MlsConfig& config = shared.config;
   const std::vector<moo::Solution>& snapshot = shared.snapshots[w.island];
-  const std::size_t chain_limit = std::max<std::size_t>(1, config.screen_chain);
 
   // Lines 6-7: one move from `s` (Eq. 2): teammate `t`, drawn from the
   // island's epoch snapshot (single-slot islands use their own slot and
@@ -140,7 +146,7 @@ void walk_epoch(Worker& w, const Shared& shared) {
         // The previous chain was walked to the end without an accept (or
         // this is the first): rejections are streaking, so batch harder.
         if (w.grow_pending) {
-          w.chain_target = std::min(chain_limit, w.chain_target * 2);
+          w.chain_target = std::min(kMaxScreenChain, w.chain_target * 2);
         }
         w.grow_pending = true;
         // (Re)fill the chain.  Its length never crosses the next reset
@@ -278,7 +284,7 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
   const Shared shared{problem, config_, criteria, engine,
                       config_.screen_moves ? problem.screening_tier() : 0,
                       snapshots};
-  moo::AgaArchive archive(config_.archive_capacity, config_.grid_depth);
+  moo::AgaArchive archive(config_.archive_capacity);
   Xoshiro256 sample_rng(hash_combine(seed, 0xA2C41));
   stats_ = Stats{};
 

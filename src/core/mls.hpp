@@ -41,7 +41,7 @@
 /// screen-proven-infeasible candidates are rejected without ever paying a
 /// full simulation; survivors are promoted to one full-fidelity
 /// evaluation that alone decides acceptance.  Chain length adapts to the
-/// local accept rate — it starts at 1, doubles (capped at `screen_chain`)
+/// local accept rate — it starts at 1, doubles (capped at 8)
 /// after every fully-rejected chain and snaps back to 1 on an accept —
 /// so rejection-dominated regions batch aggressively while basin descents
 /// waste almost no speculative screens.  Archive admission is
@@ -73,7 +73,6 @@ struct MlsConfig {
   std::size_t reset_period = 50;            ///< paper's tuned value (§V)
   double alpha = 0.2;                       ///< paper's tuned BLX-α value (§V)
   std::size_t archive_capacity = 100;
-  std::uint32_t grid_depth = 4;             ///< AGA divisions = 2^depth
   std::size_t feasible_init_retries = 5;    ///< attempts at a feasible start
 
   /// Search criteria; empty => unguided all-variables criterion.
@@ -89,13 +88,6 @@ struct MlsConfig {
   /// loop when `Problem::screening_tier()` is 0.  Admitted fronts are
   /// byte-identical either way.
   bool screen_moves = false;
-
-  /// Cap on the speculative chain length in racing mode.  The actual
-  /// length is adaptive — 1 after an accepted move, doubling up to this
-  /// cap while chains keep getting fully rejected — so the cap only
-  /// bounds how hard rejection streaks are batched; it never costs
-  /// speculative screens during basin descents.
-  std::size_t screen_chain = 8;
 
   /// Engine the racing mode batches screens (and promotions) through; null
   /// uses a private pool-less engine — same results, no cross-thread

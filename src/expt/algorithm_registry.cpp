@@ -67,13 +67,6 @@ std::vector<std::string> AlgorithmRegistry::names() const {
   return out;
 }
 
-AlgorithmRegistry::Registrar::Registrar(std::string name,
-                                        std::string description,
-                                        Factory factory) {
-  instance().add(
-      Entry{std::move(name), std::move(description), std::move(factory)});
-}
-
 const std::vector<std::string>& paper_algorithms() {
   static const std::vector<std::string> names{"CellDE", "NSGAII", "AEDB-MLS"};
   return names;

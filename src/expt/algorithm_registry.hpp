@@ -63,12 +63,6 @@ class AlgorithmRegistry {
 
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
 
-  /// RAII registrar for static self-registration:
-  ///   static const AlgorithmRegistry::Registrar r{"Name", "desc", factory};
-  struct Registrar {
-    Registrar(std::string name, std::string description, Factory factory);
-  };
-
  private:
   AlgorithmRegistry() = default;
   std::vector<Entry> entries_;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "common/cli.hpp"
 #include "common/durable_file.hpp"
 #include "expt/campaign_service.hpp"
 #include "expt/scenario_catalog.hpp"
@@ -26,30 +27,12 @@ void parse_shard_spec(const std::string& spec, CampaignOptions& out) {
          "'; expected i/N with 0 <= i < N (e.g. --shard=0/3)");
   };
   const std::size_t slash = spec.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= spec.size()) {
-    bad();
-  }
-  // Digits only: stoull would accept (and wrap) a leading '-', turning a
-  // typo like 0/-3 into a 2^64-ish shard count instead of an error.
-  for (const char c : spec) {
-    if (c != '/' && (c < '0' || c > '9')) bad();
-  }
-  std::size_t index = 0;
-  std::size_t count = 0;
-  try {
-    std::size_t pos = 0;
-    index = std::stoull(spec.substr(0, slash), &pos);
-    if (pos != slash) bad();
-    count = std::stoull(spec.substr(slash + 1), &pos);
-    if (pos != spec.size() - slash - 1) bad();
-  } catch (const std::invalid_argument&) {
-    bad();
-  } catch (const std::out_of_range&) {
-    bad();
-  }
-  if (count == 0 || index >= count) bad();
-  out.shard_index = index;
-  out.shard_count = count;
+  if (slash == std::string::npos) bad();
+  const auto index = parse_u64(std::string_view(spec).substr(0, slash));
+  const auto count = parse_u64(std::string_view(spec).substr(slash + 1));
+  if (!index || !count || *count == 0 || *index >= *count) bad();
+  out.shard_index = *index;
+  out.shard_count = *count;
 }
 
 /// `--connect=HOST:PORT` with a non-empty host and a port in [1, 65535].

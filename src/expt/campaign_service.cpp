@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/durable_file.hpp"
 #include "common/fault.hpp"
 #include "common/logging.hpp"
@@ -30,15 +31,9 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
 }
 
 std::size_t parse_index(const std::string& token, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return static_cast<std::size_t>(value);
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("elastic: bad ") + what + " '" +
-                             token + "'");
-  }
+  if (const auto value = parse_u64(token)) return *value;
+  throw std::runtime_error(std::string("elastic: bad ") + what + " '" + token +
+                           "'");
 }
 
 std::string read_file_or_empty(const std::string& path) {

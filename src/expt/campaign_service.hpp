@@ -79,8 +79,8 @@ class CoordinatorLostError : public std::runtime_error {
 struct CampaignCoordinatorOptions {
   /// Reduction/cache behaviour (cache_dir, use_cache, collect_records,
   /// progress); `use_cache` also journals completed cells next to the CSV
-  /// cache.  The coordinator runs no cells itself, so `workers` and
-  /// `eval_threads` are ignored here.
+  /// cache.  The coordinator runs no cells itself, so `workers` is
+  /// ignored here.
   ExperimentDriver::Options driver;
   /// Expected wall seconds per scenario key, used to order the queue
   /// before any live observation exists (see
@@ -90,7 +90,7 @@ struct CampaignCoordinatorOptions {
 };
 
 struct CampaignWorkerOptions {
-  /// Per-cell execution (workers, eval_threads, verbose).  `use_cache` only
+  /// Per-cell execution (workers, verbose).  `use_cache` only
   /// gates whether `warm` payloads are written to this worker's cache dir;
   /// cells themselves are always computed.
   ExperimentDriver::Options driver;

@@ -81,9 +81,10 @@ RunRecord run_cell(const std::string& algorithm, const std::string& scenario,
 }
 
 /// Parses a cache CSV; nullopt when the file is missing, malformed, or
-/// fails its CRC32 trailer (a bench killed mid-write or a corrupted byte
-/// must mean recompute — never crash or trust partial data).  Files
-/// without a trailer (written before checksums landed) still load.
+/// lacks a matching CRC32 trailer (a bench killed mid-write, a truncated
+/// file or a corrupted byte must mean recompute — never crash or trust
+/// partial data).  Truncation removes the trailer first, so a trailer-less
+/// file is never trusted.
 std::optional<std::vector<IndicatorSample>> parse_cache_file(
     const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -91,8 +92,12 @@ std::optional<std::vector<IndicatorSample>> parse_cache_file(
   std::ostringstream slurp;
   slurp << in.rdbuf();
   std::string text = std::move(slurp).str();
-  if (io::strip_crc_trailer(text) == io::CrcCheck::kMismatch) {
-    log_warn("cache ", path, " fails its crc32 trailer; recomputing");
+  const io::CrcCheck check = io::strip_crc_trailer(text);
+  if (check != io::CrcCheck::kVerified) {
+    log_warn("cache ", path,
+             check == io::CrcCheck::kMissing ? " has no crc32 trailer"
+                                             : " fails its crc32 trailer",
+             "; recomputing");
     return std::nullopt;
   }
   std::istringstream rows(text);
@@ -210,14 +215,13 @@ std::uint64_t ExperimentPlan::fingerprint() const {
 
 std::vector<RunRecord> run_repeats(const std::string& algorithm,
                                    const std::string& scenario,
-                                   const Scale& scale,
-                                   const moo::EvaluationEngine* evaluator) {
+                                   const Scale& scale) {
   std::vector<RunRecord> records;
   records.reserve(scale.runs);
   for (std::size_t run = 0; run < scale.runs; ++run) {
     records.push_back(run_cell(algorithm, scenario,
                                cell_seed(scale, scenario, run), scale,
-                               evaluator));
+                               nullptr));
   }
   return records;
 }
@@ -354,11 +358,8 @@ std::vector<RunRecord> ExperimentDriver::run_cells(
   // Each cell is seeded by (plan, scenario, run) alone, and each writes its
   // own slot, so the records vector is a pure function of the plan no
   // matter how many workers execute it.
-  std::unique_ptr<par::ThreadPool> eval_pool;
-  if (options_.eval_threads > 0) {
-    eval_pool = std::make_unique<par::ThreadPool>(options_.eval_threads);
-  }
-  const moo::EvaluationEngine engine(eval_pool.get());
+  // Cells are the parallel axis; each evaluates its population serially.
+  const moo::EvaluationEngine engine;
 
   std::vector<RunRecord> records(cells.size());
   par::ThreadPool pool(options_.workers);

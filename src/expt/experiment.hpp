@@ -105,9 +105,9 @@ struct ExperimentPlan {
 /// Executes `scale.runs` independent runs of `algorithm` on `scenario`,
 /// serially on the calling thread, with the same per-cell seeding as the
 /// driver (records are interchangeable with driver output).
-[[nodiscard]] std::vector<RunRecord> run_repeats(
-    const std::string& algorithm, const std::string& scenario,
-    const Scale& scale, const moo::EvaluationEngine* evaluator = nullptr);
+[[nodiscard]] std::vector<RunRecord> run_repeats(const std::string& algorithm,
+                                                 const std::string& scenario,
+                                                 const Scale& scale);
 
 struct ExperimentResult {
   std::vector<IndicatorSample> samples;  ///< grid order (scenario-major)
@@ -131,10 +131,6 @@ class ExperimentDriver {
     std::string cache_dir = "results";
     /// Also return the raw fronts (Fig. 6 needs them; disables cache loads).
     bool collect_records = false;
-    /// Threads of the shared `EvaluationEngine` the generational EAs batch
-    /// population evaluations through (0 = serial engine; identical results
-    /// either way — the engine is bitwise thread-count-independent).
-    std::size_t eval_threads = 0;
     /// Per-cell progress lines on stdout.
     bool verbose = true;
     /// Live campaign progress: after each completed cell its telemetry

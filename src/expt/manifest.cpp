@@ -11,6 +11,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "common/durable_file.hpp"
 #include "common/telemetry.hpp"
 
@@ -55,20 +56,10 @@ std::vector<std::string> tokens_of(const std::string& line) {
   return tokens;
 }
 
-/// Digits only: std::stoull alone would accept a sign, and "-1" would wrap
-/// to 2^64 - 1.
 std::size_t to_size(const std::string& token, std::size_t line_number,
                     const char* what) {
-  const bool digits =
-      !token.empty() && std::all_of(token.begin(), token.end(), [](char c) {
-        return c >= '0' && c <= '9';
-      });
-  try {
-    if (!digits) throw std::invalid_argument(token);
-    return static_cast<std::size_t>(std::stoull(token));
-  } catch (const std::exception&) {
-    fail(line_number, std::string("bad ") + what + " '" + token + "'");
-  }
+  if (const auto value = parse_u64(token)) return *value;
+  fail(line_number, std::string("bad ") + what + " '" + token + "'");
 }
 
 double to_double(const std::string& token, std::size_t line_number,

@@ -66,18 +66,9 @@ std::size_t positive_override(const CliArgs& args, const std::string& flag,
 std::uint64_t seed_override(const CliArgs& args, std::uint64_t fallback) {
   if (!args.has("seed")) return fallback;
   const std::string text = args.get("seed");
-  std::size_t consumed = 0;
-  std::uint64_t value = 0;
-  try {
-    value = std::stoull(text, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (text.empty() || consumed != text.size() || text.front() == '-') {
-    throw std::invalid_argument(
-        "--seed must be a non-negative integer (got '" + text + "')");
-  }
-  return value;
+  if (const auto value = parse_u64(text)) return *value;
+  throw std::invalid_argument("--seed must be a non-negative integer (got '" +
+                              text + "')");
 }
 
 }  // namespace

@@ -33,19 +33,9 @@ namespace aedbmls::moo {
 
 class EvaluationEngine {
  public:
-  struct Config {
-    /// Pool to spread batches over; null evaluates on the calling thread.
-    par::ThreadPool* pool = nullptr;
-    /// Smallest sub-span worth a task dispatch.  Cheap synthetic problems
-    /// want large chunks; simulation-backed problems want fine ones.
-    std::size_t min_chunk = 1;
-    /// Target tasks per pool thread (load-balancing oversubscription).
-    std::size_t tasks_per_thread = 4;
-  };
-
   EvaluationEngine() = default;
-  explicit EvaluationEngine(par::ThreadPool* pool) { config_.pool = pool; }
-  explicit EvaluationEngine(Config config) : config_(config) {}
+  /// Spreads batches over `pool`; null evaluates on the calling thread.
+  explicit EvaluationEngine(par::ThreadPool* pool) : pool_(pool) {}
 
   /// Evaluates every not-yet-evaluated solution in `batch`.  Results are
   /// independent of the engine's thread count (see file comment).
@@ -54,13 +44,6 @@ class EvaluationEngine {
   /// Convenience overload for the common population container.
   void evaluate(const Problem& problem, std::vector<Solution>& batch) const {
     evaluate(problem, std::span<Solution>(batch));
-  }
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-
-  /// Number of worker threads batches are spread over (1 when pool-less).
-  [[nodiscard]] std::size_t concurrency() const noexcept {
-    return config_.pool != nullptr ? config_.pool->thread_count() : 1;
   }
 
   /// Cumulative counters (thread-safe; benches report throughput with them).
@@ -76,7 +59,7 @@ class EvaluationEngine {
   }
 
  private:
-  Config config_{};
+  par::ThreadPool* pool_ = nullptr;
   mutable std::atomic<std::uint64_t> solutions_{0};
   mutable std::atomic<std::uint64_t> batches_{0};
   mutable std::atomic<std::uint64_t> chunks_{0};

@@ -28,14 +28,4 @@ double generational_distance(const std::vector<Solution>& from,
   return std::sqrt(sum_sq) / static_cast<double>(from.size());
 }
 
-double inverted_generational_distance(const std::vector<Solution>& front,
-                                      const std::vector<Solution>& reference) {
-  AEDB_REQUIRE(!front.empty() && !reference.empty(), "IGD of empty front");
-  double sum = 0.0;
-  for (const Solution& r : reference) {
-    sum += std::sqrt(nearest_sq(r.objectives, front));
-  }
-  return sum / static_cast<double>(reference.size());
-}
-
 }  // namespace aedbmls::moo

@@ -4,9 +4,8 @@
 ///
 /// The paper's Eq. 3 (which it calls "inverted generational distance")
 /// measures sqrt(sum of squared distances)/n *from the found front to the
-/// reference front* — Van Veldhuizen's GD formula.  Both directions are
-/// provided; the benches use `paper_igd` (Eq. 3 verbatim) and EXPERIMENTS.md
-/// notes the naming.
+/// reference front* — Van Veldhuizen's GD formula.  The benches use
+/// `paper_igd` (Eq. 3 verbatim) and EXPERIMENTS.md notes the naming.
 
 #include <vector>
 
@@ -24,9 +23,5 @@ namespace aedbmls::moo {
                                       const std::vector<Solution>& reference) {
   return generational_distance(front, reference);
 }
-
-/// Standard IGD: average distance from reference points to the front.
-[[nodiscard]] double inverted_generational_distance(
-    const std::vector<Solution>& front, const std::vector<Solution>& reference);
 
 }  // namespace aedbmls::moo

@@ -1,9 +1,6 @@
 #include "moo/operators/blx_alpha.hpp"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/assert.hpp"
 
 namespace aedbmls::moo {
 
@@ -17,23 +14,6 @@ double symmetric_blx_step(double sp, double tp, double alpha, Xoshiro256& rng) {
   const double phi = alpha * std::fabs(sp - tp);
   const double rho = rng.uniform();
   return sp + phi * (3.0 * rho - 1.5);
-}
-
-std::vector<double> blx_alpha_crossover(
-    const std::vector<double>& parent1, const std::vector<double>& parent2,
-    double alpha, const std::vector<std::pair<double, double>>& bounds,
-    Xoshiro256& rng) {
-  AEDB_REQUIRE(parent1.size() == parent2.size(), "parent size mismatch");
-  AEDB_REQUIRE(bounds.size() == parent1.size(), "bounds size mismatch");
-  std::vector<double> child(parent1.size());
-  for (std::size_t i = 0; i < child.size(); ++i) {
-    const double lo_gene = std::min(parent1[i], parent2[i]);
-    const double hi_gene = std::max(parent1[i], parent2[i]);
-    const double d = hi_gene - lo_gene;
-    const double value = rng.uniform(lo_gene - alpha * d, hi_gene + alpha * d);
-    child[i] = std::clamp(value, bounds[i].first, bounds[i].second);
-  }
-  return child;
 }
 
 }  // namespace aedbmls::moo

@@ -1,20 +1,13 @@
 #pragma once
 
-/// BLX-α blend operators (Eshelman & Schaffer 1992).
+/// BLX-α blend steps (after Eshelman & Schaffer 1992) on one variable.
 ///
-/// Two variants are provided:
-///  * `blx_alpha_crossover` — the textbook recombination: each child gene is
-///    uniform in [min-αd, max+αd] of the parent genes (used by the EA lib);
-///  * `paper_blx_step` — the *exact* perturbation of the paper's Eq. 2,
-///    which AEDB-MLS applies to the parameters chosen by a search
-///    criterion:
-///        ŝp = sp + φ·[(3ρ) − 2],  φ = α·|sp − tp|,  ρ ∈ [0,1)
-///    i.e. an offset uniform in [−2φ, +φ) — deliberately asymmetric (a
-///    slight downward bias relative to the teammate distance).  We keep the
-///    published form; the operator ablation (E9) contrasts it with the
-///    symmetric variant.
-
-#include <vector>
+/// `paper_blx_step` is the *exact* perturbation of the paper's Eq. 2, which
+/// AEDB-MLS applies to the parameters chosen by a search criterion:
+///     ŝp = sp + φ·[(3ρ) − 2],  φ = α·|sp − tp|,  ρ ∈ [0,1)
+/// i.e. an offset uniform in [−2φ, +φ) — deliberately asymmetric (a slight
+/// downward bias relative to the teammate distance).  We keep the published
+/// form; the operator ablation (E9) contrasts it with `symmetric_blx_step`.
 
 #include "common/rng.hpp"
 
@@ -28,12 +21,5 @@ namespace aedbmls::moo {
 /// magnitude as Eq. 2, zero bias.  Used by the E9 operator ablation.
 [[nodiscard]] double symmetric_blx_step(double sp, double tp, double alpha,
                                         Xoshiro256& rng);
-
-/// Classic BLX-α recombination of two equal-length parents; each gene drawn
-/// uniform in the α-extended interval, then clamped to [lo,hi] per gene.
-[[nodiscard]] std::vector<double> blx_alpha_crossover(
-    const std::vector<double>& parent1, const std::vector<double>& parent2,
-    double alpha, const std::vector<std::pair<double, double>>& bounds,
-    Xoshiro256& rng);
 
 }  // namespace aedbmls::moo

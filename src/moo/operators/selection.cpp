@@ -1,7 +1,6 @@
 #include "moo/operators/selection.hpp"
 
 #include "common/assert.hpp"
-#include "moo/core/dominance.hpp"
 
 namespace aedbmls::moo {
 
@@ -14,19 +13,6 @@ std::size_t tournament_select(const std::vector<std::size_t>& ranks,
   const std::size_t b = rng.uniform_int(ranks.size());
   if (ranks[a] != ranks[b]) return ranks[a] < ranks[b] ? a : b;
   if (crowding[a] != crowding[b]) return crowding[a] > crowding[b] ? a : b;
-  return a;
-}
-
-std::size_t dominance_tournament(const std::vector<Solution>& population,
-                                 Xoshiro256& rng) {
-  AEDB_REQUIRE(!population.empty(), "tournament over empty population");
-  const std::size_t a = rng.uniform_int(population.size());
-  const std::size_t b = rng.uniform_int(population.size());
-  switch (compare(population[a], population[b])) {
-    case Dominance::kFirst: return a;
-    case Dominance::kSecond: return b;
-    case Dominance::kNone: return rng.bernoulli(0.5) ? a : b;
-  }
   return a;
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "moo/core/solution.hpp"
 
 namespace aedbmls::moo {
 
@@ -16,10 +15,5 @@ namespace aedbmls::moo {
 [[nodiscard]] std::size_t tournament_select(const std::vector<std::size_t>& ranks,
                                             const std::vector<double>& crowding,
                                             Xoshiro256& rng);
-
-/// Binary tournament by constraint-domination only (used where ranks are
-/// not available, e.g. steady-state loops).
-[[nodiscard]] std::size_t dominance_tournament(const std::vector<Solution>& population,
-                                               Xoshiro256& rng);
 
 }  // namespace aedbmls::moo

@@ -1,7 +1,6 @@
 #include "sim/propagation/log_distance.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "common/assert.hpp"
 
@@ -28,11 +27,6 @@ double LogDistancePropagation::distance_for_loss(double loss) const noexcept {
 
 double LogDistancePropagation::rx_power_dbm(double tx_dbm, Vec2 a, Vec2 b) const {
   return tx_dbm - loss_db(distance(a, b));
-}
-
-double RangePropagation::rx_power_dbm(double tx_dbm, Vec2 a, Vec2 b) const {
-  return distance(a, b) <= range_ ? tx_dbm
-                                  : -std::numeric_limits<double>::infinity();
 }
 
 }  // namespace aedbmls::sim

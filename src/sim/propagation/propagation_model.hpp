@@ -18,16 +18,4 @@ class PropagationModel {
   [[nodiscard]] virtual double rx_power_dbm(double tx_dbm, Vec2 a, Vec2 b) const = 0;
 };
 
-/// Ideal unit-disk model for tests: full power inside `range`, nothing
-/// (-infinity dBm) outside.
-class RangePropagation final : public PropagationModel {
- public:
-  explicit RangePropagation(double range_m) noexcept : range_(range_m) {}
-
-  [[nodiscard]] double rx_power_dbm(double tx_dbm, Vec2 a, Vec2 b) const override;
-
- private:
-  double range_;
-};
-
 }  // namespace aedbmls::sim

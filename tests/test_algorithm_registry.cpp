@@ -83,24 +83,22 @@ TEST(AlgorithmRegistry, UnknownNameThrowsWithTheRegisteredList) {
   }
 }
 
-TEST(AlgorithmRegistry, RegistrarAddsAndShadowsEntries) {
+TEST(AlgorithmRegistry, AddRegistersAndShadowsEntries) {
   auto& registry = AlgorithmRegistry::instance();
   const std::size_t before = registry.names().size();
-  const AlgorithmRegistry::Registrar added{
-      "test-only", "registered by the test suite",
-      [](const Scale& scale, const moo::EvaluationEngine* evaluator) {
-        return AlgorithmRegistry::instance().create("Random", scale,
-                                                    evaluator);
-      }};
+  registry.add({"test-only", "registered by the test suite",
+                [](const Scale& scale, const moo::EvaluationEngine* evaluator) {
+                  return AlgorithmRegistry::instance().create("Random", scale,
+                                                              evaluator);
+                }});
   EXPECT_TRUE(registry.contains("test-only"));
   EXPECT_EQ(registry.names().size(), before + 1);
   // Last registration of a name wins (shadowing, not duplication).
-  const AlgorithmRegistry::Registrar shadowed{
-      "test-only", "shadowed",
-      [](const Scale& scale, const moo::EvaluationEngine* evaluator) {
-        return AlgorithmRegistry::instance().create("NSGAII", scale,
-                                                    evaluator);
-      }};
+  registry.add({"test-only", "shadowed",
+                [](const Scale& scale, const moo::EvaluationEngine* evaluator) {
+                  return AlgorithmRegistry::instance().create("NSGAII", scale,
+                                                              evaluator);
+                }});
   EXPECT_EQ(registry.names().size(), before + 1);
   EXPECT_EQ(registry.find("test-only")->description, "shadowed");
   EXPECT_EQ(registry.create("test-only", tiny_scale())->name(), "NSGAII");

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "aedb/scenario.hpp"
@@ -167,10 +169,7 @@ TEST(EvaluationEngine, SkipsAlreadyEvaluatedSolutions) {
 TEST(EvaluationEngine, CountsChunksAndBatches) {
   const Zdt1Problem problem(4);
   par::ThreadPool pool(4);
-  EvaluationEngine::Config config;
-  config.pool = &pool;
-  config.tasks_per_thread = 2;
-  const EvaluationEngine engine(config);
+  const EvaluationEngine engine(&pool);
 
   auto batch = random_batch(problem, 64, 11);
   engine.evaluate(problem, batch);
@@ -178,7 +177,7 @@ TEST(EvaluationEngine, CountsChunksAndBatches) {
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.solutions, 64u);
   EXPECT_GE(stats.chunks, 2u);   // actually spread over the pool
-  EXPECT_LE(stats.chunks, 8u);   // tasks_per_thread * threads
+  EXPECT_LE(stats.chunks, 16u);  // 4 tasks per thread * 4 threads
 
   // A fully evaluated batch is a no-op.
   engine.evaluate(problem, batch);
@@ -186,17 +185,38 @@ TEST(EvaluationEngine, CountsChunksAndBatches) {
   EXPECT_EQ(engine.stats().solutions, 64u);
 }
 
-TEST(EvaluationEngine, RespectsMinChunk) {
-  const Zdt1Problem problem(4);
+/// Records the thread each `evaluate_batch` call ran on.
+class ThreadRecordingProblem final : public Problem {
+ public:
+  [[nodiscard]] std::size_t dimensions() const override { return 2; }
+  [[nodiscard]] std::size_t objective_count() const override { return 2; }
+  [[nodiscard]] std::pair<double, double> bounds(std::size_t) const override {
+    return {0.0, 1.0};
+  }
+  [[nodiscard]] Result evaluate(const std::vector<double>& x) const override {
+    Result r;
+    r.objectives = x;
+    return r;
+  }
+  void evaluate_batch(std::span<Solution> batch) const override {
+    callers.push_back(std::this_thread::get_id());
+    Problem::evaluate_batch(batch);
+  }
+  mutable std::vector<std::thread::id> callers;
+};
+
+TEST(EvaluationEngine, OnePendingSolutionIsOneInlineChunk) {
+  const ThreadRecordingProblem problem;
   par::ThreadPool pool(8);
-  EvaluationEngine::Config config;
-  config.pool = &pool;
-  config.min_chunk = 64;
-  const EvaluationEngine engine(config);
+  const EvaluationEngine engine(&pool);
 
   auto batch = random_batch(problem, 32, 13);
+  for (std::size_t i = 1; i < batch.size(); ++i) problem.evaluate_into(batch[i]);
   engine.evaluate(problem, batch);
-  EXPECT_EQ(engine.stats().chunks, 1u);  // below min_chunk => one inline call
+  EXPECT_EQ(engine.stats().solutions, 1u);
+  EXPECT_EQ(engine.stats().chunks, 1u);
+  ASSERT_EQ(problem.callers.size(), 1u);
+  EXPECT_EQ(problem.callers[0], std::this_thread::get_id());
   for (const Solution& s : batch) EXPECT_TRUE(s.evaluated);
 }
 

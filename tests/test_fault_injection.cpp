@@ -26,11 +26,13 @@
 
 #include "common/durable_file.hpp"
 #include "common/fault.hpp"
+#include "common/rng.hpp"
 #include "expt/campaign_service.hpp"
 #include "expt/experiment.hpp"
 #include "expt/manifest.hpp"
 #include "par/net/tcp_transport.hpp"
 #include "par/net/transport.hpp"
+#include "seeded_mutants.hpp"
 
 namespace aedbmls::expt {
 namespace {
@@ -130,6 +132,13 @@ TEST(FaultPlan, RejectsMalformedSpecsWithoutInstallingThem) {
       "net.frame.drop=always,value=x",
       "seed=notanumber",
       "net.frame.drop=always;net.frame.drop=off",  // duplicate site
+      // Signed counts must not wrap to 2^64 - n: nth:-1 would install a
+      // site that silently never fires.
+      "net.frame.drop=nth:-1",
+      "net.frame.drop=every:-2",
+      "net.frame.drop=after:-1",
+      "seed=-7",
+      "net.frame.drop=nth:+3",
   };
   for (const char* spec : bad) {
     EXPECT_THROW(fault::configure(spec), std::invalid_argument) << spec;
@@ -137,6 +146,55 @@ TEST(FaultPlan, RejectsMalformedSpecsWithoutInstallingThem) {
   // A rejected spec never replaces the active plan.
   EXPECT_EQ(fault::describe(), "net.frame.drop=nth:2");
   fault::clear();
+}
+
+TEST(FaultPlan, SeededMutantsAreRejectedOrDescribeStably) {
+  // Seeded mutation harness (the cell log's pattern): a full plan cut at
+  // every byte, seeded byte flips, seeded splices of another plan.  A
+  // mutant either throws std::invalid_argument and leaves the previous
+  // plan installed, or installs a plan whose describe() configures back
+  // to the same describe().
+  const std::string spec =
+      "seed=7;net.frame.drop=nth:6;net.frame.corrupt=after:2;"
+      "net.send.short_write=every:3;io.cache.write_fail=prob:0.25;"
+      "io.journal.torn_tail=off;cell.stall_ms=always,value=1500";
+  const std::string donor =
+      "seed=18446744073709551615; net.connect.refuse = every:12 ;"
+      "cell.stall_ms=prob:1,value=-2.5e-3";
+  Xoshiro256 rng(20261017);
+
+  std::size_t checked = 0;
+  std::size_t installed = 0;
+  auto check = [&](const std::string& mutant) {
+    ++checked;
+    const std::string before = fault::describe();
+    try {
+      fault::configure(mutant);
+    } catch (const std::invalid_argument&) {
+      ASSERT_EQ(fault::describe(), before) << mutant;
+      return;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "configure threw " << error.what() << " for '"
+                    << mutant << "'";
+      return;
+    }
+    ++installed;
+    const std::string described = fault::describe();
+    ASSERT_NO_THROW(fault::configure(described)) << mutant;
+    ASSERT_EQ(fault::describe(), described) << mutant;
+  };
+
+  fault::configure(spec);
+  for (std::size_t cut = 0; cut <= spec.size() && !HasFatalFailure(); ++cut) {
+    check(spec.substr(0, cut));
+  }
+  for (int trial = 0; trial < 2000 && !HasFatalFailure(); ++trial) {
+    check(mutants::flip(spec, rng));
+    check(mutants::splice(spec, donor, rng));
+  }
+  fault::clear();
+  EXPECT_GT(checked, 4000u);
+  EXPECT_GT(installed, 20u);
 }
 
 TEST(FaultPlan, TriggerSemantics) {
@@ -295,6 +353,7 @@ TEST(CacheHardening, StoreSealsAndLoadRejectsCorruption) {
     sample.spread = 0.9;
     samples.push_back(sample);
   }
+  samples.back().spread = 0.123456;  // a cut inside it still parses
   store_cached_samples(dir, plan, samples);
   const std::string path = indicator_csv_path(dir, plan);
   const std::string sealed = slurp(path);
@@ -314,9 +373,15 @@ TEST(CacheHardening, StoreSealsAndLoadRejectsCorruption) {
   spit(path, sealed.substr(0, sealed.size() / 2));
   EXPECT_FALSE(load_cached_samples(dir, plan).has_value());
 
-  // Legacy cache without a trailer still loads.
+  // Cut inside its last row: the trailer goes first, the row count still
+  // matches and the row still parses (spread 0.123456 -> 0.1).
+  const std::string rows = sealed.substr(0, sealed.find("#crc32 "));
+  spit(path, rows.substr(0, rows.size() - 6));
+  EXPECT_FALSE(load_cached_samples(dir, plan).has_value());
+
+  // A trailer-less cache is recomputed.
   spit(path, indicator_csv(samples));
-  EXPECT_TRUE(load_cached_samples(dir, plan).has_value());
+  EXPECT_FALSE(load_cached_samples(dir, plan).has_value());
 }
 
 TEST(CacheHardening, WriteFailSiteSkipsTheStore) {

@@ -10,7 +10,6 @@
 #include "moo/core/dominance.hpp"
 #include "moo/core/nds.hpp"
 #include "moo/core/normalization.hpp"
-#include "moo/indicators/epsilon.hpp"
 #include "moo/indicators/hypervolume.hpp"
 #include "moo/indicators/igd.hpp"
 #include "moo/indicators/spread.hpp"
@@ -80,26 +79,6 @@ TEST_P(IndicatorProperties, GdZeroIffSubsetOfReference) {
     for (double& f : s.objectives) f += 0.05;
   }
   EXPECT_GT(generational_distance(shifted, reference), 0.0);
-}
-
-TEST_P(IndicatorProperties, EpsilonTriangleConsistency) {
-  Xoshiro256 rng(GetParam() + 40);
-  const auto a = random_front(rng, 20, 2);
-  const auto b = random_front(rng, 20, 2);
-  const auto c = random_front(rng, 20, 2);
-  if (a.empty() || b.empty() || c.empty()) return;
-  // Additive epsilon satisfies eps(A,C) <= eps(A,B) + eps(B,C).
-  const double ac = additive_epsilon(a, c);
-  const double ab = additive_epsilon(a, b);
-  const double bc = additive_epsilon(b, c);
-  EXPECT_LE(ac, ab + bc + 1e-12);
-}
-
-TEST_P(IndicatorProperties, EpsilonSelfIsZero) {
-  Xoshiro256 rng(GetParam() + 50);
-  const auto front = random_front(rng, 15, 3);
-  if (front.empty()) return;
-  EXPECT_NEAR(additive_epsilon(front, front), 0.0, 1e-12);
 }
 
 TEST_P(IndicatorProperties, SpreadNonNegativeAndFinite) {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "moo/core/normalization.hpp"
-#include "moo/indicators/epsilon.hpp"
 #include "moo/indicators/igd.hpp"
 #include "moo/indicators/spread.hpp"
 
@@ -45,32 +44,6 @@ TEST(Gd, Eq3NormalisationBySize) {
   const std::vector<Solution> front{make({0.0, 1.0}), make({1.0, 0.0})};
   const std::vector<Solution> reference{make({0.0, 0.0}), make({1.0, 1.0})};
   EXPECT_DOUBLE_EQ(generational_distance(front, reference), std::sqrt(2.0) / 2.0);
-}
-
-TEST(Igd, PenalisesMissingRegions) {
-  const auto reference = line_front(21);
-  // Front covering only half the reference line.
-  std::vector<Solution> half;
-  for (int i = 0; i <= 10; ++i) {
-    const double x = static_cast<double>(i) / 20.0;
-    half.push_back(make({x, 1.0 - x}));
-  }
-  const double igd_half = inverted_generational_distance(half, reference);
-  const double igd_full = inverted_generational_distance(reference, reference);
-  EXPECT_GT(igd_half, igd_full);
-  EXPECT_DOUBLE_EQ(igd_full, 0.0);
-}
-
-TEST(Igd, CloserFrontScoresLower) {
-  const auto reference = line_front(11);
-  std::vector<Solution> near;
-  std::vector<Solution> far;
-  for (const Solution& r : reference) {
-    near.push_back(make({r.objectives[0] + 0.01, r.objectives[1] + 0.01}));
-    far.push_back(make({r.objectives[0] + 0.2, r.objectives[1] + 0.2}));
-  }
-  EXPECT_LT(inverted_generational_distance(near, reference),
-            inverted_generational_distance(far, reference));
 }
 
 TEST(Spread2d, UniformFrontNearZero) {
@@ -117,29 +90,6 @@ TEST(GeneralizedSpread, WorksWithThreeObjectives) {
 TEST(GeneralizedSpread, SinglePointIsOne) {
   const std::vector<Solution> one{make({0.5, 0.5})};
   EXPECT_DOUBLE_EQ(generalized_spread(one, line_front(5)), 1.0);
-}
-
-TEST(Epsilon, ZeroWhenCovering) {
-  const auto front = line_front(11);
-  EXPECT_DOUBLE_EQ(additive_epsilon(front, front), 0.0);
-}
-
-TEST(Epsilon, EqualsUniformShift) {
-  const auto reference = line_front(11);
-  std::vector<Solution> shifted;
-  for (const Solution& r : reference) {
-    shifted.push_back(make({r.objectives[0] + 0.1, r.objectives[1] + 0.1}));
-  }
-  EXPECT_NEAR(additive_epsilon(shifted, reference), 0.1, 1e-12);
-}
-
-TEST(Epsilon, NegativeWhenStrictlyBetter) {
-  const auto reference = line_front(11);
-  std::vector<Solution> better;
-  for (const Solution& r : reference) {
-    better.push_back(make({r.objectives[0] - 0.05, r.objectives[1] - 0.05}));
-  }
-  EXPECT_LT(additive_epsilon(better, reference), 0.0);
 }
 
 TEST(Normalization, BoundsAndMapping) {

@@ -24,6 +24,7 @@
 #include "expt/campaign_options.hpp"
 #include "expt/experiment.hpp"
 #include "expt/manifest.hpp"
+#include "seeded_mutants.hpp"
 
 namespace aedbmls::expt {
 namespace {
@@ -352,9 +353,9 @@ TEST(CellLog, SeededMutantsNeverEscapeTheDecoders) {
   }
   const std::string block = encode_cell_result(fabricate(cells[7], rng));
 
-  std::size_t mutants = 0;
+  std::size_t checked = 0;
   auto check_log = [&](const std::string& mutant) {
-    ++mutants;
+    ++checked;
     CellLog got;
     try {
       got = read_cell_log(mutant, plan);
@@ -376,7 +377,7 @@ TEST(CellLog, SeededMutantsNeverEscapeTheDecoders) {
         << "defect '" << got.defect << "' for mutant:\n" << mutant;
   };
   auto check_block = [&](const std::string& mutant) {
-    ++mutants;
+    ++checked;
     try {
       (void)decode_cell_result(mutant, cells.size());
     } catch (const std::invalid_argument&) {
@@ -385,21 +386,6 @@ TEST(CellLog, SeededMutantsNeverEscapeTheDecoders) {
                     << " for mutant:\n" << mutant;
     }
   };
-  auto flip = [&](std::string text) {
-    const std::uint64_t flips = 1 + rng.uniform_int(std::uint64_t{4});
-    for (std::uint64_t f = 0; f < flips; ++f) {
-      text[rng.uniform_int(text.size())] ^=
-          static_cast<char>(1 + rng.uniform_int(std::uint64_t{255}));
-    }
-    return text;
-  };
-  auto splice = [&](const std::string& text, const std::string& donor) {
-    const std::size_t from = rng.uniform_int(donor.size());
-    const std::size_t length = 1 + rng.uniform_int(donor.size() - from);
-    const std::size_t at = rng.uniform_int(text.size() + 1);
-    return text.substr(0, at) + donor.substr(from, length) + text.substr(at);
-  };
-
   for (std::size_t cut = 0; cut <= log.size() && !HasFatalFailure(); ++cut) {
     check_log(log.substr(0, cut));
   }
@@ -407,8 +393,8 @@ TEST(CellLog, SeededMutantsNeverEscapeTheDecoders) {
     check_block(block.substr(0, cut));
   }
   for (int trial = 0; trial < 2000 && !HasFatalFailure(); ++trial) {
-    check_log(flip(log));
-    check_block(flip(block));
+    check_log(mutants::flip(log, rng));
+    check_block(mutants::flip(block, rng));
   }
   // Whole foreign records at every record boundary, a foreign header, and
   // random foreign byte runs anywhere.
@@ -419,10 +405,10 @@ TEST(CellLog, SeededMutantsNeverEscapeTheDecoders) {
   }
   check_log(cell_log_header(other) + log.substr(clean_ends[0]));
   for (int trial = 0; trial < 500 && !HasFatalFailure(); ++trial) {
-    check_log(splice(log, foreign));
-    check_block(splice(block, foreign));
+    check_log(mutants::splice(log, foreign, rng));
+    check_block(mutants::splice(block, foreign, rng));
   }
-  EXPECT_GT(mutants, 5000u);
+  EXPECT_GT(checked, 5000u);
 }
 
 TEST(ShardManifest, MergeReconstructsTheUnshardedCampaignBitwise) {

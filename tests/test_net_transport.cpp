@@ -13,17 +13,22 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "par/net/frame.hpp"
 #include "par/net/tcp_transport.hpp"
 #include "par/net/transport.hpp"
+#include "seeded_mutants.hpp"
 
 namespace aedbmls::par::net {
 namespace {
@@ -101,6 +106,76 @@ TEST(FrameCodec, RejectsGarbageAfterAValidFrame) {
   decoder.feed(encode_frame(FrameType::kData, "ok"));
   decoder.feed(std::string_view(garbage, sizeof garbage));
   EXPECT_THROW(decoder.next(), std::invalid_argument);
+}
+
+TEST(FrameCodec, SeededMutantsYieldWholeFramesThenWaitOrThrow) {
+  // Seeded mutation harness (the cell log's pattern): a frame stream cut
+  // at every byte, seeded byte flips, seeded splices of another stream,
+  // each fed in seeded chunk sizes under a small payload ceiling.  The
+  // decoder yields only whole frames of known types — re-encoded, they
+  // are a prefix of the mutant — then either waits for more bytes or
+  // throws std::invalid_argument, and after a throw throws on every call.
+  constexpr std::size_t kCeiling = 64;
+  std::string stream;
+  for (const auto& [type, size] :
+       {std::pair{FrameType::kHello, 13}, std::pair{FrameType::kWelcome, 8},
+        std::pair{FrameType::kData, 0}, std::pair{FrameType::kData, 64},
+        std::pair{FrameType::kHeartbeat, 0}, std::pair{FrameType::kBye, 3}}) {
+    stream += encode_frame(type, std::string(static_cast<std::size_t>(size),
+                                             static_cast<char>('a' + size)));
+  }
+  const std::string donor =
+      encode_frame(FrameType::kData, std::string(kCeiling + 1, 'x')) +
+      encode_frame(FrameType::kWelcome, std::string("\x00\xFF\x05", 3));
+  Xoshiro256 rng(20261017);
+
+  std::size_t checked = 0;
+  std::size_t refused = 0;
+  auto check = [&](const std::string& mutant) {
+    ++checked;
+    FrameDecoder decoder(kCeiling);
+    std::string yielded;
+    bool threw = false;
+    try {
+      for (std::size_t at = 0; at < mutant.size();) {
+        const std::size_t chunk = std::min<std::size_t>(
+            mutant.size() - at, 1 + rng.uniform_int(std::uint64_t{16}));
+        decoder.feed(std::string_view(mutant).substr(at, chunk));
+        at += chunk;
+        while (auto frame = decoder.next()) {
+          const auto type = static_cast<std::uint8_t>(frame->type);
+          ASSERT_GE(type, static_cast<std::uint8_t>(FrameType::kHello));
+          ASSERT_LE(type, static_cast<std::uint8_t>(FrameType::kBye));
+          ASSERT_LE(frame->payload.size(), kCeiling);
+          yielded += encode_frame(frame->type, frame->payload);
+        }
+      }
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    } catch (const std::exception& error) {
+      FAIL() << "decoder threw " << error.what();
+    }
+    ASSERT_EQ(mutant.compare(0, yielded.size(), yielded), 0)
+        << "yielded bytes are not a prefix of the stream";
+    if (threw) {
+      ++refused;
+      EXPECT_THROW(decoder.feed("x"), std::invalid_argument);
+      EXPECT_THROW((void)decoder.next(), std::invalid_argument);
+    } else {
+      EXPECT_FALSE(decoder.next().has_value());
+      EXPECT_EQ(decoder.mid_frame(), yielded.size() < mutant.size());
+    }
+  };
+
+  for (std::size_t cut = 0; cut <= stream.size() && !HasFatalFailure(); ++cut) {
+    check(stream.substr(0, cut));
+  }
+  for (int trial = 0; trial < 2000 && !HasFatalFailure(); ++trial) {
+    check(mutants::flip(stream, rng));
+    check(mutants::splice(stream, donor, rng));
+  }
+  EXPECT_GT(checked, 4000u);
+  EXPECT_GT(refused, 100u);
 }
 
 TEST(InProcWorld, DeliversDataBetweenRanks) {

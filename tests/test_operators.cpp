@@ -64,22 +64,6 @@ TEST(SymmetricBlx, ZeroMeanOffset) {
   EXPECT_NEAR(sum / kDraws, 0.0, 0.01);
 }
 
-TEST(BlxCrossover, ChildrenInsideExtendedIntervalAndBounds) {
-  Xoshiro256 rng(6);
-  const std::vector<double> p1{0.2, 0.8, 0.0};
-  const std::vector<double> p2{0.4, 0.2, 1.0};
-  for (int i = 0; i < 1000; ++i) {
-    const auto child = blx_alpha_crossover(p1, p2, 0.5, kUnitBounds, rng);
-    for (std::size_t d = 0; d < child.size(); ++d) {
-      const double lo_gene = std::min(p1[d], p2[d]);
-      const double hi_gene = std::max(p1[d], p2[d]);
-      const double span = hi_gene - lo_gene;
-      EXPECT_GE(child[d], std::max(0.0, lo_gene - 0.5 * span) - 1e-12);
-      EXPECT_LE(child[d], std::min(1.0, hi_gene + 0.5 * span) + 1e-12);
-    }
-  }
-}
-
 TEST(Sbx, ChildrenRespectBounds) {
   Xoshiro256 rng(7);
   SbxParams params;
@@ -220,20 +204,6 @@ TEST(Tournament, CrowdingBreaksRankTies) {
     if (tournament_select(ranks, crowding, rng) == 0) ++zero_wins;
   }
   EXPECT_GT(zero_wins, 700);  // wins all mixed draws (~75% incl. (0,0))
-}
-
-TEST(DominanceTournament, DominantSolutionPreferred) {
-  Xoshiro256 rng(18);
-  std::vector<Solution> population(2);
-  population[0].objectives = {1.0, 1.0};
-  population[0].evaluated = true;
-  population[1].objectives = {2.0, 2.0};
-  population[1].evaluated = true;
-  int zero_wins = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (dominance_tournament(population, rng) == 0) ++zero_wins;
-  }
-  EXPECT_GT(zero_wins, 700);
 }
 
 }  // namespace

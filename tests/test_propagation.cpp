@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "sim/propagation/friis.hpp"
 #include "sim/propagation/log_distance.hpp"
 
 namespace aedbmls::sim {
@@ -53,30 +50,6 @@ TEST(LogDistance, CustomExponent) {
   config.exponent = 2.0;
   const LogDistancePropagation model(config);
   EXPECT_NEAR(model.loss_db(10.0) - model.loss_db(1.0), 20.0, 1e-9);
-}
-
-TEST(Friis, MatchesClosedForm) {
-  const FriisPropagation model;
-  // L(d) = 20 log10(4 pi d / lambda), lambda ~ 0.12491 m at 2.4 GHz.
-  const double lambda = 299792458.0 / 2.4e9;
-  const double expected = 20.0 * std::log10(4.0 * M_PI * 100.0 / lambda);
-  EXPECT_NEAR(model.loss_db(100.0), expected, 1e-9);
-}
-
-TEST(Friis, TwentyDbPerDecade) {
-  const FriisPropagation model;
-  EXPECT_NEAR(model.loss_db(100.0) - model.loss_db(10.0), 20.0, 1e-9);
-}
-
-TEST(Friis, MinDistanceGuard) {
-  const FriisPropagation model;
-  EXPECT_DOUBLE_EQ(model.loss_db(0.0), model.loss_db(0.5));
-}
-
-TEST(RangeModel, HardCutoff) {
-  const RangePropagation model(100.0);
-  EXPECT_DOUBLE_EQ(model.rx_power_dbm(10.0, {0.0, 0.0}, {99.0, 0.0}), 10.0);
-  EXPECT_TRUE(std::isinf(model.rx_power_dbm(10.0, {0.0, 0.0}, {101.0, 0.0})));
 }
 
 }  // namespace

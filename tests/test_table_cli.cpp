@@ -63,6 +63,16 @@ TEST(Cli, FallbacksWhenAbsentOrInvalid) {
   EXPECT_EQ(args.get("missing", "x"), "x");
 }
 
+TEST(Cli, ParseU64TakesDigitsOnly) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("007"), 7u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615u);
+  for (const char* text : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1e3",
+                           "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(text).has_value()) << "'" << text << "'";
+  }
+}
+
 TEST(Env, ReadsWithFallback) {
   ::setenv("AEDB_TEST_ENV_VAR", "41", 1);
   EXPECT_EQ(env_or_int("AEDB_TEST_ENV_VAR", 0), 41);

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/rng.hpp"
+#include "seeded_mutants.hpp"
 
 namespace telemetry = aedbmls::telemetry;
 
@@ -292,6 +296,88 @@ TEST(Codec, RejectsMalformedLines) {
       std::invalid_argument);
   EXPECT_THROW(telemetry::decode_snapshot_line("tunknown x 1", snapshot),
                std::invalid_argument);
+  // Signed counts must not wrap to 2^64 - n (a `--cost-priors` file with
+  // the gauge line would otherwise set a d100 prior of 8e-20 s).
+  for (const char* line : {"tcounter cells -1", "tcounter cells +1",
+                           "tgauge scenario.d100.wall_s -2 1.5 1 2",
+                           "thist front.size -1 1 1:-1"}) {
+    EXPECT_THROW(telemetry::decode_snapshot_line(line, snapshot),
+                 std::invalid_argument)
+        << line;
+  }
+  // Buckets whose running total wraps back around to the count.
+  EXPECT_THROW(telemetry::decode_snapshot_line(
+                   "thist front.size 0 2 1:18446744073709551615 2:1", snapshot),
+               std::invalid_argument);
+}
+
+TEST(Codec, SeededMutantsDecodeOrThrowInvalidArgument) {
+  // Seeded mutation harness (the cell log's pattern): every encoded line
+  // cut at every byte, seeded byte flips, seeded splices of the other
+  // lines.  A mutant either throws std::invalid_argument or decodes to a
+  // snapshot whose histograms add up, and which — when every value is
+  // finite — re-encodes and decodes to itself.
+  telemetry::Registry registry;
+  registry.counter("cells").add(7);
+  registry.counter("sim.events").add(123456789012345ULL);
+  registry.gauge("scenario.d100.wall_s").observe(0.1);
+  registry.gauge("scenario.d100.wall_s").observe(3.25);
+  registry.histogram("front.size").observe(0);
+  registry.histogram("front.size").observe(97);
+  registry.histogram("front.size").observe(std::uint64_t{1} << 40);
+  const auto lines = telemetry::encode_snapshot(registry.snapshot());
+  std::string donor;
+  for (const std::string& line : lines) donor += line + '\n';
+  aedbmls::Xoshiro256 rng(20261017);
+
+  std::size_t checked = 0;
+  std::size_t decoded = 0;
+  auto check = [&](const std::string& mutant) {
+    ++checked;
+    telemetry::Snapshot got;
+    try {
+      telemetry::decode_snapshot_line(mutant, got);
+    } catch (const std::invalid_argument&) {
+      return;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "decode threw " << error.what() << " for '" << mutant
+                    << "'";
+      return;
+    }
+    ++decoded;
+    for (const auto& [name, stat] : got.histograms) {
+      std::uint64_t total = 0;
+      for (const std::uint64_t bucket : stat.buckets) {
+        ASSERT_LE(bucket, stat.count - total) << mutant;
+        total += bucket;
+      }
+      ASSERT_EQ(total, stat.count) << mutant;
+    }
+    for (const auto& [name, stat] : got.gauges) {
+      if (!std::isfinite(stat.sum) || !std::isfinite(stat.min) ||
+          !std::isfinite(stat.max)) {
+        return;
+      }
+    }
+    telemetry::Snapshot again;
+    for (const std::string& line : telemetry::encode_snapshot(got)) {
+      telemetry::decode_snapshot_line(line, again);
+    }
+    ASSERT_EQ(again, got) << mutant;
+  };
+
+  for (const std::string& line : lines) {
+    for (std::size_t cut = 0; cut <= line.size(); ++cut) {
+      check(line.substr(0, cut));
+    }
+  }
+  for (int trial = 0; trial < 3000 && !HasFatalFailure(); ++trial) {
+    const std::string& line = lines[rng.uniform_int(lines.size())];
+    check(aedbmls::mutants::flip(line, rng));
+    check(aedbmls::mutants::splice(line, donor, rng));
+  }
+  EXPECT_GT(checked, 6000u);
+  EXPECT_GT(decoded, 100u);
 }
 
 TEST(ProgressMeter, FoldsCellsAndCounts) {
