@@ -1,5 +1,5 @@
 /// bench_fidelity_screening — the multi-fidelity racing claim, measured:
-/// racing-mode MLS (screen speculative moves at the conservative tier,
+/// racing-mode MLS (screen each candidate move at the conservative tier,
 /// promote survivors) must walk the *identical* candidate sequence as a
 /// full-fidelity run — byte-identical admitted fronts, checked here per
 /// seed — while getting through evaluations several times faster where
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   base.archive_capacity = 100;
   base.criteria = core::aedb_criteria();
 
-  const moo::EvaluationEngine engine;  // pool-less: batches run inline
+  const moo::EvaluationEngine engine;  // pool-less: walks get a run-local pool
 
   TextTable table;
   table.set_header({"scenario", "walked", "full evals (race)", "screened",

@@ -1,37 +1,18 @@
 #include "core/mls.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
+#include <span>
 
 #include "common/assert.hpp"
 #include "common/clock.hpp"
 #include "moo/core/aga_archive.hpp"
+#include "moo/core/front_io.hpp"
 #include "moo/operators/blx_alpha.hpp"
 #include "par/thread_pool.hpp"
 
 namespace aedbmls::core {
 namespace {
-
-/// Cap on the racing mode's speculative chain length.  The actual length is
-/// adaptive — 1 after an accepted move, doubling up to this cap while chains
-/// keep getting fully rejected — so the cap only bounds how hard rejection
-/// streaks are batched; it never costs speculative screens during basin
-/// descents.
-constexpr std::size_t kMaxScreenChain = 8;
-
-/// Canonical order for reported fronts: objectives, then violation, then
-/// decision vector — all lexicographic.  The archive's member order records
-/// its eviction history; sorting makes two runs that admitted the same point
-/// *set* compare byte-identical (the race==full contract, and `--front-out`
-/// artifacts).
-bool canonical_less(const moo::Solution& a, const moo::Solution& b) {
-  if (a.objectives != b.objectives) return a.objectives < b.objectives;
-  if (a.constraint_violation != b.constraint_violation) {
-    return a.constraint_violation < b.constraint_violation;
-  }
-  return a.x < b.x;
-}
 
 /// One local-search procedure of Fig. 3.  Its state persists across epochs;
 /// inside an epoch a worker writes only its own state, so workers walk in
@@ -44,22 +25,6 @@ struct Worker {
   moo::Solution s;  ///< current solution (the worker's population slot)
   std::size_t spent = 0;
   std::size_t iteration = 0;
-
-  // Racing state: the speculative chain and the RNG state recorded after
-  // generating each entry (so an accepted move can discard the stale tail
-  // and resume exactly where sequential generation would be).
-  std::vector<moo::Solution> chain;
-  std::vector<Xoshiro256> rng_after;
-  std::size_t chain_pos = 0;
-  // Adaptive chain length: speculation pays only while moves keep getting
-  // rejected, so start conservative and double after every fully-walked
-  // chain with no accept (up to the cap); snap back to 1 on an accept.
-  // Length only affects how screens are batched and how many stale-tail
-  // entries an accept discards — never which candidates are walked — so
-  // the trajectory (and the front) stays byte-identical to sequential.
-  std::size_t chain_target = 1;
-  bool grow_pending = false;
-
   std::vector<moo::Solution> submitted;  ///< this epoch's archive offers
   bool wants_sample = false;             ///< reached a reset this epoch
   AedbMls::Stats counters;               ///< summed over workers at the end
@@ -139,46 +104,19 @@ void walk_epoch(Worker& w, const Shared& shared) {
 
   while (w.spent < w.budget) {
     moo::Solution candidate;
-    bool screen_says_infeasible = false;
+    generate_candidate(candidate);
+    ++w.spent;
 
+    bool screen_says_infeasible = false;
     if (shared.screen_tier != 0) {
-      if (w.chain_pos >= w.chain.size()) {
-        // The previous chain was walked to the end without an accept (or
-        // this is the first): rejections are streaking, so batch harder.
-        if (w.grow_pending) {
-          w.chain_target = std::min(kMaxScreenChain, w.chain_target * 2);
-        }
-        w.grow_pending = true;
-        // (Re)fill the chain.  Its length never crosses the next reset
-        // boundary or the budget, so walking it in full keeps the reset
-        // schedule and the spend exactly sequential.
-        const std::size_t until_reset =
-            config.reset_period - (w.iteration % config.reset_period);
-        const std::size_t length =
-            std::min({w.chain_target, until_reset, w.budget - w.spent});
-        w.chain.assign(length, moo::Solution{});
-        w.rng_after.assign(length, w.rng);
-        for (std::size_t k = 0; k < length; ++k) {
-          generate_candidate(w.chain[k]);
-          w.chain[k].fidelity = static_cast<std::uint32_t>(shared.screen_tier);
-          w.rng_after[k] = w.rng;
-        }
-        // One batched conservative screen for the whole chain.
-        shared.evaluator.evaluate(shared.problem, w.chain);
-        w.counters.screened += length;
-        w.chain_pos = 0;
-      }
-      candidate = std::move(w.chain[w.chain_pos]);
-      ++w.chain_pos;
+      candidate.fidelity = static_cast<std::uint32_t>(shared.screen_tier);
+      shared.evaluator.evaluate(shared.problem,
+                                std::span<moo::Solution>(&candidate, 1));
+      ++w.counters.screened;
       // The screen's violation is a lower bound of the full tier's, so a
       // positive value *proves* the candidate infeasible at full fidelity.
       screen_says_infeasible = candidate.constraint_violation > 0.0;
-    } else {
-      generate_candidate(candidate);
     }
-
-    ++w.spent;
-    bool was_accepted = false;
 
     if (screen_says_infeasible) {
       // Line 9's feasibility test, decided without a full simulation.
@@ -205,37 +143,17 @@ void walk_epoch(Worker& w, const Shared& shared) {
         w.submitted.push_back(candidate);
         w.s = std::move(candidate);
         ++w.counters.accepted_moves;
-        was_accepted = true;
       } else {
         ++w.counters.rejected_infeasible;
       }
-    }
-
-    if (was_accepted && shared.screen_tier != 0 && !w.chain.empty()) {
-      // `s` changed: the rest of the chain was generated from the old `s`
-      // and is stale.  Rewind the RNG to just after the accepted
-      // candidate's generation — the state sequential generation would
-      // have here — and drop the tail.
-      w.rng = w.rng_after[w.chain_pos - 1];
-      w.chain.clear();
-      w.rng_after.clear();
-      w.chain_pos = 0;
-      // Accepts mean we are descending a basin: stop speculating ahead.
-      w.chain_target = 1;
-      w.grow_pending = false;
     }
 
     // Lines 13-16: periodic re-initialisation from the external archive
     // ends the epoch; the sample is served at the boundary.
     ++w.iteration;
     if (w.iteration % config.reset_period == 0 && w.spent < w.budget) {
-      AEDB_REQUIRE(w.chain_pos >= w.chain.size(),
-                   "speculative chain crossed a reset boundary");
       w.wants_sample = true;
       ++w.counters.resets;
-      w.chain.clear();
-      w.rng_after.clear();
-      w.chain_pos = 0;
       return;
     }
   }
@@ -258,9 +176,8 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
   }
   validate_criteria(criteria, problem.dimensions());
 
-  // Racing mode batches screens (and promotions) through an engine; a
-  // pool-less fallback keeps the single code path when the caller brings
-  // none.
+  // Every evaluation of a walk goes through one engine; a pool-less
+  // fallback keeps the single code path when the caller brings none.
   const moo::EvaluationEngine fallback_engine;
   const moo::EvaluationEngine& engine =
       config_.evaluator != nullptr ? *config_.evaluator : fallback_engine;
@@ -307,28 +224,21 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
     for (const Worker& w : workers) snapshots[w.island][w.slot] = w.s;
   };
 
-  // One pool thread per worker (the paper's deployment maps islands to
-  // cluster nodes and workers to cores; see EXPERIMENTS.md "Deviations").
-  // A lone worker walks on the calling thread instead: single-worker runs
-  // on a fresh pool thread measured 12 % fewer candidates/s (same section).
-  std::optional<par::ThreadPool> pool;
-  if (workers.size() > 1) pool.emplace(workers.size());
-  const auto for_each_worker =
-      [&](const std::function<void(std::size_t)>& fn) {
-        if (pool) {
-          pool->parallel_for(workers.size(), fn);
-        } else {
-          fn(0);
-        }
-      };
-  for_each_worker([&](std::size_t i) {
+  // Workers walk as tasks of the evaluator's pool, or of a run-local pool
+  // with one task per worker (the calling thread is one of them, so a lone
+  // worker walks on it).  See EXPERIMENTS.md "Deviations".
+  std::optional<par::ThreadPool> own_pool;
+  par::ThreadPool& pool =
+      engine.pool() != nullptr ? *engine.pool() : own_pool.emplace(workers.size());
+  pool.parallel_for(workers.size(), [&](std::size_t i) {
     const std::vector<moo::Solution>& warm = config_.initial_solutions;
     initialise(workers[i], shared, i < warm.size() ? &warm[i] : nullptr);
   });
   reconcile();  // line 4: every population is initialised
   while (std::any_of(workers.begin(), workers.end(),
                      [](const Worker& w) { return w.spent < w.budget; })) {
-    for_each_worker([&](std::size_t i) { walk_epoch(workers[i], shared); });
+    pool.parallel_for(workers.size(),
+                      [&](std::size_t i) { walk_epoch(workers[i], shared); });
     reconcile();
   }
 
@@ -344,7 +254,7 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
 
   moo::AlgorithmResult result;
   result.front = archive.contents();
-  std::sort(result.front.begin(), result.front.end(), canonical_less);
+  moo::sort_canonical(result.front);
   result.evaluations = stats_.evaluations;
   result.wall_seconds = timer.seconds();
   return result;

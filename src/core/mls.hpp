@@ -19,40 +19,34 @@
 /// **Bulk-synchronous epochs.**  The paper's workers run asynchronously
 /// against the shared archive; here they run in epochs of `reset_period`
 /// iterations, which is one legal interleaving of that model.  Inside an
-/// epoch every worker walks in parallel (one `par::ThreadPool` thread
-/// each; a lone worker walks on the calling thread), reads teammates only
+/// epoch the workers walk as one `parallel_for` on the evaluator's
+/// `par::ThreadPool` (without one, on a run-local pool of one task per
+/// worker, the calling thread included).  Each reads teammates only
 /// from its island's snapshot of the population taken at the epoch start,
 /// and buffers the solutions it accepts.  At the boundary the calling
 /// thread admits the buffers into a plain `moo::AgaArchive` in
 /// (population, worker, walk) order, serves the reset samples in flat
 /// worker order from one seeded RNG and refreshes the snapshots.  The
 /// front and `Stats` are therefore a pure function of (problem, config,
-/// seed), whatever the thread timing or the caller's thread layout —
+/// seed), whatever the thread timing or the pool's size —
 /// which also lets the racing mode below change per-candidate cost
 /// without changing any trajectory.
 ///
 /// **Racing mode** (`screen_moves`).  When the problem exposes a
 /// conservative screening tier (`Problem::screening_tier`), each worker
-/// generates a speculative chain of candidates under the assumption its
-/// moves get rejected (each chain entry snapshots the RNG so an accepted
-/// move can discard the stale tail and resume exactly where sequential
-/// generation would be), screens the chain in one
-/// `EvaluationEngine` batch at the cheap tier, and walks it in order:
+/// screens every candidate it generates at that cheap tier first:
 /// screen-proven-infeasible candidates are rejected without ever paying a
 /// full simulation; survivors are promoted to one full-fidelity
-/// evaluation that alone decides acceptance.  Chain length adapts to the
-/// local accept rate — it starts at 1, doubles (capped at 8)
-/// after every fully-rejected chain and snaps back to 1 on an accept —
-/// so rejection-dominated regions batch aggressively while basin descents
-/// waste almost no speculative screens.  Archive admission is
-/// full-fidelity-only, so the accept/reject sequence — and hence the
-/// archive content and the reported front — is identical to a
-/// non-screened run; only the wall time changes.
+/// evaluation that alone decides acceptance.  Generation never depends on
+/// a screen, and archive admission is full-fidelity-only, so the
+/// accept/reject sequence — and hence the archive content and the
+/// reported front — is identical to a non-screened run; only the wall
+/// time changes.
 ///
 /// Budget: `evaluations_per_thread` *candidates* per worker (250 in the
 /// paper => 8×12×250 = 24000 total; in racing mode screen-rejected
 /// candidates consume budget without a full simulation).  The returned
-/// front is canonically sorted.
+/// front is canonically sorted (`moo::sort_canonical`).
 
 #include "core/search_criteria.hpp"
 #include "moo/algorithms/algorithm.hpp"
@@ -82,16 +76,16 @@ struct MlsConfig {
   /// zero-bias symmetric variant.
   bool symmetric_step = false;
 
-  /// Racing mode: screen speculative neighbourhood moves at the problem's
-  /// conservative screening tier and promote only survivors to the full
-  /// evaluation (see file comment).  Falls back to the plain sequential
-  /// loop when `Problem::screening_tier()` is 0.  Admitted fronts are
-  /// byte-identical either way.
+  /// Racing mode: screen each candidate at the problem's conservative
+  /// screening tier and promote only survivors to the full evaluation (see
+  /// file comment).  Falls back to the plain loop when
+  /// `Problem::screening_tier()` is 0.  Admitted fronts are byte-identical
+  /// either way.
   bool screen_moves = false;
 
-  /// Engine the racing mode batches screens (and promotions) through; null
-  /// uses a private pool-less engine — same results, no cross-thread
-  /// batching.
+  /// Engine every evaluation goes through; the walks run on its pool.  Null,
+  /// or an engine without a pool, gives the run a pool of its own with one
+  /// task per worker — same results either way.
   const moo::EvaluationEngine* evaluator = nullptr;
 
   /// Optional warm start (the CellDE+MLS hybrid seeds islands from a
@@ -115,7 +109,7 @@ class AedbMls final : public moo::Algorithm {
     std::uint64_t resets = 0;               ///< per-thread re-initialisations
     std::uint64_t archive_inserts_accepted = 0;
     // Racing-mode counters (zero in plain mode).
-    std::uint64_t screened = 0;         ///< candidates screened at low fidelity
+    std::uint64_t screened = 0;         ///< = screen_rejected + promoted
     std::uint64_t screen_rejected = 0;  ///< rejected by the screen alone
     std::uint64_t promoted = 0;         ///< screen survivors fully evaluated
   };

@@ -23,10 +23,10 @@ core::MlsConfig mls_config_for(const Scale& scale,
   config.alpha = 0.2;        // the paper's tuned value (§V)
   config.archive_capacity = 100;
   config.criteria = core::aedb_criteria();
-  // `--fidelity=race`: screen speculative moves at the problem's
+  // `--fidelity=race`: screen each candidate move at the problem's
   // conservative tier, promote survivors — byte-identical fronts, cheaper
   // rejections.  (Problems without a conservative tier fall back to the
-  // sequential loop inside AedbMls.)
+  // plain loop inside AedbMls.)
   config.screen_moves = scale.fidelity == "race";
   config.evaluator = evaluator;
   return config;

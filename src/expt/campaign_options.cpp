@@ -147,18 +147,6 @@ constexpr FlagRow kFlags[] = {
      }},
 };
 
-/// Canonical front order: objectives lexicographically, then constraint
-/// violation, then the decision vector — a total order over distinct
-/// points, so two runs that admit the same set serialize identically no
-/// matter what order the archive saw them in.
-bool canonical_less(const moo::Solution& a, const moo::Solution& b) {
-  if (a.objectives != b.objectives) return a.objectives < b.objectives;
-  if (a.constraint_violation != b.constraint_violation) {
-    return a.constraint_violation < b.constraint_violation;
-  }
-  return a.x < b.x;
-}
-
 }  // namespace
 
 CampaignOptions parse_campaign_options(const CliArgs& args) {
@@ -248,7 +236,7 @@ void write_front_csvs(const std::string& dir, const ExperimentPlan& plan,
   std::filesystem::create_directories(dir, ec);
   for (const std::string& scenario : plan.scenarios) {
     auto front = reference_front(records, scenario);
-    std::sort(front.begin(), front.end(), canonical_less);
+    moo::sort_canonical(front);
     std::ostringstream path;
     path << dir << "/reference_" << plan.scale.name << "_" << std::hex
          << plan.fingerprint() << std::dec << "_" << scenario << ".csv";

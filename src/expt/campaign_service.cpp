@@ -95,7 +95,7 @@ ExperimentResult run_campaign_coordinator(
 
   // Cache fast path — identical contract to ExperimentDriver::run: a
   // cached CSV satisfies the campaign outright, and the loop below only
-  // serves `warm` + `done` to each worker's handshake.
+  // answers each worker's handshake with `done`.
   if (driver.use_cache && !driver.collect_records) {
     if (auto cached = load_cached_samples(driver.cache_dir, plan)) {
       result.samples = std::move(*cached);
@@ -176,11 +176,6 @@ ExperimentResult run_campaign_coordinator(
         "elastic campaign needs at least one worker (world size 1, " +
         std::to_string(pending.size()) + " cells to run)");
   }
-
-  // Cache warm-up payload: the plan's cached indicator CSV, shipped to
-  // every worker so their local caches start warm.
-  const std::string warm_bytes =
-      read_file_or_empty(indicator_csv_path(driver.cache_dir, plan));
 
   // Per-worker scheduler state.  A worker is resolved once it was sent
   // `done` or departed; the campaign ends when every expected worker is
@@ -282,6 +277,12 @@ ExperimentResult run_campaign_coordinator(
 
     const std::string& payload = message->payload;
     if (payload.rfind("ready ", 0) == 0) {
+      // The handshake comes once, first: a second `ready` would overwrite
+      // the worker's in-flight cell and lose it.
+      if (state[worker] != WorkerState::kUnknown) {
+        abandon_worker(worker, "unexpected ready", true);
+        continue;
+      }
       const std::string theirs = payload.substr(6);
       if (theirs != fp_hex) {
         transport.send(worker,
@@ -290,9 +291,6 @@ ExperimentResult run_campaign_coordinator(
                            ") — every peer must run the identical plan");
         resolve(worker, WorkerState::kGone);
         continue;
-      }
-      if (!warm_bytes.empty()) {
-        transport.send(worker, "warm\n" + warm_bytes);
       }
       dispatch(worker);
       continue;
@@ -433,18 +431,6 @@ WorkerReport run_campaign_worker(const ExperimentPlan& plan,
     if (payload.rfind("reject ", 0) == 0) {
       transport.close();
       throw std::runtime_error("elastic worker: " + payload.substr(7));
-    }
-    if (payload.rfind("warm\n", 0) == 0) {
-      if (options.driver.use_cache) {
-        std::error_code ec;
-        std::filesystem::create_directories(options.driver.cache_dir, ec);
-        const std::string path =
-            indicator_csv_path(options.driver.cache_dir, plan);
-        if (!io::atomic_write_file(path, payload.substr(5))) {
-          log_warn("elastic: cannot warm cache file ", path);
-        }
-      }
-      continue;
     }
     if (payload.rfind("cell ", 0) == 0) {
       const std::size_t index =

@@ -22,8 +22,7 @@
 /// plan fingerprint before any work is scheduled):
 ///
 ///   worker -> coord   ready <fingerprint-hex>
-///   coord  -> worker  reject <reason>            (fingerprint mismatch)
-///   coord  -> worker  warm\n<indicator CSV>      (cache warm-up, optional)
+///   coord  -> worker  reject <reason>            (mismatch or violation)
 ///   coord  -> worker  cell <index>               (one assignment)
 ///   worker -> coord   result <index>\n<cell block>   (expt/manifest.hpp)
 ///   coord  -> worker  done                       (queue drained; part ways)
@@ -48,7 +47,7 @@
 /// never an error, never silently trusting corrupt bytes.
 ///
 /// Fault tolerance: a worker that sends a malformed or contradictory
-/// result (or any unexpected message) is rejected and its in-flight cell
+/// result (or any unexpected message, a second `ready` included) is rejected and its in-flight cell
 /// requeued — only losing *every* worker fails the campaign.  Fault
 /// drills for all of these paths live behind `common/fault.hpp` plans
 /// (`net.frame.*`, `io.journal.torn_tail`, `cell.stall_ms`, ...); see
@@ -90,9 +89,8 @@ struct CampaignCoordinatorOptions {
 };
 
 struct CampaignWorkerOptions {
-  /// Per-cell execution (workers, verbose).  `use_cache` only
-  /// gates whether `warm` payloads are written to this worker's cache dir;
-  /// cells themselves are always computed.
+  /// Per-cell execution (workers, verbose).  Cells are always computed:
+  /// the cache fields are ignored.
   ExperimentDriver::Options driver;
   /// Fault injection for tests: after completing this many cells the
   /// worker abandons its next assignment by closing the transport

@@ -357,12 +357,13 @@ std::vector<RunRecord> ExperimentDriver::run_cells(
     const std::vector<ExperimentPlan::Cell>& cells) const {
   // Each cell is seeded by (plan, scenario, run) alone, and each writes its
   // own slot, so the records vector is a pure function of the plan no
-  // matter how many workers execute it.
-  // Cells are the parallel axis; each evaluates its population serially.
-  const moo::EvaluationEngine engine;
+  // matter how many workers execute it.  One pool carries the cells, their
+  // population batches and their MLS walks: at most `workers` tasks run at
+  // once, the calling thread included.
+  par::ThreadPool pool(options_.workers);
+  const moo::EvaluationEngine engine(&pool);
 
   std::vector<RunRecord> records(cells.size());
-  par::ThreadPool pool(options_.workers);
   pool.parallel_for(cells.size(), [&](std::size_t i) {
     const ExperimentPlan::Cell& cell = cells[i];
     if (options_.verbose) {
@@ -377,7 +378,7 @@ std::vector<RunRecord> ExperimentDriver::run_cells(
       options_.progress->cell_done(records[i].telemetry);
     }
   });
-  return records;  // pool drained and joined: a full barrier
+  return records;  // parallel_for returned: every cell has finished
 }
 
 telemetry::Snapshot merge_telemetry(const std::vector<RunRecord>& records) {

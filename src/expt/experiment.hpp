@@ -123,8 +123,9 @@ struct ExperimentResult {
 class ExperimentDriver {
  public:
   struct Options {
-    /// Driver worker threads cells are sharded over (0 = one per hardware
-    /// thread).  Results are bitwise-identical for any value.
+    /// Tasks that run at once, the calling thread included (0 = one per
+    /// hardware thread).  Cells, their population batches and their MLS
+    /// walks share them.  Results are bitwise-identical for any value.
     std::size_t workers = 0;
     /// Load/store the fingerprint-keyed CSV cache under `cache_dir`.
     bool use_cache = true;

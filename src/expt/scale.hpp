@@ -45,7 +45,7 @@ struct Scale {
   ///   * "full" (default) — every evaluation at full fidelity, exactly
   ///     today's behaviour;
   ///   * "race"           — exact results, cheaper search: optimisers
-  ///     screen speculative moves at the scenario's conservative tier and
+  ///     screen each candidate move at the scenario's conservative tier and
   ///     promote survivors to full fidelity; admitted fronts are
   ///     byte-identical to a "full" run;
   ///   * a ladder tier name (e.g. "screen") — the whole campaign

@@ -4,7 +4,9 @@
 /// hot path of every generational algorithm in this codebase.
 ///
 /// The engine splits a population into contiguous sub-spans and dispatches
-/// each to `Problem::evaluate_batch` on a `par::ThreadPool` worker.  Because
+/// each to `Problem::evaluate_batch` as one `par::ThreadPool` task (the
+/// pool runs `thread_count()` tasks at once, the calling thread included;
+/// a batch may be evaluated from inside another pool task).  Because
 /// the sub-spans are disjoint and a solution's result is a pure function of
 /// its decision vector (the `Problem` contract), the outcome is **bitwise
 /// identical** for any thread count and any chunking — determinism is a
@@ -36,6 +38,10 @@ class EvaluationEngine {
   EvaluationEngine() = default;
   /// Spreads batches over `pool`; null evaluates on the calling thread.
   explicit EvaluationEngine(par::ThreadPool* pool) : pool_(pool) {}
+
+  /// The pool batches run on (null when pool-less).  AEDB-MLS walks its
+  /// workers on it too.
+  [[nodiscard]] par::ThreadPool* pool() const noexcept { return pool_; }
 
   /// Evaluates every not-yet-evaluated solution in `batch`.  Results are
   /// independent of the engine's thread count (see file comment).

@@ -1,5 +1,6 @@
 #include "moo/core/front_io.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,6 +23,16 @@ std::string front_to_csv(const std::vector<Solution>& front) {
     os << s.constraint_violation << "\n";
   }
   return os.str();
+}
+
+void sort_canonical(std::vector<Solution>& front) {
+  std::sort(front.begin(), front.end(), [](const Solution& a, const Solution& b) {
+    if (a.objectives != b.objectives) return a.objectives < b.objectives;
+    if (a.constraint_violation != b.constraint_violation) {
+      return a.constraint_violation < b.constraint_violation;
+    }
+    return a.x < b.x;
+  });
 }
 
 std::vector<Solution> front_from_csv(const std::string& csv) {

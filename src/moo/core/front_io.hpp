@@ -12,6 +12,13 @@ namespace aedbmls::moo {
 /// Serialises a front as CSV: x0..x{d-1}, f0..f{m-1}, cv.
 [[nodiscard]] std::string front_to_csv(const std::vector<Solution>& front);
 
+/// Sorts a front into the canonical order: objectives, then constraint
+/// violation, then the decision vector, all lexicographic.  An archive's
+/// member order records its eviction history; sorting makes two runs that
+/// admitted the same point *set* serialise byte-identically (the
+/// race==full contract, and `--front-out` artifacts).
+void sort_canonical(std::vector<Solution>& front);
+
 /// Parses the CSV produced by `front_to_csv` (dims/objs inferred from the
 /// header).  Throws std::runtime_error on malformed input.
 [[nodiscard]] std::vector<Solution> front_from_csv(const std::string& csv);

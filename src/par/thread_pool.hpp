@@ -1,15 +1,20 @@
 #pragma once
 
-/// Fixed-size thread pool with futures and a blocking parallel_for.
+/// Fixed-size, caller-runs thread pool with one operation: a blocking
+/// parallel_for.
 ///
 /// The optimiser uses this for the shared-memory half of the hybrid model:
-/// evaluating population members concurrently (NSGA-II / CellDE benches) and
-/// running the MLS worker threads.  Tasks must not block on other queued
-/// tasks (no nested dependency resolution is performed).
+/// campaign cells, population batches (NSGA-II / CellDE) and the AEDB-MLS
+/// epoch walks all share one pool.  `ThreadPool(n)` runs at most `n` tasks
+/// at once, the calling thread included: it starts `n - 1` threads, and
+/// every `parallel_for` caller claims indices alongside them.  A caller then
+/// waits only for indices other threads have already claimed, never runs
+/// other queued work, so `fn` may itself call `parallel_for` on the same
+/// pool without deadlock.
 
 #include <cstddef>
 #include <functional>
-#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -19,40 +24,31 @@ namespace aedbmls::par {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (>=1; defaults to hardware concurrency).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Runs `tasks` tasks at once on `tasks - 1` threads plus each caller
+  /// (0 = one task per hardware thread).
+  explicit ThreadPool(std::size_t tasks = 0);
 
-  /// Joins all workers after draining the queue.
+  /// Joins the threads; helpers still queued find nothing left to claim.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Schedules `fn()` and returns its future.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto future = task->get_future();
-    const bool ok = tasks_.send([task] { (*task)(); });
-    if (!ok) {
-      // Pool already shut down: run inline so the future is not abandoned.
-      (*task)();
-    }
-    return future;
-  }
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// `fn` must be safe to invoke concurrently.
+  /// Runs fn(i) for i in [0, n) on the calling thread and the pool's idle
+  /// threads, and returns once every claimed index has finished.  `fn` must
+  /// be safe to invoke concurrently and may call `parallel_for` itself.  The
+  /// first exception `fn` throws stops further claims and is rethrown.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
+  /// Tasks that run at once, the calling thread included.
+  [[nodiscard]] std::size_t thread_count() const noexcept { return tasks_; }
 
  private:
-  void worker_loop();
+  struct Loop;
 
-  Mailbox<std::function<void()>> tasks_;
-  std::vector<std::thread> workers_;
+  std::size_t tasks_;
+  Mailbox<std::shared_ptr<Loop>> helpers_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace aedbmls::par

@@ -2,14 +2,18 @@
 /// pull scheduler reproduces the single-driver indicator samples, CSV and
 /// exact telemetry bitwise, requeues a dead worker's cells, fails loudly
 /// when the whole fleet departs, rejects fingerprint-mismatched workers,
-/// resumes from its crash journal, and warms worker caches.  The
-/// cell-block codec the wire rides on round-trips bitwise.
+/// resumes from its crash journal, never lets a worker's cache be
+/// overwritten, and rejects a repeated handshake without losing the
+/// worker's cell.  The cell-block codec the wire rides on round-trips
+/// bitwise.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -308,11 +312,20 @@ TEST(CampaignService, JournalResumesACrashedCampaign) {
   EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
-TEST(CampaignService, WarmUpShipsTheCachedCsvToWorkers) {
+TEST(CampaignService, RejectedCoordinatorCacheNeverReachesWorkers) {
+  // The worker's cache holds the plan's valid sealed CSV; the
+  // coordinator's copy is torn, so the coordinator recomputes the
+  // campaign.  The torn bytes must not overwrite the worker's file.
   const auto plan = tiny_plan();
-  const std::string coord_dir = scratch_dir("warm_coord");
-  const std::string worker_dir = scratch_dir("warm_worker");
-  (void)reference_run(plan, coord_dir);  // populates the coordinator cache
+  const std::string coord_dir = scratch_dir("torn_coord");
+  const std::string worker_dir = scratch_dir("torn_worker");
+  const auto reference = reference_run(plan, worker_dir);
+  const std::string worker_csv = slurp(indicator_csv_path(worker_dir, plan));
+  ASSERT_GT(worker_csv.size(), 100u);
+  {
+    std::ofstream torn(indicator_csv_path(coord_dir, plan), std::ios::binary);
+    torn << worker_csv.substr(0, 100);
+  }
 
   par::net::InProcWorld world(2);
   WorkerRun run;
@@ -331,14 +344,75 @@ TEST(CampaignService, WarmUpShipsTheCachedCsvToWorkers) {
       run_campaign_coordinator(plan, world.endpoint(0), coordinator);
   worker.join();
 
-  // Cache hit: nothing scheduled, and the worker's cache is now warm with
-  // the identical bytes.
-  EXPECT_TRUE(result.from_cache);
+  EXPECT_FALSE(result.from_cache);
   EXPECT_TRUE(run.error.empty()) << run.error;
-  EXPECT_EQ(run.report.cells_completed, 0u);
-  const std::string coordinator_csv = slurp(indicator_csv_path(coord_dir, plan));
-  ASSERT_FALSE(coordinator_csv.empty());
-  EXPECT_EQ(slurp(indicator_csv_path(worker_dir, plan)), coordinator_csv);
+  EXPECT_EQ(run.report.cells_completed, plan.cell_count());
+  expect_identical(result.samples, reference.samples);
+  EXPECT_EQ(slurp(indicator_csv_path(worker_dir, plan)), worker_csv);
+  EXPECT_EQ(slurp(indicator_csv_path(coord_dir, plan)), worker_csv);
+}
+
+TEST(CampaignService, SecondReadyRequeuesTheWorkersCell) {
+  // A worker that repeats its handshake while holding a cell must not
+  // lose that cell: the coordinator rejects it and requeues the cell, and
+  // an honest worker then finishes the campaign.
+  const auto plan = tiny_plan();
+  const std::string ref_dir = scratch_dir("second_ready_ref");
+  const auto reference = reference_run(plan, ref_dir);
+  char fingerprint[32];
+  std::snprintf(fingerprint, sizeof fingerprint, "%llx",
+                static_cast<unsigned long long>(plan.fingerprint()));
+  const std::string ready = std::string("ready ") + fingerprint;
+
+  par::net::InProcWorld world(3);
+  CampaignCoordinatorOptions coordinator;
+  coordinator.driver = quiet(1);
+  auto campaign = std::async(std::launch::async, [&] {
+    return run_campaign_coordinator(plan, world.endpoint(0), coordinator);
+  });
+
+  // Worker 1: `ready`, take a cell, `ready` again, leave on the answer
+  // (a rejection, or a second cell where the coordinator accepts it).
+  par::net::Transport& rogue = world.endpoint(1);
+  const auto await_reply = [&rogue] {
+    while (auto message = rogue.recv()) {
+      if (message->kind != par::net::Message::Kind::kData) continue;
+      return message->payload;
+    }
+    return std::string();
+  };
+  rogue.send(0, ready);
+  const std::string first = await_reply();
+  EXPECT_EQ(first.rfind("cell ", 0), 0u) << first;
+  rogue.send(0, ready);
+  const std::string second = await_reply();
+  rogue.close();
+
+  WorkerRun honest;
+  std::thread worker([&] {
+    CampaignWorkerOptions options;
+    options.driver = quiet(1);
+    honest = drive_worker(plan, world.endpoint(2), options);
+  });
+  if (campaign.wait_for(30s) != std::future_status::ready) {
+    // The cell is lost and the coordinator waits forever: unblock both
+    // sides so the test fails instead of hanging.
+    world.endpoint(0).close();
+    world.endpoint(2).close();
+    worker.join();
+    try {
+      (void)campaign.get();
+    } catch (const std::exception&) {
+    }
+    FAIL() << "coordinator still waiting 30 s after the second ready";
+  }
+  const auto result = campaign.get();
+  worker.join();
+
+  EXPECT_EQ(second.rfind("reject ", 0), 0u) << second;
+  EXPECT_TRUE(honest.error.empty()) << honest.error;
+  EXPECT_EQ(honest.report.cells_completed, plan.cell_count());
+  expect_identical(result.samples, reference.samples);
 }
 
 TEST(CampaignService, CostPriorsComeFromScenarioWallGauges) {

@@ -2,15 +2,22 @@
 /// CSV cache, and — the headline property — bitwise-identical indicator
 /// samples for any driver worker count (1/4/12), because cells are seeded
 /// by (plan, scenario, run) alone and the reference-front reduction runs
-/// after the barrier in plan order.
+/// after the barrier in plan order.  A campaign also evaluates on at most
+/// `workers` threads: cells, batches and MLS walks share one pool.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "expt/algorithm_registry.hpp"
 #include "expt/experiment.hpp"
 
 namespace aedbmls::expt {
@@ -155,6 +162,124 @@ TEST(ExperimentDriver, TelemetryAggregationIsWorkerCountInvariant) {
       EXPECT_EQ(sharded.telemetry.gauges.at(name).count, gauge.count) << name;
     }
   }
+}
+
+/// The distinct threads that evaluated, recorded by `ThreadRecordingProblem`.
+struct ThreadLog {
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+
+  void note() {
+    const std::lock_guard lock(mutex);
+    ids.insert(std::this_thread::get_id());
+  }
+};
+
+/// Forwards every call to `inner`, noting the thread of each evaluation.
+/// It keeps the default `evaluate_batch`, so batches reach `evaluate_at`
+/// one solution at a time on the thread that evaluates them.
+class ThreadRecordingProblem final : public moo::Problem {
+ public:
+  ThreadRecordingProblem(const moo::Problem& inner, ThreadLog& log)
+      : inner_(inner), log_(log) {}
+
+  [[nodiscard]] std::size_t dimensions() const override {
+    return inner_.dimensions();
+  }
+  [[nodiscard]] std::size_t objective_count() const override {
+    return inner_.objective_count();
+  }
+  [[nodiscard]] std::pair<double, double> bounds(
+      std::size_t dim) const override {
+    return inner_.bounds(dim);
+  }
+  [[nodiscard]] std::size_t fidelity_levels() const override {
+    return inner_.fidelity_levels();
+  }
+  [[nodiscard]] std::size_t screening_tier() const override {
+    return inner_.screening_tier();
+  }
+  [[nodiscard]] Result evaluate(const std::vector<double>& x) const override {
+    log_.note();
+    return inner_.evaluate(x);
+  }
+  [[nodiscard]] Result evaluate_at(const std::vector<double>& x,
+                                   std::size_t tier) const override {
+    log_.note();
+    return inner_.evaluate_at(x, tier);
+  }
+
+ private:
+  const moo::Problem& inner_;
+  ThreadLog& log_;
+};
+
+/// Runs `inner` on a `ThreadRecordingProblem` around the cell's problem.
+class ThreadRecordingAlgorithm final : public moo::Algorithm {
+ public:
+  ThreadRecordingAlgorithm(std::unique_ptr<moo::Algorithm> inner,
+                           ThreadLog& log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  [[nodiscard]] moo::AlgorithmResult run(const moo::Problem& problem,
+                                         std::uint64_t seed) override {
+    const ThreadRecordingProblem recorded(problem, log_);
+    return inner_->run(recorded, seed);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<moo::Algorithm> inner_;
+  ThreadLog& log_;
+};
+
+/// Shadows registry entries with thread-recording wrappers for one scope.
+class RecordThreadsOf {
+ public:
+  RecordThreadsOf(const std::vector<std::string>& names, ThreadLog& log) {
+    AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+    for (const std::string& name : names) {
+      const AlgorithmRegistry::Entry* original = registry.find(name);
+      if (original == nullptr) throw std::logic_error("unregistered " + name);
+      originals_.push_back(*original);
+    }
+    for (const AlgorithmRegistry::Entry& original : originals_) {
+      registry.add({original.name, original.description,
+                    [factory = original.factory, &log](
+                        const Scale& scale,
+                        const moo::EvaluationEngine* evaluator) {
+                      return std::make_unique<ThreadRecordingAlgorithm>(
+                          factory(scale, evaluator), log);
+                    }});
+    }
+  }
+  ~RecordThreadsOf() {
+    for (AlgorithmRegistry::Entry& original : originals_) {
+      AlgorithmRegistry::instance().add(std::move(original));
+    }
+  }
+  RecordThreadsOf(const RecordThreadsOf&) = delete;
+  RecordThreadsOf& operator=(const RecordThreadsOf&) = delete;
+
+ private:
+  std::vector<AlgorithmRegistry::Entry> originals_;
+};
+
+TEST(ExperimentDriver, CampaignEvaluatesOnAtMostWorkersThreads) {
+  // Cells, NSGA-II's population batches and the MLS walks share the
+  // driver's pool, so a 2-worker campaign evaluates on at most 2 threads.
+  Scale scale = tiny_scale();
+  scale.runs = 3;
+  scale.evals = 48;
+  const ExperimentPlan plan = ExperimentPlan::of({"AEDB-MLS", "NSGAII"}, scale);
+  ThreadLog log;
+  {
+    const RecordThreadsOf recording({"AEDB-MLS", "NSGAII"}, log);
+    const auto result = ExperimentDriver(quiet(2)).run(plan);
+    ASSERT_EQ(result.samples.size(), plan.cell_count());
+  }
+  EXPECT_GE(log.ids.size(), 1u);
+  EXPECT_LE(log.ids.size(), 2u);
 }
 
 TEST(ExperimentDriver, RecordsMatchSerialRunRepeats) {

@@ -258,7 +258,7 @@ TEST(FidelityRacing, MlsRaceFrontIsByteIdenticalToFull) {
   resetting.reset_period = 4;
   resetting.archive_capacity = 3;
 
-  const moo::EvaluationEngine engine;  // pool-less: batches run inline
+  const moo::EvaluationEngine engine;  // pool-less: walks get a run-local pool
   for (const core::MlsConfig& base : {uninterrupted, resetting}) {
     for (const std::uint64_t seed : {1ull, 42ull}) {
       core::MlsConfig full_config = base;
@@ -299,10 +299,10 @@ TEST(FidelityRacing, MlsRaceFrontIsByteIdenticalToFull) {
                 full.stats().archive_inserts_accepted);
       EXPECT_GT(race.stats().screened, 0u);
       EXPECT_EQ(full.stats().screened, 0u);
-      // Screens past an accepted move are discarded (the chain's tail is
-      // stale), so walked candidates never exceed screened ones.
-      EXPECT_LE(race.stats().screen_rejected + race.stats().promoted,
-                race.stats().screened);
+      // One screen per walked candidate: each is then either rejected by
+      // the screen or promoted to one full evaluation.
+      EXPECT_EQ(race.stats().screened,
+                race.stats().screen_rejected + race.stats().promoted);
       // Full evaluations saved = candidates the screen rejected outright.
       EXPECT_EQ(race.stats().evaluations + race.stats().screen_rejected,
                 full.stats().evaluations);

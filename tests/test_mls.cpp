@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "moo/core/dominance.hpp"
 #include "moo/core/front_io.hpp"
@@ -13,6 +15,7 @@
 #include "moo/core/normalization.hpp"
 #include "moo/indicators/hypervolume.hpp"
 #include "moo/problems/synthetic.hpp"
+#include "par/thread_pool.hpp"
 
 namespace aedbmls::core {
 namespace {
@@ -253,6 +256,58 @@ TEST(Mls, FrontAndStatsAreInvariantUnderTimingJitter) {
     EXPECT_EQ(jittered_stats.screened, stats.screened);
     EXPECT_EQ(jittered_stats.screen_rejected, stats.screen_rejected);
     EXPECT_EQ(jittered_stats.promoted, stats.promoted);
+  }
+}
+
+TEST(Mls, FrontAndStatsAreInvariantUnderThePoolSize) {
+  // 12 candidates per worker resetting every 5: every worker resets twice,
+  // so reset samples and archive admission order shape every layout.  The
+  // evaluator-less run (a run-local pool, one task per worker) is the
+  // reference; a caller's pool of any size must reproduce it exactly.
+  const moo::MiniAedbLikeProblem problem;
+  for (const auto& [populations, threads] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {2, 2}, {8, 12}}) {
+    MlsConfig config;
+    config.populations = populations;
+    config.threads_per_population = threads;
+    config.evaluations_per_thread = 12;
+    config.reset_period = 5;
+    config.archive_capacity = 20;
+    const std::size_t workers = populations * threads;
+
+    AedbMls reference(config);
+    const auto expected = reference.run(problem, 21);
+    const AedbMls::Stats& want = reference.stats();
+    ASSERT_EQ(want.resets, 2 * workers);
+    for (const std::size_t tasks : {1u, 2u, 4u, 12u}) {
+      par::ThreadPool pool(tasks);
+      const moo::EvaluationEngine engine(&pool);
+      MlsConfig pooled = config;
+      pooled.evaluator = &engine;
+      AedbMls mls(pooled);
+      const auto result = mls.run(problem, 21);
+      const std::string where = std::to_string(populations) + "x" +
+                                std::to_string(threads) + " on " +
+                                std::to_string(tasks) + " tasks";
+      ASSERT_EQ(result.front.size(), expected.front.size()) << where;
+      for (std::size_t i = 0; i < result.front.size(); ++i) {
+        EXPECT_EQ(result.front[i].x, expected.front[i].x) << where;
+        EXPECT_EQ(result.front[i].objectives, expected.front[i].objectives)
+            << where;
+        EXPECT_EQ(result.front[i].constraint_violation,
+                  expected.front[i].constraint_violation) << where;
+      }
+      const AedbMls::Stats& got = mls.stats();
+      EXPECT_EQ(got.evaluations, want.evaluations) << where;
+      EXPECT_EQ(got.accepted_moves, want.accepted_moves) << where;
+      EXPECT_EQ(got.rejected_infeasible, want.rejected_infeasible) << where;
+      EXPECT_EQ(got.resets, want.resets) << where;
+      EXPECT_EQ(got.archive_inserts_accepted, want.archive_inserts_accepted)
+          << where;
+      EXPECT_EQ(got.screened, want.screened) << where;
+      EXPECT_EQ(got.screen_rejected, want.screen_rejected) << where;
+      EXPECT_EQ(got.promoted, want.promoted) << where;
+    }
   }
 }
 

@@ -3,30 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
-#include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace aedbmls::par {
 namespace {
-
-TEST(ThreadPool, ExecutesSubmittedTasks) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, ManyTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 500; ++i) {
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(counter.load(), 500);
-}
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
@@ -54,35 +39,71 @@ TEST(ThreadPool, ParallelForUsesMultipleThreads) {
   EXPECT_GE(ids.size(), 2u);
 }
 
-TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
+TEST(ThreadPool, PoolOfOneRunsEveryIndexOnTheCallingThread) {
   ThreadPool pool(1);
-  auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(32);
+  pool.parallel_for(ran_on.size(), [&](std::size_t i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPool, ResultsInOrderViaFutures) {
+TEST(ThreadPool, NestedParallelForOnTheSamePoolCoversEveryIndexOnce) {
+  // Two tasks, both busy with outer indices that each wait on an inner
+  // loop: a pool whose callers only wait would deadlock here.
+  ThreadPool pool(2);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 8;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.parallel_for(kOuter, [&](std::size_t i) {
+    pool.parallel_for(kInner, [&](std::size_t j) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      hits[i * kInner + j].fetch_add(1);
+    });
+  });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST(ThreadPool, FirstExceptionIsRethrownAndThePoolStillWorks) {
   ThreadPool pool(3);
-  std::vector<std::future<std::size_t>> futures;
-  for (std::size_t i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
+  std::atomic<int> running{0};
+  std::atomic<int> finished{0};
+  try {
+    pool.parallel_for(64, [&](std::size_t i) {
+      running.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      finished.fetch_add(1);
+      if (i == 5) throw std::runtime_error("boom");
+    });
+    FAIL() << "the exception from fn must reach the caller";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "boom");
   }
-  for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(futures[i].get(), i * i);
+  // Every claimed index finished before the rethrow.
+  EXPECT_EQ(running.load(), finished.load());
+
+  std::vector<std::atomic<int>> hits(100);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST(ThreadPool, AnExceptionStopsFurtherClaims) {
+  ThreadPool pool(1);
+  std::size_t calls = 0;
+  EXPECT_THROW(pool.parallel_for(64,
+                                 [&](std::size_t i) {
+                                   ++calls;
+                                   if (i == 5) throw std::runtime_error("boom");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(calls, 6u);
 }
 
 TEST(ThreadPool, ThreadCountReported) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.thread_count(), 3u);
-}
-
-TEST(ThreadPool, DestructionDrainsCleanly) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      (void)pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor joins after draining
-  EXPECT_EQ(counter.load(), 100);
 }
 
 }  // namespace
