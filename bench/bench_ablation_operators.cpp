@@ -8,7 +8,6 @@
 /// Scored by normalised hypervolume and IGD against the union reference
 /// (the ExperimentDriver's per-scenario protocol).
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/stats.hpp"
@@ -29,10 +28,6 @@ int main(int argc, char** argv) {
 
   expt::ExperimentDriver::Options options;
   options.use_cache = !args.has("no-cache");
-  // Every cell here is an MLS variant that spawns its own populations x
-  // threads workers, so driver-level sharding multiplies thread counts;
-  // cap with --workers=1 for paper-scale layouts (8x12 threads per cell).
-  options.workers = static_cast<std::size_t>(std::max(0L, args.get_int("workers", 0)));
   // Honours --shard=i/N / --merge=DIR for distributed campaigns.
   const auto samples =
       expt::run_campaign_or_exit(args, expt::ExperimentPlan::of(variants, scale),

@@ -7,7 +7,6 @@
 /// forwardings — the figure's three axes), dominance counts with the
 /// paper's values alongside, CSVs under results/ for plotting.
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/table.hpp"
@@ -69,9 +68,6 @@ int main(int argc, char** argv) {
   expt::ExperimentDriver::Options options;
   options.use_cache = false;       // the raw fronts are needed every time
   options.collect_records = true;
-  // AEDB-MLS cells spawn their own islands x threads workers; cap the
-  // driver with --workers=1 for paper-scale layouts.
-  options.workers = static_cast<std::size_t>(std::max(0L, args.get_int("workers", 0)));
   // Honours --shard=i/N / --merge=DIR: with collect_records set,
   // a --merge run rebuilds the raw fronts from the shard manifests, so
   // even this records-hungry figure can be produced from a sharded

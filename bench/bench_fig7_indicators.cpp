@@ -9,7 +9,6 @@
 /// Beyond the paper: sweep any catalog workload with e.g.
 /// `--scenarios=sparse-wide,highspeed` or contenders with `--algorithms=`.
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/table.hpp"
@@ -29,7 +28,6 @@ int main(int argc, char** argv) {
 
   expt::ExperimentDriver::Options options;
   options.use_cache = !args.has("no-cache");
-  options.workers = static_cast<std::size_t>(std::max(0L, args.get_int("workers", 0)));
   // Honours --shard=i/N / --merge=DIR for distributed campaigns
   // (EXPERIMENTS.md "Distributed campaigns").
   const auto samples =

@@ -70,8 +70,6 @@ int main(int argc, char** argv) {
     for (std::size_t net = 0; net < scale.networks; ++net) {
       aedb::ScenarioConfig scenario = spec.scenario_config(scale.seed, net);
       scenario.network.mobility = condition.mobility;
-      scenario.network.static_nodes =
-          condition.mobility == sim::MobilityKind::kStatic;
       scenario.network.shadowing_sigma_db = condition.shadowing_sigma;
       const auto stats = aedb::run_scenario(scenario, knee).stats;
       coverage += static_cast<double>(stats.coverage);

@@ -7,7 +7,6 @@
 /// when available (same scale), so running the two in sequence costs one
 /// campaign.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -67,9 +66,6 @@ int main(int argc, char** argv) {
 
   expt::ExperimentDriver::Options options;
   options.use_cache = !args.has("no-cache");
-  // AEDB-MLS cells spawn their own islands x threads workers; cap the
-  // driver with --workers=1 for paper-scale layouts.
-  options.workers = static_cast<std::size_t>(std::max(0L, args.get_int("workers", 0)));
   // Honours --shard=i/N / --merge=DIR for distributed campaigns.
   const auto samples =
       expt::run_campaign_or_exit(

@@ -113,6 +113,7 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
     std::fprintf(stderr, "error: %s\n", error.what());
     std::exit(2);
   }
+  options.workers = campaign.workers;
   if (campaign.cache_dir) options.cache_dir = *campaign.cache_dir;
   // `--front-out` needs the raw fronts, not just the indicator reduction.
   if (!campaign.front_out.empty()) options.collect_records = true;
@@ -153,11 +154,11 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
         par::net::TcpListener listener(campaign.serve_port,
                                        net_options_from_env());
         std::printf("[serve] listening on port %u; waiting for %zu workers\n",
-                    listener.port(), campaign.fleet);
+                    listener.port(), campaign.workers);
         std::fflush(stdout);
-        const auto transport = listener.accept_workers(campaign.fleet);
+        const auto transport = listener.accept_workers(campaign.workers);
         std::printf("[serve] %zu workers connected; scheduling %zu cells\n",
-                    campaign.fleet, plan.cell_count());
+                    campaign.workers, plan.cell_count());
         std::fflush(stdout);
         auto result = run_campaign_coordinator(plan, *transport, coordinator);
         transport->close();

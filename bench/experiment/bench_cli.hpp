@@ -31,8 +31,11 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 /// `--list-algorithms` listing flags (exit 0).
 [[nodiscard]] Scale resolve_scale_or_exit(const CliArgs& args);
 
-/// Runs (or merges) a campaign, honouring the distribution flags shared by
-/// every campaign bench:
+/// Runs (or merges) a campaign, honouring the flags shared by every
+/// campaign bench:
+///   --workers=N    tasks the driver runs at once: its cells, their
+///                  population batches and their MLS walks (digits only;
+///                  0, the default, is one per hardware thread)
 ///   --shard=i/N    run only shard i of N (0-based) and write its cells
 ///                  as a cell log (expt/manifest.hpp) under --shard-dir
 ///                  (default "shards"), then exit 0 — a later --merge run

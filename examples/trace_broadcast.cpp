@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   sim::NetworkConfig network_config;
   network_config.node_count = static_cast<std::size_t>(args.get_int("nodes", 12));
   network_config.seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
-  network_config.static_nodes = args.has("static");
+  if (args.has("static")) network_config.mobility = sim::MobilityKind::kStatic;
   // A compact arena so a dozen nodes form a connected multi-hop topology
   // (decode range is ~140 m at default power).
   network_config.area_width = args.get_double("area", 250.0);

@@ -59,22 +59,14 @@ struct ScenarioResult {
 class SimulationContext;
 
 /// Per-worker reusable evaluation state.  The paper's setup judges every
-/// candidate configuration on the *same* fixed networks, so two things are
-/// worth keeping alive across evaluations on a worker thread:
+/// candidate configuration on the *same* fixed networks, so a worker thread
+/// keeps one pooled `SimulationContext` (a complete simulation object
+/// graph) per network configuration, and `run_scenario` rebinds an existing
+/// graph instead of reconstructing `Simulator`/`Network`/apps on every call.
 ///
-///  * **topologies** — placement draws are pure functions of
-///    (seed, network_index); each is computed once and cached.
-///    Bitwise-neutral: cached positions are exactly what `Network` would
-///    re-derive;
-///  * **simulation contexts** — complete pooled object graphs
-///    (`SimulationContext`), keyed like the topology entries, so
-///    `run_scenario` re-arms an existing graph instead of reconstructing
-///    `Simulator`/`Network`/apps on every call.
-///
-/// Both caches are recency-ordered (move-to-front on hit, evict from the
-/// back), which makes the common repeated-lookup pattern O(1).
-/// Not thread-safe; use one instance per thread (see
-/// `AedbTuningProblem::evaluate_batch`).
+/// The pool is recency-ordered (move-to-front on hit, evict from the back),
+/// which makes the common repeated-lookup pattern O(1).  Not thread-safe;
+/// use one instance per thread (see `AedbTuningProblem::evaluate_batch`).
 class ScenarioWorkspace {
  public:
   ScenarioWorkspace();
@@ -82,53 +74,26 @@ class ScenarioWorkspace {
   ScenarioWorkspace(const ScenarioWorkspace&) = delete;
   ScenarioWorkspace& operator=(const ScenarioWorkspace&) = delete;
 
-  /// Positions for `net`'s topology, computed on first use and cached.
-  /// The reference stays valid until the next call (LRU eviction).
-  [[nodiscard]] const std::vector<sim::Vec2>& positions_for(
-      const sim::NetworkConfig& net);
-
-  /// The pooled simulation context for `net`'s topology key, built on
-  /// first use.  A context whose key matches but whose full network
-  /// configuration differs re-arms itself on the next run (see
-  /// `SimulationContext::run`).  The reference stays valid until the next
-  /// call (LRU eviction).
+  /// The pooled simulation context for network configurations
+  /// `sim::equivalent` to `net`, built on first use.  The reference stays
+  /// valid until the next call (LRU eviction).
   [[nodiscard]] SimulationContext& context_for(const sim::NetworkConfig& net);
 
   struct Stats {
-    std::uint64_t hits = 0;            ///< runs served from the topology cache
-    std::uint64_t misses = 0;          ///< topologies built
     std::uint64_t context_hits = 0;    ///< runs served by a pooled context
     std::uint64_t context_misses = 0;  ///< contexts built
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  /// What placement (and hence context identity) depends on.
-  struct TopologyKey {
-    std::uint64_t seed = 0;
-    std::uint64_t network_index = 0;
-    std::size_t node_count = 0;
-    double area_width = 0.0;
-    double area_height = 0.0;
-
-    [[nodiscard]] static TopologyKey of(const sim::NetworkConfig& net) noexcept;
-    friend constexpr bool operator==(const TopologyKey&, const TopologyKey&) = default;
-  };
-  struct Topology {
-    TopologyKey key;
-    std::vector<sim::Vec2> positions;
-  };
   struct PooledContext {
-    TopologyKey key;
+    sim::NetworkConfig network;  ///< the configuration it was built for
     std::unique_ptr<SimulationContext> context;
   };
-  static constexpr std::size_t kCapacity = 64;  ///< > densities x networks
-  /// Contexts hold full object graphs; bound their count tighter than the
-  /// (cheap) position entries.  10 fixed evaluation networks per problem
-  /// fit with room for an interleaved second scenario.
+  /// Contexts hold full object graphs; one problem's 10 fixed evaluation
+  /// networks fit with room to spare.
   static constexpr std::size_t kContextCapacity = 16;
 
-  std::vector<Topology> cache_;          ///< recency-ordered, front = MRU
   std::vector<PooledContext> contexts_;  ///< recency-ordered, front = MRU
   Stats stats_{};
 };
@@ -136,8 +101,8 @@ class ScenarioWorkspace {
 /// Runs the scenario once with the given protocol configuration on a fresh
 /// (stack-built) `SimulationContext`.  Deterministic: identical
 /// (config, params) always yields identical stats, with or without a
-/// workspace — pooled/re-armed runs are bitwise-identical to
-/// fresh-construction runs.
+/// workspace — pooled runs are bitwise-identical to fresh-construction
+/// runs.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config,
                                           const AedbParams& params);
 

@@ -4,25 +4,14 @@
 
 namespace aedbmls::aedb {
 
-bool SimulationContext::bind_network(const sim::NetworkConfig& config,
-                                     ScenarioWorkspace* workspace) {
+bool SimulationContext::bind_network(const sim::NetworkConfig& config) {
   if (network_.has_value() && sim::equivalent(network_->config(), config)) {
     network_->restart();
     ++stats_.rebinds;
     return false;
   }
-  sim::NetworkConfig network_config = config;
-  if (workspace != nullptr && network_config.preset_positions == nullptr) {
-    network_config.preset_positions =
-        &workspace->positions_for(network_config);
-  }
-  if (!network_.has_value()) {
-    network_.emplace(simulator_, network_config);
-    ++stats_.builds;
-  } else {
-    network_->reset(network_config);
-    ++stats_.reconfigures;
-  }
+  network_.emplace(simulator_, config);
+  ++stats_.builds;
   return true;
 }
 
@@ -100,18 +89,6 @@ void SimulationContext::configure_apps(const ScenarioConfig& config,
 
 ScenarioResult SimulationContext::run(const ScenarioConfig& config,
                                       const AedbParams& params) {
-  return run_impl(config, params, nullptr);
-}
-
-ScenarioResult SimulationContext::run(const ScenarioConfig& config,
-                                      const AedbParams& params,
-                                      ScenarioWorkspace& workspace) {
-  return run_impl(config, params, &workspace);
-}
-
-ScenarioResult SimulationContext::run_impl(const ScenarioConfig& config,
-                                           const AedbParams& params,
-                                           ScenarioWorkspace* workspace) {
   // Note: beacon_start may be *after* broadcast_at — a valid (if unusual)
   // configuration in which forwarders have no neighbor knowledge and fall
   // back to default-power transmissions (exercised by the test suite).
@@ -119,7 +96,7 @@ ScenarioResult SimulationContext::run_impl(const ScenarioConfig& config,
 
   simulator_.reset(
       CounterRng(config.network.seed, {config.network.network_index}).key());
-  const bool reinstall = bind_network(config.network, workspace);
+  const bool reinstall = bind_network(config.network);
   configure_apps(config, params, reinstall);
   const std::size_t n = network_->size();
 

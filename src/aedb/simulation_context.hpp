@@ -8,16 +8,14 @@
 /// (nodes, radios, channel), the per-node applications and the statistics
 /// collector — and *re-arms* it between runs instead of reconstructing it:
 ///
-///  * **rebind** (hot path): the network configuration is unchanged, only
-///    the AEDB candidate differs — the scheduler arena, node storage,
-///    radios and installed apps are all reused; per-run heap allocations
-///    drop to near zero;
-///  * **reconfigure**: a different network configuration lands on this
-///    context — the graph is re-armed in place, reusing node/device
-///    storage when `node_count` matches;
-///  * **build**: first use — the graph is constructed.
+///  * **rebind** (hot path): the network configuration is
+///    `sim::equivalent` to the last run's, only the AEDB candidate differs —
+///    the scheduler arena, node storage, radios and installed apps are all
+///    reused; per-run heap allocations drop to near zero;
+///  * **build**: first use, or a different network configuration — the
+///    graph is constructed anew (the scheduler arena is kept).
 ///
-/// Determinism contract: a pooled/re-armed run produces a bitwise-identical
+/// Determinism contract: a pooled run produces a bitwise-identical
 /// `ScenarioResult` to a fresh-construction run (regression-tested in
 /// `test_scenario_pooling`).  Not thread-safe; use one context per thread
 /// (see `ScenarioWorkspace`).
@@ -45,29 +43,17 @@ class SimulationContext {
   [[nodiscard]] ScenarioResult run(const ScenarioConfig& config,
                                    const AedbParams& params);
 
-  /// As above; `workspace` supplies cached topology placements on graph
-  /// (re)builds (it is not used on the rebind hot path).
-  [[nodiscard]] ScenarioResult run(const ScenarioConfig& config,
-                                   const AedbParams& params,
-                                   ScenarioWorkspace& workspace);
-
   /// How runs hit the reuse tiers (test/bench visibility).
   struct Stats {
-    std::uint64_t builds = 0;        ///< graphs constructed from scratch
-    std::uint64_t reconfigures = 0;  ///< re-armed for a different network config
-    std::uint64_t rebinds = 0;       ///< hot path: same network, new candidate
+    std::uint64_t builds = 0;   ///< graphs constructed
+    std::uint64_t rebinds = 0;  ///< hot path: same network, new candidate
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  /// Shared body of the `run` overloads (`workspace` may be null).
-  [[nodiscard]] ScenarioResult run_impl(const ScenarioConfig& config,
-                                        const AedbParams& params,
-                                        ScenarioWorkspace* workspace);
-
   /// Ensures `network_` matches `config`; returns true when the graph was
-  /// (re)built and the applications must be re-installed.
-  bool bind_network(const sim::NetworkConfig& config, ScenarioWorkspace* workspace);
+  /// built and the applications must be installed.
+  bool bind_network(const sim::NetworkConfig& config);
 
   /// Installs (or re-arms) beaconing + AEDB on every node and re-opens the
   /// statistics ledger.  Event-scheduling and RNG-draw order is identical

@@ -8,9 +8,9 @@
 namespace aedbmls::aedb {
 namespace {
 
-/// One reusable workspace per evaluating thread.  Topology cache entries
-/// are keyed by everything placement depends on, so sharing the workspace
-/// across problem instances (and problem lifetimes) is safe.
+/// One reusable workspace per evaluating thread.  Its contexts are keyed by
+/// the whole network configuration, so sharing the workspace across
+/// problem instances (and problem lifetimes) is safe.
 ScenarioWorkspace& thread_workspace() {
   thread_local ScenarioWorkspace workspace;
   return workspace;
@@ -163,8 +163,8 @@ void AedbTuningProblem::evaluate_batch(std::span<moo::Solution> batch) const {
   // `SimulationContext`s (reused simulators, networks and event arenas)
   // instead of reconstructing the object graph per evaluation.  Tiers may
   // be mixed freely — truncated-window tiers share the full tier's pooled
-  // contexts (same topology key), so screening piggybacks on the warm
-  // graphs.
+  // contexts (same network configuration), so screening piggybacks on the
+  // warm graphs.
   ScenarioWorkspace& workspace = thread_workspace();
   for (moo::Solution& s : batch) {
     if (s.evaluated) continue;

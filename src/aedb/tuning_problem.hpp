@@ -14,10 +14,10 @@
 /// `evaluate` is const and thread-safe: all expensive evaluation state is
 /// per-thread, which is what lets AEDB-MLS run 96 concurrent evaluators.
 /// Each worker thread owns a `ScenarioWorkspace` whose pooled
-/// `SimulationContext`s keep the fixed evaluation networks' simulation
-/// graphs alive across evaluations — `run_scenario` re-arms a pooled graph
-/// (bitwise-identical to fresh construction) instead of rebuilding
-/// `Simulator`/`Network`/apps on every call.
+/// `SimulationContext`s, one per fixed evaluation network, keep the
+/// simulation graphs alive across evaluations — `run_scenario` rebinds a
+/// pooled graph (bitwise-identical to fresh construction) instead of
+/// rebuilding `Simulator`/`Network`/apps on every call.
 
 #include <atomic>
 #include <cstdint>
@@ -85,8 +85,8 @@ class AedbTuningProblem final : public moo::Problem {
   /// Batched evaluation with per-thread scenario reuse: the worker's
   /// `ScenarioWorkspace` is acquired once per batch, and its pooled
   /// `SimulationContext`s keep the fixed evaluation networks' entire
-  /// simulation graphs (and topologies) alive across the whole batch and
-  /// across batches on the same thread.  A batch may mix fidelity tiers
+  /// simulation graphs alive across the whole batch and across batches on
+  /// the same thread.  A batch may mix fidelity tiers
   /// (`Solution::fidelity`); each solution's recorded fidelity is the
   /// effective tier it was evaluated at.  Results are bitwise-identical to
   /// per-solution `evaluate_at()` calls.

@@ -9,18 +9,15 @@ namespace aedbmls {
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      arg.erase(0, 2);
-      const auto eq = arg.find('=');
-      if (eq != std::string::npos) {
-        options_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        options_[arg] = argv[++i];
-      } else {
-        options_[arg] = "";
-      }
+    if (arg.rfind("--", 0) != 0) continue;
+    arg.erase(0, 2);
+    const auto eq = arg.find('=');
+    if (eq != std::string::npos) {
+      options_[arg.substr(0, eq)] = arg.substr(eq + 1);
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      options_[arg] = argv[++i];
     } else {
-      positional_.push_back(std::move(arg));
+      options_[arg] = "";
     }
   }
 }

@@ -15,7 +15,8 @@ namespace aedbmls {
 /// Parsed command line.
 class CliArgs {
  public:
-  /// Parses argv; unknown options are kept (benches decide what to accept).
+  /// Parses argv; unknown options are kept (benches decide what to accept)
+  /// and non-option arguments are ignored.
   CliArgs(int argc, const char* const* argv);
 
   /// True if `--name` was present (with or without value).
@@ -31,14 +32,8 @@ class CliArgs {
   /// Double value of `--name`, or `fallback` when absent/invalid.
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
 
-  /// Positional (non-option) arguments in order.
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
-
  private:
   std::map<std::string, std::string> options_;
-  std::vector<std::string> positional_;
 };
 
 /// Splits a comma-separated list into its non-empty tokens, in order

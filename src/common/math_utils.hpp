@@ -1,28 +1,9 @@
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
 namespace aedbmls {
-
-/// Clamps x into [lo, hi].
-[[nodiscard]] constexpr double clamp(double x, double lo, double hi) noexcept {
-  return std::min(std::max(x, lo), hi);
-}
-
-/// Linear interpolation between a and b.
-[[nodiscard]] constexpr double lerp(double a, double b, double t) noexcept {
-  return a + (b - a) * t;
-}
-
-/// Approximate equality with absolute + relative tolerance.
-[[nodiscard]] inline bool almost_equal(double a, double b, double abs_tol = 1e-12,
-                                       double rel_tol = 1e-9) noexcept {
-  const double diff = std::fabs(a - b);
-  if (diff <= abs_tol) return true;
-  return diff <= rel_tol * std::max(std::fabs(a), std::fabs(b));
-}
 
 /// Squared Euclidean distance between equally sized vectors.
 [[nodiscard]] inline double squared_distance(const std::vector<double>& a,

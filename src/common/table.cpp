@@ -21,15 +21,6 @@ void TextTable::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TextTable::add_numeric_row(const std::string& label,
-                                const std::vector<double>& values, int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size() + 1);
-  row.push_back(label);
-  for (double v : values) row.push_back(format_double(v, precision));
-  add_row(std::move(row));
-}
-
 std::string TextTable::to_string() const {
   std::vector<std::size_t> widths;
   auto grow = [&widths](const std::vector<std::string>& row) {

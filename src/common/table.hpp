@@ -12,8 +12,8 @@
 
 namespace aedbmls {
 
-/// Column-aligned text table.  Cells are strings; numeric helpers format
-/// with a fixed precision.
+/// Column-aligned text table.  Cells are strings; `format_double` formats
+/// numbers with a fixed precision.
 class TextTable {
  public:
   /// Sets the header row.
@@ -21,10 +21,6 @@ class TextTable {
 
   /// Appends a data row (must match header size when header was set).
   void add_row(std::vector<std::string> row);
-
-  /// Appends a row of doubles formatted with `precision` digits.
-  void add_numeric_row(const std::string& label, const std::vector<double>& values,
-                       int precision = 4);
 
   /// Renders with column alignment and a header separator.
   [[nodiscard]] std::string to_string() const;

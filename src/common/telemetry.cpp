@@ -146,11 +146,6 @@ std::vector<std::string> encode_snapshot(const Snapshot& snapshot) {
   return lines;
 }
 
-bool is_telemetry_line(const std::string& line) {
-  return line.rfind("tcounter ", 0) == 0 || line.rfind("tgauge ", 0) == 0 ||
-         line.rfind("thist ", 0) == 0;
-}
-
 void decode_snapshot_line(const std::string& line, Snapshot& snapshot) {
   const auto tokens = tokens_of(line);
   if (tokens.empty()) fail(line, "empty line");

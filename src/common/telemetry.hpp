@@ -148,9 +148,6 @@ class Registry {
 [[nodiscard]] std::vector<std::string> encode_snapshot(
     const Snapshot& snapshot);
 
-/// True when `line` starts with a telemetry keyword (`tcounter` etc.).
-[[nodiscard]] bool is_telemetry_line(const std::string& line);
-
 /// Decodes one `encode_snapshot` line into `snapshot` (merging on name
 /// collision).  Throws std::invalid_argument on anything malformed.
 void decode_snapshot_line(const std::string& line, Snapshot& snapshot);

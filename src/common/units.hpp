@@ -25,9 +25,4 @@ namespace aedbmls {
   return std::pow(10.0, db / 10.0);
 }
 
-/// linear ratio -> dB.  ratio must be > 0.
-[[nodiscard]] inline double ratio_to_db(double ratio) noexcept {
-  return 10.0 * std::log10(ratio);
-}
-
 }  // namespace aedbmls

@@ -39,6 +39,11 @@ struct Shared {
   std::size_t screen_tier;  ///< 0 = plain sequential loop
   /// Per-island copy of the population, refreshed at epoch boundaries.
   const std::vector<std::vector<moo::Solution>>& snapshots;
+
+  /// Every evaluation of the run goes through the engine.
+  void evaluate(moo::Solution& s) const {
+    evaluator.evaluate(problem, std::span<moo::Solution>(&s, 1));
+  }
 };
 
 /// Lines 1-2: warm start if provided, otherwise random with a few retries
@@ -49,7 +54,7 @@ void initialise(Worker& w, const Shared& shared, const moo::Solution* warm) {
   if (warm != nullptr) {
     w.s = *warm;
     if (!w.s.evaluated) {
-      shared.problem.evaluate_into(w.s);
+      shared.evaluate(w.s);
       ++w.counters.evaluations;
     }
   } else {
@@ -57,7 +62,7 @@ void initialise(Worker& w, const Shared& shared, const moo::Solution* warm) {
          attempt <= shared.config.feasible_init_retries; ++attempt) {
       moo::Solution s;
       s.x = shared.problem.random_point(w.rng);
-      shared.problem.evaluate_into(s);
+      shared.evaluate(s);
       ++w.counters.evaluations;
       if (!w.s.evaluated ||
           s.constraint_violation < w.s.constraint_violation) {
@@ -110,8 +115,7 @@ void walk_epoch(Worker& w, const Shared& shared) {
     bool screen_says_infeasible = false;
     if (shared.screen_tier != 0) {
       candidate.fidelity = static_cast<std::uint32_t>(shared.screen_tier);
-      shared.evaluator.evaluate(shared.problem,
-                                std::span<moo::Solution>(&candidate, 1));
+      shared.evaluate(candidate);
       ++w.counters.screened;
       // The screen's violation is a lower bound of the full tier's, so a
       // positive value *proves* the candidate infeasible at full fidelity.
@@ -134,8 +138,7 @@ void walk_epoch(Worker& w, const Shared& shared) {
         ++w.counters.promoted;
       }
       // Line 8: evaluate (full fidelity).
-      shared.evaluator.evaluate(shared.problem,
-                                std::span<moo::Solution>(&candidate, 1));
+      shared.evaluate(candidate);
       ++w.counters.evaluations;
 
       // Lines 9-12: accept only feasible perturbations.

@@ -93,14 +93,6 @@ constexpr ModeRow kModes[] = {
               "port)");
        }
        out.serve_port = static_cast<std::uint16_t>(port);
-       // In serve mode the coordinator runs no cells itself, so --workers
-       // names the fleet: how many worker processes to accept.
-       const long fleet = args.get_int("workers", 0);
-       if (fleet < 1) {
-         fail("--serve needs --workers=N (the number of worker processes "
-              "that will --connect)");
-       }
-       out.fleet = static_cast<std::size_t>(fleet);
      }},
     {"connect", CampaignMode::kConnect,
      [](const CliArgs& args, CampaignOptions& out) {
@@ -115,6 +107,17 @@ struct FlagRow {
 };
 
 constexpr FlagRow kFlags[] = {
+    {"workers",
+     [](const CliArgs& args, CampaignOptions& out) {
+       const std::string spec = args.get("workers");
+       const auto workers = parse_u64(spec);
+       if (!workers) {
+         fail("bad --workers value '" + spec +
+              "'; expected a task count, digits only (0 = one per "
+              "hardware thread)");
+       }
+       out.workers = static_cast<std::size_t>(*workers);
+     }},
     {"cache-dir",
      [](const CliArgs& args, CampaignOptions& out) {
        out.cache_dir = args.get("cache-dir");
@@ -167,6 +170,12 @@ CampaignOptions parse_campaign_options(const CliArgs& args) {
   }
   for (const FlagRow& row : kFlags) {
     if (args.has(row.flag)) row.parse(args, out);
+  }
+  // In serve mode the coordinator runs no cells itself, so --workers names
+  // the fleet: how many worker processes to accept.
+  if (out.mode == CampaignMode::kServe && out.workers == 0) {
+    fail("--serve needs --workers=N (the number of worker processes that "
+         "will --connect)");
   }
   // Partial-result executors never hold the full record set a reference
   // front needs.

@@ -3,9 +3,9 @@
 /// CampaignOptions — the unified campaign CLI surface.
 ///
 /// Every campaign bench accepts the same distribution / observability
-/// flags (`--shard`, `--merge`, `--serve`, `--connect`, `--progress`,
-/// `--telemetry-out`, `--front-out`, `--cost-priors`, `--fault-plan`,
-/// `--cache-dir`).  This header owns their parsing and
+/// flags (`--workers`, `--shard`, `--merge`, `--serve`, `--connect`,
+/// `--progress`, `--telemetry-out`, `--front-out`, `--cost-priors`,
+/// `--fault-plan`, `--cache-dir`).  This header owns their parsing and
 /// validation as one table-driven pass: each flag has a single descriptor
 /// (spelling, operand grammar, which mode it selects), mode mutual
 /// exclusion is diagnosed in one loop that names the clashing pair, and
@@ -39,6 +39,9 @@ enum class CampaignMode {
 /// The validated campaign-wide options of one bench invocation.
 struct CampaignOptions {
   CampaignMode mode = CampaignMode::kLocal;
+  /// --workers=N, digits only: the driver's task count (0 = one per
+  /// hardware thread); in --serve mode the fleet size, at least 1.
+  std::size_t workers = 0;
 
   // --shard=i/N + --shard-dir
   std::size_t shard_index = 0;
@@ -46,9 +49,8 @@ struct CampaignOptions {
   std::string shard_dir = "shards";
   // --merge
   std::string merge_dir;
-  // --serve + --workers (fleet size, not driver threads)
+  // --serve
   std::uint16_t serve_port = 0;
-  std::size_t fleet = 0;
   // --connect
   std::string connect_host;
   std::uint16_t connect_port = 0;

@@ -47,7 +47,6 @@ aedb::ScenarioConfig ScenarioSpec::scenario_config(
   config.network.area_width = area_width_m;
   config.network.area_height = area_height_m;
   config.network.mobility = mobility;
-  config.network.static_nodes = mobility == sim::MobilityKind::kStatic;
   config.network.min_speed = min_speed_mps;
   config.network.max_speed = max_speed_mps;
   config.network.mobility_epoch = sim::seconds_d(mobility_epoch_s);

@@ -39,40 +39,6 @@ double nearest_distance(const std::vector<double>& point,
 
 }  // namespace
 
-double spread_2d(const std::vector<Solution>& front,
-                 const std::vector<Solution>& reference) {
-  AEDB_REQUIRE(!front.empty() && !reference.empty(), "spread of empty front");
-  AEDB_REQUIRE(front.front().objectives.size() == 2, "spread_2d needs 2 objectives");
-
-  std::vector<Solution> sorted = front;
-  std::sort(sorted.begin(), sorted.end(), [](const Solution& a, const Solution& b) {
-    return a.objectives[0] < b.objectives[0];
-  });
-
-  const auto ref_extremes = extreme_points(reference);
-  const double df = euclidean_distance(sorted.front().objectives, ref_extremes[0]);
-  const double dl = euclidean_distance(sorted.back().objectives, ref_extremes[1]);
-
-  if (sorted.size() < 2) return 1.0;  // a single point has no distribution
-  std::vector<double> gaps;
-  gaps.reserve(sorted.size() - 1);
-  for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-    gaps.push_back(
-        euclidean_distance(sorted[i].objectives, sorted[i + 1].objectives));
-  }
-  double mean = 0.0;
-  for (const double g : gaps) mean += g;
-  mean /= static_cast<double>(gaps.size());
-
-  double deviation = 0.0;
-  for (const double g : gaps) deviation += std::fabs(g - mean);
-
-  const double denom =
-      df + dl + static_cast<double>(gaps.size()) * mean;
-  if (denom <= 0.0) return 0.0;
-  return (df + dl + deviation) / denom;
-}
-
 double generalized_spread(const std::vector<Solution>& front,
                           const std::vector<Solution>& reference) {
   AEDB_REQUIRE(!front.empty() && !reference.empty(), "spread of empty front");

@@ -1,13 +1,9 @@
 #pragma once
 
-/// Spread (diversity) indicators.
-///
-/// * `spread_2d` — Deb's Δ (Eq. 4 of the paper): consecutive-distance
-///   variation along a bi-objective front plus the gaps to the reference
-///   extremes.  Only defined for 2 objectives.
-/// * `generalized_spread` — Zhou et al.'s Δ* extension used by jMetal for
-///   3+ objectives (nearest-neighbour distances replace consecutive ones);
-///   this is what the paper's 3-objective comparison effectively computes.
+/// Spread (diversity) indicator: Zhou et al.'s generalised spread Δ*, the
+/// extension of Deb's Δ (Eq. 4 of the paper) used by jMetal for 3+
+/// objectives (nearest-neighbour distances replace consecutive ones); this
+/// is what the paper's 3-objective comparison effectively computes.
 /// Zero means ideally distributed; larger is worse.
 
 #include <vector>
@@ -15,11 +11,6 @@
 #include "moo/core/solution.hpp"
 
 namespace aedbmls::moo {
-
-/// Deb's Δ for two objectives.  `reference` provides the true extreme
-/// points; `front` must be non-empty.
-[[nodiscard]] double spread_2d(const std::vector<Solution>& front,
-                               const std::vector<Solution>& reference);
 
 /// Generalised spread Δ* for any objective count (>= 2).
 [[nodiscard]] double generalized_spread(const std::vector<Solution>& front,

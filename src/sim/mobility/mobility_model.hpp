@@ -31,9 +31,6 @@ class ConstantPositionMobility final : public MobilityModel {
   [[nodiscard]] Vec2 position(Time) const override { return position_; }
   [[nodiscard]] Vec2 velocity(Time) const override { return {0.0, 0.0}; }
 
-  /// Moves the node (for tests building specific topologies).
-  void set_position(Vec2 p) noexcept { position_ = p; }
-
  private:
   Vec2 position_;
 };

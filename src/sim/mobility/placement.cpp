@@ -1,7 +1,5 @@
 #include "sim/mobility/placement.hpp"
 
-#include <cmath>
-
 namespace aedbmls::sim {
 
 std::vector<Vec2> uniform_positions(const CounterRng& stream, std::size_t count,
@@ -11,21 +9,6 @@ std::vector<Vec2> uniform_positions(const CounterRng& stream, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     out.push_back({stream.uniform(2 * i, 0.0, width),
                    stream.uniform(2 * i + 1, 0.0, height)});
-  }
-  return out;
-}
-
-std::vector<Vec2> grid_positions(std::size_t count, double width, double height) {
-  std::vector<Vec2> out;
-  out.reserve(count);
-  const auto cols = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(count))));
-  const std::size_t rows = (count + cols - 1) / cols;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t r = i / cols;
-    const std::size_t c = i % cols;
-    out.push_back({(static_cast<double>(c) + 0.5) * width / static_cast<double>(cols),
-                   (static_cast<double>(r) + 0.5) * height / static_cast<double>(rows)});
   }
   return out;
 }

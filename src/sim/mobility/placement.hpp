@@ -16,9 +16,4 @@ namespace aedbmls::sim {
                                                   std::size_t count, double width,
                                                   double height);
 
-/// `count` positions on a jittered grid (used by tests that need guaranteed
-/// spatial spread without randomness dominating).
-[[nodiscard]] std::vector<Vec2> grid_positions(std::size_t count, double width,
-                                               double height);
-
 }  // namespace aedbmls::sim

@@ -22,12 +22,6 @@ class RandomWaypointMobility final : public MobilityModel {
 
   RandomWaypointMobility(Config config, Vec2 initial, CounterRng stream);
 
-  /// Re-arms the trajectory in place (pooled networks reuse the object):
-  /// equivalent to constructing a fresh model with the same arguments.
-  void reset(Config config, Vec2 initial, CounterRng stream) {
-    *this = RandomWaypointMobility(config, initial, stream);
-  }
-
   [[nodiscard]] Vec2 position(Time t) const override;
   [[nodiscard]] Vec2 velocity(Time t) const override;
 

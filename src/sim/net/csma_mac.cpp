@@ -13,9 +13,7 @@ CsmaBroadcastMac::CsmaBroadcastMac(Simulator& simulator, WirelessPhy& phy,
   phy_.set_tx_done_callback([this] { tx_finished(); });
 }
 
-void CsmaBroadcastMac::reset(const Params& params, std::uint64_t rng_seed) {
-  AEDB_REQUIRE(params.cw >= 1, "contention window must be >= 1");
-  params_ = params;
+void CsmaBroadcastMac::reset(std::uint64_t rng_seed) {
   rng_ = Xoshiro256(rng_seed);
   queue_head_ = 0;
   queue_count_ = 0;

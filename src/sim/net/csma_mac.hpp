@@ -47,10 +47,10 @@ class CsmaBroadcastMac {
   void enqueue(Frame frame, double tx_power_dbm);
 
   /// Rearms the MAC for a fresh run: queue flushed, RNG re-seeded, flags
-  /// and counters cleared.  Drop/sent callbacks are kept (pooled contexts
-  /// install them once at graph build).  Bitwise-equivalent to constructing
-  /// a new MAC with the same arguments.
-  void reset(const Params& params, std::uint64_t rng_seed);
+  /// and counters cleared.  Parameters and drop/sent callbacks are kept
+  /// (pooled contexts install them once at graph build).  Bitwise-equivalent
+  /// to constructing a new MAC with the same parameters and `rng_seed`.
+  void reset(std::uint64_t rng_seed);
 
   void set_drop_callback(DropCallback cb) { on_drop_ = std::move(cb); }
   void set_sent_callback(SentCallback cb) { on_sent_ = std::move(cb); }

@@ -30,10 +30,9 @@ class NetDevice {
 
   /// Rearms PHY and MAC for a fresh run (see their `reset` docs); the
   /// radio objects and their callback wiring are reused.
-  void reset(const PhyParams& phy_params, const CsmaBroadcastMac::Params& mac_params,
-             std::uint64_t mac_rng_seed) {
-    phy_->reset(phy_params);
-    mac_->reset(mac_params, mac_rng_seed);
+  void reset(std::uint64_t mac_rng_seed) {
+    phy_->reset();
+    mac_->reset(mac_rng_seed);
   }
 
   void set_rx_callback(RxCallback callback);

@@ -6,78 +6,41 @@
 namespace aedbmls::sim {
 namespace {
 
-MobilityKind resolved_kind(const NetworkConfig& config) noexcept {
-  return config.static_nodes ? MobilityKind::kStatic : config.mobility;
-}
-
-RandomWalkMobility::Config walk_config(const NetworkConfig& config) noexcept {
-  RandomWalkMobility::Config walk;
-  walk.width = config.area_width;
-  walk.height = config.area_height;
-  walk.min_speed = config.min_speed;
-  walk.max_speed = config.max_speed;
-  walk.epoch = config.mobility_epoch;
-  return walk;
-}
-
-RandomWaypointMobility::Config waypoint_config(const NetworkConfig& config) noexcept {
-  RandomWaypointMobility::Config waypoint;
-  waypoint.width = config.area_width;
-  waypoint.height = config.area_height;
-  // Waypoint travel requires strictly positive speed.
-  waypoint.min_speed = std::max(config.min_speed, 0.1);
-  waypoint.max_speed = std::max(config.max_speed, waypoint.min_speed);
-  return waypoint;
-}
-
-GaussMarkovMobility::Config gauss_markov_config(const NetworkConfig& config) noexcept {
-  GaussMarkovMobility::Config gm;
-  gm.width = config.area_width;
-  gm.height = config.area_height;
-  gm.mean_speed = 0.5 * (config.min_speed + config.max_speed);
-  gm.sigma_speed = 0.25 * (config.max_speed - config.min_speed);
-  return gm;
-}
-
 std::unique_ptr<MobilityModel> make_mobility(const NetworkConfig& config,
                                              Vec2 position,
                                              CounterRng stream) {
-  switch (resolved_kind(config)) {
+  const double width = config.area_width;
+  const double height = config.area_height;
+  switch (config.mobility) {
     case MobilityKind::kStatic:
       return std::make_unique<ConstantPositionMobility>(position);
     case MobilityKind::kRandomWalk:
-      return std::make_unique<RandomWalkMobility>(walk_config(config), position,
-                                                  stream);
-    case MobilityKind::kRandomWaypoint:
-      return std::make_unique<RandomWaypointMobility>(waypoint_config(config),
-                                                      position, stream);
+      return std::make_unique<RandomWalkMobility>(
+          RandomWalkMobility::Config{.width = width,
+                                     .height = height,
+                                     .min_speed = config.min_speed,
+                                     .max_speed = config.max_speed,
+                                     .epoch = config.mobility_epoch},
+          position, stream);
+    case MobilityKind::kRandomWaypoint: {
+      // Waypoint travel requires strictly positive speed.
+      const double min_speed = std::max(config.min_speed, 0.1);
+      return std::make_unique<RandomWaypointMobility>(
+          RandomWaypointMobility::Config{
+              .width = width,
+              .height = height,
+              .min_speed = min_speed,
+              .max_speed = std::max(config.max_speed, min_speed)},
+          position, stream);
+    }
     case MobilityKind::kGaussMarkov:
-      return std::make_unique<GaussMarkovMobility>(gauss_markov_config(config),
-                                                   position, stream);
-  }
-  AEDB_UNREACHABLE("unknown mobility kind");
-}
-
-/// In-place re-arm of a mobility model whose concrete type matches `kind`.
-void reset_mobility(MobilityModel& mobility, MobilityKind kind,
-                    const NetworkConfig& config, Vec2 position,
-                    CounterRng stream) {
-  switch (kind) {
-    case MobilityKind::kStatic:
-      static_cast<ConstantPositionMobility&>(mobility).set_position(position);
-      return;
-    case MobilityKind::kRandomWalk:
-      static_cast<RandomWalkMobility&>(mobility).reset(walk_config(config),
-                                                       position, stream);
-      return;
-    case MobilityKind::kRandomWaypoint:
-      static_cast<RandomWaypointMobility&>(mobility).reset(
-          waypoint_config(config), position, stream);
-      return;
-    case MobilityKind::kGaussMarkov:
-      static_cast<GaussMarkovMobility&>(mobility).reset(
-          gauss_markov_config(config), position, stream);
-      return;
+      return std::make_unique<GaussMarkovMobility>(
+          GaussMarkovMobility::Config{
+              .width = width,
+              .height = height,
+              .mean_speed = 0.5 * (config.min_speed + config.max_speed),
+              .sigma_speed = 0.25 * (config.max_speed - config.min_speed)},
+          position, stream);
   }
   AEDB_UNREACHABLE("unknown mobility kind");
 }
@@ -85,41 +48,24 @@ void reset_mobility(MobilityModel& mobility, MobilityKind kind,
 }  // namespace
 
 bool equivalent(const NetworkConfig& a, const NetworkConfig& b) noexcept {
-  return a.node_count == b.node_count && a.area_width == b.area_width &&
+  // The fields that tell a problem's fixed networks apart come first.
+  return a.network_index == b.network_index && a.seed == b.seed &&
+         a.node_count == b.node_count && a.area_width == b.area_width &&
          a.area_height == b.area_height && a.min_speed == b.min_speed &&
          a.max_speed == b.max_speed && a.mobility_epoch == b.mobility_epoch &&
-         resolved_kind(a) == resolved_kind(b) &&
-         a.propagation == b.propagation &&
+         a.mobility == b.mobility && a.propagation == b.propagation &&
          a.shadowing_sigma_db == b.shadowing_sigma_db &&
          a.shadowing_correlation_m == b.shadowing_correlation_m &&
          a.model_propagation_delay == b.model_propagation_delay &&
-         a.phy == b.phy && a.mac == b.mac && a.seed == b.seed &&
-         a.network_index == b.network_index;
+         a.phy == b.phy && a.mac == b.mac;
 }
 
 Network::Network(Simulator& simulator, const NetworkConfig& config)
-    : simulator_(simulator) {
-  configure(config, /*reuse_storage=*/false);
-}
-
-void Network::reset(const NetworkConfig& config) {
-  const bool reuse = nodes_.size() == config.node_count;
-  if (!reuse) nodes_.clear();
-  configure(config, reuse);
-}
-
-void Network::configure(const NetworkConfig& config, bool reuse_storage) {
-  AEDB_REQUIRE(config.node_count >= 2, "network needs at least two nodes");
-  const MobilityKind kind = resolved_kind(config);
-  const bool reuse_mobility = reuse_storage && kind == built_kind_;
-  config_ = config;
-
-  if (base_propagation_ == nullptr) {
-    base_propagation_ =
-        std::make_unique<LogDistancePropagation>(config_.propagation);
-  } else {
-    *base_propagation_ = LogDistancePropagation(config_.propagation);
-  }
+    : simulator_(simulator),
+      config_(config),
+      base_propagation_(
+          std::make_unique<LogDistancePropagation>(config.propagation)) {
+  AEDB_REQUIRE(config_.node_count >= 2, "network needs at least two nodes");
   const PropagationModel* propagation = base_propagation_.get();
   if (config_.shadowing_sigma_db > 0.0) {
     ShadowedPropagation::Config shadow;
@@ -129,74 +75,35 @@ void Network::configure(const NetworkConfig& config, bool reuse_storage) {
     shadowing_ =
         std::make_unique<ShadowedPropagation>(*base_propagation_, shadow);
     propagation = shadowing_.get();
-  } else {
-    shadowing_.reset();
   }
-  if (channel_ == nullptr) {
-    channel_ = std::make_unique<WirelessChannel>(
-        simulator_, *propagation, config_.model_propagation_delay);
-  } else {
-    channel_->reset(*propagation, config_.model_propagation_delay);
-    channel_->detach_all();
-  }
+  channel_ = std::make_unique<WirelessChannel>(
+      simulator_, *propagation, config_.model_propagation_delay);
 
   // Placement and per-node mobility derive from (seed, network_index) only.
   const CounterRng network_stream(config_.seed, {config_.network_index});
-  std::vector<Vec2> drawn_positions;
-  if (config_.preset_positions == nullptr) {
-    drawn_positions =
-        uniform_positions(network_stream.child(0x905e0bULL), config_.node_count,
-                          config_.area_width, config_.area_height);
-  } else {
-    AEDB_REQUIRE(config_.preset_positions->size() == config_.node_count,
-                 "preset placement does not match node_count");
-  }
-  const std::vector<Vec2>& positions = config_.preset_positions != nullptr
-                                           ? *config_.preset_positions
-                                           : drawn_positions;
-
-  if (!reuse_storage) nodes_.reserve(config_.node_count);
+  const std::vector<Vec2> positions =
+      uniform_positions(network_stream.child(0x905e0bULL), config_.node_count,
+                        config_.area_width, config_.area_height);
+  nodes_.reserve(config_.node_count);
   for (std::size_t i = 0; i < config_.node_count; ++i) {
     const auto id = static_cast<NodeId>(i);
-    const CounterRng mobility_stream = network_stream.child(1000 + i);
-    const std::uint64_t mac_seed = network_stream.child(2000 + i).key();
-    if (reuse_storage) {
-      Node& node = *nodes_[i];
-      node.clear_apps();
-      if (reuse_mobility) {
-        reset_mobility(node.mobility(), kind, config_, positions[i],
-                       mobility_stream);
-      } else {
-        node.set_mobility(make_mobility(config_, positions[i], mobility_stream));
-      }
-      node.device().reset(config_.phy, config_.mac, mac_seed);
-      channel_->attach(&node.device().phy(), &node.mobility());
-    } else {
-      auto mobility = make_mobility(config_, positions[i], mobility_stream);
-      auto node = std::make_unique<Node>(simulator_, id, std::move(mobility));
-      auto device = std::make_unique<NetDevice>(simulator_, id, config_.phy,
-                                                config_.mac, mac_seed);
-      channel_->attach(&device->phy(), &node->mobility());
-      node->attach_device(std::move(device));
-      nodes_.push_back(std::move(node));
-    }
+    auto node = std::make_unique<Node>(
+        simulator_, id,
+        make_mobility(config_, positions[i], network_stream.child(1000 + i)));
+    auto device = std::make_unique<NetDevice>(
+        simulator_, id, config_.phy, config_.mac,
+        network_stream.child(2000 + i).key());
+    channel_->attach(&device->phy(), &node->mobility());
+    node->attach_device(std::move(device));
+    nodes_.push_back(std::move(node));
   }
-  built_kind_ = kind;
-
-  // The borrowed placement is only guaranteed to live through construction;
-  // don't let config() leak a pointer that may dangle afterwards.
-  config_.preset_positions = nullptr;
 }
 
 void Network::restart() {
-  channel_->reset(shadowing_ != nullptr
-                      ? static_cast<const PropagationModel&>(*shadowing_)
-                      : *base_propagation_,
-                  config_.model_propagation_delay);
+  channel_->reset();
   const CounterRng network_stream(config_.seed, {config_.network_index});
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i]->device().reset(config_.phy, config_.mac,
-                              network_stream.child(2000 + i).key());
+    nodes_[i]->device().reset(network_stream.child(2000 + i).key());
   }
 }
 

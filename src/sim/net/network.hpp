@@ -42,7 +42,6 @@ struct NetworkConfig {
   double max_speed = 2.0;        ///< m/s
   Time mobility_epoch = aedbmls::sim::seconds(20);  ///< direction/speed change
   MobilityKind mobility = MobilityKind::kRandomWalk;
-  bool static_nodes = false;     ///< shorthand for mobility = kStatic
 
   LogDistancePropagation::Config propagation{};
   /// Log-normal shadowing on top of log-distance; 0 disables (the paper's
@@ -55,36 +54,16 @@ struct NetworkConfig {
 
   std::uint64_t seed = 1;          ///< master experiment seed
   std::uint64_t network_index = 0; ///< which of the fixed evaluation networks
-
-  /// Optional externally-cached placement.  Must hold exactly `node_count`
-  /// positions equal to what `uniform_positions` would draw for this
-  /// (seed, network_index) — callers (e.g. `aedb::ScenarioWorkspace`) use it
-  /// to build a fixed evaluation network once per worker thread instead of
-  /// re-deriving the topology on every evaluation.  Not owned; must outlive
-  /// the `Network` constructor (or `reset`) call.
-  const std::vector<Vec2>* preset_positions = nullptr;
 };
 
-/// Semantic configuration equality: every simulation-relevant field, with
-/// `preset_positions` excluded (a preset is required to equal the drawn
-/// placement, so it never changes behaviour).  This is the pooling key
-/// test: equivalent configs may share a pooled network via `restart()`.
+/// Configuration equality over every field.  This is the pooling key:
+/// equivalent configs may share a pooled network via `restart()`.
 [[nodiscard]] bool equivalent(const NetworkConfig& a, const NetworkConfig& b) noexcept;
 
 class Network {
  public:
   /// Builds nodes, channel and radios inside `simulator`.
   Network(Simulator& simulator, const NetworkConfig& config);
-
-  /// Reconfigures this network in place for a different configuration,
-  /// reusing as much of the object graph as shapes allow: with a matching
-  /// `node_count` the Node/NetDevice/PHY/MAC objects (and, when the
-  /// mobility kind also matches, the mobility models) are re-armed rather
-  /// than reallocated.  Installed applications are uninstalled (their
-  /// wiring is configuration-specific); device rx callbacks survive.
-  /// The caller must have cleared the simulator's pending events first.
-  /// Bitwise-equivalent to constructing `Network(simulator, config)`.
-  void reset(const NetworkConfig& config);
 
   /// Re-arms dynamic state for another run of the *same* configuration:
   /// PHY/MAC/channel counters, queues and RNG streams return to their
@@ -106,12 +85,8 @@ class Network {
   }
 
  private:
-  /// Shared build/reset body; `reuse_storage` re-arms existing nodes.
-  void configure(const NetworkConfig& config, bool reuse_storage);
-
   Simulator& simulator_;
   NetworkConfig config_;
-  MobilityKind built_kind_ = MobilityKind::kRandomWalk;  ///< resolved kind in use
   std::unique_ptr<LogDistancePropagation> base_propagation_;
   std::unique_ptr<ShadowedPropagation> shadowing_;  ///< optional decorator
   std::unique_ptr<WirelessChannel> channel_;

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "sim/core/simulator.hpp"
 #include "sim/mobility/mobility_model.hpp"
@@ -56,18 +55,6 @@ class Node {
     apps_.push_back(std::move(app));
     apps_.back()->start();
     return ref;
-  }
-
-  /// Uninstalls every application (pooled networks re-wire apps per
-  /// reconfiguration; must not be called while their events are pending).
-  void clear_apps() noexcept { apps_.clear(); }
-
-  /// Replaces the mobility model (pooled networks swap models when a
-  /// reconfiguration changes the mobility kind).  The channel must be
-  /// re-attached afterwards — it holds raw mobility pointers.
-  void set_mobility(std::unique_ptr<MobilityModel> mobility) {
-    AEDB_REQUIRE(mobility != nullptr, "node without mobility");
-    mobility_ = std::move(mobility);
   }
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }

@@ -14,7 +14,7 @@ WirelessChannel::WirelessChannel(Simulator& simulator,
                                  const PropagationModel& propagation,
                                  bool model_propagation_delay)
     : simulator_(simulator),
-      propagation_(&propagation),
+      propagation_(propagation),
       model_delay_(model_propagation_delay) {}
 
 void WirelessChannel::attach(WirelessPhy* phy, const MobilityModel* mobility) {
@@ -23,10 +23,7 @@ void WirelessChannel::attach(WirelessPhy* phy, const MobilityModel* mobility) {
   entries_.push_back(Entry{phy, mobility});
 }
 
-void WirelessChannel::reset(const PropagationModel& propagation,
-                            bool model_propagation_delay) noexcept {
-  propagation_ = &propagation;
-  model_delay_ = model_propagation_delay;
+void WirelessChannel::reset() noexcept {
   signals_delivered_ = 0;
   free_waves_.clear();
   for (const auto& wave : waves_) free_waves_.push_back(wave.get());
@@ -58,7 +55,7 @@ void WirelessChannel::transmit(const WirelessPhy* sender, const Frame& frame,
     if (entry.phy == sender) continue;
     const Vec2 rx_pos = entry.mobility->position(now);
     const double rx_dbm =
-        propagation_->rx_power_dbm(frame.tx_power_dbm, tx_pos, rx_pos);
+        propagation_.rx_power_dbm(frame.tx_power_dbm, tx_pos, rx_pos);
     if (rx_dbm < entry.phy->params().interference_floor_dbm) continue;
 
     Time delay{};

@@ -45,14 +45,10 @@ class WirelessChannel {
   /// Both must outlive the channel.
   void attach(WirelessPhy* phy, const MobilityModel* mobility);
 
-  /// Rebinds the medium for a fresh run: new propagation model/delay flag,
-  /// delivery counter cleared, every wave back in the pool (the caller
-  /// has cleared the simulator's pending events).  Attached PHYs are kept.
-  void reset(const PropagationModel& propagation, bool model_propagation_delay) noexcept;
-
-  /// Unregisters every PHY (entry storage retained); used when a pooled
-  /// network rebuilds or re-wires its node graph.
-  void detach_all() noexcept { entries_.clear(); }
+  /// Re-arms the medium for a fresh run: delivery counter cleared, every
+  /// wave back in the pool (the caller has cleared the simulator's pending
+  /// events).  Attached PHYs are kept.
+  void reset() noexcept;
 
   /// Radiates `frame` from `sender` (an attached PHY) for `duration`.
   void transmit(const WirelessPhy* sender, const Frame& frame, Time duration);
@@ -95,7 +91,7 @@ class WirelessChannel {
   void run_wave(Wave& wave);
 
   Simulator& simulator_;
-  const PropagationModel* propagation_;  ///< never null; rebindable via reset()
+  const PropagationModel& propagation_;
   bool model_delay_;
   std::vector<Entry> entries_;
   std::uint64_t signals_delivered_ = 0;

@@ -62,12 +62,11 @@ class WirelessPhy {
   /// This PHY's attach slot on its channel (O(1) sender lookup).
   [[nodiscard]] std::uint32_t channel_slot() const noexcept { return channel_slot_; }
 
-  /// Rearms the radio for a fresh run under (possibly new) parameters:
-  /// state back to idle, signal accounting, tokens, sequence numbers and
-  /// counters cleared.  Channel wiring and callbacks are kept — pooled
-  /// simulation contexts rebind those once at graph build.
-  void reset(const PhyParams& params) noexcept {
-    params_ = params;
+  /// Rearms the radio for a fresh run: state back to idle, signal
+  /// accounting, tokens, sequence numbers and counters cleared.
+  /// Parameters, channel wiring and callbacks are kept — pooled simulation
+  /// contexts bind those once at graph build.
+  void reset() noexcept {
     state_ = State::kIdle;
     total_rx_mw_ = 0.0;
     lock_.reset();

@@ -14,7 +14,7 @@ struct BeaconWorld {
     NetworkConfig config;
     config.node_count = nodes;
     config.seed = 5;
-    config.static_nodes = true;
+    config.mobility = MobilityKind::kStatic;
     // Dense: everyone hears everyone.  The default radio decodes up to
     // ~140 m, so a 70 m box (diagonal ~99 m) guarantees full connectivity.
     config.area_width = 70.0;

@@ -81,11 +81,18 @@ TEST(CampaignOptions, ParsesEachDistributionMode) {
   const auto serve =
       parse_campaign_options(args_of({"--serve=7000", "--workers=2"}));
   EXPECT_EQ(serve.serve_port, 7000u);
-  EXPECT_EQ(serve.fleet, 2u);
+  EXPECT_EQ(serve.workers, 2u);
   const auto connect =
       parse_campaign_options(args_of({"--connect=10.0.0.1:7000"}));
   EXPECT_EQ(connect.connect_host, "10.0.0.1");
   EXPECT_EQ(connect.connect_port, 7000u);
+}
+
+TEST(CampaignOptions, ParsesLocalWorkers) {
+  EXPECT_EQ(parse_campaign_options(args_of({})).workers, 0u);
+  const auto local = parse_campaign_options(args_of({"--workers=3"}));
+  EXPECT_EQ(local.mode, CampaignMode::kLocal);
+  EXPECT_EQ(local.workers, 3u);
 }
 
 TEST(CampaignOptions, ModeConflictNamesTheClashingPair) {
@@ -116,6 +123,11 @@ TEST(CampaignOptions, RejectsMalformedOperands) {
   EXPECT_FALSE(message_of({"--merge="}).empty());
   EXPECT_FALSE(message_of({"--serve=70000", "--workers=1"}).empty());
   EXPECT_FALSE(message_of({"--serve=0"}).empty());  // missing --workers
+  EXPECT_FALSE(message_of({"--serve=0", "--workers=0"}).empty());
+  // --workers grammar: digits only, in every mode.
+  for (const char* spec : {"--workers=abc", "--workers=-2", "--workers="}) {
+    EXPECT_FALSE(message_of({spec}).empty()) << spec;
+  }
   EXPECT_FALSE(message_of({"--telemetry-out="}).empty());
   EXPECT_FALSE(message_of({"--front-out="}).empty());
 }

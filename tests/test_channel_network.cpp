@@ -65,7 +65,7 @@ TEST(Network, DifferentNetworkIndexDifferentTopology) {
 TEST(Network, StaticNodesDoNotMove) {
   Simulator simulator(1);
   NetworkConfig config = small_config();
-  config.static_nodes = true;
+  config.mobility = MobilityKind::kStatic;
   Network network(simulator, config);
   const Vec2 before = network.node(3).position(Time{});
   const Vec2 after = network.node(3).position(seconds(100));
@@ -107,7 +107,7 @@ TEST(Network, MobilityKindsAllBuildAndMove) {
 
 TEST(Network, ShadowingChangesLinkBudgetDeterministically) {
   NetworkConfig config = small_config();
-  config.static_nodes = true;
+  config.mobility = MobilityKind::kStatic;
   config.shadowing_sigma_db = 6.0;
 
   auto measure = [](const NetworkConfig& c) {
@@ -143,7 +143,7 @@ TEST(Network, ShadowingChangesLinkBudgetDeterministically) {
 TEST(Network, BroadcastReachesNeighboursEndToEnd) {
   Simulator simulator(1);
   NetworkConfig config = small_config();
-  config.static_nodes = true;
+  config.mobility = MobilityKind::kStatic;
   Network network(simulator, config);
   int received = 0;
   for (std::size_t i = 1; i < network.size(); ++i) {

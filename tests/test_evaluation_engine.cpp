@@ -7,12 +7,10 @@
 #include <thread>
 #include <vector>
 
-#include "aedb/scenario.hpp"
 #include "aedb/tuning_problem.hpp"
 #include "common/rng.hpp"
 #include "moo/problems/synthetic.hpp"
 #include "par/thread_pool.hpp"
-#include "sim/mobility/placement.hpp"
 
 namespace aedbmls::moo {
 namespace {
@@ -108,38 +106,6 @@ TEST(EvaluationEngine, DeterministicAcrossThreadCountsOnAedbTuning) {
   config.scenario.end_at = sim::seconds(6);
   const aedb::AedbTuningProblem problem(config);
   check_thread_counts(problem, 12);
-}
-
-TEST(ScenarioWorkspace, CachesFixedNetworkTopologies) {
-  aedb::ScenarioWorkspace workspace;
-  sim::NetworkConfig net;
-  net.seed = 99;
-  net.node_count = 25;
-
-  net.network_index = 0;
-  const auto& first = workspace.positions_for(net);
-  ASSERT_EQ(first.size(), net.node_count);
-  EXPECT_EQ(workspace.stats().misses, 1u);
-
-  net.network_index = 1;
-  (void)workspace.positions_for(net);
-  EXPECT_EQ(workspace.stats().misses, 2u);
-
-  net.network_index = 0;
-  const auto& again = workspace.positions_for(net);
-  EXPECT_EQ(workspace.stats().hits, 1u);
-  EXPECT_EQ(workspace.stats().misses, 2u);
-
-  // Cached placement is exactly what Network would re-derive.
-  const CounterRng stream(net.seed, {net.network_index});
-  const auto fresh = sim::uniform_positions(stream.child(0x905e0bULL),
-                                            net.node_count, net.area_width,
-                                            net.area_height);
-  ASSERT_EQ(again.size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(again[i].x, fresh[i].x);
-    EXPECT_EQ(again[i].y, fresh[i].y);
-  }
 }
 
 TEST(EvaluationEngine, PoollessEngineMatchesSequential) {

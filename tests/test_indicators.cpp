@@ -46,22 +46,6 @@ TEST(Gd, Eq3NormalisationBySize) {
   EXPECT_DOUBLE_EQ(generational_distance(front, reference), std::sqrt(2.0) / 2.0);
 }
 
-TEST(Spread2d, UniformFrontNearZero) {
-  const auto front = line_front(21);
-  EXPECT_NEAR(spread_2d(front, front), 0.0, 1e-9);
-}
-
-TEST(Spread2d, ClusteredFrontScoresWorse) {
-  const auto reference = line_front(21);
-  // All points bunched in the middle.
-  std::vector<Solution> clustered;
-  for (int i = 0; i < 21; ++i) {
-    const double x = 0.45 + 0.005 * i;
-    clustered.push_back(make({x, 1.0 - x}));
-  }
-  EXPECT_GT(spread_2d(clustered, reference), spread_2d(reference, reference));
-}
-
 TEST(GeneralizedSpread, UniformBetterThanClustered) {
   const auto reference = line_front(21);
   std::vector<Solution> clustered;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "moo/core/dominance.hpp"
+#include "moo/core/evaluation_engine.hpp"
 #include "moo/core/front_io.hpp"
 #include "moo/core/nds.hpp"
 #include "moo/core/normalization.hpp"
@@ -81,6 +82,21 @@ TEST(Mls, StatsAreConsistent) {
   EXPECT_GT(stats.resets, 0u);
   EXPECT_GT(stats.archive_inserts_accepted, 0u);
   EXPECT_LE(stats.accepted_moves + stats.rejected_infeasible, stats.evaluations);
+}
+
+TEST(Mls, EveryEvaluationGoesThroughTheEvaluator) {
+  // The constrained problem makes some workers retry their initial point,
+  // so the count covers initialisation as well as the walks.
+  const moo::MiniAedbLikeProblem problem;
+  const moo::EvaluationEngine engine;  // pool-less
+  MlsConfig config = tiny_config();
+  config.evaluator = &engine;
+  AedbMls mls(config);
+  (void)mls.run(problem, 4);
+  const std::size_t workers = config.populations * config.threads_per_population;
+  EXPECT_GT(mls.stats().evaluations, workers * config.evaluations_per_thread);
+  EXPECT_EQ(engine.stats().solutions,
+            mls.stats().evaluations + mls.stats().screened);
 }
 
 TEST(Mls, ArchiveCapacityBoundsFront) {

@@ -145,16 +145,5 @@ TEST(Placement, UniformPositionsInsideAndDeterministic) {
   }
 }
 
-TEST(Placement, GridCoversArea) {
-  const auto g = grid_positions(9, 300.0, 300.0);
-  ASSERT_EQ(g.size(), 9u);
-  EXPECT_NEAR(g[0].x, 50.0, 1e-9);
-  EXPECT_NEAR(g[4].x, 150.0, 1e-9);
-  for (const Vec2& p : g) {
-    EXPECT_GT(p.x, 0.0);
-    EXPECT_LT(p.x, 300.0);
-  }
-}
-
 }  // namespace
 }  // namespace aedbmls::sim

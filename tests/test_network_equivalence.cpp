@@ -1,8 +1,9 @@
-/// Pooling-key drift guard: `sim::equivalent()` decides when a pooled
+/// Pooling-key drift guard: `sim::equivalent()` is the key of
+/// `aedb::ScenarioWorkspace`'s context pool, and decides when a pooled
 /// simulation graph may be re-armed via `Network::restart()` instead of
-/// reconfigured.  A `NetworkConfig` field that changes the simulated
-/// physics but is missing from `equivalent()` makes the pool serve stale
-/// networks — silently, since everything still runs.  This suite mutates
+/// rebuilt.  A `NetworkConfig` field that changes the simulated physics but
+/// is missing from `equivalent()` makes the pool serve stale networks —
+/// silently, since everything still runs.  This suite mutates
 /// every simulation-relevant field one at a time, over every catalog
 /// preset, and asserts the key distinguishes each mutation; a size check
 /// forces whoever adds a `NetworkConfig` field to decide where it belongs.
@@ -25,9 +26,7 @@ struct Mutation {
 
 /// One entry per simulation-relevant `NetworkConfig` field, each changing
 /// only that field (relative to any base, so every catalog preset can be
-/// used as the baseline).  `static_nodes` is shorthand for
-/// `mobility = kStatic`; both entries mutate the *resolved* kind, which is
-/// what `equivalent()` rightly compares.
+/// used as the baseline).
 const std::vector<Mutation>& simulation_relevant_mutations() {
   static const std::vector<Mutation> mutations = {
       {"node_count", [](NetworkConfig& c) { c.node_count += 1; }},
@@ -37,19 +36,11 @@ const std::vector<Mutation>& simulation_relevant_mutations() {
       {"max_speed", [](NetworkConfig& c) { c.max_speed += 0.25; }},
       {"mobility_epoch",
        [](NetworkConfig& c) { c.mobility_epoch += seconds(1); }},
-      {"mobility (resolved kind)",
+      {"mobility",
        [](NetworkConfig& c) {
-         c.static_nodes = false;
          c.mobility = c.mobility == MobilityKind::kGaussMarkov
                           ? MobilityKind::kRandomWaypoint
                           : MobilityKind::kGaussMarkov;
-       }},
-      {"static_nodes (shorthand for mobility=kStatic)",
-       [](NetworkConfig& c) {
-         const bool is_static =
-             c.static_nodes || c.mobility == MobilityKind::kStatic;
-         c.static_nodes = !is_static;
-         if (is_static) c.mobility = MobilityKind::kRandomWalk;
        }},
       {"propagation.exponent",
        [](NetworkConfig& c) { c.propagation.exponent += 0.5; }},
@@ -112,15 +103,6 @@ TEST(NetworkEquivalence, DistinguishesEveryFieldOnEveryCatalogPreset) {
   }
 }
 
-TEST(NetworkEquivalence, PresetPositionsAreExcludedByDesign) {
-  // A preset placement is required to equal the drawn placement, so it can
-  // never change behaviour and must not split the pooling key.
-  const std::vector<Vec2> positions;  // never dereferenced by equivalent()
-  NetworkConfig with_preset;
-  with_preset.preset_positions = &positions;
-  EXPECT_TRUE(equivalent(NetworkConfig{}, with_preset));
-}
-
 TEST(NetworkEquivalence, NewFieldsMustBeTriagedHere) {
   // Fires when a field is added to (or resized in) NetworkConfig.  When it
   // does: decide whether the new field changes the simulated physics,
@@ -128,7 +110,7 @@ TEST(NetworkEquivalence, NewFieldsMustBeTriagedHere) {
   // then update this expected size.  Gated to the CI platform so exotic
   // ABIs don't trip over padding differences.
 #if defined(__x86_64__) && defined(__linux__)
-  EXPECT_EQ(sizeof(NetworkConfig), 224u)
+  EXPECT_EQ(sizeof(NetworkConfig), 216u)
       << "NetworkConfig changed shape: triage the new/resized field for "
          "sim::equivalent() and the mutation list in this file";
 #else

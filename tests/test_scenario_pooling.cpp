@@ -1,14 +1,15 @@
 /// Determinism regression suite for pooled simulation contexts: a pooled,
 /// re-armed `run_scenario` must be **bitwise identical** to fresh
 /// construction — across repeated runs, across differing scenarios
-/// interleaved on one context, and at any evaluation thread count.
+/// interleaved on one workspace (one context per network configuration)
+/// or driven through one context (which rebuilds its graph), and at any
+/// evaluation thread count.
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "aedb/scenario.hpp"
 #include "aedb/simulation_context.hpp"
@@ -75,13 +76,13 @@ TEST(ScenarioPooling, RepeatedRunsWithDifferentParamsStayFaithful) {
   }
 }
 
-TEST(ScenarioPooling, InterleavedScenariosShareOneContext) {
-  // Same topology key (seed, network, node count, area) but different
-  // network dynamics: both land on the same pooled context, which must
-  // re-arm itself per run without cross-contamination.
+TEST(ScenarioPooling, InterleavedScenariosKeepOneContextEach) {
+  // Same placement (seed, network, node count, area) but different network
+  // dynamics: each configuration gets its own pooled context, so the
+  // interleaving rebinds both without cross-contamination.
   ScenarioConfig walk = make_paper_scenario(100, 7, 2);
   ScenarioConfig still = walk;
-  still.network.static_nodes = true;
+  still.network.mobility = sim::MobilityKind::kStatic;
   still.network.max_speed = 0.0;
   const AedbParams params = test_params();
 
@@ -93,13 +94,42 @@ TEST(ScenarioPooling, InterleavedScenariosShareOneContext) {
     expect_bitwise_equal(run_scenario(walk, params, workspace), fresh_walk);
     expect_bitwise_equal(run_scenario(still, params, workspace), fresh_still);
   }
-  EXPECT_EQ(workspace.stats().context_misses, 1u);
-  EXPECT_EQ(workspace.stats().context_hits, 3u);
+  EXPECT_EQ(workspace.stats().context_misses, 2u);
+  EXPECT_EQ(workspace.stats().context_hits, 2u);
+}
+
+/// The catalog presets that share the 200 devices/km^2 placement.  They
+/// span 5 network configurations: d200, payload-small, payload-large and
+/// deadline-tight differ only outside `NetworkConfig`.
+const char* const kSharedPlacementPresets[] = {
+    "d200",        "static-grid",   "highspeed",     "urban-canyon",
+    "mixed-speed", "payload-small", "payload-large", "deadline-tight"};
+
+TEST(ScenarioPooling, SharedPlacementPresetsPoolOneContextPerNetworkConfig) {
+  const AedbParams params = test_params();
+  std::vector<ScenarioConfig> configs;
+  std::vector<ScenarioResult> fresh;
+  for (const char* key : kSharedPlacementPresets) {
+    configs.push_back(
+        expt::ScenarioCatalog::instance().resolve(key).scenario_config(31, 1));
+    fresh.push_back(run_scenario(configs.back(), params));
+  }
+
+  ScenarioWorkspace workspace;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      SCOPED_TRACE(kSharedPlacementPresets[i]);
+      expect_bitwise_equal(run_scenario(configs[i], params, workspace),
+                           fresh[i]);
+    }
+  }
+  EXPECT_EQ(workspace.stats().context_misses, 5u);
+  EXPECT_EQ(workspace.stats().context_hits, 11u);
 }
 
 TEST(ScenarioPooling, NodeCountChangeOnOneContextRebuildsSafely) {
-  // Driving one context directly across node-count changes exercises the
-  // full-rebuild branch of Network::reset (storage cannot be reused).
+  // Driving one context directly across node-count changes: every change
+  // of network configuration rebuilds the graph on the kept simulator.
   const ScenarioConfig d100 = make_paper_scenario(100, 11, 0);
   const ScenarioConfig d200 = make_paper_scenario(200, 11, 0);
   const AedbParams params = test_params();
@@ -111,14 +141,13 @@ TEST(ScenarioPooling, NodeCountChangeOnOneContextRebuildsSafely) {
   expect_bitwise_equal(context.run(d100, params), fresh_100);
   expect_bitwise_equal(context.run(d200, params), fresh_200);
   expect_bitwise_equal(context.run(d100, params), fresh_100);
-  EXPECT_EQ(context.stats().builds, 1u);
-  EXPECT_EQ(context.stats().reconfigures, 2u);
+  EXPECT_EQ(context.stats().builds, 3u);
   EXPECT_EQ(context.stats().rebinds, 0u);
 }
 
-TEST(ScenarioPooling, SameCountReconfigureReusesNodeStorage) {
-  // Equal node_count but different dynamics: Network::reset re-arms the
-  // existing Node/NetDevice objects instead of rebuilding them.
+TEST(ScenarioPooling, ConfigChangeOnOneContextRebuildsThenRebinds) {
+  // Equal node_count but different dynamics: each change rebuilds the
+  // graph, and a repeat of the last configuration rebinds it.
   ScenarioConfig fast = make_paper_scenario(100, 5, 1);
   ScenarioConfig slow = fast;
   slow.network.max_speed = 0.5;
@@ -132,8 +161,7 @@ TEST(ScenarioPooling, SameCountReconfigureReusesNodeStorage) {
   expect_bitwise_equal(context.run(slow, params), fresh_slow);
   expect_bitwise_equal(context.run(fast, params), fresh_fast);
   expect_bitwise_equal(context.run(fast, params), fresh_fast);
-  EXPECT_EQ(context.stats().builds, 1u);
-  EXPECT_EQ(context.stats().reconfigures, 2u);
+  EXPECT_EQ(context.stats().builds, 3u);
   EXPECT_EQ(context.stats().rebinds, 1u);
 }
 
@@ -154,11 +182,18 @@ TEST(ScenarioPooling, ContextEvictionKeepsResultsCorrect) {
   EXPECT_GT(workspace.stats().context_misses, static_cast<std::uint64_t>(kTopologies));
 }
 
-/// The non-default-radio catalog regimes: every knob they exercise
-/// (correlated shadowing, steep path loss, waypoint speed spread, payload
-/// sizing) is a distinct way for a pooled context to go stale.
-const char* const kFullSurfaceRegimes[] = {"urban-canyon", "mixed-speed",
-                                           "payload-small", "payload-large"};
+/// Every catalog preset plus the dynamic d<N> path: every knob they
+/// exercise (mobility kind, arena, correlated shadowing, steep path loss,
+/// waypoint speed spread, payload sizing) is a distinct way for a pooled
+/// context to go stale.
+std::vector<std::string> pooling_regimes() {
+  std::vector<std::string> keys;
+  for (const expt::ScenarioSpec& spec : expt::ScenarioCatalog::instance().specs()) {
+    keys.push_back(spec.key);
+  }
+  keys.emplace_back("d150");
+  return keys;
+}
 
 std::string sanitized(std::string name) {
   for (char& c : name) {
@@ -167,7 +202,7 @@ std::string sanitized(std::string name) {
   return name;
 }
 
-class RegimePooling : public ::testing::TestWithParam<const char*> {};
+class RegimePooling : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RegimePooling, FreshEqualsPooledBitwise) {
   const expt::ScenarioSpec spec =
@@ -184,8 +219,8 @@ TEST_P(RegimePooling, FreshEqualsPooledBitwise) {
   EXPECT_EQ(workspace.stats().context_hits, 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(FullSurfaceRegimes, RegimePooling,
-                         ::testing::ValuesIn(kFullSurfaceRegimes),
+INSTANTIATE_TEST_SUITE_P(CatalogRegimes, RegimePooling,
+                         ::testing::ValuesIn(pooling_regimes()),
                          [](const auto& info) {
                            return sanitized(info.param);
                          });

@@ -17,14 +17,6 @@ TEST(TextTable, AlignsColumns) {
   EXPECT_NE(out.find("----"), std::string::npos);
 }
 
-TEST(TextTable, NumericRowFormatting) {
-  TextTable table;
-  table.add_numeric_row("row", {1.23456, 2.0}, 2);
-  const std::string out = table.to_string();
-  EXPECT_NE(out.find("1.23"), std::string::npos);
-  EXPECT_NE(out.find("2.00"), std::string::npos);
-}
-
 TEST(TextTable, CsvEscapesSpecials) {
   TextTable table;
   table.set_header({"a", "b"});
@@ -50,8 +42,7 @@ TEST(Cli, ParsesKeyValueForms) {
   EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 0.2);
   EXPECT_EQ(args.get_int("runs", 0), 30);
   EXPECT_TRUE(args.has("verbose"));
-  ASSERT_EQ(args.positional().size(), 1u);
-  EXPECT_EQ(args.positional().front(), "positional");
+  EXPECT_FALSE(args.has("positional"));
 }
 
 TEST(Cli, FallbacksWhenAbsentOrInvalid) {

@@ -252,7 +252,6 @@ TEST(Codec, RoundTripsExactly) {
 
   telemetry::Snapshot decoded;
   for (const std::string& line : telemetry::encode_snapshot(original)) {
-    ASSERT_TRUE(telemetry::is_telemetry_line(line)) << line;
     telemetry::decode_snapshot_line(line, decoded);
   }
   EXPECT_EQ(decoded, original);
@@ -280,7 +279,6 @@ TEST(Codec, DecodeMergesOnNameCollision) {
 
 TEST(Codec, RejectsMalformedLines) {
   telemetry::Snapshot snapshot;
-  EXPECT_FALSE(telemetry::is_telemetry_line("cell 0 1 2"));
   EXPECT_THROW(telemetry::decode_snapshot_line("tcounter", snapshot),
                std::invalid_argument);
   EXPECT_THROW(telemetry::decode_snapshot_line("tcounter cells", snapshot),
