@@ -26,12 +26,10 @@ int main(int argc, char** argv) {
   const std::vector<std::string> variants{"AEDB-MLS", "AEDB-MLS-unguided",
                                           "AEDB-MLS-pervar", "AEDB-MLS-sym"};
 
-  expt::ExperimentDriver::Options options;
-  options.use_cache = !args.has("no-cache");
   // Honours --shard=i/N / --merge=DIR for distributed campaigns.
   const auto samples =
-      expt::run_campaign_or_exit(args, expt::ExperimentPlan::of(variants, scale),
-                                 options)
+      expt::run_campaign_or_exit(args,
+                                 expt::ExperimentPlan::of(variants, scale))
           .samples;
 
   for (const std::string& scenario : scale.scenarios) {

@@ -65,16 +65,11 @@ int main(int argc, char** argv) {
   const PaperCounts paper[] = {
       {"d100", 13, 54}, {"d200", 11, 40}, {"d300", 15, 17}};
 
-  expt::ExperimentDriver::Options options;
-  options.use_cache = false;       // the raw fronts are needed every time
-  options.collect_records = true;
-  // Honours --shard=i/N / --merge=DIR: with collect_records set,
-  // a --merge run rebuilds the raw fronts from the shard manifests, so
-  // even this records-hungry figure can be produced from a sharded
-  // campaign.
+  // Every campaign result carries the raw fronts: a cache hit reads them
+  // from the campaign store, and a --merge=DIR run rebuilds them from the
+  // shard manifests, so this records-hungry figure needs no recompute.
   const auto result = expt::run_campaign_or_exit(
-      args, expt::ExperimentPlan::of(expt::paper_algorithms(), scale),
-      options);
+      args, expt::ExperimentPlan::of(expt::paper_algorithms(), scale));
   const std::vector<expt::RunRecord>& records = result.records;
 
   for (const std::string& scenario : scale.scenarios) {

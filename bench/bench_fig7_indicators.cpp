@@ -26,13 +26,11 @@ int main(int argc, char** argv) {
   const auto algorithms =
       expt::algorithms_or_exit(args, expt::paper_algorithms());
 
-  expt::ExperimentDriver::Options options;
-  options.use_cache = !args.has("no-cache");
   // Honours --shard=i/N / --merge=DIR for distributed campaigns
   // (EXPERIMENTS.md "Distributed campaigns").
   const auto samples =
-      expt::run_campaign_or_exit(args, expt::ExperimentPlan::of(algorithms, scale),
-                                 options)
+      expt::run_campaign_or_exit(args,
+                                 expt::ExperimentPlan::of(algorithms, scale))
           .samples;
 
   struct Panel {

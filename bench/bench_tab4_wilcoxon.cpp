@@ -64,13 +64,10 @@ int main(int argc, char** argv) {
   expt::print_header("bench_tab4_wilcoxon",
                      "Table IV (pairwise Wilcoxon, 95% confidence)", scale);
 
-  expt::ExperimentDriver::Options options;
-  options.use_cache = !args.has("no-cache");
   // Honours --shard=i/N / --merge=DIR for distributed campaigns.
   const auto samples =
       expt::run_campaign_or_exit(
-          args, expt::ExperimentPlan::of(expt::paper_algorithms(), scale),
-          options)
+          args, expt::ExperimentPlan::of(expt::paper_algorithms(), scale))
           .samples;
 
   const Metric metrics[] = {

@@ -3,13 +3,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/durable_file.hpp"
 #include "common/fault.hpp"
 #include "common/telemetry.hpp"
 #include "par/net/tcp_transport.hpp"
@@ -65,8 +63,7 @@ std::unique_ptr<telemetry::ProgressMeter> make_progress(
 }
 
 /// `--telemetry-out=FILE`: durable dump of the snapshot via the line codec
-/// (atomic replace + #crc32 trailer) — the file feeds straight back into
-/// `--cost-priors`.
+/// (atomic replace + #crc32 trailer).
 void maybe_write_telemetry(const CampaignOptions& campaign,
                            const telemetry::Snapshot& snapshot) {
   if (campaign.telemetry_out.empty()) return;
@@ -104,8 +101,7 @@ par::net::TcpOptions net_options_from_env() {
 }  // namespace
 
 ExperimentResult run_campaign_or_exit(const CliArgs& args,
-                                      const ExperimentPlan& plan,
-                                      ExperimentDriver::Options options) {
+                                      const ExperimentPlan& plan) {
   CampaignOptions campaign;
   try {
     campaign = parse_campaign_options(args);
@@ -113,10 +109,10 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
     std::fprintf(stderr, "error: %s\n", error.what());
     std::exit(2);
   }
+  ExperimentDriver::Options options;
   options.workers = campaign.workers;
   if (campaign.cache_dir) options.cache_dir = *campaign.cache_dir;
-  // `--front-out` needs the raw fronts, not just the indicator reduction.
-  if (!campaign.front_out.empty()) options.collect_records = true;
+  options.use_cache = campaign.use_cache;
   // Chaos drills: `--fault-plan=SPEC` wins over AEDB_FAULT_PLAN (see
   // common/fault.hpp for the grammar and EXPERIMENTS.md for the drills).
   try {
@@ -136,7 +132,8 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
   try {
     switch (campaign.mode) {
       case CampaignMode::kMerge: {
-        auto result = merge_campaign(plan, campaign.merge_dir, options);
+        auto result =
+            merge_campaign(plan, campaign.merge_dir, options.cache_dir);
         std::printf(
             "[merge] %zu indicator samples reassembled from %s -> %s\n",
             result.samples.size(), campaign.merge_dir.c_str(),
@@ -149,7 +146,6 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
         const auto progress = make_progress(campaign, plan.cell_count());
         options.progress = progress.get();
         CampaignCoordinatorOptions coordinator;
-        coordinator.cost_priors = campaign.cost_priors;
         coordinator.driver = std::move(options);
         par::net::TcpListener listener(campaign.serve_port,
                                        net_options_from_env());
@@ -199,8 +195,6 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
         // driver validates inside run(), but run_cells is below that
         // layer.
         validate_plan(plan);
-        options.use_cache = false;  // partial grids must never hit the cache
-        options.collect_records = false;
         const auto cells =
             cells_for_shard(plan, campaign.shard_index, campaign.shard_count);
         // Shard progress counts the shard's own cells, not the whole grid.
@@ -217,17 +211,15 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
         }
         // One cell log per shard, written atomically: a merge never sees
         // half a shard.
-        std::string log = cell_log_header(plan);
+        std::vector<CellResult> results;
         for (std::size_t i = 0; i < cells.size(); ++i) {
-          log += cell_log_record(
-              CellResult{cells[i].index, std::move(records[i])});
+          results.push_back(CellResult{cells[i].index, std::move(records[i])});
         }
-        std::filesystem::create_directories(campaign.shard_dir);
         const std::string path = campaign.shard_dir + "/shard_" +
                                  std::to_string(campaign.shard_index) + "_of_" +
                                  std::to_string(campaign.shard_count) +
                                  ".manifest";
-        io::atomic_write_file_or_throw(path, log);
+        write_cell_log(path, plan, results);
         std::printf("[shard %zu/%zu] wrote %s\n", campaign.shard_index,
                     campaign.shard_count, path.c_str());
         std::exit(0);

@@ -42,8 +42,9 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 ///                  reassembles the campaign (see EXPERIMENTS.md
 ///                  "Distributed campaigns")
 ///   --merge=DIR    skip execution: read + merge the cell logs under DIR
-///                  against the plan, write the canonical indicator CSV,
-///                  and continue the bench on the merged samples
+///                  against the plan, write the canonical indicator CSV
+///                  and the campaign store under --cache-dir, and
+///                  continue the bench on the merged samples
 ///   --serve=PORT   elastic coordinator: listen on PORT (0 = ephemeral),
 ///                  accept --workers=N worker processes (in this mode
 ///                  --workers names the fleet size, not driver threads —
@@ -51,27 +52,31 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 ///                  the plan's cells over them with failed-worker requeue
 ///                  (expt::run_campaign_coordinator), and continue the
 ///                  bench on the reduced samples — byte-identical to an
-///                  unsharded run.  --cost-priors=FILE (a --telemetry-out
-///                  dump) seeds the scheduling order
+///                  unsharded run
 ///   --connect=H:P  elastic worker: join the coordinator at HOST:PORT
 ///                  (retrying with backoff while it boots), compute cells
 ///                  on demand, then exit 0.  Env knobs:
 ///                  AEDB_NET_HEARTBEAT_MS / AEDB_NET_DEADLINE_MS /
 ///                  AEDB_NET_CONNECT_ATTEMPTS tune liveness + retries
-///   --cache-dir=D  where the CSV cache / merge artifacts live (default
-///                  options.cache_dir, i.e. "results")
+///   --cache-dir=D  where the campaign store (a cell log: the cache, and
+///                  the --serve crash-resume journal) and the indicator CSV
+///                  live (default options.cache_dir, i.e. "results"); a
+///                  finished campaign rerun on D replays every cell — its
+///                  fronts and telemetry too — and runs none
+///   --no-cache     neither replay nor write the store (nor the CSV);
+///                  --merge still writes both
 ///   --progress[=N] live `[progress]` lines on stderr every N completed
-///                  cells (default 1): cells-done/total, eval throughput,
-///                  per-scenario mean cell time.  Works in plain, --shard
-///                  and --serve modes (shard feeds count the shard's own
-///                  cells); purely observational — result bytes are
-///                  identical with or without it
+///                  cells (N >= 1, digits only; a bare --progress is 1):
+///                  cells-done/total, eval throughput, per-scenario mean
+///                  cell time.  Works in plain, --shard and --serve modes
+///                  (shard feeds count the shard's own cells; replayed
+///                  cells count as completed); purely observational —
+///                  result bytes are identical with or without it
 ///   --telemetry-out=FILE  dump the run's merged telemetry snapshot via
 ///                  the line codec (plain/--merge/--serve: the
 ///                  campaign-wide grid-order fold; --shard/--connect: the
 ///                  executor's own cells).  Written durably — atomic
-///                  tmp+rename with a #crc32 trailer — and feeds straight
-///                  back into --cost-priors
+///                  tmp+rename with a #crc32 trailer
 ///   --front-out=DIR  also write the per-scenario reference fronts,
 ///                  canonically sorted, as
 ///                  reference_<scale>_<fp>_<scenario>.csv under DIR.
@@ -83,16 +88,15 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 ///                  testing").  Falls back to the AEDB_FAULT_PLAN env var;
 ///                  a malformed spec exits 2
 /// Without any of these flags this is exactly
-/// `ExperimentDriver(options).run(plan)`.  The distribution modes are
+/// `ExperimentDriver().run(plan)`.  The distribution modes are
 /// mutually exclusive — a conflict names the clashing pair and exits 2,
 /// as do malformed specs and campaign/merge failures.  Exit statuses: 0
 /// success, 2 bad invocation or failed campaign, 3 (--connect only) the
 /// coordinator vanished — missed heartbeat deadline or dead connection
 /// (expt::CoordinatorLostError) — so supervisors can tell "restart the
 /// coordinator" from "fix the command line".
-[[nodiscard]] ExperimentResult run_campaign_or_exit(
-    const CliArgs& args, const ExperimentPlan& plan,
-    ExperimentDriver::Options options);
+[[nodiscard]] ExperimentResult run_campaign_or_exit(const CliArgs& args,
+                                                   const ExperimentPlan& plan);
 
 /// Algorithm names from `--algorithms=a,b` (default: `fallback`), validated
 /// against the registry; unknown names print the registered list and exit 2.

@@ -77,28 +77,6 @@ std::string with_crc_trailer(std::string_view payload) {
   return out;
 }
 
-CrcCheck strip_crc_trailer(std::string& payload) {
-  // The trailer is the final line: "#crc32 " + 8 hex digits + "\n".
-  const std::size_t trailer_size = kCrcTrailerPrefix.size() + 8 + 1;
-  if (payload.size() < trailer_size || payload.back() != '\n') {
-    return CrcCheck::kMissing;
-  }
-  const std::size_t line_start = payload.size() - trailer_size;
-  if (line_start != 0 && payload[line_start - 1] != '\n') {
-    return CrcCheck::kMissing;
-  }
-  const std::string_view line =
-      std::string_view(payload).substr(line_start, trailer_size - 1);
-  if (line.substr(0, kCrcTrailerPrefix.size()) != kCrcTrailerPrefix) {
-    return CrcCheck::kMissing;
-  }
-  const std::string_view hex = line.substr(kCrcTrailerPrefix.size());
-  const std::string expected =
-      crc32_hex(std::string_view(payload).substr(0, line_start));
-  payload.erase(line_start);
-  return hex == expected ? CrcCheck::kVerified : CrcCheck::kMismatch;
-}
-
 bool atomic_write_file(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);

@@ -2,9 +2,10 @@
 
 // Hardened small-file persistence: CRC32 trailers + atomic replacement.
 //
-// Every durable artifact in this codebase (indicator-CSV cache, shard
-// manifests, the crash-resume journal header) is a line-oriented ASCII
-// file small enough to build in memory.  Two failure modes matter:
+// Every durable artifact in this codebase (indicator CSVs, the cell logs
+// of shard files and the campaign store, telemetry dumps, result tables)
+// is a line-oriented ASCII file small enough to build in memory.  Two
+// failure modes matter:
 //
 //  * torn writes — a crash mid-write leaves a prefix of the new file (or,
 //    with in-place truncation, neither the old nor the new contents);
@@ -12,12 +13,11 @@
 //
 // `atomic_write_file` closes the first window: write to `<path>.tmp.<pid>`,
 // fsync, then rename(2) over the target, so readers see either the old or
-// the complete new bytes, never a prefix.  The CRC32 trailer closes the
-// second: `with_crc_trailer` appends a final `#crc32 xxxxxxxx` line over
-// everything before it, and `strip_crc_trailer` verifies + removes it on
-// read.  Trailer-less files verify as `kMissing`; callers choose whether
-// missing is acceptable (the indicator cache refuses it, since truncation
-// removes the trailer first; hand-written `--cost-priors` files have none).
+// the complete new bytes, never a prefix.  Checksums close the second:
+// the files the program reads back (cell logs) carry a CRC32 per record
+// (`crc32_hex`), and the write-only outputs (indicator CSVs, telemetry
+// dumps) end in a `#crc32 xxxxxxxx` trailer line over everything before
+// it (`with_crc_trailer`) that any reader can check.
 
 #include <cstdint>
 #include <string>
@@ -37,17 +37,6 @@ inline constexpr std::string_view kCrcTrailerPrefix = "#crc32 ";
 
 /// `payload` + the trailer line checksumming it.
 [[nodiscard]] std::string with_crc_trailer(std::string_view payload);
-
-enum class CrcCheck {
-  kVerified,  // trailer present and matches; removed from the payload
-  kMissing,   // no trailer line; payload untouched
-  kMismatch,  // trailer present but wrong: the payload is corrupt
-};
-
-/// Verifies and removes a trailing `#crc32` line from `payload` in place.
-/// On kMismatch the (suspect) payload is left with the trailer stripped so
-/// callers can log it; treat the contents as untrusted.
-CrcCheck strip_crc_trailer(std::string& payload);
 
 /// Atomically replaces `path` with `bytes` via tmp + fsync + rename.
 /// Returns false (leaving any previous file intact and removing the temp

@@ -1,16 +1,12 @@
 #include "expt/campaign_options.hpp"
 
-#include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
 
 #include "common/cli.hpp"
 #include "common/durable_file.hpp"
-#include "expt/campaign_service.hpp"
-#include "expt/scenario_catalog.hpp"
 #include "moo/core/front_io.hpp"
 
 namespace aedbmls::expt {
@@ -42,26 +38,11 @@ void parse_host_port(const std::string& spec, CampaignOptions& out) {
          "'; expected HOST:PORT (e.g. --connect=127.0.0.1:7000)");
   };
   const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-    bad();
-  }
-  const std::string port_token = spec.substr(colon + 1);
-  for (const char c : port_token) {
-    if (c < '0' || c > '9') bad();
-  }
-  unsigned long port = 0;
-  try {
-    std::size_t pos = 0;
-    port = std::stoul(port_token, &pos);
-    if (pos != port_token.size()) bad();
-  } catch (const std::invalid_argument&) {
-    bad();
-  } catch (const std::out_of_range&) {
-    bad();
-  }
-  if (port == 0 || port > 65535) bad();
+  if (colon == std::string::npos || colon == 0) bad();
+  const auto port = parse_u64(std::string_view(spec).substr(colon + 1));
+  if (!port || *port == 0 || *port > 65535) bad();
   out.connect_host = spec.substr(0, colon);
-  out.connect_port = static_cast<std::uint16_t>(port);
+  out.connect_port = static_cast<std::uint16_t>(*port);
 }
 
 /// One distribution mode: its flag spelling, the mode it selects and the
@@ -87,12 +68,12 @@ constexpr ModeRow kModes[] = {
      }},
     {"serve", CampaignMode::kServe,
      [](const CliArgs& args, CampaignOptions& out) {
-       const long port = args.get_int("serve", -1);
-       if (port < 0 || port > 65535) {
-         fail("--serve needs a port in [0, 65535] (0 picks an ephemeral "
-              "port)");
+       const auto port = parse_u64(args.get("serve"));
+       if (!port || *port > 65535) {
+         fail("--serve needs a port in [0, 65535], digits only (0 picks an "
+              "ephemeral port)");
        }
-       out.serve_port = static_cast<std::uint16_t>(port);
+       out.serve_port = static_cast<std::uint16_t>(*port);
      }},
     {"connect", CampaignMode::kConnect,
      [](const CliArgs& args, CampaignOptions& out) {
@@ -122,11 +103,19 @@ constexpr FlagRow kFlags[] = {
      [](const CliArgs& args, CampaignOptions& out) {
        out.cache_dir = args.get("cache-dir");
      }},
+    {"no-cache",
+     [](const CliArgs&, CampaignOptions& out) { out.use_cache = false; }},
     {"progress",
      [](const CliArgs& args, CampaignOptions& out) {
        out.progress = true;
-       const long every = args.get_int("progress", 1);
-       out.progress_every = static_cast<std::size_t>(std::max(1L, every));
+       const std::string spec = args.get("progress");
+       if (spec.empty()) return;  // bare --progress: every cell
+       const auto every = parse_u64(spec);
+       if (!every || *every == 0) {
+         fail("bad --progress value '" + spec +
+              "'; expected a cell count >= 1, digits only");
+       }
+       out.progress_every = static_cast<std::size_t>(*every);
      }},
     {"telemetry-out",
      [](const CliArgs& args, CampaignOptions& out) {
@@ -139,10 +128,6 @@ constexpr FlagRow kFlags[] = {
      [](const CliArgs& args, CampaignOptions& out) {
        out.front_out = args.get("front-out");
        if (out.front_out.empty()) fail("--front-out needs a directory");
-     }},
-    {"cost-priors",
-     [](const CliArgs& args, CampaignOptions& out) {
-       out.cost_priors = load_cost_priors(args.get("cost-priors"));
      }},
     {"fault-plan",
      [](const CliArgs& args, CampaignOptions& out) {
@@ -185,46 +170,6 @@ CampaignOptions parse_campaign_options(const CliArgs& args) {
          "--shard or --connect (merge or run unsharded instead)");
   }
   return out;
-}
-
-std::map<std::string, double> load_cost_priors(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail("cannot read --cost-priors file " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string payload = buffer.str();
-  // `--telemetry-out` dumps carry a #crc32 trailer; a mismatch means the
-  // file was truncated or bit-flipped since it was written.  Trailer-less
-  // files (hand-written priors, pre-trailer dumps) still load.
-  if (io::strip_crc_trailer(payload) == io::CrcCheck::kMismatch) {
-    fail("--cost-priors file " + path +
-         " failed its #crc32 check (truncated or corrupt dump)");
-  }
-  telemetry::Snapshot snapshot;
-  std::istringstream lines(payload);
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(lines, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    try {
-      telemetry::decode_snapshot_line(line, snapshot);
-    } catch (const std::invalid_argument& error) {
-      fail(path + " line " + std::to_string(line_number) + ": " +
-           error.what());
-    }
-  }
-  auto priors = cost_priors_from_snapshot(snapshot);
-  // A prior keyed by a scenario the catalog cannot resolve will never
-  // match a plan cell — a silent no-op that usually means the dump came
-  // from a different (or renamed) catalog.  Reject it loudly instead.
-  for (const auto& [key, unused] : priors) {
-    if (!ScenarioCatalog::instance().contains(key)) {
-      fail("--cost-priors file " + path + ": unknown scenario key '" + key +
-           "' (not in the scenario catalog)");
-    }
-  }
-  return priors;
 }
 
 std::size_t write_telemetry_file(const std::string& path,

@@ -4,8 +4,8 @@
 ///
 /// Every campaign bench accepts the same distribution / observability
 /// flags (`--workers`, `--shard`, `--merge`, `--serve`, `--connect`,
-/// `--progress`, `--telemetry-out`, `--front-out`, `--cost-priors`,
-/// `--fault-plan`, `--cache-dir`).  This header owns their parsing and
+/// `--progress`, `--telemetry-out`, `--front-out`, `--fault-plan`,
+/// `--cache-dir`, `--no-cache`).  This header owns their parsing and
 /// validation as one table-driven pass: each flag has a single descriptor
 /// (spelling, operand grammar, which mode it selects), mode mutual
 /// exclusion is diagnosed in one loop that names the clashing pair, and
@@ -15,7 +15,6 @@
 /// no longer hand-parses anything.
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,7 +56,11 @@ struct CampaignOptions {
 
   /// --cache-dir override; nullopt keeps the driver default.
   std::optional<std::string> cache_dir;
-  /// --progress[=N]: print a progress line every N completed cells.
+  /// False under --no-cache: neither replay nor write the campaign store
+  /// (`ExperimentDriver::Options::use_cache`).
+  bool use_cache = true;
+  /// --progress[=N], N digits only and >= 1 (bare: every cell): print a
+  /// progress line every N completed cells.
   bool progress = false;
   std::size_t progress_every = 1;
   /// --telemetry-out=FILE (empty: none).  Written durably — atomic
@@ -68,36 +71,22 @@ struct CampaignOptions {
   /// under DIR.  Needs the full record set, so it is rejected in --shard
   /// and --connect modes (partial results only).
   std::string front_out;
-  /// --cost-priors=FILE, loaded and validated at parse time (see
-  /// `load_cost_priors`); empty when the flag is absent.
-  std::map<std::string, double> cost_priors;
   /// --fault-plan=SPEC verbatim; nullopt falls back to AEDB_FAULT_PLAN.
   std::optional<std::string> fault_plan;
 };
 
 /// Parses + validates the campaign flags in one pass.  Throws
-/// `std::invalid_argument` on any malformed operand, conflicting
-/// distribution modes (the message names the clashing pair) or an
-/// unreadable/invalid --cost-priors file.  Flags outside the campaign
-/// surface are ignored (benches layer their own options on top).
+/// `std::invalid_argument` on any malformed operand or conflicting
+/// distribution modes (the message names the clashing pair).  Flags
+/// outside the campaign surface are ignored (benches layer their own
+/// options on top).
 [[nodiscard]] CampaignOptions parse_campaign_options(const CliArgs& args);
-
-/// Loads scheduling priors from a `--telemetry-out` dump: verifies (and
-/// strips) the `#crc32` trailer when present, decodes every line through
-/// the telemetry codec, extracts the `scenario.<key>.wall_s` gauge means
-/// and checks each key against the scenario catalog.  Throws
-/// `std::invalid_argument` naming the path and offending line/key on a
-/// truncated or corrupt file, a malformed line, a non-numeric gauge or a
-/// scenario key the catalog does not know.
-[[nodiscard]] std::map<std::string, double> load_cost_priors(
-    const std::string& path);
 
 /// Durably writes `snapshot` through the line codec to `path`: the bytes
 /// carry a `#crc32` trailer and land via atomic tmp+fsync+rename, so a
 /// crash mid-dump leaves either the previous file or the complete new one
-/// — never a torn prefix that `--cost-priors` would half-parse.  Returns
-/// the number of instrument lines written; throws `std::runtime_error` on
-/// I/O failure.
+/// — never a torn prefix.  Returns the number of instrument lines written;
+/// throws `std::runtime_error` on I/O failure.
 std::size_t write_telemetry_file(const std::string& path,
                                  const telemetry::Snapshot& snapshot);
 

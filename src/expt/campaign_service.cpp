@@ -1,21 +1,17 @@
 #include "expt/campaign_service.hpp"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/durable_file.hpp"
 #include "common/fault.hpp"
 #include "common/logging.hpp"
 #include "expt/manifest.hpp"
@@ -36,44 +32,7 @@ std::size_t parse_index(const std::string& token, const char* what) {
                            "'");
 }
 
-std::string read_file_or_empty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  if (!in) return {};
-  return bytes.str();
-}
-
 }  // namespace
-
-std::map<std::string, double> cost_priors_from_snapshot(
-    const telemetry::Snapshot& snapshot) {
-  constexpr std::string_view kPrefix = "scenario.";
-  constexpr std::string_view kSuffix = ".wall_s";
-  std::map<std::string, double> priors;
-  for (const auto& [name, gauge] : snapshot.gauges) {
-    if (gauge.count == 0) continue;
-    if (name.size() <= kPrefix.size() + kSuffix.size()) continue;
-    if (name.compare(0, kPrefix.size(), kPrefix) != 0) continue;
-    if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-        0) {
-      continue;
-    }
-    priors[name.substr(kPrefix.size(),
-                       name.size() - kPrefix.size() - kSuffix.size())] =
-        gauge.mean();
-  }
-  return priors;
-}
-
-std::string campaign_journal_path(const std::string& dir,
-                                  const ExperimentPlan& plan) {
-  std::ostringstream path;
-  path << dir << "/campaign_" << plan.scale.name << "_"
-       << fingerprint_hex(plan.fingerprint()) << ".journal";
-  return path.str();
-}
 
 ExperimentResult run_campaign_coordinator(
     const ExperimentPlan& plan, par::net::Transport& transport,
@@ -87,26 +46,13 @@ ExperimentResult run_campaign_coordinator(
   const std::size_t expected_workers = transport.world_size() - 1;
   const ExperimentDriver::Options& driver = options.driver;
 
-  ExperimentResult result;
   std::vector<RunRecord> records(cells.size());
   std::vector<bool> cell_done(cells.size(), false);
   std::set<std::size_t> pending;
   std::size_t done_count = 0;
 
-  // Cache fast path — identical contract to ExperimentDriver::run: a
-  // cached CSV satisfies the campaign outright, and the loop below only
-  // answers each worker's handshake with `done`.
-  if (driver.use_cache && !driver.collect_records) {
-    if (auto cached = load_cached_samples(driver.cache_dir, plan)) {
-      result.samples = std::move(*cached);
-      result.from_cache = true;
-      done_count = cells.size();
-      cell_done.assign(cells.size(), true);
-    }
-  }
-
-  // Online per-scenario cost model (mean observed wall seconds), seeded by
-  // the caller's priors.  Scheduling only — never touches result bytes.
+  // Online per-scenario cost model (mean observed wall seconds, replayed
+  // cells included).  Scheduling only — never touches result bytes.
   std::map<std::string, telemetry::GaugeStat> observed_cost;
   auto observe_cost = [&](const RunRecord& record) {
     observed_cost[record.scenario].observe(record.wall_seconds);
@@ -116,56 +62,44 @@ ExperimentResult run_campaign_coordinator(
     if (seen != observed_cost.end() && seen->second.count > 0) {
       return seen->second.mean();
     }
-    const auto prior = options.cost_priors.find(cell.scenario);
-    if (prior != options.cost_priors.end()) return prior->second;
     // Unknown cost schedules first: the sooner it is observed, the better
     // every later decision gets.
     return std::numeric_limits<double>::infinity();
   };
 
-  // Crash-resume journal: replay the valid prefix, then rewrite the file
-  // (atomically — a crash during the rewrite must leave either the old
-  // journal or the clean new one, never a prefix of the latter).
-  const bool journaling = !result.from_cache && driver.use_cache;
-  const std::string journal_path =
-      campaign_journal_path(driver.cache_dir, plan);
+  // The campaign store doubles as the crash-resume journal: replay its
+  // valid prefix, rewrite it to exactly that prefix (atomically — a crash
+  // during the rewrite leaves either the old store or the clean new one),
+  // then append every completed cell.  A store holding every cell answers
+  // each worker's handshake with `done`.
   // lint: allow(durable-io): append-mode journal is flushed per record by
   // design (crash resume needs every completed cell on disk immediately);
-  // the startup rewrite above it goes through io::atomic_write_file and
-  // each record carries its own CRC, so torn tails replay their valid
-  // prefix (see read_cell_log).
+  // the startup rewrite and the final store go through write_cell_log
+  // (atomic) and each record carries its own CRC, so torn tails replay
+  // their valid prefix (see read_cell_log).
   std::ofstream journal;
-  if (journaling) {
-    std::string rewrite = cell_log_header(plan);
-    const std::string text = read_file_or_empty(journal_path);
-    CellLog prior_log = text.empty() ? CellLog{} : read_cell_log(text, plan);
-    if (!prior_log.defect.empty()) {
-      log_warn("elastic: journal ", journal_path, ": ", prior_log.defect,
-               "; replaying the valid prefix (", prior_log.results.size(),
-               " cells)");
+  if (driver.use_cache) {
+    const std::string store = cell_store_path(driver.cache_dir, plan);
+    std::vector<CellResult> replayed = load_cell_store(driver.cache_dir, plan);
+    write_cell_log(store, plan, replayed);
+    journal.open(store, std::ios::app | std::ios::binary);
+    if (!journal) {
+      log_warn("elastic: cannot append to ", store,
+               "; crash resume disabled for this run");
     }
-    for (CellResult& prior : prior_log.results) {
+    for (CellResult& prior : replayed) {
       cell_done[prior.index] = true;
       ++done_count;
       observe_cost(prior.record);
       if (driver.progress) driver.progress->cell_done(prior.record.telemetry);
-      rewrite += cell_log_record(prior);
       records[prior.index] = std::move(prior.record);
     }
-    std::error_code ec;
-    std::filesystem::create_directories(driver.cache_dir, ec);
-    if (io::atomic_write_file(journal_path, rewrite)) {
-      journal.open(journal_path, std::ios::app | std::ios::binary);
-    }
-    if (!journal) {
-      log_warn("elastic: cannot write journal ", journal_path,
-               "; crash resume disabled for this run");
-    }
-    if (!prior_log.results.empty()) {
-      log_info("elastic: journal replayed ", prior_log.results.size(), " of ",
+    if (!replayed.empty()) {
+      log_info("elastic: store replayed ", replayed.size(), " of ",
                cells.size(), " cells");
     }
   }
+  const bool from_cache = done_count == cells.size();
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (!cell_done[i]) pending.insert(i);
@@ -367,21 +301,12 @@ ExperimentResult run_campaign_coordinator(
                    true);
   }
 
-  if (!result.from_cache) {
-    result.samples = reduce_to_samples(plan, records);
-    result.telemetry = merge_telemetry(records);
-    if (driver.use_cache) {
-      store_cached_samples(driver.cache_dir, plan, result.samples);
-    }
-    if (driver.collect_records) result.records = std::move(records);
-  }
-  if (journaling) {
-    // Every cell completed, so the journal is spent — even one whose
-    // append path failed or was torn mid-run.
-    if (journal.is_open()) journal.close();
-    std::error_code ec;
-    std::filesystem::remove(journal_path, ec);
-  }
+  // Every cell completed: replace the appended journal with the whole
+  // store — clean even when an append failed or was torn mid-run.
+  if (journal.is_open()) journal.close();
+  ExperimentResult result = finish_campaign(
+      plan, std::move(records), driver.use_cache ? driver.cache_dir : "");
+  result.from_cache = from_cache;
   return result;
 }
 
@@ -396,8 +321,6 @@ WorkerReport run_campaign_worker(const ExperimentPlan& plan,
   WorkerReport report;
 
   ExperimentDriver::Options cell_options = options.driver;
-  cell_options.use_cache = false;  // cells are computed, never cache-loaded
-  cell_options.collect_records = false;
   cell_options.progress = nullptr;  // the coordinator owns campaign progress
   const ExperimentDriver driver(cell_options);
 

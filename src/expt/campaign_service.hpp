@@ -29,19 +29,18 @@
 ///
 /// Scheduling order: cells whose scenario has no cost estimate first (to
 /// learn their cost), then longest-expected-first (classic LPT makespan
-/// heuristic), ties broken by lowest index.  Estimates come from
-/// `scenario.<key>.wall_s` gauges — online from completed cells, seeded by
-/// `CampaignCoordinatorOptions::cost_priors` (e.g. a previous campaign's
-/// telemetry snapshot via `cost_priors_from_snapshot`).
+/// heuristic), ties broken by lowest index.  Estimates are the mean wall
+/// seconds of the scenario's completed cells, replayed ones included.
 ///
-/// Crash resume: with caching enabled the coordinator journals every
-/// completed cell to `campaign_journal_path(...)`; a restarted coordinator
-/// replays the journal and schedules only the remainder.  The journal is
-/// deleted on successful completion.
+/// Crash resume: with caching enabled the campaign store
+/// (`cell_store_path`, expt/manifest.hpp) is also the journal.  The
+/// coordinator replays its verified prefix, rewrites it to that prefix,
+/// appends every completed cell, and finally rewrites it whole
+/// (`finish_campaign`), so a restarted coordinator schedules only the
+/// remainder and a finished campaign is a cache hit for the next run.
 ///
-/// Durability: the journal is a cell log (expt/manifest.hpp) — each
-/// appended record carries its own `crc` line, and the startup rewrite
-/// goes through an atomic tmp+rename.  Replay reads it with
+/// Durability: each appended record carries its own `crc` line, and the
+/// rewrites go through an atomic tmp+rename.  Replay reads the store with
 /// `read_cell_log`, so a torn tail, a bit-flipped record or another
 /// plan's header degrade to replaying the valid prefix (with a warning) —
 /// never an error, never silently trusting corrupt bytes.
@@ -54,7 +53,6 @@
 /// EXPERIMENTS.md "Fault drills & chaos testing".
 
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,21 +74,14 @@ class CoordinatorLostError : public std::runtime_error {
 };
 
 struct CampaignCoordinatorOptions {
-  /// Reduction/cache behaviour (cache_dir, use_cache, collect_records,
-  /// progress); `use_cache` also journals completed cells next to the CSV
-  /// cache.  The coordinator runs no cells itself, so `workers` is
-  /// ignored here.
+  /// Store behaviour (cache_dir, use_cache) and progress.  The coordinator
+  /// runs no cells itself, so `workers` is ignored here.
   ExperimentDriver::Options driver;
-  /// Expected wall seconds per scenario key, used to order the queue
-  /// before any live observation exists (see
-  /// `cost_priors_from_snapshot`).  Scheduling only — results are
-  /// byte-identical with or without priors.
-  std::map<std::string, double> cost_priors;
 };
 
 struct CampaignWorkerOptions {
   /// Per-cell execution (workers, verbose).  Cells are always computed:
-  /// the cache fields are ignored.
+  /// the store fields are ignored.
   ExperimentDriver::Options driver;
   /// Fault injection for tests: after completing this many cells the
   /// worker abandons its next assignment by closing the transport
@@ -106,11 +97,11 @@ struct WorkerReport {
   telemetry::Snapshot telemetry;
 };
 
-/// Runs the coordinator (rank 0) side: schedules every cell of `plan`
-/// over the transport's workers, reduces in plan order, stores/loads the
-/// CSV cache like `ExperimentDriver::run`, and returns the campaign
-/// result.  Throws std::runtime_error when every worker departs with
-/// cells still incomplete.
+/// Runs the coordinator (rank 0) side: replays the campaign store like
+/// `ExperimentDriver::run`, schedules every missing cell of `plan` over
+/// the transport's workers, finishes in plan order (`finish_campaign`)
+/// and returns the campaign result.  Throws std::runtime_error when every
+/// worker departs with cells still incomplete.
 [[nodiscard]] ExperimentResult run_campaign_coordinator(
     const ExperimentPlan& plan, par::net::Transport& transport,
     const CampaignCoordinatorOptions& options);
@@ -123,16 +114,5 @@ struct WorkerReport {
 [[nodiscard]] WorkerReport run_campaign_worker(
     const ExperimentPlan& plan, par::net::Transport& transport,
     const CampaignWorkerOptions& options);
-
-/// Extracts per-scenario expected wall seconds (gauge mean of
-/// `scenario.<key>.wall_s`) from a telemetry snapshot — feed a previous
-/// campaign's `--telemetry-out` file back in as scheduling priors.
-[[nodiscard]] std::map<std::string, double> cost_priors_from_snapshot(
-    const telemetry::Snapshot& snapshot);
-
-/// `<dir>/campaign_<scale>_<fp hex>.journal` — the coordinator's
-/// crash-resume journal for `plan`.
-[[nodiscard]] std::string campaign_journal_path(const std::string& dir,
-                                                const ExperimentPlan& plan);
 
 }  // namespace aedbmls::expt

@@ -2,17 +2,13 @@
 
 #include <bit>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "aedb/tuning_problem.hpp"
-#include "common/durable_file.hpp"
-#include "common/fault.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "expt/manifest.hpp"
 #include "moo/core/dominance.hpp"
 #include "moo/core/front_io.hpp"
 #include "moo/core/normalization.hpp"
@@ -78,58 +74,6 @@ RunRecord run_cell(const std::string& algorithm, const std::string& scenario,
   registry.histogram("front.size").observe(record.front.size());
   record.telemetry = registry.snapshot();
   return record;
-}
-
-/// Parses a cache CSV; nullopt when the file is missing, malformed, or
-/// lacks a matching CRC32 trailer (a bench killed mid-write, a truncated
-/// file or a corrupted byte must mean recompute — never crash or trust
-/// partial data).  Truncation removes the trailer first, so a trailer-less
-/// file is never trusted.
-std::optional<std::vector<IndicatorSample>> parse_cache_file(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream slurp;
-  slurp << in.rdbuf();
-  std::string text = std::move(slurp).str();
-  const io::CrcCheck check = io::strip_crc_trailer(text);
-  if (check != io::CrcCheck::kVerified) {
-    log_warn("cache ", path,
-             check == io::CrcCheck::kMissing ? " has no crc32 trailer"
-                                             : " fails its crc32 trailer",
-             "; recomputing");
-    return std::nullopt;
-  }
-  std::istringstream rows(text);
-  std::vector<IndicatorSample> samples;
-  std::string line;
-  std::getline(rows, line);  // header
-  try {
-    while (std::getline(rows, line)) {
-      if (line.empty()) continue;
-      std::istringstream row(line);
-      IndicatorSample s;
-      std::string cell;
-      if (!std::getline(row, s.algorithm, ',') ||
-          !std::getline(row, s.scenario, ',')) {
-        return std::nullopt;
-      }
-      if (!std::getline(row, cell, ',')) return std::nullopt;
-      s.run_seed = std::stoull(cell);
-      if (!std::getline(row, cell, ',')) return std::nullopt;
-      s.front_size = std::stoull(cell);
-      if (!std::getline(row, cell, ',')) return std::nullopt;
-      s.hypervolume = std::stod(cell);
-      if (!std::getline(row, cell, ',')) return std::nullopt;
-      s.igd = std::stod(cell);
-      if (!std::getline(row, cell)) return std::nullopt;
-      s.spread = std::stod(cell);
-      samples.push_back(std::move(s));
-    }
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  return samples;
 }
 
 }  // namespace
@@ -321,37 +265,6 @@ std::string indicator_csv_path(const std::string& dir,
   return path.str();
 }
 
-std::optional<std::vector<IndicatorSample>> load_cached_samples(
-    const std::string& dir, const ExperimentPlan& plan) {
-  const std::string path = indicator_csv_path(dir, plan);
-  auto cached = parse_cache_file(path);
-  if (!cached) return std::nullopt;
-  // A fingerprint hit with the wrong row count means a stale or corrupt
-  // file (the fingerprint fixes the grid size) — recompute.
-  if (cached->size() != plan.cell_count()) {
-    log_warn("ignoring cache ", path, ": ", cached->size(),
-             " samples, expected ", plan.cell_count());
-    return std::nullopt;
-  }
-  return cached;
-}
-
-void store_cached_samples(const std::string& dir, const ExperimentPlan& plan,
-                          const std::vector<IndicatorSample>& samples) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string path = indicator_csv_path(dir, plan);
-  if (fault::fire("io.cache.write_fail")) {
-    log_warn("fault: skipping cache write ", path);
-    return;
-  }
-  // Checksummed + atomic: a crash mid-store leaves the previous cache (or
-  // none), and a torn/corrupt file can never load as real results.
-  if (!io::atomic_write_file(path, io::with_crc_trailer(indicator_csv(samples)))) {
-    log_warn("cannot write cache ", path, "; campaign results are unaffected");
-  }
-}
-
 std::vector<RunRecord> ExperimentDriver::run_cells(
     const ExperimentPlan& plan,
     const std::vector<ExperimentPlan::Cell>& cells) const {
@@ -390,36 +303,47 @@ telemetry::Snapshot merge_telemetry(const std::vector<RunRecord>& records) {
 ExperimentResult ExperimentDriver::run(const ExperimentPlan& plan) const {
   validate_plan(plan);
 
-  if (options_.use_cache && !options_.collect_records) {
-    if (auto cached = load_cached_samples(options_.cache_dir, plan)) {
-      if (options_.verbose) {
-        std::printf("[cache] loaded %zu indicator samples from %s\n",
-                    cached->size(),
-                    indicator_csv_path(options_.cache_dir, plan).c_str());
+  // Phase 1: replay the cells the store holds and shard the missing ones
+  // across the pool; phase 2: the deterministic reduction to reference
+  // fronts + indicators, and the store + CSV write.
+  const auto cells = plan.cells();
+  std::vector<RunRecord> records(cells.size());
+  std::vector<bool> stored(cells.size(), false);
+  if (options_.use_cache) {
+    for (CellResult& cell : load_cell_store(options_.cache_dir, plan)) {
+      if (options_.progress != nullptr) {
+        options_.progress->cell_done(cell.record.telemetry);
       }
-      return ExperimentResult{std::move(*cached), {}, true, {}};
+      stored[cell.index] = true;
+      records[cell.index] = std::move(cell.record);
     }
   }
-
-  // Phase 1: shard the independent grid cells across the pool; phase 2:
-  // the deterministic reduction to reference fronts + indicators.
-  const auto cells = plan.cells();
+  std::vector<ExperimentPlan::Cell> missing;
+  for (const ExperimentPlan::Cell& cell : cells) {
+    if (!stored[cell.index]) missing.push_back(cell);
+  }
   if (options_.verbose) {
     std::printf("[plan] %zu algorithms x %zu scenarios x %zu runs = %zu "
                 "cells\n",
                 plan.algorithms.size(), plan.scenarios.size(),
                 plan.scale.runs, cells.size());
+    if (missing.size() < cells.size()) {
+      std::printf("[cache] replayed %zu of %zu cells from %s\n",
+                  cells.size() - missing.size(), cells.size(),
+                  cell_store_path(options_.cache_dir, plan).c_str());
+    }
     std::fflush(stdout);
   }
-  auto records = run_cells(plan, cells);
-
-  ExperimentResult result;
-  result.samples = reduce_to_samples(plan, records);
-  result.telemetry = merge_telemetry(records);
-  if (options_.use_cache) {
-    store_cached_samples(options_.cache_dir, plan, result.samples);
+  if (!missing.empty()) {
+    auto fresh = run_cells(plan, missing);
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+      records[missing[i].index] = std::move(fresh[i]);
+    }
   }
-  if (options_.collect_records) result.records = std::move(records);
+
+  ExperimentResult result = finish_campaign(
+      plan, std::move(records), options_.use_cache ? options_.cache_dir : "");
+  result.from_cache = missing.empty();
   return result;
 }
 

@@ -13,12 +13,14 @@
 /// the indicator samples are bitwise-identical for any driver worker count
 /// (regression-tested at 1/4/12 in tests/test_experiment_driver.cpp).
 ///
-/// Results are cached as CSV under `results/`, keyed by the plan
-/// fingerprint; pass `Options::use_cache = false` (--no-cache) to force
-/// recomputation.
+/// With `Options::use_cache` (the default; --no-cache turns it off) the
+/// completed cells are kept in the campaign store under `results/`, a cell
+/// log keyed by the plan fingerprint (expt/manifest.hpp): a run replays the
+/// store's verified prefix, runs only the missing cells and rewrites the
+/// store whole, next to the write-only indicator CSV.  A hit therefore
+/// returns the fronts and the telemetry too.
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,8 +93,8 @@ struct ExperimentPlan {
   }
 
   /// Stable 64-bit key over everything that shapes the results (algorithms,
-  /// scenarios, runs, budgets, networks, seed, MLS layout) — the CSV cache
-  /// identity.
+  /// scenarios, runs, budgets, networks, seed, MLS layout) — the campaign
+  /// store's identity.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
@@ -111,12 +113,13 @@ struct ExperimentPlan {
 
 struct ExperimentResult {
   std::vector<IndicatorSample> samples;  ///< grid order (scenario-major)
-  std::vector<RunRecord> records;        ///< populated iff collect_records
+  std::vector<RunRecord> records;        ///< every cell, grid order
+  /// True when the campaign store held every cell, so no cell ran.
   bool from_cache = false;
   /// Campaign-wide fold of the per-cell snapshots, merged in grid order
   /// (`merge_telemetry`) — identical for any worker count, shard layout or
-  /// elastic fleet.  Empty on cache hits (the CSV cache carries no
-  /// telemetry).
+  /// elastic fleet, and on cache hits (the store keeps each cell's
+  /// snapshot).
   telemetry::Snapshot telemetry;
 };
 
@@ -127,35 +130,36 @@ class ExperimentDriver {
     /// hardware thread).  Cells, their population batches and their MLS
     /// walks share them.  Results are bitwise-identical for any value.
     std::size_t workers = 0;
-    /// Load/store the fingerprint-keyed CSV cache under `cache_dir`.
+    /// Replay and rewrite the campaign store under `cache_dir`, and write
+    /// the indicator CSV there.
     bool use_cache = true;
     std::string cache_dir = "results";
-    /// Also return the raw fronts (Fig. 6 needs them; disables cache loads).
-    bool collect_records = false;
     /// Per-cell progress lines on stdout.
     bool verbose = true;
     /// Live campaign progress: after each completed cell its telemetry
     /// snapshot is folded into this meter (thread-safe), which prints its
     /// `[progress]` line to stderr every N cells.  nullptr = no progress
-    /// stream.  Purely observational: cached CSV bytes and indicator
-    /// samples are identical with or without it.
+    /// stream.  Replayed cells count as completed.  Purely observational:
+    /// result bytes are identical with or without it.
     telemetry::ProgressMeter* progress = nullptr;
   };
 
   ExperimentDriver() = default;
   explicit ExperimentDriver(Options options) : options_(std::move(options)) {}
 
-  /// Runs the whole grid (or loads it from cache) and reduces it to
-  /// normalised indicator samples.
+  /// Runs the grid — only the cells the campaign store lacks when
+  /// `use_cache` is set — and reduces it to normalised indicator samples
+  /// (`finish_campaign`).
   [[nodiscard]] ExperimentResult run(const ExperimentPlan& plan) const;
 
   /// Runs an arbitrary subset of `plan.cells()` — the phase-1 shard loop
   /// alone, no cache, no reduction — and returns the records in the
   /// subset's order.  This is the unit of distribution: a `--shard=i/N`
-  /// process runs its `cells_for_shard` slice through here, and an elastic
-  /// worker each cell it pulls; because each cell is seeded by (plan,
-  /// scenario, run) alone the records are identical to the ones a full
-  /// single-node run would produce for those cells.
+  /// process runs its `cells_for_shard` slice through here, an elastic
+  /// worker each cell it pulls, and `run` the cells its store lacks;
+  /// because each cell is seeded by (plan, scenario, run) alone the records
+  /// are identical to the ones a full single-node run would produce for
+  /// those cells.
   [[nodiscard]] std::vector<RunRecord> run_cells(
       const ExperimentPlan& plan,
       const std::vector<ExperimentPlan::Cell>& cells) const;
@@ -192,25 +196,13 @@ void validate_plan(const ExperimentPlan& plan);
     const std::vector<RunRecord>& records);
 
 /// The exact bytes of the indicator CSV (header + one row per sample,
-/// doubles at max precision) — shared by the cache store and the shard
-/// merge so both emit identical files.
+/// doubles at max precision).
 [[nodiscard]] std::string indicator_csv(
     const std::vector<IndicatorSample>& samples);
 
 /// Fingerprint-keyed CSV path: `<dir>/indicators_<scale>_<fp hex>.csv`.
 [[nodiscard]] std::string indicator_csv_path(const std::string& dir,
                                              const ExperimentPlan& plan);
-
-/// Loads the cached samples for `plan` from `dir`; nullopt when the file
-/// is missing, malformed (truncated mid-write) or has the wrong row count
-/// (stale grid).
-[[nodiscard]] std::optional<std::vector<IndicatorSample>> load_cached_samples(
-    const std::string& dir, const ExperimentPlan& plan);
-
-/// Writes `indicator_csv(samples)` to `indicator_csv_path(dir, plan)`,
-/// creating `dir` on demand.
-void store_cached_samples(const std::string& dir, const ExperimentPlan& plan,
-                          const std::vector<IndicatorSample>& samples);
 
 /// Values of one (algorithm, scenario) cell, in run order.
 [[nodiscard]] std::vector<double> extract(

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -13,6 +14,8 @@
 
 #include "common/cli.hpp"
 #include "common/durable_file.hpp"
+#include "common/fault.hpp"
+#include "common/logging.hpp"
 #include "common/telemetry.hpp"
 
 namespace aedbmls::expt {
@@ -71,6 +74,16 @@ double to_double(const std::string& token, std::size_t line_number,
     fail(line_number, std::string("bad ") + what + " '" + token + "'");
   }
   return value;
+}
+
+/// The bytes of `path`; nullopt when it cannot be opened or read.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  if (!in) return std::nullopt;
+  return std::move(bytes).str();
 }
 
 struct LineReader {
@@ -312,9 +325,68 @@ CellLog read_cell_log(const std::string& text, const ExperimentPlan& plan) {
   return log;
 }
 
+void write_cell_log(const std::string& path, const ExperimentPlan& plan,
+                    const std::vector<CellResult>& results) {
+  std::string log = cell_log_header(plan);
+  for (const CellResult& result : results) log += cell_log_record(result);
+  std::error_code ec;
+  std::filesystem::create_directories(
+      std::filesystem::path(path).parent_path(), ec);
+  io::atomic_write_file_or_throw(path, log);
+}
+
+std::string cell_store_path(const std::string& dir,
+                            const ExperimentPlan& plan) {
+  std::ostringstream path;
+  path << dir << "/cells_" << plan.scale.name << "_" << std::hex
+       << plan.fingerprint() << ".log";
+  return path.str();
+}
+
+std::vector<CellResult> load_cell_store(const std::string& dir,
+                                        const ExperimentPlan& plan) {
+  const std::string path = cell_store_path(dir, plan);
+  const auto text = read_file(path);
+  if (!text) return {};
+  CellLog log = read_cell_log(*text, plan);
+  if (!log.defect.empty()) {
+    log_warn("cache ", path, ": ", log.defect, "; replaying the valid prefix (",
+             log.results.size(), " cells)");
+  }
+  return std::move(log.results);
+}
+
+ExperimentResult finish_campaign(const ExperimentPlan& plan,
+                                 std::vector<RunRecord> records,
+                                 const std::string& store_dir) {
+  ExperimentResult result;
+  result.samples = reduce_to_samples(plan, records);
+  result.telemetry = merge_telemetry(records);
+  if (!store_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(store_dir, ec);
+    const std::string store = cell_store_path(store_dir, plan);
+    if (fault::fire("io.cache.write_fail")) {
+      log_warn("fault: skipping cache write ", store);
+    } else {
+      std::vector<CellResult> cells;
+      cells.reserve(records.size());
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        cells.push_back(CellResult{i, records[i]});
+      }
+      write_cell_log(store, plan, cells);
+    }
+    io::atomic_write_file_or_throw(
+        indicator_csv_path(store_dir, plan),
+        io::with_crc_trailer(indicator_csv(result.samples)));
+  }
+  result.records = std::move(records);
+  return result;
+}
+
 ExperimentResult merge_campaign(const ExperimentPlan& plan,
                                 const std::string& manifest_dir,
-                                const ExperimentDriver::Options& options) {
+                                const std::string& cache_dir) {
   namespace fs = std::filesystem;
   validate_plan(plan);
   std::error_code ec;
@@ -336,13 +408,11 @@ ExperimentResult merge_campaign(const ExperimentPlan& plan,
   std::vector<RunRecord> records(plan.cell_count());
   std::vector<bool> seen(records.size(), false);
   for (const fs::path& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    if (!in) {
+    const auto bytes = read_file(path.string());
+    if (!bytes) {
       throw std::invalid_argument("cannot read manifest " + path.string());
     }
-    CellLog log = read_cell_log(bytes.str(), plan);
+    CellLog log = read_cell_log(*bytes, plan);
     if (!log.defect.empty()) {
       throw std::invalid_argument(path.string() + ": " + log.defect +
                                   " (regenerate this shard)");
@@ -368,20 +438,9 @@ ExperimentResult merge_campaign(const ExperimentPlan& plan,
        << ") — merge needs every shard of the campaign";
     throw std::invalid_argument(os.str());
   }
-
-  ExperimentResult result;
-  result.samples = reduce_to_samples(plan, records);
-  result.telemetry = merge_telemetry(records);
-  // The artifact CI diffs against an unsharded run: the fingerprint-keyed
-  // indicator CSV, the same bytes as the driver's cache store (CRC trailer
-  // included).  Unlike that best-effort store, a failed write fails the
-  // merge — it is the merge's whole output.
-  fs::create_directories(options.cache_dir, ec);
-  io::atomic_write_file_or_throw(
-      indicator_csv_path(options.cache_dir, plan),
-      io::with_crc_trailer(indicator_csv(result.samples)));
-  if (options.collect_records) result.records = std::move(records);
-  return result;
+  // Unlike a --no-cache driver run, a merge always writes its output: the
+  // CSV is the artifact CI diffs against an unsharded run.
+  return finish_campaign(plan, std::move(records), cache_dir);
 }
 
 }  // namespace aedbmls::expt

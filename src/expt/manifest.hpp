@@ -1,18 +1,24 @@
 #pragma once
 
-/// Cell logs — the one file format for completed grid cells.
+/// Cell logs — the one file format for completed grid cells, and the
+/// campaign's only read-back store.
 ///
-/// A campaign leaves its cells on disk in two places, and both are cell
-/// logs: `--shard=i/N` writes the cells of `cells_for_shard(plan, i, N)`
-/// atomically to `<shard-dir>/shard_<i>_of_<N>.manifest`, and the elastic
-/// coordinator appends each completed cell to its crash-resume journal.
-/// `--merge=DIR` reads every `*.manifest` under DIR and reassembles the
-/// exact record set of the unsharded run — the reduced indicator CSV is
-/// byte-for-byte identical to the one `ExperimentDriver` writes.
+/// Every file a campaign reads back is a cell log:
+///   - `--shard=i/N` writes the cells of `cells_for_shard(plan, i, N)` to
+///     `<shard-dir>/shard_<i>_of_<N>.manifest`, and `--merge=DIR` reads
+///     every `*.manifest` under DIR back into the exact record set of the
+///     unsharded run;
+///   - the campaign store `cell_store_path(cache_dir, plan)` is the cache:
+///     `ExperimentDriver::run` and the elastic coordinator replay its
+///     verified prefix, run only the missing cells and rewrite it whole
+///     (`finish_campaign`), and the coordinator also appends each completed
+///     cell to it as its crash-resume journal.
+/// All of them go through one writer (`write_cell_log`) and one reader
+/// (`read_cell_log`); the indicator CSV is write-only output.
 ///
 /// Line-oriented ASCII.  Doubles are printed with `%.17g`, which
-/// round-trips IEEE-754 binary64 exactly, so decoded fronts are bitwise
-/// equal to the originals:
+/// round-trips IEEE-754 binary64 exactly, so decoded fronts and telemetry
+/// are bitwise equal to the originals:
 ///
 ///   aedbmls-cell-log v1 <fingerprint hex> <total cells in the plan>
 ///   cell <index> <seed> <evaluations> <front_size> <wall_seconds>
@@ -93,16 +99,46 @@ struct CellLog {
 [[nodiscard]] CellLog read_cell_log(const std::string& text,
                                     const ExperimentPlan& plan);
 
+/// Writes `results` as one cell log at `path`, atomically (tmp + fsync +
+/// rename), creating the parent directory on demand — the `--shard` files,
+/// the campaign store and the coordinator's journal reset all go through
+/// here.  Throws std::runtime_error naming the path on I/O failure.
+void write_cell_log(const std::string& path, const ExperimentPlan& plan,
+                    const std::vector<CellResult>& results);
+
+/// `<dir>/cells_<scale>_<fp hex>.log` — the campaign store for `plan`.
+[[nodiscard]] std::string cell_store_path(const std::string& dir,
+                                          const ExperimentPlan& plan);
+
+/// The verified prefix of the campaign store for `plan` under `dir`, in
+/// file order; empty when there is no store yet.  A defect (torn tail,
+/// flipped byte, another plan's header, ...) is logged as a warning: the
+/// prefix is replayed and the rest recomputes.
+[[nodiscard]] std::vector<CellResult> load_cell_store(
+    const std::string& dir, const ExperimentPlan& plan);
+
+/// The end of every campaign executor (`ExperimentDriver::run`, the elastic
+/// coordinator, `merge_campaign`): reduces `records` — every cell of
+/// `plan`, in grid order — to indicator samples, folds their telemetry
+/// and, unless `store_dir` is empty, writes the campaign store and the
+/// indicator CSV (`indicator_csv_path`, with its `#crc32` trailer) under
+/// it.  The `io.cache.write_fail` fault site skips the store write (the
+/// CSV is still written).
+/// Returns the samples, the telemetry and the records.  Throws
+/// std::runtime_error when a file cannot be written.
+[[nodiscard]] ExperimentResult finish_campaign(const ExperimentPlan& plan,
+                                               std::vector<RunRecord> records,
+                                               const std::string& store_dir);
+
 /// The whole `--merge` mode: reads every `*.manifest` regular file under
-/// `manifest_dir` (in filename order), reassembles the grid and reduces
-/// it.  Throws std::invalid_argument naming the file on any defect, on a
-/// cell that two files hold, on missing cells, and when the directory
-/// holds no manifest.  Always writes the canonical indicator CSV to
-/// `indicator_csv_path(options.cache_dir, plan)` — the artifact CI diffs
-/// against an unsharded run.  Records are populated iff
-/// `options.collect_records`.
-[[nodiscard]] ExperimentResult merge_campaign(
-    const ExperimentPlan& plan, const std::string& manifest_dir,
-    const ExperimentDriver::Options& options);
+/// `manifest_dir` (in filename order), reassembles the grid and finishes
+/// it into `cache_dir` (`finish_campaign`: the indicator CSV CI diffs
+/// against an unsharded run, and the campaign store, so a later run on
+/// `cache_dir` is a cache hit).  Throws std::invalid_argument naming the
+/// file on any defect, on a cell that two files hold, on missing cells,
+/// and when the directory holds no manifest.
+[[nodiscard]] ExperimentResult merge_campaign(const ExperimentPlan& plan,
+                                              const std::string& manifest_dir,
+                                              const std::string& cache_dir);
 
 }  // namespace aedbmls::expt

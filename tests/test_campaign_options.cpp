@@ -1,6 +1,6 @@
 // CampaignOptions — the unified campaign CLI surface: table-driven flag
-// parsing, distribution-mode mutual exclusion, durable telemetry dumps
-// and hardened --cost-priors loading.
+// parsing, strict operands, distribution-mode mutual exclusion and
+// durable telemetry dumps.
 
 #include "expt/campaign_options.hpp"
 
@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,11 +55,6 @@ class TempDir {
   std::filesystem::path path_;
 };
 
-void write_raw(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
-}
-
 TEST(CampaignOptions, DefaultsToLocalMode) {
   const CampaignOptions options = parse_campaign_options(args_of({}));
   EXPECT_EQ(options.mode, CampaignMode::kLocal);
@@ -66,8 +62,17 @@ TEST(CampaignOptions, DefaultsToLocalMode) {
   EXPECT_FALSE(options.progress);
   EXPECT_TRUE(options.telemetry_out.empty());
   EXPECT_TRUE(options.front_out.empty());
-  EXPECT_TRUE(options.cost_priors.empty());
+  EXPECT_TRUE(options.use_cache);
   EXPECT_FALSE(options.fault_plan.has_value());
+}
+
+TEST(CampaignOptions, ParsesCacheAndProgressFlags) {
+  EXPECT_FALSE(parse_campaign_options(args_of({"--no-cache"})).use_cache);
+  const auto bare = parse_campaign_options(args_of({"--progress"}));
+  EXPECT_TRUE(bare.progress);
+  EXPECT_EQ(bare.progress_every, 1u);
+  EXPECT_EQ(parse_campaign_options(args_of({"--progress=5"})).progress_every,
+            5u);
 }
 
 TEST(CampaignOptions, ParsesEachDistributionMode) {
@@ -124,6 +129,18 @@ TEST(CampaignOptions, RejectsMalformedOperands) {
   EXPECT_FALSE(message_of({"--serve=70000", "--workers=1"}).empty());
   EXPECT_FALSE(message_of({"--serve=0"}).empty());  // missing --workers
   EXPECT_FALSE(message_of({"--serve=0", "--workers=0"}).empty());
+  // Ports are digits only: no sign, no whitespace.
+  for (const char* spec : {"--serve=+7000", "--serve=-0", "--serve= 7000"}) {
+    EXPECT_NE(message_of({spec, "--workers=1"}).find("--serve"),
+              std::string::npos)
+        << spec;
+  }
+  // --progress=N grammar: digits only, N >= 1 (a bare --progress is 1).
+  for (const char* spec :
+       {"--progress=abc", "--progress=-3", "--progress=0", "--progress=2x"}) {
+    EXPECT_NE(message_of({spec}).find("--progress"), std::string::npos)
+        << spec;
+  }
   // --workers grammar: digits only, in every mode.
   for (const char* spec : {"--workers=abc", "--workers=-2", "--workers="}) {
     EXPECT_FALSE(message_of({spec}).empty()) << spec;
@@ -152,71 +169,21 @@ TEST(CampaignOptions, TelemetryRoundTripsThroughDurableDump) {
   const std::string path = dir.file("dump.telemetry");
   EXPECT_GT(write_telemetry_file(path, snapshot), 0u);
 
-  // The dump is CRC-trailed and atomic-rename durable; the loader strips
-  // and verifies the trailer, then resolves the gauge means.
+  // The dump is the snapshot codec's lines sealed by a `#crc32` trailer;
+  // decoding the lines through the codec gives back the snapshot exactly.
   std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  EXPECT_NE(bytes.find("#crc32 "), std::string::npos);
-
-  const auto priors = load_cost_priors(path);
-  ASSERT_EQ(priors.count("d100"), 1u);
-  EXPECT_DOUBLE_EQ(priors.at("d100"), 2.0);
-}
-
-TEST(CampaignOptions, CostPriorsRejectsTruncatedDump) {
-  TempDir dir;
-  telemetry::Snapshot snapshot;
-  snapshot.gauges["scenario.d100.wall_s"].observe(1.0);
-  const std::string path = dir.file("dump.telemetry");
-  (void)write_telemetry_file(path, snapshot);
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  // A torn write that kept the trailer line boundary: drop the first line
-  // but keep the trailer — the CRC no longer matches what it covers.
-  const std::string truncated = dir.file("truncated.telemetry");
-  write_raw(truncated, bytes.substr(bytes.find('\n') + 1));
-  EXPECT_THROW((void)load_cost_priors(truncated), std::invalid_argument);
-}
-
-TEST(CampaignOptions, CostPriorsRejectsNonNumericGauge) {
-  TempDir dir;
-  const std::string path = dir.file("bad_gauge.telemetry");
-  write_raw(path, "tgauge scenario.d100.wall_s 1 banana 1.0 1.0\n");
-  EXPECT_THROW((void)load_cost_priors(path), std::invalid_argument);
-  // Same for a malformed line shape.
-  const std::string short_line = dir.file("short.telemetry");
-  write_raw(short_line, "tgauge scenario.d100.wall_s 1\n");
-  EXPECT_THROW((void)load_cost_priors(short_line), std::invalid_argument);
-}
-
-TEST(CampaignOptions, CostPriorsRejectsUnknownScenarioKey) {
-  TempDir dir;
-  const std::string path = dir.file("unknown.telemetry");
-  write_raw(path, "tgauge scenario.not-a-scenario.wall_s 1 2.0 2.0 2.0\n");
-  try {
-    (void)load_cost_priors(path);
-    FAIL() << "unknown scenario key must be rejected";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("not-a-scenario"),
-              std::string::npos)
-        << error.what();
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const std::size_t trailer = bytes.rfind("#crc32 ");
+  ASSERT_NE(trailer, std::string::npos);
+  const std::string payload = bytes.substr(0, trailer);
+  EXPECT_EQ(bytes, io::with_crc_trailer(payload));
+  telemetry::Snapshot decoded;
+  std::istringstream lines(payload);
+  for (std::string line; std::getline(lines, line);) {
+    telemetry::decode_snapshot_line(line, decoded);
   }
-  // Catalog keys (static and dynamic d<N> densities) load fine without a
-  // trailer — hand-written priors stay supported.
-  const std::string ok = dir.file("ok.telemetry");
-  write_raw(ok,
-            "tgauge scenario.d250.wall_s 2 6.0 2.0 4.0\n"
-            "tgauge scenario.sparse-wide.wall_s 1 9.0 9.0 9.0\n");
-  const auto priors = load_cost_priors(ok);
-  EXPECT_DOUBLE_EQ(priors.at("d250"), 3.0);
-  EXPECT_DOUBLE_EQ(priors.at("sparse-wide"), 9.0);
-}
-
-TEST(CampaignOptions, CostPriorsRejectsMissingFile) {
-  EXPECT_THROW((void)load_cost_priors("/nonexistent/priors.telemetry"),
-               std::invalid_argument);
+  EXPECT_EQ(decoded, snapshot);
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 /// pull scheduler reproduces the single-driver indicator samples, CSV and
 /// exact telemetry bitwise, requeues a dead worker's cells, fails loudly
 /// when the whole fleet departs, rejects fingerprint-mismatched workers,
-/// resumes from its crash journal, never lets a worker's cache be
-/// overwritten, and rejects a repeated handshake without losing the
-/// worker's cell.  The cell-block codec the wire rides on round-trips
+/// resumes from the campaign store it journals to, never lets a worker's
+/// cache be overwritten, and rejects a repeated handshake without losing
+/// the worker's cell.  The cell-block codec the wire rides on round-trips
 /// bitwise.
 
 #include <gtest/gtest.h>
@@ -101,6 +101,13 @@ WorkerRun drive_worker(const ExperimentPlan& plan,
   return run;
 }
 
+/// The campaign store under `dir` holds every cell of `plan`, clean.
+void expect_whole_store(const std::string& dir, const ExperimentPlan& plan) {
+  const CellLog log = read_cell_log(slurp(cell_store_path(dir, plan)), plan);
+  EXPECT_EQ(log.results.size(), plan.cell_count());
+  EXPECT_EQ(log.defect, "");
+}
+
 /// The unsharded ground truth: a plain driver run caching into `dir`.
 ExperimentResult reference_run(const ExperimentPlan& plan,
                                const std::string& dir) {
@@ -155,9 +162,7 @@ TEST(CampaignService, ElasticRunMatchesDriverBitwise) {
     total_cells += run.report.cells_completed;
   }
   EXPECT_EQ(total_cells, plan.cell_count());
-  // The journal must not outlive a successful campaign.
-  EXPECT_FALSE(
-      std::filesystem::exists(campaign_journal_path(elastic_dir, plan)));
+  expect_whole_store(elastic_dir, plan);
 }
 
 TEST(CampaignService, DeadWorkerCellsAreRequeuedByteIdentical) {
@@ -261,10 +266,10 @@ TEST(CampaignService, JournalResumesACrashedCampaign) {
   const std::string ref_dir = scratch_dir("journal_ref");
   const std::string dir = scratch_dir("journal_run");
   const auto reference = reference_run(plan, ref_dir);
-  const std::string journal = campaign_journal_path(dir, plan);
+  const std::string store = cell_store_path(dir, plan);
 
   // Round 1: the only worker abandons after 3 cells, failing the
-  // campaign — but the journal keeps what was finished.
+  // campaign — but the store keeps what was finished.
   {
     par::net::InProcWorld world(2);
     WorkerRun run;
@@ -284,9 +289,9 @@ TEST(CampaignService, JournalResumesACrashedCampaign) {
     worker.join();
     EXPECT_EQ(run.report.cells_completed, 3u);
   }
-  ASSERT_TRUE(std::filesystem::exists(journal));
+  EXPECT_EQ(read_cell_log(slurp(store), plan).results.size(), 3u);
 
-  // Round 2: a fresh coordinator replays the journal and schedules only
+  // Round 2: a fresh coordinator replays the store and schedules only
   // the remaining cells.
   {
     par::net::InProcWorld world(2);
@@ -309,22 +314,24 @@ TEST(CampaignService, JournalResumesACrashedCampaign) {
     EXPECT_EQ(slurp(indicator_csv_path(dir, plan)),
               slurp(indicator_csv_path(ref_dir, plan)));
   }
-  EXPECT_FALSE(std::filesystem::exists(journal));
+  expect_whole_store(dir, plan);
 }
 
 TEST(CampaignService, RejectedCoordinatorCacheNeverReachesWorkers) {
-  // The worker's cache holds the plan's valid sealed CSV; the
-  // coordinator's copy is torn, so the coordinator recomputes the
-  // campaign.  The torn bytes must not overwrite the worker's file.
+  // The worker's cache holds the plan's whole store; the coordinator's
+  // copy is torn inside its first record, so the coordinator recomputes
+  // the campaign.  The torn bytes must not overwrite the worker's files.
   const auto plan = tiny_plan();
   const std::string coord_dir = scratch_dir("torn_coord");
   const std::string worker_dir = scratch_dir("torn_worker");
   const auto reference = reference_run(plan, worker_dir);
   const std::string worker_csv = slurp(indicator_csv_path(worker_dir, plan));
-  ASSERT_GT(worker_csv.size(), 100u);
+  const std::string worker_store = slurp(cell_store_path(worker_dir, plan));
+  const std::size_t first_record = worker_store.find('\n') + 1;
+  ASSERT_GT(worker_store.size(), first_record + 100);
   {
-    std::ofstream torn(indicator_csv_path(coord_dir, plan), std::ios::binary);
-    torn << worker_csv.substr(0, 100);
+    std::ofstream torn(cell_store_path(coord_dir, plan), std::ios::binary);
+    torn << worker_store.substr(0, first_record + 100);
   }
 
   par::net::InProcWorld world(2);
@@ -349,7 +356,9 @@ TEST(CampaignService, RejectedCoordinatorCacheNeverReachesWorkers) {
   EXPECT_EQ(run.report.cells_completed, plan.cell_count());
   expect_identical(result.samples, reference.samples);
   EXPECT_EQ(slurp(indicator_csv_path(worker_dir, plan)), worker_csv);
+  EXPECT_EQ(slurp(cell_store_path(worker_dir, plan)), worker_store);
   EXPECT_EQ(slurp(indicator_csv_path(coord_dir, plan)), worker_csv);
+  expect_whole_store(coord_dir, plan);
 }
 
 TEST(CampaignService, SecondReadyRequeuesTheWorkersCell) {
@@ -413,19 +422,6 @@ TEST(CampaignService, SecondReadyRequeuesTheWorkersCell) {
   EXPECT_TRUE(honest.error.empty()) << honest.error;
   EXPECT_EQ(honest.report.cells_completed, plan.cell_count());
   expect_identical(result.samples, reference.samples);
-}
-
-TEST(CampaignService, CostPriorsComeFromScenarioWallGauges) {
-  telemetry::Snapshot snapshot;
-  snapshot.gauges["scenario.d100.wall_s"].observe(2.0);
-  snapshot.gauges["scenario.d100.wall_s"].observe(4.0);
-  snapshot.gauges["scenario.urban-canyon.wall_s"].observe(9.5);
-  snapshot.gauges["cell.wall_s"].observe(1.0);        // not a scenario gauge
-  snapshot.gauges["scenario.empty.wall_s"];           // zero observations
-  const auto priors = cost_priors_from_snapshot(snapshot);
-  ASSERT_EQ(priors.size(), 2u);
-  EXPECT_DOUBLE_EQ(priors.at("d100"), 3.0);
-  EXPECT_DOUBLE_EQ(priors.at("urban-canyon"), 9.5);
 }
 
 TEST(CampaignService, CellResultCodecRoundTripsBitwise) {

@@ -5,14 +5,14 @@
 /// stalled by the `cell.stall_ms` site, one SIGKILLed mid-cell, one
 /// corrupting its received frames, one tearing its own sends, one clean —
 /// while the coordinator drops an incoming data frame by plan and starts
-/// from a pre-corrupted CSV cache.  The campaign must still produce an
+/// from a poisoned campaign store.  The campaign must still produce an
 /// indicator CSV byte-identical to a clean unsharded run.  The remaining
-/// tests are in-process (TSan-safe): a torn crash-resume journal followed
-/// by a resumed run, and the `cell.stall_ms` wiring under a live plan.
+/// tests are in-process (TSan-safe): a store torn mid-append followed by
+/// a resumed run, and the `cell.stall_ms` wiring under a live plan.
 ///
 /// The fork-based drill self-skips under ThreadSanitizer (fork() from a
 /// threaded sanitizer runtime is unsupported).  Built without fault
-/// injection it still runs the kill and the poisoned cache; only the
+/// injection it still runs the kill and the poisoned store; only the
 /// fault-plan sabotage is gone.
 
 #include <gtest/gtest.h>
@@ -118,14 +118,17 @@ TEST(ChaosCampaign, EverythingAtOnceIsByteIdentical) {
   const std::string ref_csv = slurp(indicator_csv_path(ref_dir, plan));
   ASSERT_FALSE(ref_csv.empty());
 
-  // Pre-corrupt the coordinator's cache: right bytes, one flipped digit,
-  // stale CRC trailer.  The coordinator must warn and recompute instead of
-  // serving it.
-  std::string poisoned = ref_csv;
-  const std::size_t digit = poisoned.find("0.");
-  ASSERT_NE(digit, std::string::npos);
-  poisoned[digit + 1] ^= 0x01;
-  std::ofstream(indicator_csv_path(elastic_dir, plan), std::ios::binary)
+  // Pre-corrupt the coordinator's store: the reference run's bytes with
+  // one flipped digit in the second record's front, so its CRC fails.  The
+  // coordinator must warn, replay only the first record and recompute the
+  // rest instead of serving the poisoned cell.
+  std::string poisoned = slurp(cell_store_path(ref_dir, plan));
+  const std::size_t second = poisoned.find("\ncell 1 ");
+  ASSERT_NE(second, std::string::npos);
+  const std::size_t digit = poisoned.find("\npoint ", second) + 7;
+  ASSERT_LT(digit, poisoned.size());
+  poisoned[digit] ^= 0x01;
+  std::ofstream(cell_store_path(elastic_dir, plan), std::ios::binary)
       << poisoned;
 
   par::net::TcpOptions net;
@@ -208,11 +211,13 @@ TEST(ChaosCampaign, EverythingAtOnceIsByteIdentical) {
   EXPECT_GE(clean_exits, 1);
 
   expect_identical_samples(result, reference);
-  EXPECT_FALSE(result.from_cache);  // the poisoned cache was not trusted
+  EXPECT_FALSE(result.from_cache);  // the poisoned cell was not trusted
   EXPECT_EQ(slurp(indicator_csv_path(elastic_dir, plan)), ref_csv);
-  // The crash-resume journal is deleted on success.
-  EXPECT_FALSE(
-      std::filesystem::exists(campaign_journal_path(elastic_dir, plan)));
+  // The store ends whole and clean: the poisoned record was recomputed.
+  const CellLog log =
+      read_cell_log(slurp(cell_store_path(elastic_dir, plan)), plan);
+  EXPECT_EQ(log.results.size(), plan.cell_count());
+  EXPECT_EQ(log.defect, "");
 #endif
 }
 
@@ -250,14 +255,13 @@ TEST(ChaosCampaign, TornJournalResumesFromTheValidPrefix) {
     worker.join();
   }
 
-  // The torn journal survives the failure and replays exactly its valid
+  // The torn store survives the failure and replays exactly its valid
   // prefix: the first record committed before the tear.
-  const std::string journal = campaign_journal_path(dir, plan);
-  ASSERT_TRUE(std::filesystem::exists(journal));
-  EXPECT_EQ(read_cell_log(slurp(journal), plan).results.size(), 1u);
+  const std::string store = cell_store_path(dir, plan);
+  EXPECT_EQ(read_cell_log(slurp(store), plan).results.size(), 1u);
 
   // Round 2, fault-free: the restarted coordinator resumes from the
-  // journal and a whole worker carries the remainder.
+  // store and a whole worker carries the remainder.
   {
     par::net::InProcWorld world(2);
     std::thread worker([&plan, &world] {
@@ -274,7 +278,9 @@ TEST(ChaosCampaign, TornJournalResumesFromTheValidPrefix) {
     worker.join();
     expect_identical_samples(result, reference);
   }
-  EXPECT_FALSE(std::filesystem::exists(journal));
+  const CellLog log = read_cell_log(slurp(store), plan);
+  EXPECT_EQ(log.results.size(), plan.cell_count());
+  EXPECT_EQ(log.defect, "");
   EXPECT_EQ(slurp(indicator_csv_path(dir, plan)),
             slurp(indicator_csv_path(ref_dir, plan)));
 }

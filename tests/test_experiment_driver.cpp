@@ -1,5 +1,6 @@
 /// ExperimentDriver: deterministic cell seeding, plan fingerprints, the
-/// CSV cache, and — the headline property — bitwise-identical indicator
+/// campaign store (a hit returns every record and the telemetry), and —
+/// the headline property — bitwise-identical indicator
 /// samples for any driver worker count (1/4/12), because cells are seeded
 /// by (plan, scenario, run) alone and the reference-front reduction runs
 /// after the barrier in plan order.  A campaign also evaluates on at most
@@ -19,6 +20,7 @@
 
 #include "expt/algorithm_registry.hpp"
 #include "expt/experiment.hpp"
+#include "expt/manifest.hpp"
 
 namespace aedbmls::expt {
 namespace {
@@ -286,9 +288,7 @@ TEST(ExperimentDriver, RecordsMatchSerialRunRepeats) {
   const Scale scale = tiny_scale();
   ExperimentPlan plan = ExperimentPlan::of({"Random"}, scale);
   plan.scenarios = {"d100"};
-  ExperimentDriver::Options options = quiet(4);
-  options.collect_records = true;
-  const auto result = ExperimentDriver(options).run(plan);
+  const auto result = ExperimentDriver(quiet(4)).run(plan);
   ASSERT_EQ(result.records.size(), scale.runs);
 
   const auto reference = run_repeats("Random", "d100", scale);
@@ -320,13 +320,25 @@ TEST(ExperimentDriver, CacheRoundTripsByFingerprint) {
 
   const auto fresh = driver.run(plan);
   EXPECT_FALSE(fresh.from_cache);
-  const auto cached = driver.run(plan);
+  // The hit runs no cell (no `[cell` progress line), yet returns what the
+  // fresh run did: the store keeps every cell's front and telemetry.
+  ExperimentDriver::Options verbose = options;
+  verbose.verbose = true;
+  ::testing::internal::CaptureStdout();
+  const auto cached = ExperimentDriver(verbose).run(plan);
+  const std::string printed = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(printed.find("[cell"), std::string::npos) << printed;
   EXPECT_TRUE(cached.from_cache);
   expect_identical(fresh.samples, cached.samples);
-  // A cache hit runs no cells, so it carries no telemetry (the CSV cache
-  // stores indicator samples only).
+  ASSERT_EQ(fresh.records.size(), plan.cell_count());
+  ASSERT_EQ(cached.records.size(), plan.cell_count());
+  for (std::size_t i = 0; i < plan.cell_count(); ++i) {
+    EXPECT_EQ(encode_cell_result({i, cached.records[i]}),
+              encode_cell_result({i, fresh.records[i]}))
+        << i;
+  }
   EXPECT_FALSE(fresh.telemetry.empty());
-  EXPECT_TRUE(cached.telemetry.empty());
+  EXPECT_EQ(cached.telemetry, fresh.telemetry);
 
   // A different grid gets a different cache entry, not a stale hit.
   ExperimentPlan other = plan;

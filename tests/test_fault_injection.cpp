@@ -1,8 +1,9 @@
 /// The fault-injection subsystem and the durable I/O it attacks: plan
 /// grammar + trigger semantics + seeded determinism, CRC32 trailers and
-/// atomic file replacement, cache/manifest corruption handling, the
-/// crash-resume journal under adversarial inputs (torn tail, bit flips,
-/// wrong fingerprint, empty file), worker-side coordinator-loss detection
+/// atomic file replacement, manifest corruption handling, the campaign
+/// store under adversarial inputs (torn tail, bit flips, repeated and
+/// contradicting cells, wrong fingerprint, empty file) replayed by both
+/// the driver and the elastic coordinator, worker-side coordinator-loss detection
 /// (typed error + heartbeat deadline over real sockets), and the four
 /// `net.*` sites wired into TcpTransport.  Thread-based only — the forked
 /// chaos drill lives in test_chaos_campaign.
@@ -301,22 +302,14 @@ TEST(DurableFile, Crc32KnownAnswer) {
   EXPECT_EQ(io::crc32(""), 0u);
 }
 
-TEST(DurableFile, TrailerRoundTripAndTamperDetection) {
+TEST(DurableFile, TrailerSealsThePayload) {
+  // One final line, `#crc32 ` + the payload's CRC in 8 lowercase hex
+  // digits, that any reader of an indicator CSV or telemetry dump can
+  // check by hand.
   const std::string payload = "header\nrow,1,2\nrow,3,4\n";
-  std::string sealed = io::with_crc_trailer(payload);
-  EXPECT_EQ(io::strip_crc_trailer(sealed), io::CrcCheck::kVerified);
-  EXPECT_EQ(sealed, payload);
-
-  std::string tampered = io::with_crc_trailer(payload);
-  tampered[9] ^= 0x01;  // flip one payload bit
-  EXPECT_EQ(io::strip_crc_trailer(tampered), io::CrcCheck::kMismatch);
-
-  std::string plain = payload;
-  EXPECT_EQ(io::strip_crc_trailer(plain), io::CrcCheck::kMissing);
-  EXPECT_EQ(plain, payload);
-
-  std::string empty;
-  EXPECT_EQ(io::strip_crc_trailer(empty), io::CrcCheck::kMissing);
+  EXPECT_EQ(io::with_crc_trailer(payload),
+            payload + "#crc32 " + io::crc32_hex(payload) + "\n");
+  EXPECT_EQ(io::with_crc_trailer(""), "#crc32 00000000\n");
 }
 
 TEST(DurableFile, AtomicWriteReplacesWithoutTempResidue) {
@@ -336,61 +329,29 @@ TEST(DurableFile, AtomicWriteReplacesWithoutTempResidue) {
 }
 
 // ---------------------------------------------------------------------------
-// Indicator-CSV cache hardening
-
-TEST(CacheHardening, StoreSealsAndLoadRejectsCorruption) {
-  const auto plan = tiny_plan();
-  const std::string dir = scratch_dir("cache_hardening");
-  std::vector<IndicatorSample> samples;
-  for (const auto& cell : plan.cells()) {
-    IndicatorSample sample;
-    sample.algorithm = cell.algorithm;
-    sample.scenario = cell.scenario;
-    sample.run_seed = cell.seed;
-    sample.front_size = 3;
-    sample.hypervolume = 0.5;
-    sample.igd = 0.1;
-    sample.spread = 0.9;
-    samples.push_back(sample);
-  }
-  samples.back().spread = 0.123456;  // a cut inside it still parses
-  store_cached_samples(dir, plan, samples);
-  const std::string path = indicator_csv_path(dir, plan);
-  const std::string sealed = slurp(path);
-  ASSERT_NE(sealed.find("#crc32 "), std::string::npos);
-  ASSERT_TRUE(load_cached_samples(dir, plan).has_value());
-
-  // One changed byte inside the data: the trailer catches what the row
-  // parser would happily accept (0.5 -> 0.7 still parses).
-  std::string corrupt = sealed;
-  const std::size_t digit = corrupt.find("0.5");
-  ASSERT_NE(digit, std::string::npos);
-  corrupt[digit + 2] = '7';
-  spit(path, corrupt);
-  EXPECT_FALSE(load_cached_samples(dir, plan).has_value());
-
-  // A truncated file (no trailer, half a row) is malformed -> recompute.
-  spit(path, sealed.substr(0, sealed.size() / 2));
-  EXPECT_FALSE(load_cached_samples(dir, plan).has_value());
-
-  // Cut inside its last row: the trailer goes first, the row count still
-  // matches and the row still parses (spread 0.123456 -> 0.1).
-  const std::string rows = sealed.substr(0, sealed.find("#crc32 "));
-  spit(path, rows.substr(0, rows.size() - 6));
-  EXPECT_FALSE(load_cached_samples(dir, plan).has_value());
-
-  // A trailer-less cache is recomputed.
-  spit(path, indicator_csv(samples));
-  EXPECT_FALSE(load_cached_samples(dir, plan).has_value());
-}
+// Campaign-store hardening
 
 TEST(CacheHardening, WriteFailSiteSkipsTheStore) {
-  const auto plan = tiny_plan();
-  const std::string dir = scratch_dir("cache_write_fail");
-  std::vector<IndicatorSample> samples(plan.cell_count());
-  fault::ScopedPlan fail_writes("io.cache.write_fail=always");
-  store_cached_samples(dir, plan, samples);
-  EXPECT_FALSE(std::filesystem::exists(indicator_csv_path(dir, plan)));
+  // The site skips the store write only: the campaign still writes its
+  // CSV, and the next run finds no store and recomputes every cell.
+  auto scale = tiny_scale();
+  scale.runs = 1;
+  scale.evals = 6;
+  scale.scenarios = {"static-grid"};
+  const auto plan = ExperimentPlan::of({"Random"}, scale);
+  ExperimentDriver::Options options;
+  options.workers = 1;
+  options.verbose = false;
+  options.cache_dir = scratch_dir("cache_write_fail") + "/results";
+  {
+    fault::ScopedPlan fail_writes("io.cache.write_fail=always");
+    EXPECT_FALSE(ExperimentDriver(options).run(plan).from_cache);
+  }
+  EXPECT_FALSE(std::filesystem::exists(cell_store_path(options.cache_dir, plan)));
+  EXPECT_TRUE(
+      std::filesystem::exists(indicator_csv_path(options.cache_dir, plan)));
+  EXPECT_FALSE(ExperimentDriver(options).run(plan).from_cache);
+  EXPECT_TRUE(std::filesystem::exists(cell_store_path(options.cache_dir, plan)));
 }
 
 // ---------------------------------------------------------------------------
@@ -406,10 +367,8 @@ TEST(ManifestHardening, CorruptManifestIsRejectedByName) {
   std::string corrupt = slurp(path);
   corrupt[corrupt.find("cell ") + 5] ^= 0x01;
   spit(path, corrupt);
-  ExperimentDriver::Options options;
-  options.cache_dir = scratch_dir("manifest_hardening_out");
   try {
-    (void)merge_campaign(plan, dir, options);
+    (void)merge_campaign(plan, dir, scratch_dir("manifest_hardening_out"));
     FAIL() << "corrupt manifest must be rejected";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("crc"), std::string::npos);
@@ -424,10 +383,8 @@ TEST(ManifestHardening, RetiredManifestFormatIsRejectedByName) {
   const std::string dir = scratch_dir("manifest_retired");
   const std::string path = dir + "/shard_0_of_1.manifest";
   spit(path, "aedbmls-shard-manifest v2\nfingerprint 0\nend\n");
-  ExperimentDriver::Options options;
-  options.cache_dir = scratch_dir("manifest_retired_out");
   try {
-    (void)merge_campaign(plan, dir, options);
+    (void)merge_campaign(plan, dir, scratch_dir("manifest_retired_out"));
     FAIL() << "a v2 manifest must be rejected";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find(path), std::string::npos);
@@ -437,12 +394,13 @@ TEST(ManifestHardening, RetiredManifestFormatIsRejectedByName) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash-resume journal under adversarial inputs
+// The campaign store under adversarial inputs
 
 TEST(JournalAdversarial, RestartReplaysExactlyTheValidPrefix) {
-  // A restarted coordinator replays the journal's valid prefix — whatever
-  // the damage after it — recomputes the rest, and lands on the clean
-  // run's bytes.  Three cheap cells keep the seven campaigns fast.
+  // A restarted driver or coordinator replays the store's valid prefix —
+  // whatever the damage after it — runs exactly the missing cells, and
+  // lands on the clean run's bytes with a whole, clean store.  Three cheap
+  // cells keep the fourteen campaigns fast.
   auto scale = tiny_scale();
   scale.runs = 3;
   scale.evals = 6;
@@ -458,7 +416,6 @@ TEST(JournalAdversarial, RestartReplaysExactlyTheValidPrefix) {
   const std::string reference =
       slurp(indicator_csv_path(driver.cache_dir, plan));
 
-  driver.use_cache = false;
   auto records =
       ExperimentDriver(driver).run_cells(plan, {cells[0], cells[1], cells[2]});
   const std::string first = cell_log_record({0, records[0]});
@@ -474,7 +431,7 @@ TEST(JournalAdversarial, RestartReplaysExactlyTheValidPrefix) {
     const char* damage;
     std::string bytes;
     std::size_t replay;
-  } journals[] = {
+  } stores[] = {
       {"intact", two + third, 3},
       {"torn tail", two + third.substr(0, third.size() / 2), 2},
       {"flipped bit", flipped, 1},
@@ -483,27 +440,53 @@ TEST(JournalAdversarial, RestartReplaysExactlyTheValidPrefix) {
       {"another plan's header", cell_log_header(other) + first, 0},
       {"empty file", "", 0},
   };
-  for (const auto& journal : journals) {
-    SCOPED_TRACE(journal.damage);
-    const std::string dir = scratch_dir("journal_adversarial");
-    spit(campaign_journal_path(dir, plan), journal.bytes);
-    par::net::InProcWorld world(2);
-    WorkerReport report;
-    std::thread worker([&] {
-      CampaignWorkerOptions options;
-      options.driver.workers = 1;
-      options.driver.verbose = false;
-      report = run_campaign_worker(plan, world.endpoint(1), options);
-    });
-    CampaignCoordinatorOptions coordinator;
-    coordinator.driver = driver;
-    coordinator.driver.use_cache = true;
-    coordinator.driver.cache_dir = dir;
-    (void)run_campaign_coordinator(plan, world.endpoint(0), coordinator);
-    worker.join();
-    EXPECT_EQ(report.cells_completed, plan.cell_count() - journal.replay);
+  const auto expect_clean_finish = [&](const std::string& dir) {
     EXPECT_EQ(slurp(indicator_csv_path(dir, plan)), reference);
-    EXPECT_FALSE(std::filesystem::exists(campaign_journal_path(dir, plan)));
+    const CellLog log = read_cell_log(slurp(cell_store_path(dir, plan)), plan);
+    EXPECT_EQ(log.results.size(), plan.cell_count());
+    EXPECT_EQ(log.defect, "");
+  };
+  for (const auto& store : stores) {
+    SCOPED_TRACE(store.damage);
+    const std::size_t missing = plan.cell_count() - store.replay;
+    {
+      SCOPED_TRACE("driver");
+      ExperimentDriver::Options options = driver;
+      options.verbose = true;
+      options.cache_dir = scratch_dir("journal_adversarial_driver");
+      spit(cell_store_path(options.cache_dir, plan), store.bytes);
+      ::testing::internal::CaptureStdout();
+      const auto result = ExperimentDriver(options).run(plan);
+      const std::string printed = ::testing::internal::GetCapturedStdout();
+      std::size_t ran = 0;
+      for (std::size_t at = printed.find("[cell "); at != std::string::npos;
+           at = printed.find("[cell ", at + 1)) {
+        ++ran;
+      }
+      EXPECT_EQ(ran, missing) << printed;
+      EXPECT_EQ(result.from_cache, missing == 0);
+      expect_clean_finish(options.cache_dir);
+    }
+    {
+      SCOPED_TRACE("coordinator");
+      const std::string dir = scratch_dir("journal_adversarial");
+      spit(cell_store_path(dir, plan), store.bytes);
+      par::net::InProcWorld world(2);
+      WorkerReport report;
+      std::thread worker([&] {
+        CampaignWorkerOptions options;
+        options.driver.workers = 1;
+        options.driver.verbose = false;
+        report = run_campaign_worker(plan, world.endpoint(1), options);
+      });
+      CampaignCoordinatorOptions coordinator;
+      coordinator.driver = driver;
+      coordinator.driver.cache_dir = dir;
+      (void)run_campaign_coordinator(plan, world.endpoint(0), coordinator);
+      worker.join();
+      EXPECT_EQ(report.cells_completed, missing);
+      expect_clean_finish(dir);
+    }
   }
 }
 

@@ -4,8 +4,9 @@
 /// std::invalid_argument), `read_cell_log` (the verified prefix plus the
 /// first defect, never a throw), and `--merge` — a 2- or 3-way shard/merge
 /// round trip reproduces the single-driver indicator samples, CSV bytes,
-/// reference fronts and exact telemetry, while foreign, damaged, missing
-/// and duplicate shards are refused by name.
+/// reference fronts and exact telemetry and leaves a campaign store a
+/// later driver run hits, while foreign, damaged, missing and duplicate
+/// shards are refused by name.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -102,15 +104,13 @@ void write_shards(const ExperimentPlan& plan, std::size_t count,
   for (std::size_t index = 0; index < count; ++index) {
     const auto cells = cells_for_shard(plan, index, count);
     auto records = ExperimentDriver(quiet(2)).run_cells(plan, cells);
-    std::string log = cell_log_header(plan);
+    std::vector<CellResult> results;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      log += cell_log_record(
-          CellResult{cells[i].index, std::move(records[i])});
+      results.push_back(CellResult{cells[i].index, std::move(records[i])});
     }
-    io::atomic_write_file_or_throw(dir + "/shard_" + std::to_string(index) +
-                                       "_of_" + std::to_string(count) +
-                                       ".manifest",
-                                   log);
+    write_cell_log(dir + "/shard_" + std::to_string(index) + "_of_" +
+                       std::to_string(count) + ".manifest",
+                   plan, results);
   }
 }
 
@@ -141,9 +141,7 @@ CellResult fabricate(const ExperimentPlan::Cell& cell, Xoshiro256& rng) {
 
 std::string message_of(const ExperimentPlan& plan, const std::string& dir) {
   try {
-    auto options = quiet(1);
-    options.cache_dir = scratch_dir("merge_error_out");
-    (void)merge_campaign(plan, dir, options);
+    (void)merge_campaign(plan, dir, scratch_dir("merge_error_out"));
   } catch (const std::invalid_argument& error) {
     return error.what();
   }
@@ -413,32 +411,43 @@ TEST(CellLog, SeededMutantsNeverEscapeTheDecoders) {
 
 TEST(ShardManifest, MergeReconstructsTheUnshardedCampaignBitwise) {
   const ExperimentPlan plan = tiny_plan();
-  auto full_options = quiet(2);
-  full_options.collect_records = true;
-  const auto full = ExperimentDriver(full_options).run(plan);
+  const auto full = ExperimentDriver(quiet(2)).run(plan);
 
   const std::string shard_dir = scratch_dir("shards");
   write_shards(plan, 3, shard_dir);
 
-  auto merge_options = quiet(1);
-  merge_options.cache_dir = scratch_dir("merged");
-  merge_options.collect_records = true;
-  const auto merged = merge_campaign(plan, shard_dir, merge_options);
+  const std::string merge_dir = scratch_dir("merged");
+  const auto merged = merge_campaign(plan, shard_dir, merge_dir);
 
   expect_identical(full.samples, merged.samples);
   ASSERT_EQ(merged.records.size(), full.records.size());
 
-  // The artifacts CI diffs: the merge leaves exactly the indicator CSV,
-  // whose bytes equal the unsharded cache store (CRC trailer included),
-  // and `--front-out` writes the same reference fronts from either run.
-  const std::string csv = indicator_csv_path(merge_options.cache_dir, plan);
+  // The artifacts CI diffs: the merge leaves the indicator CSV, whose
+  // bytes equal the unsharded run's (CRC trailer included), and the
+  // campaign store holding every cell; `--front-out` writes the same
+  // reference fronts from either run.
+  const std::string csv = indicator_csv_path(merge_dir, plan);
+  const std::string store = cell_store_path(merge_dir, plan);
   EXPECT_EQ(slurp(csv), io::with_crc_trailer(indicator_csv(full.samples)));
-  std::size_t merge_files = 0;
-  for (const auto& entry : fs::directory_iterator(merge_options.cache_dir)) {
-    EXPECT_EQ(entry.path().filename(), fs::path(csv).filename());
-    ++merge_files;
+  std::set<fs::path> merge_files;
+  for (const auto& entry : fs::directory_iterator(merge_dir)) {
+    merge_files.insert(entry.path().filename());
   }
-  EXPECT_EQ(merge_files, 1u);
+  EXPECT_EQ(merge_files, (std::set<fs::path>{fs::path(csv).filename(),
+                                             fs::path(store).filename()}));
+  const CellLog log = read_cell_log(slurp(store), plan);
+  EXPECT_EQ(log.results.size(), plan.cell_count());
+  EXPECT_EQ(log.defect, "");
+  // ...so a later driver run on that directory is a hit that rewrites the
+  // same CSV bytes.
+  auto rerun = quiet(2);
+  rerun.use_cache = true;
+  rerun.cache_dir = merge_dir;
+  const auto hit = ExperimentDriver(rerun).run(plan);
+  EXPECT_TRUE(hit.from_cache);
+  expect_identical(full.samples, hit.samples);
+  EXPECT_EQ(hit.telemetry, merged.telemetry);
+  EXPECT_EQ(slurp(csv), io::with_crc_trailer(indicator_csv(full.samples)));
   const std::string full_fronts = scratch_dir("full_fronts");
   const std::string merged_fronts = scratch_dir("merged_fronts");
   write_front_csvs(full_fronts, plan, full.records);
@@ -465,10 +474,9 @@ TEST(ShardManifest, MergedTelemetryIsShardLayoutInvariant) {
     const std::string shard_dir =
         scratch_dir("telemetry_shards_" + std::to_string(count));
     write_shards(plan, count, shard_dir);
-    auto merge_options = quiet(1);
-    merge_options.cache_dir = scratch_dir("telemetry_merged_" +
-                                          std::to_string(count));
-    const auto merged = merge_campaign(plan, shard_dir, merge_options);
+    const auto merged = merge_campaign(
+        plan, shard_dir,
+        scratch_dir("telemetry_merged_" + std::to_string(count)));
     EXPECT_EQ(merged.telemetry.counters, full.telemetry.counters)
         << count << " shards";
     EXPECT_EQ(merged.telemetry.histograms, full.telemetry.histograms)
@@ -535,10 +543,8 @@ TEST(ShardManifest, MergeRejectsForeignDamagedMissingAndDuplicateShards) {
       message_of(plan, scratch_dir("reject_empty")).find("no *.manifest"),
       std::string::npos);
   // The untampered pair still merges.
-  auto options = quiet(1);
-  options.cache_dir = scratch_dir("reject_ok_out");
-  options.collect_records = true;
-  EXPECT_EQ(merge_campaign(plan, shard_dir, options).records.size(),
+  EXPECT_EQ(merge_campaign(plan, shard_dir, scratch_dir("reject_ok_out"))
+                .records.size(),
             plan.cell_count());
 }
 
