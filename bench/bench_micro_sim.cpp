@@ -169,6 +169,31 @@ void BM_FullScenarioPooled(benchmark::State& state) {
 BENCHMARK(BM_FullScenarioPooled)->Arg(100)->Arg(200)->Arg(300)
     ->Unit(benchmark::kMillisecond);
 
+void BM_SparseWidePooled(benchmark::State& state) {
+  // The catalog's sparse-wide shape (50 nodes on a 1000 x 1000 m arena,
+  // random walk) on the pooled path.  Most node pairs there lie beyond the
+  // interference floor, which the 500 m paper arenas above barely exercise.
+  aedb::ScenarioConfig config = aedb::make_paper_scenario(100, 1, 0);
+  config.network.node_count = 50;
+  config.network.area_width = 1000.0;
+  config.network.area_height = 1000.0;
+  const aedb::AedbParams params = bench_params();
+  aedb::ScenarioWorkspace workspace;
+  benchmark::DoNotOptimize(
+      aedb::run_scenario(config, params, workspace).stats.coverage);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const auto result = aedb::run_scenario(config, params, workspace);
+    events += result.events_executed;
+    benchmark::DoNotOptimize(result.stats.coverage);
+  }
+  state.counters["events_per_run"] = benchmark::Counter(
+      static_cast<double>(events) / static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.SetLabel("events/s");
+}
+BENCHMARK(BM_SparseWidePooled)->Unit(benchmark::kMillisecond);
+
 void BM_TenNetworkEvaluationAB(benchmark::State& state) {
   // One full paper-style fitness evaluation (10 networks, 100 dev/km^2),
   // fresh-construction and pooled-context paths interleaved A/B inside

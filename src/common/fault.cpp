@@ -27,8 +27,8 @@ namespace {
 // at configure time.
 constexpr std::string_view kKnownSites[] = {
     "cell.stall_ms",         // campaign worker sleeps `value` ms before a cell
-    "io.cache.write_fail",   // final campaign-store write skipped
-    "io.journal.torn_tail",  // coordinator's store append torn mid-record
+    "io.cache.write_fail",   // the run leaves the campaign store unwritten
+    "io.journal.torn_tail",  // a campaign-store append torn mid-record
     "net.connect.refuse",    // TcpTransport::connect attempt refused
     "net.frame.corrupt",     // a received byte is flipped before decoding
     "net.frame.drop",        // a decoded data frame is dropped (conn severed)

@@ -1,9 +1,9 @@
 #include "expt/campaign_service.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -68,35 +68,22 @@ ExperimentResult run_campaign_coordinator(
   };
 
   // The campaign store doubles as the crash-resume journal: replay its
-  // valid prefix, rewrite it to exactly that prefix (atomically — a crash
-  // during the rewrite leaves either the old store or the clean new one),
-  // then append every completed cell.  A store holding every cell answers
-  // each worker's handshake with `done`.
-  // lint: allow(durable-io): append-mode journal is flushed per record by
-  // design (crash resume needs every completed cell on disk immediately);
-  // the startup rewrite and the final store go through write_cell_log
-  // (atomic) and each record carries its own CRC, so torn tails replay
-  // their valid prefix (see read_cell_log).
-  std::ofstream journal;
+  // valid prefix (repairing a damaged file), then append every completed
+  // cell.  A store holding every cell answers each worker's handshake with
+  // `done`.
+  std::optional<CampaignStore> store;
   if (driver.use_cache) {
-    const std::string store = cell_store_path(driver.cache_dir, plan);
-    std::vector<CellResult> replayed = load_cell_store(driver.cache_dir, plan);
-    write_cell_log(store, plan, replayed);
-    journal.open(store, std::ios::app | std::ios::binary);
-    if (!journal) {
-      log_warn("elastic: cannot append to ", store,
-               "; crash resume disabled for this run");
-    }
-    for (CellResult& prior : replayed) {
+    store.emplace(driver.cache_dir, plan);
+    for (CellResult& prior : store->replayed()) {
       cell_done[prior.index] = true;
       ++done_count;
       observe_cost(prior.record);
       if (driver.progress) driver.progress->cell_done(prior.record.telemetry);
       records[prior.index] = std::move(prior.record);
     }
-    if (!replayed.empty()) {
-      log_info("elastic: store replayed ", replayed.size(), " of ",
-               cells.size(), " cells");
+    if (done_count > 0) {
+      log_info("elastic: store replayed ", done_count, " of ", cells.size(),
+               " cells");
     }
   }
   const bool from_cache = done_count == cells.size();
@@ -267,21 +254,7 @@ ExperimentResult run_campaign_coordinator(
       if (driver.progress) {
         driver.progress->cell_done(cell_result.record.telemetry);
       }
-      if (journal) {
-        const std::string record = cell_log_record(cell_result);
-        if (fault::fire("io.journal.torn_tail")) {
-          // Persist half a record then stop journaling — the next startup
-          // must truncate to the valid prefix.
-          journal << record.substr(0, record.size() / 2);
-          journal.flush();
-          journal.close();
-          log_warn("fault: tore the journal tail at cell ", index,
-                   "; journaling stops for this run");
-        } else {
-          journal << record;
-          journal.flush();
-        }
-      }
+      if (store) store->append(cell_result);
       records[index] = std::move(cell_result.record);
       if (complete()) {
         for (std::size_t other = 1; other < state.size(); ++other) {
@@ -301,11 +274,12 @@ ExperimentResult run_campaign_coordinator(
                    true);
   }
 
-  // Every cell completed: replace the appended journal with the whole
-  // store — clean even when an append failed or was torn mid-run.
-  if (journal.is_open()) journal.close();
+  // Every cell completed: when any was computed, replace the appended
+  // journal with the whole store in plan order — clean even when an append
+  // failed or was torn mid-run.
   ExperimentResult result = finish_campaign(
-      plan, std::move(records), driver.use_cache ? driver.cache_dir : "");
+      plan, std::move(records), driver.use_cache ? driver.cache_dir : "",
+      store && store->writable() && !from_cache);
   result.from_cache = from_cache;
   return result;
 }

@@ -33,11 +33,12 @@
 /// seconds of the scenario's completed cells, replayed ones included.
 ///
 /// Crash resume: with caching enabled the campaign store
-/// (`cell_store_path`, expt/manifest.hpp) is also the journal.  The
-/// coordinator replays its verified prefix, rewrites it to that prefix,
-/// appends every completed cell, and finally rewrites it whole
-/// (`finish_campaign`), so a restarted coordinator schedules only the
-/// remainder and a finished campaign is a cache hit for the next run.
+/// (`CampaignStore`, expt/manifest.hpp) is also the journal.  The
+/// coordinator replays its verified prefix (rewriting a damaged file to
+/// that prefix), appends every completed cell, and — when it computed
+/// cells — finally rewrites it whole (`finish_campaign`), so a restarted
+/// coordinator schedules only the remainder and a finished campaign is a
+/// cache hit for the next run.
 ///
 /// Durability: each appended record carries its own `crc` line, and the
 /// rewrites go through an atomic tmp+rename.  Replay reads the store with

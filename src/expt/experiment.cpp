@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -268,6 +269,12 @@ std::string indicator_csv_path(const std::string& dir,
 std::vector<RunRecord> ExperimentDriver::run_cells(
     const ExperimentPlan& plan,
     const std::vector<ExperimentPlan::Cell>& cells) const {
+  return run_cells_into(plan, cells, nullptr);
+}
+
+std::vector<RunRecord> ExperimentDriver::run_cells_into(
+    const ExperimentPlan& plan, const std::vector<ExperimentPlan::Cell>& cells,
+    CampaignStore* store) const {
   // Each cell is seeded by (plan, scenario, run) alone, and each writes its
   // own slot, so the records vector is a pure function of the plan no
   // matter how many workers execute it.  One pool carries the cells, their
@@ -287,6 +294,7 @@ std::vector<RunRecord> ExperimentDriver::run_cells(
     }
     records[i] = run_cell(cell.algorithm, cell.scenario, cell.seed,
                           plan.scale, &engine);
+    if (store != nullptr) store->append(CellResult{cell.index, records[i]});
     if (options_.progress != nullptr) {
       options_.progress->cell_done(records[i].telemetry);
     }
@@ -304,13 +312,16 @@ ExperimentResult ExperimentDriver::run(const ExperimentPlan& plan) const {
   validate_plan(plan);
 
   // Phase 1: replay the cells the store holds and shard the missing ones
-  // across the pool; phase 2: the deterministic reduction to reference
-  // fronts + indicators, and the store + CSV write.
+  // across the pool, appending each to the store as it completes; phase 2:
+  // the deterministic reduction to reference fronts + indicators, the CSV,
+  // and — when cells were computed — the store rewritten in plan order.
   const auto cells = plan.cells();
   std::vector<RunRecord> records(cells.size());
   std::vector<bool> stored(cells.size(), false);
+  std::optional<CampaignStore> store;
   if (options_.use_cache) {
-    for (CellResult& cell : load_cell_store(options_.cache_dir, plan)) {
+    store.emplace(options_.cache_dir, plan);
+    for (CellResult& cell : store->replayed()) {
       if (options_.progress != nullptr) {
         options_.progress->cell_done(cell.record.telemetry);
       }
@@ -330,19 +341,20 @@ ExperimentResult ExperimentDriver::run(const ExperimentPlan& plan) const {
     if (missing.size() < cells.size()) {
       std::printf("[cache] replayed %zu of %zu cells from %s\n",
                   cells.size() - missing.size(), cells.size(),
-                  cell_store_path(options_.cache_dir, plan).c_str());
+                  store->path().c_str());
     }
     std::fflush(stdout);
   }
   if (!missing.empty()) {
-    auto fresh = run_cells(plan, missing);
+    auto fresh = run_cells_into(plan, missing, store ? &*store : nullptr);
     for (std::size_t i = 0; i < missing.size(); ++i) {
       records[missing[i].index] = std::move(fresh[i]);
     }
   }
 
   ExperimentResult result = finish_campaign(
-      plan, std::move(records), options_.use_cache ? options_.cache_dir : "");
+      plan, std::move(records), options_.use_cache ? options_.cache_dir : "",
+      store && store->writable() && !missing.empty());
   result.from_cache = missing.empty();
   return result;
 }

@@ -32,6 +32,8 @@
 
 namespace aedbmls::expt {
 
+class CampaignStore;  // expt/manifest.hpp
+
 /// One (algorithm, scenario, run) outcome.
 struct RunRecord {
   std::string algorithm;
@@ -130,8 +132,8 @@ class ExperimentDriver {
     /// hardware thread).  Cells, their population batches and their MLS
     /// walks share them.  Results are bitwise-identical for any value.
     std::size_t workers = 0;
-    /// Replay and rewrite the campaign store under `cache_dir`, and write
-    /// the indicator CSV there.
+    /// Replay the campaign store under `cache_dir`, append each computed
+    /// cell to it, and write the indicator CSV there.
     bool use_cache = true;
     std::string cache_dir = "results";
     /// Per-cell progress lines on stdout.
@@ -167,6 +169,13 @@ class ExperimentDriver {
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
+  /// `run_cells`, appending each cell to `store` (unless null) as it
+  /// completes.
+  [[nodiscard]] std::vector<RunRecord> run_cells_into(
+      const ExperimentPlan& plan,
+      const std::vector<ExperimentPlan::Cell>& cells,
+      CampaignStore* store) const;
+
   Options options_{};
 };
 

@@ -343,42 +343,82 @@ std::string cell_store_path(const std::string& dir,
   return path.str();
 }
 
-std::vector<CellResult> load_cell_store(const std::string& dir,
-                                        const ExperimentPlan& plan) {
-  const std::string path = cell_store_path(dir, plan);
-  const auto text = read_file(path);
-  if (!text) return {};
-  CellLog log = read_cell_log(*text, plan);
-  if (!log.defect.empty()) {
-    log_warn("cache ", path, ": ", log.defect, "; replaying the valid prefix (",
-             log.results.size(), " cells)");
+CampaignStore::CampaignStore(const std::string& dir, const ExperimentPlan& plan)
+    : path_(cell_store_path(dir, plan)) {
+  const auto text = read_file(path_);
+  CellLog log;
+  if (text) {
+    log = read_cell_log(*text, plan);
+    if (!log.defect.empty()) {
+      log_warn("cache ", path_, ": ", log.defect,
+               "; replaying the valid prefix (", log.results.size(), " cells)");
+    }
   }
-  return std::move(log.results);
+  replayed_ = std::move(log.results);
+  if (fault::fire("io.cache.write_fail")) {
+    log_warn("fault: this run leaves the campaign store ", path_, " unwritten");
+    writable_ = false;
+    return;
+  }
+  if (!text || !log.defect.empty()) write_cell_log(path_, plan, replayed_);
+  // lint: allow(durable-io): the store's append-mode journal is flushed per
+  // record by design (crash resume needs every completed cell on disk at
+  // once); each record carries its own CRC, so a torn tail replays its
+  // valid prefix (read_cell_log), and every whole rewrite goes through
+  // write_cell_log (atomic).
+  auto journal = std::make_unique<std::ofstream>(
+      path_, std::ios::app | std::ios::binary);
+  if (*journal) {
+    journal_ = std::move(journal);
+  } else {
+    log_warn("cannot append to ", path_,
+             "; crash resume disabled for this run");
+  }
+}
+
+void CampaignStore::append(const CellResult& cell) {
+  const std::string record = cell_log_record(cell);
+  const std::lock_guard lock(mutex_);
+  if (journal_ == nullptr) return;
+  if (fault::fire("io.journal.torn_tail")) {
+    // Persist half a record, then stop appending — as a crash inside
+    // write() would; the next startup replays the valid prefix.
+    *journal_ << record.substr(0, record.size() / 2) << std::flush;
+    journal_.reset();
+    log_warn("fault: tore the store's tail at cell ", cell.index,
+             "; appending stops for this run");
+    return;
+  }
+  *journal_ << record << std::flush;
+  if (!*journal_) {
+    journal_.reset();
+    log_warn("append to ", path_, " failed; appending stops for this run");
+  }
 }
 
 ExperimentResult finish_campaign(const ExperimentPlan& plan,
                                  std::vector<RunRecord> records,
-                                 const std::string& store_dir) {
+                                 const std::string& store_dir,
+                                 bool rewrite_store) {
   ExperimentResult result;
   result.samples = reduce_to_samples(plan, records);
   result.telemetry = merge_telemetry(records);
   if (!store_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(store_dir, ec);
-    const std::string store = cell_store_path(store_dir, plan);
-    if (fault::fire("io.cache.write_fail")) {
-      log_warn("fault: skipping cache write ", store);
-    } else {
+    if (rewrite_store) {
       std::vector<CellResult> cells;
       cells.reserve(records.size());
       for (std::size_t i = 0; i < records.size(); ++i) {
         cells.push_back(CellResult{i, records[i]});
       }
-      write_cell_log(store, plan, cells);
+      write_cell_log(cell_store_path(store_dir, plan), plan, cells);
     }
-    io::atomic_write_file_or_throw(
-        indicator_csv_path(store_dir, plan),
-        io::with_crc_trailer(indicator_csv(result.samples)));
+    const std::string csv_path = indicator_csv_path(store_dir, plan);
+    const std::string csv = io::with_crc_trailer(indicator_csv(result.samples));
+    if (read_file(csv_path) != csv) {
+      io::atomic_write_file_or_throw(csv_path, csv);
+    }
   }
   result.records = std::move(records);
   return result;
@@ -440,7 +480,11 @@ ExperimentResult merge_campaign(const ExperimentPlan& plan,
   }
   // Unlike a --no-cache driver run, a merge always writes its output: the
   // CSV is the artifact CI diffs against an unsharded run.
-  return finish_campaign(plan, std::move(records), cache_dir);
+  const bool write_store = !fault::fire("io.cache.write_fail");
+  if (!write_store) {
+    log_warn("fault: skipping the campaign store in ", cache_dir);
+  }
+  return finish_campaign(plan, std::move(records), cache_dir, write_store);
 }
 
 }  // namespace aedbmls::expt

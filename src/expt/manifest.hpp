@@ -8,11 +8,12 @@
 ///     `<shard-dir>/shard_<i>_of_<N>.manifest`, and `--merge=DIR` reads
 ///     every `*.manifest` under DIR back into the exact record set of the
 ///     unsharded run;
-///   - the campaign store `cell_store_path(cache_dir, plan)` is the cache:
-///     `ExperimentDriver::run` and the elastic coordinator replay its
-///     verified prefix, run only the missing cells and rewrite it whole
-///     (`finish_campaign`), and the coordinator also appends each completed
-///     cell to it as its crash-resume journal.
+///   - the campaign store `cell_store_path(cache_dir, plan)` is the cache
+///     and the crash-resume journal: `ExperimentDriver::run` and the
+///     elastic coordinator open it through `CampaignStore` (replay the
+///     verified prefix, repair a damaged file), append each cell as it
+///     completes, and rewrite it whole in plan order (`finish_campaign`)
+///     only when the run computed cells.
 /// All of them go through one writer (`write_cell_log`) and one reader
 /// (`read_cell_log`); the indicator CSV is write-only output.
 ///
@@ -33,6 +34,9 @@
 /// byte offset reads as a clean prefix of whole records.
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -101,7 +105,7 @@ struct CellLog {
 
 /// Writes `results` as one cell log at `path`, atomically (tmp + fsync +
 /// rename), creating the parent directory on demand — the `--shard` files,
-/// the campaign store and the coordinator's journal reset all go through
+/// the campaign store's final rewrite and its repair all go through
 /// here.  Throws std::runtime_error naming the path on I/O failure.
 void write_cell_log(const std::string& path, const ExperimentPlan& plan,
                     const std::vector<CellResult>& results);
@@ -110,25 +114,57 @@ void write_cell_log(const std::string& path, const ExperimentPlan& plan,
 [[nodiscard]] std::string cell_store_path(const std::string& dir,
                                           const ExperimentPlan& plan);
 
-/// The verified prefix of the campaign store for `plan` under `dir`, in
-/// file order; empty when there is no store yet.  A defect (torn tail,
-/// flipped byte, another plan's header, ...) is logged as a warning: the
-/// prefix is replayed and the rest recomputes.
-[[nodiscard]] std::vector<CellResult> load_cell_store(
-    const std::string& dir, const ExperimentPlan& plan);
+/// One run's handle on the campaign store of `plan` under `dir`, shared by
+/// `ExperimentDriver::run` and the elastic coordinator.
+class CampaignStore {
+ public:
+  /// Replays the store's verified prefix — a defect (torn tail, flipped
+  /// byte, another plan's header, ...) is logged as a warning and the rest
+  /// recomputes — rewrites the file to exactly that prefix when it is
+  /// missing or damaged (atomically, `write_cell_log`), and opens it for
+  /// append.  A whole, clean store is not written.  When the
+  /// `io.cache.write_fail` fault site fires the run writes nothing to the
+  /// store: no repair, no append, and `writable()` is false.  Throws
+  /// std::runtime_error when the repair cannot be written.
+  CampaignStore(const std::string& dir, const ExperimentPlan& plan);
+
+  /// The verified prefix, in file order (the caller may move from it).
+  [[nodiscard]] std::vector<CellResult>& replayed() noexcept {
+    return replayed_;
+  }
+
+  /// Appends `cell` as one record and flushes it, so a killed run keeps
+  /// every completed cell.  Thread-safe.  A failed append — or the
+  /// `io.journal.torn_tail` fault site, which persists half the record —
+  /// stops appending for this run; the final rewrite repairs the file.
+  void append(const CellResult& cell);
+
+  /// False when this run must leave the store as it found it.
+  [[nodiscard]] bool writable() const noexcept { return writable_; }
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+  std::vector<CellResult> replayed_;
+  bool writable_ = true;
+  std::mutex mutex_;                       ///< guards journal_
+  std::unique_ptr<std::ostream> journal_;  ///< null: not appending
+};
 
 /// The end of every campaign executor (`ExperimentDriver::run`, the elastic
 /// coordinator, `merge_campaign`): reduces `records` — every cell of
 /// `plan`, in grid order — to indicator samples, folds their telemetry
-/// and, unless `store_dir` is empty, writes the campaign store and the
-/// indicator CSV (`indicator_csv_path`, with its `#crc32` trailer) under
-/// it.  The `io.cache.write_fail` fault site skips the store write (the
-/// CSV is still written).
-/// Returns the samples, the telemetry and the records.  Throws
-/// std::runtime_error when a file cannot be written.
+/// and, unless `store_dir` is empty, writes the indicator CSV
+/// (`indicator_csv_path`, with its `#crc32` trailer) under it when that
+/// file is missing or its bytes differ, and rewrites the campaign store
+/// whole, in plan order, when `rewrite_store` is set.  A cache hit thus
+/// writes nothing.  Returns the samples, the telemetry and the records.
+/// Throws std::runtime_error when a file cannot be written.
 [[nodiscard]] ExperimentResult finish_campaign(const ExperimentPlan& plan,
                                                std::vector<RunRecord> records,
-                                               const std::string& store_dir);
+                                               const std::string& store_dir,
+                                               bool rewrite_store);
 
 /// The whole `--merge` mode: reads every `*.manifest` regular file under
 /// `manifest_dir` (in filename order), reassembles the grid and finishes

@@ -1,30 +1,10 @@
 #include "sim/mobility/random_walk.hpp"
 
-#include <cmath>
 #include <numbers>
 
 #include "common/assert.hpp"
 
 namespace aedbmls::sim {
-namespace {
-
-/// Folds an unbounded coordinate into [0, limit] by wall reflection and
-/// reports whether the velocity sign is flipped at that point.
-struct Folded {
-  double value;
-  double sign;
-};
-
-Folded fold(double x, double limit) noexcept {
-  if (limit <= 0.0) return {0.0, 1.0};
-  const double period = 2.0 * limit;
-  double m = std::fmod(x, period);
-  if (m < 0.0) m += period;
-  if (m <= limit) return {m, 1.0};
-  return {period - m, -1.0};
-}
-
-}  // namespace
 
 RandomWalkMobility::RandomWalkMobility(Config config, Vec2 initial, CounterRng stream)
     : config_(config), initial_(initial), stream_(stream) {
@@ -33,7 +13,7 @@ RandomWalkMobility::RandomWalkMobility(Config config, Vec2 initial, CounterRng s
   AEDB_REQUIRE(initial_.x >= 0.0 && initial_.x <= config_.width &&
                    initial_.y >= 0.0 && initial_.y <= config_.height,
                "initial position outside arena");
-  cache_ = EpochState{0, initial_, epoch_velocity(0)};
+  cache_ = EpochState{0, Time{}, initial_, epoch_velocity(0)};
 }
 
 Vec2 RandomWalkMobility::epoch_velocity(std::int64_t k) const {
@@ -45,41 +25,34 @@ Vec2 RandomWalkMobility::epoch_velocity(std::int64_t k) const {
   return {speed * std::cos(angle), speed * std::sin(angle)};
 }
 
-const RandomWalkMobility::EpochState& RandomWalkMobility::epoch_at(Time t) const {
+const RandomWalkMobility::EpochState& RandomWalkMobility::advance_to(
+    Time t) const {
   AEDB_REQUIRE(t >= Time{}, "mobility query before t=0");
   const std::int64_t k = t / config_.epoch;
   if (k < cache_.index) {
     // Rare backwards query (e.g. a test); restart from epoch 0.
-    cache_ = EpochState{0, initial_, epoch_velocity(0)};
+    cache_ = EpochState{0, Time{}, initial_, epoch_velocity(0)};
   }
   const double epoch_s = config_.epoch.seconds();
   while (cache_.index < k) {
     // Fold the epoch-end position back into the box; the epoch's velocity is
     // then replaced by a fresh draw, so its reflected sign is irrelevant.
     const Vec2 unbounded = cache_.start + cache_.vel * epoch_s;
-    const Folded fx = fold(unbounded.x, config_.width);
-    const Folded fy = fold(unbounded.y, config_.height);
     ++cache_.index;
-    cache_.start = {fx.value, fy.value};
+    cache_.begin = config_.epoch * cache_.index;
+    cache_.start = {wall_fold(unbounded.x, config_.width).value,
+                    wall_fold(unbounded.y, config_.height).value};
     cache_.vel = epoch_velocity(cache_.index);
   }
   return cache_;
 }
 
-Vec2 RandomWalkMobility::position(Time t) const {
-  const EpochState& e = epoch_at(t);
-  const double dt = (t - config_.epoch * e.index).seconds();
-  const Vec2 unbounded = e.start + e.vel * dt;
-  return {fold(unbounded.x, config_.width).value,
-          fold(unbounded.y, config_.height).value};
-}
-
 Vec2 RandomWalkMobility::velocity(Time t) const {
   const EpochState& e = epoch_at(t);
-  const double dt = (t - config_.epoch * e.index).seconds();
+  const double dt = (t - e.begin).seconds();
   const Vec2 unbounded = e.start + e.vel * dt;
-  return {e.vel.x * fold(unbounded.x, config_.width).sign,
-          e.vel.y * fold(unbounded.y, config_.height).sign};
+  return {e.vel.x * wall_fold(unbounded.x, config_.width).sign,
+          e.vel.y * wall_fold(unbounded.y, config_.height).sign};
 }
 
 }  // namespace aedbmls::sim

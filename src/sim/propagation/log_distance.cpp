@@ -12,12 +12,6 @@ LogDistancePropagation::LogDistancePropagation() noexcept
 LogDistancePropagation::LogDistancePropagation(Config config) noexcept
     : config_(config) {}
 
-double LogDistancePropagation::loss_db(double d) const noexcept {
-  if (d <= config_.reference_distance) return config_.reference_loss_db;
-  return config_.reference_loss_db +
-         10.0 * config_.exponent * std::log10(d / config_.reference_distance);
-}
-
 double LogDistancePropagation::distance_for_loss(double loss) const noexcept {
   if (loss <= config_.reference_loss_db) return config_.reference_distance;
   return config_.reference_distance *

@@ -7,6 +7,8 @@
 /// the model the paper's ns-3 campaigns effectively run with.  Distances
 /// below the reference distance see only the reference loss.
 
+#include <cmath>
+
 #include "sim/propagation/propagation_model.hpp"
 
 namespace aedbmls::sim {
@@ -27,11 +29,18 @@ class LogDistancePropagation final : public PropagationModel {
 
   [[nodiscard]] double rx_power_dbm(double tx_dbm, Vec2 a, Vec2 b) const override;
 
-  /// Loss in dB at distance `d` metres.
-  [[nodiscard]] double loss_db(double d) const noexcept;
+  /// Loss in dB at distance `d` metres.  Inline: the channel's receiver
+  /// loop calls it once per link.
+  [[nodiscard]] double loss_db(double d) const noexcept {
+    if (d <= config_.reference_distance) return config_.reference_loss_db;
+    return config_.reference_loss_db +
+           10.0 * config_.exponent * std::log10(d / config_.reference_distance);
+  }
 
   /// Inverse of loss_db: the distance at which the loss equals `loss`
-  /// (>= reference loss).  Used by tests and by capacity planning helpers.
+  /// (the reference distance for `loss` <= the reference loss).  The
+  /// channel derives each transmission's cull radius from it: the distance
+  /// beyond which the signal falls below the lowest interference floor.
   [[nodiscard]] double distance_for_loss(double loss) const noexcept;
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }

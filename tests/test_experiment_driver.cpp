@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -47,6 +50,13 @@ ExperimentDriver::Options quiet(std::size_t workers) {
   options.use_cache = false;
   options.verbose = false;
   return options;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 void expect_identical(const std::vector<IndicatorSample>& a,
@@ -282,6 +292,79 @@ TEST(ExperimentDriver, CampaignEvaluatesOnAtMostWorkersThreads) {
   }
   EXPECT_GE(log.ids.size(), 1u);
   EXPECT_LE(log.ids.size(), 2u);
+}
+
+/// Runs `inner`, except that the `nth` run counted by `runs` throws.
+class FailingAlgorithm final : public moo::Algorithm {
+ public:
+  FailingAlgorithm(std::unique_ptr<moo::Algorithm> inner,
+                   std::atomic<int>& runs, int nth)
+      : inner_(std::move(inner)), runs_(runs), nth_(nth) {}
+
+  [[nodiscard]] moo::AlgorithmResult run(const moo::Problem& problem,
+                                         std::uint64_t seed) override {
+    if (++runs_ == nth_) throw std::runtime_error("injected cell failure");
+    return inner_->run(problem, seed);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<moo::Algorithm> inner_;
+  std::atomic<int>& runs_;
+  int nth_;
+};
+
+TEST(ExperimentDriver, FailedCampaignKeepsItsFinishedCellsInTheStore) {
+  // The driver appends each cell to the store as it completes: a campaign
+  // that dies at its third cell leaves the two finished ones, and the
+  // clean rerun runs exactly the missing cells and lands on the unbroken
+  // run's CSV bytes.
+  const ExperimentPlan plan = ExperimentPlan::of({"Random"}, tiny_scale());
+  ASSERT_EQ(plan.cell_count(), 4u);
+  const std::string reference_dir = ::testing::TempDir() + "aedbmls_journal_ref";
+  const std::string dir = ::testing::TempDir() + "aedbmls_journal_driver";
+  std::filesystem::remove_all(reference_dir);
+  std::filesystem::remove_all(dir);
+  ExperimentDriver::Options options = quiet(1);
+  options.use_cache = true;
+  options.cache_dir = reference_dir;
+  (void)ExperimentDriver(options).run(plan);
+  options.cache_dir = dir;
+
+  AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  const AlgorithmRegistry::Entry original = *registry.find("Random");
+  std::atomic<int> runs{0};
+  registry.add({original.name, original.description,
+                [factory = original.factory, &runs](
+                    const Scale& scale, const moo::EvaluationEngine* evaluator) {
+                  return std::make_unique<FailingAlgorithm>(
+                      factory(scale, evaluator), runs, 3);
+                }});
+  EXPECT_THROW((void)ExperimentDriver(options).run(plan), std::runtime_error);
+  registry.add(original);
+
+  const CellLog log = read_cell_log(slurp(cell_store_path(dir, plan)), plan);
+  EXPECT_EQ(log.defect, "");
+  ASSERT_EQ(log.results.size(), 2u);
+  EXPECT_EQ(log.results[0].index, 0u);
+  EXPECT_EQ(log.results[1].index, 1u);
+
+  options.verbose = true;
+  ::testing::internal::CaptureStdout();
+  const auto rerun = ExperimentDriver(options).run(plan);
+  const std::string printed = ::testing::internal::GetCapturedStdout();
+  std::size_t ran = 0;
+  for (std::size_t at = printed.find("[cell "); at != std::string::npos;
+       at = printed.find("[cell ", at + 1)) {
+    ++ran;
+  }
+  EXPECT_EQ(ran, 2u) << printed;
+  EXPECT_FALSE(rerun.from_cache);
+  EXPECT_EQ(slurp(indicator_csv_path(dir, plan)),
+            slurp(indicator_csv_path(reference_dir, plan)));
+  const CellLog whole = read_cell_log(slurp(cell_store_path(dir, plan)), plan);
+  EXPECT_EQ(whole.defect, "");
+  EXPECT_EQ(whole.results.size(), plan.cell_count());
 }
 
 TEST(ExperimentDriver, RecordsMatchSerialRunRepeats) {

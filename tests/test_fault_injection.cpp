@@ -490,6 +490,86 @@ TEST(JournalAdversarial, RestartReplaysExactlyTheValidPrefix) {
   }
 }
 
+TEST(CampaignStore, CacheHitWritesNothing) {
+  // A warm run — driver or coordinator — finds every cell in a whole,
+  // clean store: it returns the same samples, records and telemetry and
+  // writes neither the store nor the CSV (both keep their back-dated
+  // modification times).  A store with a torn tail is still rewritten
+  // whole.
+  namespace fs = std::filesystem;
+  auto scale = tiny_scale();
+  scale.runs = 3;
+  scale.evals = 6;
+  scale.scenarios = {"static-grid"};
+  const auto plan = ExperimentPlan::of({"Random"}, scale);
+  ExperimentDriver::Options driver;
+  driver.workers = 1;
+  driver.verbose = false;
+  driver.use_cache = true;
+  driver.cache_dir = scratch_dir("cache_hit_writes_nothing");
+  const auto fresh = ExperimentDriver(driver).run(plan);
+  ASSERT_FALSE(fresh.from_cache);
+  const std::string store = cell_store_path(driver.cache_dir, plan);
+  const std::string csv = indicator_csv_path(driver.cache_dir, plan);
+  const std::string store_bytes = slurp(store);
+  const std::string csv_bytes = slurp(csv);
+  const auto backdated = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(store, backdated);
+  fs::last_write_time(csv, backdated);
+
+  const auto expect_same_result = [&](const ExperimentResult& warm) {
+    EXPECT_TRUE(warm.from_cache);
+    ASSERT_EQ(warm.samples.size(), fresh.samples.size());
+    for (std::size_t i = 0; i < fresh.samples.size(); ++i) {
+      EXPECT_EQ(warm.samples[i].hypervolume, fresh.samples[i].hypervolume) << i;
+      EXPECT_EQ(warm.samples[i].igd, fresh.samples[i].igd) << i;
+      EXPECT_EQ(warm.samples[i].spread, fresh.samples[i].spread) << i;
+    }
+    ASSERT_EQ(warm.records.size(), fresh.records.size());
+    for (std::size_t i = 0; i < fresh.records.size(); ++i) {
+      EXPECT_EQ(encode_cell_result({i, warm.records[i]}),
+                encode_cell_result({i, fresh.records[i]}))
+          << i;
+    }
+    EXPECT_EQ(warm.telemetry, fresh.telemetry);
+    EXPECT_EQ(fs::last_write_time(store), backdated);
+    EXPECT_EQ(fs::last_write_time(csv), backdated);
+    EXPECT_EQ(slurp(store), store_bytes);
+    EXPECT_EQ(slurp(csv), csv_bytes);
+  };
+  {
+    SCOPED_TRACE("driver");
+    expect_same_result(ExperimentDriver(driver).run(plan));
+  }
+  {
+    SCOPED_TRACE("coordinator");
+    par::net::InProcWorld world(2);
+    WorkerReport report;
+    std::thread worker([&] {
+      CampaignWorkerOptions options;
+      options.driver.workers = 1;
+      options.driver.verbose = false;
+      report = run_campaign_worker(plan, world.endpoint(1), options);
+    });
+    CampaignCoordinatorOptions coordinator;
+    coordinator.driver = driver;
+    const auto warm = run_campaign_coordinator(plan, world.endpoint(0), coordinator);
+    worker.join();
+    EXPECT_EQ(report.cells_completed, 0u);
+    expect_same_result(warm);
+  }
+  {
+    SCOPED_TRACE("torn tail");
+    spit(store, store_bytes.substr(0, store_bytes.size() - 20));
+    const auto repaired = ExperimentDriver(driver).run(plan);
+    EXPECT_FALSE(repaired.from_cache);
+    const CellLog log = read_cell_log(slurp(store), plan);
+    EXPECT_EQ(log.defect, "");
+    EXPECT_EQ(log.results.size(), plan.cell_count());
+    EXPECT_EQ(slurp(csv), csv_bytes);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Worker-side coordinator-loss detection
 

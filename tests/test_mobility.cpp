@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numbers>
+#include <vector>
 
 #include "sim/mobility/placement.hpp"
 #include "sim/mobility/random_walk.hpp"
@@ -100,6 +105,87 @@ TEST(RandomWalk, VelocityChangesAcrossEpochs) {
   const Vec2 v0 = walk.velocity(seconds(1));
   const Vec2 v1 = walk.velocity(seconds(21));
   EXPECT_FALSE(v0.x == v1.x && v0.y == v1.y);
+}
+
+/// The fold as written before its in-box shortcut: always through `fmod`.
+WallFold fmod_fold(double x, double limit) {
+  if (limit <= 0.0) return {0.0, 1.0};
+  const double period = 2.0 * limit;
+  double m = std::fmod(x, period);
+  if (m < 0.0) m += period;
+  if (m <= limit) return {m, 1.0};
+  return {period - m, -1.0};
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(RandomWalk, WallFoldIsBitwiseTheFmodFold) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double limit : {500.0, 1000.0, 0.3, 1e-3}) {
+    std::vector<double> xs = {0.0,
+                              -0.0,
+                              limit,
+                              std::nextafter(limit, kInf),
+                              std::nextafter(limit, 0.0),
+                              2.0 * limit,
+                              std::nextafter(2.0 * limit, kInf),
+                              3.0 * limit,
+                              std::numeric_limits<double>::denorm_min(),
+                              -std::numeric_limits<double>::denorm_min(),
+                              -1e-300,
+                              -0.5 * limit,
+                              -limit,
+                              -2.0 * limit,
+                              -7.25 * limit,
+                              -1e9};
+    Xoshiro256 rng(7);
+    for (int i = 0; i < 20000; ++i) xs.push_back(rng.uniform(-5.0, 5.0) * limit);
+    for (const double x : xs) {
+      const WallFold fast = wall_fold(x, limit);
+      const WallFold reference = fmod_fold(x, limit);
+      ASSERT_EQ(bits(fast.value), bits(reference.value)) << "x=" << x << " limit=" << limit;
+      ASSERT_EQ(bits(fast.sign), bits(reference.sign)) << "x=" << x << " limit=" << limit;
+    }
+  }
+}
+
+TEST(RandomWalk, PositionsAreBitwiseTheFmodFoldOfTheClosedForm) {
+  // A reference walk built from the public stream and the always-fmod
+  // fold: per epoch a direction uniform in [0, 2pi) and a speed uniform in
+  // [min, max], the epoch-end position folded back into the box.  Starts
+  // on the walls (0, -0.0, limit) and fast enough to bounce many times.
+  RandomWalkMobility::Config config = walk_config();
+  config.min_speed = 20.0;
+  config.max_speed = 60.0;
+  const std::vector<Vec2> starts = {{0.0, 0.0}, {-0.0, 500.0}, {500.0, -0.0},
+                                    {500.0, 500.0}, {123.5, 0.0}};
+  for (std::size_t s = 0; s < starts.size(); ++s) {
+    const CounterRng stream(100 + s);
+    const RandomWalkMobility walk(config, starts[s], stream);
+    auto velocity_of = [&](std::uint64_t k) {
+      const double angle = stream.uniform(2 * k, 0.0, 2.0 * std::numbers::pi);
+      const double speed = stream.uniform(2 * k + 1, config.min_speed, config.max_speed);
+      return Vec2{speed * std::cos(angle), speed * std::sin(angle)};
+    };
+    Vec2 start = starts[s];
+    std::uint64_t epoch = 0;
+    for (std::int64_t ms = 0; ms <= 200000; ms += 250) {  // 0..200 s, 10 epochs
+      const Time t = milliseconds(ms);
+      while (static_cast<std::int64_t>(epoch + 1) * 20000 <= ms) {
+        const Vec2 end = start + velocity_of(epoch) * config.epoch.seconds();
+        start = {fmod_fold(end.x, config.width).value,
+                 fmod_fold(end.y, config.height).value};
+        ++epoch;
+      }
+      const double dt = (t - config.epoch * static_cast<std::int64_t>(epoch)).seconds();
+      const Vec2 unbounded = start + velocity_of(epoch) * dt;
+      const Vec2 p = walk.position(t);
+      ASSERT_EQ(bits(p.x), bits(fmod_fold(unbounded.x, config.width).value))
+          << "start " << s << " t=" << ms << " ms";
+      ASSERT_EQ(bits(p.y), bits(fmod_fold(unbounded.y, config.height).value))
+          << "start " << s << " t=" << ms << " ms";
+    }
+  }
 }
 
 TEST(ConstantPosition, NeverMoves) {

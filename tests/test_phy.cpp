@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <numbers>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/core/simulator.hpp"
 #include "sim/mobility/mobility_model.hpp"
+#include "sim/mobility/random_walk.hpp"
 #include "sim/net/wireless_channel.hpp"
 #include "sim/net/wireless_phy.hpp"
 #include "sim/propagation/log_distance.hpp"
@@ -288,6 +295,128 @@ TEST(PhyWave, StopFromAReceiveCallbackHaltsTheWave) {
   stopped.simulator.run();
   EXPECT_EQ(stopped.received, whole.received);
   EXPECT_EQ(stopped.simulator.executed_events(), whole.simulator.executed_events());
+}
+
+/// Plain log-distance behind the generic interface: a channel built on it
+/// takes the uncut receiver loop (no cull radius, virtual path loss).
+class UncutLogDistance final : public PropagationModel {
+ public:
+  explicit UncutLogDistance(const LogDistancePropagation& model) : model_(model) {}
+  [[nodiscard]] double rx_power_dbm(double tx_dbm, Vec2 a, Vec2 b) const override {
+    return model_.rx_power_dbm(tx_dbm, a, b);
+  }
+
+ private:
+  const LogDistancePropagation& model_;
+};
+
+/// One node of a `CullWorld`: its position and interference floor.
+struct CullNode {
+  Vec2 position;
+  double floor_dbm;
+};
+
+/// One transmission from node 0 over `nodes`; returns the bits of every
+/// delivered receiver's decoded power, by receiver.  Every PHY decodes
+/// whatever reaches it (sensitivity and SINR thresholds far below any
+/// signal), so the decoded set is the delivered set.  Even nodes stand
+/// still, odd nodes are zero-speed random walks (the channel's inline
+/// mobility path); the arena is large enough to hold every position.
+std::map<NodeId, std::uint64_t> transmit_once(const PropagationModel& propagation,
+                                              const std::vector<CullNode>& nodes,
+                                              double tx_dbm,
+                                              std::uint64_t* delivered) {
+  Simulator simulator(1);
+  WirelessChannel channel(simulator, propagation, true);
+  RandomWalkMobility::Config still;
+  still.width = 1e6;
+  still.height = 1e6;
+  still.min_speed = 0.0;
+  still.max_speed = 0.0;
+  std::vector<std::unique_ptr<MobilityModel>> mobilities;
+  std::vector<std::unique_ptr<WirelessPhy>> phys;
+  std::map<NodeId, std::uint64_t> heard;
+  for (const CullNode& node : nodes) {
+    const auto id = static_cast<NodeId>(phys.size());
+    if (id % 2 == 0) {
+      mobilities.push_back(std::make_unique<ConstantPositionMobility>(node.position));
+    } else {
+      mobilities.push_back(std::make_unique<RandomWalkMobility>(
+          still, node.position, CounterRng(id)));
+    }
+    PhyParams params;
+    params.interference_floor_dbm = node.floor_dbm;
+    params.rx_sensitivity_dbm = -1000.0;
+    params.sinr_threshold_db = -1000.0;
+    phys.push_back(std::make_unique<WirelessPhy>(simulator, params, id));
+    phys.back()->set_receive_callback([&heard, id](const Frame&, double dbm) {
+      heard[id] = std::bit_cast<std::uint64_t>(dbm);
+    });
+    channel.attach(phys.back().get(), mobilities.back().get());
+  }
+  Frame frame;
+  frame.size_bytes = 64;
+  phys[0]->start_tx(frame, tx_dbm);
+  simulator.run();
+  *delivered = channel.signals_delivered();
+  return heard;
+}
+
+TEST(PhyCull, CulledLoopDeliversExactlyWhatTheUncutLoopDelivers) {
+  // The cull radius is distance_for_loss(tx - lowest floor) * (1 + 1e-6):
+  // receivers sit at random, at that radius x (1 +- 1e-9), and at their
+  // own floor's exact distance x (1 +- 1e-9), where the floor test alone
+  // decides.  The culled channel (plain log-distance) must deliver the
+  // same receivers at bitwise the same power as the uncut one.
+  const std::vector<LogDistancePropagation::Config> models = {
+      {}, {.exponent = 2.0}, {.exponent = 3.8, .reference_loss_db = 40.0}};
+  const std::vector<double> floors = {-115.0, -110.0, -100.0, -95.0};
+  Xoshiro256 rng(20130520);
+  std::uint64_t total_delivered = 0;
+  std::uint64_t total_candidates = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const LogDistancePropagation culled(models[trial % models.size()]);
+    const UncutLogDistance uncut(culled);
+    const Vec2 origin{5e5, 5e5};
+    const double tx_dbm = rng.uniform(-60.0, 16.02);
+    std::vector<CullNode> nodes;
+    nodes.push_back({origin, floors[rng.uniform_int(floors.size())]});
+    double lowest = nodes[0].floor_dbm;
+    for (int i = 0; i < 24; ++i) {
+      nodes.push_back({origin, floors[rng.uniform_int(floors.size())]});
+      lowest = std::min(lowest, nodes.back().floor_dbm);
+    }
+    const double radius =
+        culled.distance_for_loss(tx_dbm - lowest) * (1.0 + 1e-6);
+    auto at = [&](std::size_t i, double meters) {
+      const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
+      nodes[i].position = {origin.x + meters * std::cos(angle),
+                           origin.y + meters * std::sin(angle)};
+    };
+    for (std::size_t i = 1; i < nodes.size(); ++i) {
+      switch (i % 5) {
+        case 0: at(i, radius * (1.0 - 1e-9)); break;
+        case 1: at(i, radius * (1.0 + 1e-9)); break;
+        case 2:
+          at(i, culled.distance_for_loss(tx_dbm - nodes[i].floor_dbm) *
+                    (rng.bernoulli(0.5) ? 1.0 - 1e-9 : 1.0 + 1e-9));
+          break;
+        default: at(i, rng.uniform(0.0, 2.5 * radius)); break;
+      }
+    }
+    std::uint64_t culled_delivered = 0;
+    std::uint64_t uncut_delivered = 0;
+    const auto culled_heard = transmit_once(culled, nodes, tx_dbm, &culled_delivered);
+    const auto uncut_heard = transmit_once(uncut, nodes, tx_dbm, &uncut_delivered);
+    EXPECT_EQ(culled_heard, uncut_heard) << "trial " << trial;
+    EXPECT_EQ(culled_delivered, uncut_delivered) << "trial " << trial;
+    EXPECT_EQ(culled_delivered, culled_heard.size()) << "trial " << trial;
+    total_delivered += culled_delivered;
+    total_candidates += nodes.size() - 1;
+  }
+  // The geometry exercises both sides of every boundary.
+  EXPECT_GT(total_delivered, total_candidates / 10);
+  EXPECT_LT(total_delivered, total_candidates / 2);
 }
 
 TEST(PhyWaveDeathTest, AirtimeShorterThanArrivalSpreadIsRejected) {
