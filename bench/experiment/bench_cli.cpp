@@ -1,6 +1,5 @@
 #include "experiment/bench_cli.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -10,11 +9,9 @@
 #include "common/assert.hpp"
 #include "common/fault.hpp"
 #include "common/telemetry.hpp"
-#include "par/net/tcp_transport.hpp"
 
 #include "expt/algorithm_registry.hpp"
 #include "expt/campaign_options.hpp"
-#include "expt/campaign_service.hpp"
 #include "expt/manifest.hpp"
 #include "expt/scenario_catalog.hpp"
 
@@ -83,21 +80,6 @@ void maybe_write_fronts(const CampaignOptions& campaign,
               plan.scenarios.size(), campaign.front_out.c_str());
 }
 
-/// Network knobs shared by --serve and --connect, from the environment
-/// (flags would collide with per-bench options; the elastic CI job and
-/// failure-injection tests tune these).
-par::net::TcpOptions net_options_from_env() {
-  par::net::TcpOptions net;  // the fallbacks are TcpOptions' defaults
-  net.heartbeat_interval = std::chrono::milliseconds(std::max(
-      0L, env_or_int("AEDB_NET_HEARTBEAT_MS", net.heartbeat_interval.count())));
-  net.peer_deadline = std::chrono::milliseconds(std::max(
-      0L, env_or_int("AEDB_NET_DEADLINE_MS", net.peer_deadline.count())));
-  net.connect_attempts = static_cast<std::size_t>(
-      std::max(1L, env_or_int("AEDB_NET_CONNECT_ATTEMPTS",
-                              static_cast<long>(net.connect_attempts))));
-  return net;
-}
-
 }  // namespace
 
 ExperimentResult run_campaign_or_exit(const CliArgs& args,
@@ -142,86 +124,25 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
         maybe_write_fronts(campaign, plan, result);
         return result;
       }
-      case CampaignMode::kServe: {
-        const auto progress = make_progress(campaign, plan.cell_count());
-        options.progress = progress.get();
-        CampaignCoordinatorOptions coordinator;
-        coordinator.driver = std::move(options);
-        par::net::TcpListener listener(campaign.serve_port,
-                                       net_options_from_env());
-        std::printf("[serve] listening on port %u; waiting for %zu workers\n",
-                    listener.port(), campaign.workers);
-        std::fflush(stdout);
-        const auto transport = listener.accept_workers(campaign.workers);
-        std::printf("[serve] %zu workers connected; scheduling %zu cells\n",
-                    campaign.workers, plan.cell_count());
-        std::fflush(stdout);
-        auto result = run_campaign_coordinator(plan, *transport, coordinator);
-        transport->close();
-        maybe_write_telemetry(campaign, result.telemetry);
-        maybe_write_fronts(campaign, plan, result);
-        return result;
-      }
-      case CampaignMode::kConnect: {
-        CampaignWorkerOptions worker;
-        worker.driver = std::move(options);
-        const auto transport = par::net::TcpTransport::connect(
-            campaign.connect_host, campaign.connect_port,
-            net_options_from_env());
-        std::printf("[connect] joined %s:%u as rank %zu of %zu\n",
-                    campaign.connect_host.c_str(), campaign.connect_port,
-                    transport->rank(), transport->world_size());
-        std::fflush(stdout);
-        WorkerReport report;
-        try {
-          report = run_campaign_worker(plan, *transport, worker);
-        } catch (const CoordinatorLostError& error) {
-          // Distinct exit status: a lost coordinator is an orchestration
-          // failure (restart the coordinator, workers reconnect), not a bad
-          // invocation (exit 2) or a worker bug.
-          std::fprintf(stderr, "error: %s\n", error.what());
-          std::exit(3);
-        }
-        std::printf("[connect] completed %zu cells; coordinator released "
-                    "this worker\n",
-                    report.cells_completed);
-        maybe_write_telemetry(campaign, report.telemetry);
-        // Like --shard, a worker holds partial results only — the bench
-        // cannot continue on them, so part ways here.
-        std::exit(0);
-      }
       case CampaignMode::kShard: {
-        // Reject bad plans before burning a shard's worth of compute — the
-        // driver validates inside run(), but run_cells is below that
-        // layer.
-        validate_plan(plan);
-        const auto cells =
-            cells_for_shard(plan, campaign.shard_index, campaign.shard_count);
         // Shard progress counts the shard's own cells, not the whole grid.
-        const auto progress = make_progress(campaign, cells.size());
+        const auto progress = make_progress(
+            campaign, cells_for_shard(plan, campaign.shard_index,
+                                      campaign.shard_count)
+                          .size());
         options.progress = progress.get();
-        std::printf("[shard %zu/%zu] running %zu of %zu cells\n",
-                    campaign.shard_index, campaign.shard_count, cells.size(),
-                    plan.cell_count());
-        auto records = ExperimentDriver(options).run_cells(plan, cells);
+        const auto records = ExperimentDriver(options).run_shard(
+            plan, campaign.shard_index, campaign.shard_count,
+            campaign.shard_dir);
         // The shard's own telemetry fold (its cells in shard order) — the
         // campaign-wide fold belongs to the --merge run.
-        if (!campaign.telemetry_out.empty()) {
-          maybe_write_telemetry(campaign, merge_telemetry(records));
-        }
-        // One cell log per shard, written atomically: a merge never sees
-        // half a shard.
-        std::vector<CellResult> results;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-          results.push_back(CellResult{cells[i].index, std::move(records[i])});
-        }
-        const std::string path = campaign.shard_dir + "/shard_" +
-                                 std::to_string(campaign.shard_index) + "_of_" +
-                                 std::to_string(campaign.shard_count) +
-                                 ".manifest";
-        write_cell_log(path, plan, results);
-        std::printf("[shard %zu/%zu] wrote %s\n", campaign.shard_index,
-                    campaign.shard_count, path.c_str());
+        maybe_write_telemetry(campaign, merge_telemetry(records));
+        std::printf("[shard %zu/%zu] done: %zu cells in %s\n",
+                    campaign.shard_index, campaign.shard_count,
+                    records.size(),
+                    shard_log_path(campaign.shard_dir, campaign.shard_index,
+                                   campaign.shard_count)
+                        .c_str());
         std::exit(0);
       }
       case CampaignMode::kLocal: {

@@ -36,31 +36,20 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 ///   --workers=N    tasks the driver runs at once: its cells, their
 ///                  population batches and their MLS walks (digits only;
 ///                  0, the default, is one per hardware thread)
-///   --shard=i/N    run only shard i of N (0-based) and write its cells
-///                  as a cell log (expt/manifest.hpp) under --shard-dir
-///                  (default "shards"), then exit 0 — a later --merge run
+///   --shard=i/N    run only shard i of N (0-based) with its cell log
+///                  (expt/manifest.hpp) under --shard-dir (default
+///                  "shards") as the store: each finished cell is appended
+///                  at once, and a rerun replays the file and runs only the
+///                  missing cells — then exit 0.  A later --merge run
 ///                  reassembles the campaign (see EXPERIMENTS.md
 ///                  "Distributed campaigns")
 ///   --merge=DIR    skip execution: read + merge the cell logs under DIR
 ///                  against the plan, write the canonical indicator CSV
 ///                  and the campaign store under --cache-dir, and
 ///                  continue the bench on the merged samples
-///   --serve=PORT   elastic coordinator: listen on PORT (0 = ephemeral),
-///                  accept --workers=N worker processes (in this mode
-///                  --workers names the fleet size, not driver threads —
-///                  the coordinator runs no cells itself), pull-schedule
-///                  the plan's cells over them with failed-worker requeue
-///                  (expt::run_campaign_coordinator), and continue the
-///                  bench on the reduced samples — byte-identical to an
-///                  unsharded run
-///   --connect=H:P  elastic worker: join the coordinator at HOST:PORT
-///                  (retrying with backoff while it boots), compute cells
-///                  on demand, then exit 0.  Env knobs:
-///                  AEDB_NET_HEARTBEAT_MS / AEDB_NET_DEADLINE_MS /
-///                  AEDB_NET_CONNECT_ATTEMPTS tune liveness + retries
-///   --cache-dir=D  where the campaign store (a cell log: the cache, and
-///                  the --serve crash-resume journal) and the indicator CSV
-///                  live (default options.cache_dir, i.e. "results"); a
+///   --cache-dir=D  where the campaign store (a cell log: the cache and
+///                  the crash-resume journal) and the indicator CSV live
+///                  (default options.cache_dir, i.e. "results"); a
 ///                  finished campaign rerun on D replays every cell — its
 ///                  fronts and telemetry too — and runs none
 ///   --no-cache     neither replay nor write the store (nor the CSV);
@@ -68,20 +57,20 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 ///   --progress[=N] live `[progress]` lines on stderr every N completed
 ///                  cells (N >= 1, digits only; a bare --progress is 1):
 ///                  cells-done/total, eval throughput, per-scenario mean
-///                  cell time.  Works in plain, --shard and --serve modes
-///                  (shard feeds count the shard's own cells; replayed
-///                  cells count as completed); purely observational —
-///                  result bytes are identical with or without it
+///                  cell time.  Works in plain and --shard modes (shard
+///                  feeds count the shard's own cells; replayed cells
+///                  count as completed); purely observational — result
+///                  bytes are identical with or without it
 ///   --telemetry-out=FILE  dump the run's merged telemetry snapshot via
-///                  the line codec (plain/--merge/--serve: the
-///                  campaign-wide grid-order fold; --shard/--connect: the
-///                  executor's own cells).  Written durably — atomic
-///                  tmp+rename with a #crc32 trailer
+///                  the line codec (plain/--merge: the campaign-wide
+///                  grid-order fold; --shard: the shard's own cells).
+///                  Written durably — atomic tmp+rename with a #crc32
+///                  trailer
 ///   --front-out=DIR  also write the per-scenario reference fronts,
 ///                  canonically sorted, as
 ///                  reference_<scale>_<fp>_<scenario>.csv under DIR.
-///                  Full-campaign modes only (rejected with --shard /
-///                  --connect, which hold partial results)
+///                  Full-campaign modes only (rejected with --shard,
+///                  which holds partial results)
 ///   --fault-plan=SPEC  chaos drills: install a seeded deterministic
 ///                  fault-injection plan (grammar in common/fault.hpp,
 ///                  drills in EXPERIMENTS.md "Fault drills & chaos
@@ -90,11 +79,10 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 /// Without any of these flags this is exactly
 /// `ExperimentDriver().run(plan)`.  The distribution modes are
 /// mutually exclusive — a conflict names the clashing pair and exits 2,
-/// as do malformed specs and campaign/merge failures.  Exit statuses: 0
-/// success, 2 bad invocation or failed campaign, 3 (--connect only) the
-/// coordinator vanished — missed heartbeat deadline or dead connection
-/// (expt::CoordinatorLostError) — so supervisors can tell "restart the
-/// coordinator" from "fix the command line".
+/// as do malformed specs, empty directory operands, the removed
+/// `--serve` / `--connect` (the message names --shard and --merge) and
+/// campaign/merge failures.  Exit statuses: 0 success, 2 bad invocation
+/// or failed campaign.
 [[nodiscard]] ExperimentResult run_campaign_or_exit(const CliArgs& args,
                                                    const ExperimentPlan& plan);
 

@@ -26,13 +26,12 @@ namespace {
 // codebase means adding it here; plans naming anything else are rejected
 // at configure time.
 constexpr std::string_view kKnownSites[] = {
-    "cell.stall_ms",         // campaign worker sleeps `value` ms before a cell
-    "io.cache.write_fail",   // the run leaves the campaign store unwritten
-    "io.journal.torn_tail",  // a campaign-store append torn mid-record
-    "net.connect.refuse",    // TcpTransport::connect attempt refused
-    "net.frame.corrupt",     // a received byte is flipped before decoding
-    "net.frame.drop",        // a decoded data frame is dropped (conn severed)
-    "net.send.short_write",  // an outgoing frame is truncated mid-write
+    // a driver or shard sleeps `value` ms before each cell
+    "cell.stall_ms",
+    // the run leaves its campaign store or shard file unwritten
+    "io.cache.write_fail",
+    // an append to the campaign store or a shard file torn mid-record
+    "io.journal.torn_tail",
 };
 
 constexpr std::uint64_t kDefaultSeed = 0x5eedfa017ULL;  // arbitrary

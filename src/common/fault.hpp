@@ -5,7 +5,7 @@
 // A *fault plan* names a set of fault sites and, per site, a trigger that
 // decides which occurrences fire.  Code under test declares sites inline:
 //
-//   if (aedbmls::fault::fire("net.frame.drop")) { /* inject the fault */ }
+//   if (aedbmls::fault::fire("io.cache.write_fail")) { /* inject the fault */ }
 //
 //   double stall_ms = 0.0;
 //   if (aedbmls::fault::fire("cell.stall_ms", stall_ms)) { sleep(stall_ms); }
@@ -25,7 +25,7 @@
 //            | 'always'
 //            | 'off'
 //
-// Example: "seed=7;net.frame.drop=nth:6;cell.stall_ms=always,value=1500"
+// Example: "seed=7;io.journal.torn_tail=nth:6;cell.stall_ms=always,value=1500"
 //
 // Determinism contract: for a given spec string, whether occurrence #n of a
 // site fires is a pure function of (seed, site, n).  Occurrence numbers are

@@ -31,24 +31,27 @@ void parse_shard_spec(const std::string& spec, CampaignOptions& out) {
   out.shard_count = *count;
 }
 
-/// `--connect=HOST:PORT` with a non-empty host and a port in [1, 65535].
-void parse_host_port(const std::string& spec, CampaignOptions& out) {
-  const auto bad = [&spec]() {
-    fail("bad --connect spec '" + spec +
-         "'; expected HOST:PORT (e.g. --connect=127.0.0.1:7000)");
-  };
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0) bad();
-  const auto port = parse_u64(std::string_view(spec).substr(colon + 1));
-  if (!port || *port == 0 || *port > 65535) bad();
-  out.connect_host = spec.substr(0, colon);
-  out.connect_port = static_cast<std::uint16_t>(*port);
+/// A directory operand: `--flag=` and a bare `--flag` parse to "", which
+/// would put the files at the filesystem root.
+std::string directory_operand(const CliArgs& args, const char* flag) {
+  std::string dir = args.get(flag);
+  if (dir.empty()) fail(std::string("--") + flag + " needs a directory");
+  return dir;
+}
+
+/// The elastic service's flags.  Unknown flags are ignored, so without
+/// these rows `--serve=7000 --workers=3` would run the whole campaign
+/// locally.
+void removed_service(const CliArgs&, CampaignOptions&) {
+  fail("the elastic service was removed; run `--shard=i/N` on each "
+       "machine, then `--merge=DIR`");
 }
 
 /// One distribution mode: its flag spelling, the mode it selects and the
 /// operand parser.  The whole mutual-exclusion policy is this table plus
 /// the single conflict loop in `parse_campaign_options` — adding a mode
-/// is one row, not another scattered if-chain.
+/// is one row, not another scattered if-chain.  The removed rows come
+/// first, so their message wins over any conflict.
 struct ModeRow {
   const char* flag;
   CampaignMode mode;
@@ -56,28 +59,18 @@ struct ModeRow {
 };
 
 constexpr ModeRow kModes[] = {
+    {"serve", CampaignMode::kLocal, removed_service},
+    {"connect", CampaignMode::kLocal, removed_service},
     {"shard", CampaignMode::kShard,
      [](const CliArgs& args, CampaignOptions& out) {
        parse_shard_spec(args.get("shard"), out);
-       out.shard_dir = args.get("shard-dir", "shards");
+       if (args.has("shard-dir")) {
+         out.shard_dir = directory_operand(args, "shard-dir");
+       }
      }},
     {"merge", CampaignMode::kMerge,
      [](const CliArgs& args, CampaignOptions& out) {
-       out.merge_dir = args.get("merge");
-       if (out.merge_dir.empty()) fail("--merge needs a directory");
-     }},
-    {"serve", CampaignMode::kServe,
-     [](const CliArgs& args, CampaignOptions& out) {
-       const auto port = parse_u64(args.get("serve"));
-       if (!port || *port > 65535) {
-         fail("--serve needs a port in [0, 65535], digits only (0 picks an "
-              "ephemeral port)");
-       }
-       out.serve_port = static_cast<std::uint16_t>(*port);
-     }},
-    {"connect", CampaignMode::kConnect,
-     [](const CliArgs& args, CampaignOptions& out) {
-       parse_host_port(args.get("connect"), out);
+       out.merge_dir = directory_operand(args, "merge");
      }},
 };
 
@@ -101,7 +94,7 @@ constexpr FlagRow kFlags[] = {
      }},
     {"cache-dir",
      [](const CliArgs& args, CampaignOptions& out) {
-       out.cache_dir = args.get("cache-dir");
+       out.cache_dir = directory_operand(args, "cache-dir");
      }},
     {"no-cache",
      [](const CliArgs&, CampaignOptions& out) { out.use_cache = false; }},
@@ -126,8 +119,7 @@ constexpr FlagRow kFlags[] = {
      }},
     {"front-out",
      [](const CliArgs& args, CampaignOptions& out) {
-       out.front_out = args.get("front-out");
-       if (out.front_out.empty()) fail("--front-out needs a directory");
+       out.front_out = directory_operand(args, "front-out");
      }},
     {"fault-plan",
      [](const CliArgs& args, CampaignOptions& out) {
@@ -146,8 +138,7 @@ CampaignOptions parse_campaign_options(const CliArgs& args) {
     if (!args.has(row.flag)) continue;
     if (first != nullptr) {
       fail(std::string("--") + first + " conflicts with --" + row.flag +
-           "; pick one distribution mode (--shard | --merge | --serve | "
-           "--connect)");
+           "; pick one distribution mode (--shard | --merge)");
     }
     first = row.flag;
     out.mode = row.mode;
@@ -156,18 +147,10 @@ CampaignOptions parse_campaign_options(const CliArgs& args) {
   for (const FlagRow& row : kFlags) {
     if (args.has(row.flag)) row.parse(args, out);
   }
-  // In serve mode the coordinator runs no cells itself, so --workers names
-  // the fleet: how many worker processes to accept.
-  if (out.mode == CampaignMode::kServe && out.workers == 0) {
-    fail("--serve needs --workers=N (the number of worker processes that "
-         "will --connect)");
-  }
-  // Partial-result executors never hold the full record set a reference
-  // front needs.
-  if (!out.front_out.empty() && (out.mode == CampaignMode::kShard ||
-                                 out.mode == CampaignMode::kConnect)) {
+  // A shard never holds the full record set a reference front needs.
+  if (!out.front_out.empty() && out.mode == CampaignMode::kShard) {
     fail("--front-out needs the full campaign; it cannot be combined with "
-         "--shard or --connect (merge or run unsharded instead)");
+         "--shard (merge or run unsharded instead)");
   }
   return out;
 }

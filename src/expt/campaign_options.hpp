@@ -3,9 +3,9 @@
 /// CampaignOptions — the unified campaign CLI surface.
 ///
 /// Every campaign bench accepts the same distribution / observability
-/// flags (`--workers`, `--shard`, `--merge`, `--serve`, `--connect`,
-/// `--progress`, `--telemetry-out`, `--front-out`, `--fault-plan`,
-/// `--cache-dir`, `--no-cache`).  This header owns their parsing and
+/// flags (`--workers`, `--shard`, `--merge`, `--progress`,
+/// `--telemetry-out`, `--front-out`, `--fault-plan`, `--cache-dir`,
+/// `--no-cache`).  This header owns their parsing and
 /// validation as one table-driven pass: each flag has a single descriptor
 /// (spelling, operand grammar, which mode it selects), mode mutual
 /// exclusion is diagnosed in one loop that names the clashing pair, and
@@ -14,7 +14,6 @@
 /// (`bench/experiment/bench_cli.cpp`) only dispatches on the result — it
 /// no longer hand-parses anything.
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,18 +27,16 @@ namespace aedbmls::expt {
 /// How a campaign's cells are distributed.  At most one of the
 /// non-`kLocal` modes may be selected per invocation.
 enum class CampaignMode {
-  kLocal,    ///< plain in-process run (no distribution flag)
-  kShard,    ///< --shard=i/N: run one shard, write a manifest, exit
-  kMerge,    ///< --merge=DIR: reassemble shard manifests, no execution
-  kServe,    ///< --serve=PORT: elastic coordinator over TCP workers
-  kConnect,  ///< --connect=HOST:PORT: elastic worker
+  kLocal,  ///< plain in-process run (no distribution flag)
+  kShard,  ///< --shard=i/N: run (or resume) one shard's cell log, exit
+  kMerge,  ///< --merge=DIR: reassemble shard cell logs, no execution
 };
 
 /// The validated campaign-wide options of one bench invocation.
 struct CampaignOptions {
   CampaignMode mode = CampaignMode::kLocal;
   /// --workers=N, digits only: the driver's task count (0 = one per
-  /// hardware thread); in --serve mode the fleet size, at least 1.
+  /// hardware thread).
   std::size_t workers = 0;
 
   // --shard=i/N + --shard-dir
@@ -48,11 +45,6 @@ struct CampaignOptions {
   std::string shard_dir = "shards";
   // --merge
   std::string merge_dir;
-  // --serve
-  std::uint16_t serve_port = 0;
-  // --connect
-  std::string connect_host;
-  std::uint16_t connect_port = 0;
 
   /// --cache-dir override; nullopt keeps the driver default.
   std::optional<std::string> cache_dir;
@@ -69,17 +61,18 @@ struct CampaignOptions {
   /// --front-out=DIR (empty: none): also write the per-scenario reference
   /// fronts, canonically sorted, as `reference_<scale>_<fp>_<scenario>.csv`
   /// under DIR.  Needs the full record set, so it is rejected in --shard
-  /// and --connect modes (partial results only).
+  /// mode (partial results only).
   std::string front_out;
   /// --fault-plan=SPEC verbatim; nullopt falls back to AEDB_FAULT_PLAN.
   std::optional<std::string> fault_plan;
 };
 
 /// Parses + validates the campaign flags in one pass.  Throws
-/// `std::invalid_argument` on any malformed operand or conflicting
-/// distribution modes (the message names the clashing pair).  Flags
-/// outside the campaign surface are ignored (benches layer their own
-/// options on top).
+/// `std::invalid_argument` on any malformed operand, on conflicting
+/// distribution modes (the message names the clashing pair) and on the
+/// removed `--serve` / `--connect` (the message names `--shard` and
+/// `--merge`).  Flags outside the campaign surface are ignored (benches
+/// layer their own options on top).
 [[nodiscard]] CampaignOptions parse_campaign_options(const CliArgs& args);
 
 /// Durably writes `snapshot` through the line codec to `path`: the bytes

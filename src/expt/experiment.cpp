@@ -1,12 +1,16 @@
 #include "expt/experiment.hpp"
 
 #include <bit>
+#include <chrono>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "aedb/tuning_problem.hpp"
+#include "common/fault.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "expt/manifest.hpp"
@@ -109,10 +113,11 @@ std::uint64_t ExperimentPlan::fingerprint() const {
   key = hash_combine(key, scale.networks);
   key = hash_combine(key, scale.mls_populations);
   key = hash_combine(key, scale.mls_threads);
-  // "race" deliberately hashes like "full": its admitted fronts are
-  // byte-identical by contract, so the two may share cached CSVs.  A forced
-  // tier is approximate and must never collide with exact results.
-  key = hash_string(key, scale.fidelity == "race" ? "full" : scale.fidelity);
+  // Every mode has its own store, "race" included: its fronts are
+  // byte-identical to "full" by contract, but its cells carry
+  // `fidelity.screen.*` counters a full run never computes, so a shared
+  // store would replay telemetry that is no function of (plan, seed).
+  key = hash_string(key, scale.fidelity);
   for (const std::string& name : algorithms) key = hash_string(key, name);
   for (const std::string& name : scenarios) {
     key = hash_string(key, name);
@@ -292,6 +297,11 @@ std::vector<RunRecord> ExperimentDriver::run_cells_into(
                   cell.scenario.c_str(), cell.run + 1, plan.scale.runs);
       std::fflush(stdout);
     }
+    double stall_ms = 0.0;
+    if (fault::fire("cell.stall_ms", stall_ms) && stall_ms > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(stall_ms));
+    }
     records[i] = run_cell(cell.algorithm, cell.scenario, cell.seed,
                           plan.scale, &engine);
     if (store != nullptr) store->append(CellResult{cell.index, records[i]});
@@ -308,55 +318,96 @@ telemetry::Snapshot merge_telemetry(const std::vector<RunRecord>& records) {
   return merged;
 }
 
-ExperimentResult ExperimentDriver::run(const ExperimentPlan& plan) const {
-  validate_plan(plan);
-
-  // Phase 1: replay the cells the store holds and shard the missing ones
-  // across the pool, appending each to the store as it completes; phase 2:
-  // the deterministic reduction to reference fronts + indicators, the CSV,
-  // and — when cells were computed — the store rewritten in plan order.
-  const auto cells = plan.cells();
+std::vector<RunRecord> ExperimentDriver::complete(
+    const ExperimentPlan& plan, const std::vector<ExperimentPlan::Cell>& cells,
+    CampaignStore* store) const {
+  constexpr std::size_t kNotHere = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> slot(plan.cell_count(), kNotHere);
+  for (std::size_t i = 0; i < cells.size(); ++i) slot[cells[i].index] = i;
   std::vector<RunRecord> records(cells.size());
   std::vector<bool> stored(cells.size(), false);
-  std::optional<CampaignStore> store;
-  if (options_.use_cache) {
-    store.emplace(options_.cache_dir, plan);
+  if (store != nullptr) {
     for (CellResult& cell : store->replayed()) {
+      // Another shard's cell (a copied file): never replayed, and dropped
+      // by the rewrite.
+      const std::size_t at = slot[cell.index];
+      if (at == kNotHere) continue;
       if (options_.progress != nullptr) {
         options_.progress->cell_done(cell.record.telemetry);
       }
-      stored[cell.index] = true;
-      records[cell.index] = std::move(cell.record);
+      stored[at] = true;
+      records[at] = std::move(cell.record);
     }
   }
   std::vector<ExperimentPlan::Cell> missing;
-  for (const ExperimentPlan::Cell& cell : cells) {
-    if (!stored[cell.index]) missing.push_back(cell);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!stored[i]) missing.push_back(cells[i]);
   }
+  if (options_.verbose && missing.size() < cells.size()) {
+    std::printf("[store] replayed %zu of %zu cells from %s\n",
+                cells.size() - missing.size(), cells.size(),
+                store->path().c_str());
+    std::fflush(stdout);
+  }
+  if (!missing.empty()) {
+    auto fresh = run_cells_into(plan, missing, store);
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+      records[slot[missing[i].index]] = std::move(fresh[i]);
+    }
+  }
+  if (store != nullptr && store->writable() && !missing.empty()) {
+    std::vector<CellResult> results;
+    results.reserve(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      results.push_back(CellResult{cells[i].index, records[i]});
+    }
+    write_cell_log(store->path(), plan, results);
+  }
+  return records;
+}
+
+ExperimentResult ExperimentDriver::run(const ExperimentPlan& plan) const {
+  validate_plan(plan);
+
+  // Phase 1: replay the cells the store holds and run the missing ones on
+  // the pool, appending each to the store as it completes (`complete`);
+  // phase 2: the deterministic reduction to reference fronts + indicators
+  // and the CSV.
+  const auto cells = plan.cells();
+  std::optional<CampaignStore> store;
+  if (options_.use_cache) {
+    store.emplace(cell_store_path(options_.cache_dir, plan), plan);
+  }
+  // Every replayed cell is a distinct plan cell (`read_cell_log`).
+  const bool hit = (store ? store->replayed().size() : 0) == cells.size();
   if (options_.verbose) {
     std::printf("[plan] %zu algorithms x %zu scenarios x %zu runs = %zu "
                 "cells\n",
                 plan.algorithms.size(), plan.scenarios.size(),
                 plan.scale.runs, cells.size());
-    if (missing.size() < cells.size()) {
-      std::printf("[cache] replayed %zu of %zu cells from %s\n",
-                  cells.size() - missing.size(), cells.size(),
-                  store->path().c_str());
-    }
     std::fflush(stdout);
   }
-  if (!missing.empty()) {
-    auto fresh = run_cells_into(plan, missing, store ? &*store : nullptr);
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      records[missing[i].index] = std::move(fresh[i]);
-    }
-  }
-
   ExperimentResult result = finish_campaign(
-      plan, std::move(records), options_.use_cache ? options_.cache_dir : "",
-      store && store->writable() && !missing.empty());
-  result.from_cache = missing.empty();
+      plan, complete(plan, cells, store ? &*store : nullptr),
+      options_.use_cache ? options_.cache_dir : "");
+  result.from_cache = hit;
   return result;
+}
+
+std::vector<RunRecord> ExperimentDriver::run_shard(
+    const ExperimentPlan& plan, std::size_t shard_index,
+    std::size_t shard_count, const std::string& shard_dir) const {
+  validate_plan(plan);
+  const auto cells = cells_for_shard(plan, shard_index, shard_count);
+  CampaignStore store(shard_log_path(shard_dir, shard_index, shard_count),
+                      plan);
+  if (options_.verbose) {
+    std::printf("[shard %zu/%zu] %zu of %zu cells, kept in %s\n",
+                shard_index, shard_count, cells.size(), plan.cell_count(),
+                store.path().c_str());
+    std::fflush(stdout);
+  }
+  return complete(plan, cells, &store);
 }
 
 std::vector<double> extract(const std::vector<IndicatorSample>& samples,

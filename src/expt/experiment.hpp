@@ -18,7 +18,8 @@
 /// log keyed by the plan fingerprint (expt/manifest.hpp): a run replays the
 /// store's verified prefix, runs only the missing cells and rewrites the
 /// store whole, next to the write-only indicator CSV.  A hit therefore
-/// returns the fronts and the telemetry too.
+/// returns the fronts and the telemetry too.  `run_shard` runs a strided
+/// subset of the grid the same way, with its shard file as the store.
 
 #include <memory>
 #include <string>
@@ -94,9 +95,9 @@ struct ExperimentPlan {
     return algorithms.size() * scenarios.size() * scale.runs;
   }
 
-  /// Stable 64-bit key over everything that shapes the results (algorithms,
-  /// scenarios, runs, budgets, networks, seed, MLS layout) — the campaign
-  /// store's identity.
+  /// Stable 64-bit key over everything that shapes the results or the
+  /// per-cell telemetry (algorithms, scenarios, runs, budgets, networks,
+  /// seed, MLS layout, fidelity mode) — the campaign store's identity.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
@@ -119,9 +120,8 @@ struct ExperimentResult {
   /// True when the campaign store held every cell, so no cell ran.
   bool from_cache = false;
   /// Campaign-wide fold of the per-cell snapshots, merged in grid order
-  /// (`merge_telemetry`) — identical for any worker count, shard layout or
-  /// elastic fleet, and on cache hits (the store keeps each cell's
-  /// snapshot).
+  /// (`merge_telemetry`) — identical for any worker count or shard layout,
+  /// and on cache hits (the store keeps each cell's snapshot).
   telemetry::Snapshot telemetry;
 };
 
@@ -154,14 +154,24 @@ class ExperimentDriver {
   /// (`finish_campaign`).
   [[nodiscard]] ExperimentResult run(const ExperimentPlan& plan) const;
 
-  /// Runs an arbitrary subset of `plan.cells()` — the phase-1 shard loop
-  /// alone, no cache, no reduction — and returns the records in the
-  /// subset's order.  This is the unit of distribution: a `--shard=i/N`
-  /// process runs its `cells_for_shard` slice through here, an elastic
-  /// worker each cell it pulls, and `run` the cells its store lacks;
-  /// because each cell is seeded by (plan, scenario, run) alone the records
-  /// are identical to the ones a full single-node run would produce for
-  /// those cells.
+  /// Runs shard `shard_index` of `shard_count` (`cells_for_shard`) with
+  /// the shard's cell log `shard_log_path(shard_dir, shard_index,
+  /// shard_count)` as its store: it replays the shard cells that file
+  /// holds, runs the rest — appending each as it completes, so a killed
+  /// shard keeps its finished cells and its rerun runs only the missing
+  /// ones — and rewrites the file whole only when it computed cells.  The
+  /// file is the shard's output, so `use_cache` and `cache_dir` do not
+  /// apply.  Returns the shard's records in `cells_for_shard` order.
+  /// Throws std::invalid_argument on a bad plan or shard coordinates.
+  [[nodiscard]] std::vector<RunRecord> run_shard(
+      const ExperimentPlan& plan, std::size_t shard_index,
+      std::size_t shard_count, const std::string& shard_dir) const;
+
+  /// Runs an arbitrary subset of `plan.cells()` — the phase-1 cell loop
+  /// alone, no store, no reduction — and returns the records in the
+  /// subset's order.  Because each cell is seeded by (plan, scenario, run)
+  /// alone, the records are identical to the ones a full single-node run
+  /// would produce for those cells.
   [[nodiscard]] std::vector<RunRecord> run_cells(
       const ExperimentPlan& plan,
       const std::vector<ExperimentPlan::Cell>& cells) const;
@@ -169,6 +179,15 @@ class ExperimentDriver {
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
+  /// The replay/append path of `run` and `run_shard`: takes the records of
+  /// `cells` that `store` (unless null) replayed, runs the rest through
+  /// `run_cells_into`, and rewrites the store whole, in `cells` order, when
+  /// it computed cells.  Returns the records in `cells` order.
+  [[nodiscard]] std::vector<RunRecord> complete(
+      const ExperimentPlan& plan,
+      const std::vector<ExperimentPlan::Cell>& cells,
+      CampaignStore* store) const;
+
   /// `run_cells`, appending each cell to `store` (unless null) as it
   /// completes.
   [[nodiscard]] std::vector<RunRecord> run_cells_into(
@@ -192,15 +211,15 @@ void validate_plan(const ExperimentPlan& plan);
 /// The phase-2 reduction: per-scenario reference fronts + normalised
 /// indicator samples in plan (scenario-major) order.  A pure function of
 /// (plan, records) — this is what makes every execution strategy (worker
-/// counts, shard merges, elastic fleets) bitwise-equivalent: they only
-/// have to reproduce the records.
+/// counts, shard merges) bitwise-equivalent: they only have to reproduce
+/// the records.
 [[nodiscard]] std::vector<IndicatorSample> reduce_to_samples(
     const ExperimentPlan& plan, const std::vector<RunRecord>& records);
 
 /// The campaign-wide telemetry fold: per-cell snapshots merged in the
 /// records' (grid) order.  A pure function of the records, so every
-/// execution strategy that reproduces them — any worker count, shard
-/// layout or elastic fleet — produces the identical snapshot.
+/// execution strategy that reproduces them — any worker count or shard
+/// layout — produces the identical snapshot.
 [[nodiscard]] telemetry::Snapshot merge_telemetry(
     const std::vector<RunRecord>& records);
 

@@ -343,14 +343,20 @@ std::string cell_store_path(const std::string& dir,
   return path.str();
 }
 
-CampaignStore::CampaignStore(const std::string& dir, const ExperimentPlan& plan)
-    : path_(cell_store_path(dir, plan)) {
+std::string shard_log_path(const std::string& dir, std::size_t shard_index,
+                           std::size_t shard_count) {
+  return dir + "/shard_" + std::to_string(shard_index) + "_of_" +
+         std::to_string(shard_count) + ".manifest";
+}
+
+CampaignStore::CampaignStore(std::string path, const ExperimentPlan& plan)
+    : path_(std::move(path)) {
   const auto text = read_file(path_);
   CellLog log;
   if (text) {
     log = read_cell_log(*text, plan);
     if (!log.defect.empty()) {
-      log_warn("cache ", path_, ": ", log.defect,
+      log_warn("cell log ", path_, ": ", log.defect,
                "; replaying the valid prefix (", log.results.size(), " cells)");
     }
   }
@@ -398,23 +404,14 @@ void CampaignStore::append(const CellResult& cell) {
 
 ExperimentResult finish_campaign(const ExperimentPlan& plan,
                                  std::vector<RunRecord> records,
-                                 const std::string& store_dir,
-                                 bool rewrite_store) {
+                                 const std::string& csv_dir) {
   ExperimentResult result;
   result.samples = reduce_to_samples(plan, records);
   result.telemetry = merge_telemetry(records);
-  if (!store_dir.empty()) {
+  if (!csv_dir.empty()) {
     std::error_code ec;
-    std::filesystem::create_directories(store_dir, ec);
-    if (rewrite_store) {
-      std::vector<CellResult> cells;
-      cells.reserve(records.size());
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        cells.push_back(CellResult{i, records[i]});
-      }
-      write_cell_log(cell_store_path(store_dir, plan), plan, cells);
-    }
-    const std::string csv_path = indicator_csv_path(store_dir, plan);
+    std::filesystem::create_directories(csv_dir, ec);
+    const std::string csv_path = indicator_csv_path(csv_dir, plan);
     const std::string csv = io::with_crc_trailer(indicator_csv(result.samples));
     if (read_file(csv_path) != csv) {
       io::atomic_write_file_or_throw(csv_path, csv);
@@ -445,8 +442,8 @@ ExperimentResult merge_campaign(const ExperimentPlan& plan,
   }
   std::sort(paths.begin(), paths.end());
 
-  std::vector<RunRecord> records(plan.cell_count());
-  std::vector<bool> seen(records.size(), false);
+  std::vector<CellResult> cells(plan.cell_count());
+  std::vector<bool> seen(cells.size(), false);
   for (const fs::path& path : paths) {
     const auto bytes = read_file(path.string());
     if (!bytes) {
@@ -464,7 +461,7 @@ ExperimentResult merge_campaign(const ExperimentPlan& plan,
             " is also in another manifest (overlapping or duplicate shards)");
       }
       seen[result.index] = true;
-      records[result.index] = std::move(result.record);
+      cells[result.index] = std::move(result);
     }
   }
   const std::size_t missing = static_cast<std::size_t>(
@@ -480,11 +477,15 @@ ExperimentResult merge_campaign(const ExperimentPlan& plan,
   }
   // Unlike a --no-cache driver run, a merge always writes its output: the
   // CSV is the artifact CI diffs against an unsharded run.
-  const bool write_store = !fault::fire("io.cache.write_fail");
-  if (!write_store) {
+  if (fault::fire("io.cache.write_fail")) {
     log_warn("fault: skipping the campaign store in ", cache_dir);
+  } else {
+    write_cell_log(cell_store_path(cache_dir, plan), plan, cells);
   }
-  return finish_campaign(plan, std::move(records), cache_dir, write_store);
+  std::vector<RunRecord> records;
+  records.reserve(cells.size());
+  for (CellResult& cell : cells) records.push_back(std::move(cell.record));
+  return finish_campaign(plan, std::move(records), cache_dir);
 }
 
 }  // namespace aedbmls::expt

@@ -3,17 +3,17 @@
 /// Cell logs — the one file format for completed grid cells, and the
 /// campaign's only read-back store.
 ///
-/// Every file a campaign reads back is a cell log:
-///   - `--shard=i/N` writes the cells of `cells_for_shard(plan, i, N)` to
-///     `<shard-dir>/shard_<i>_of_<N>.manifest`, and `--merge=DIR` reads
-///     every `*.manifest` under DIR back into the exact record set of the
-///     unsharded run;
+/// Every file a campaign reads back is a cell log, opened by its executor
+/// through one `CampaignStore` (replay the verified prefix, repair a
+/// damaged file, append each cell as it completes, rewrite it whole only
+/// when the run computed cells):
 ///   - the campaign store `cell_store_path(cache_dir, plan)` is the cache
-///     and the crash-resume journal: `ExperimentDriver::run` and the
-///     elastic coordinator open it through `CampaignStore` (replay the
-///     verified prefix, repair a damaged file), append each cell as it
-///     completes, and rewrite it whole in plan order (`finish_campaign`)
-///     only when the run computed cells.
+///     and the crash-resume journal of `ExperimentDriver::run`;
+///   - `--shard=i/N` (`ExperimentDriver::run_shard`) keeps the cells of
+///     `cells_for_shard(plan, i, N)` in
+///     `shard_log_path(shard_dir, i, N)`, and `--merge=DIR` reads every
+///     `*.manifest` under DIR back into the exact record set of the
+///     unsharded run.
 /// All of them go through one writer (`write_cell_log`) and one reader
 /// (`read_cell_log`); the indicator CSV is write-only output.
 ///
@@ -45,7 +45,7 @@
 namespace aedbmls::expt {
 
 /// One completed grid cell tagged with its plan index — the unit cell logs
-/// store and the elastic campaign service ships over the wire.
+/// store.
 struct CellResult {
   std::size_t index = 0;
   RunRecord record;
@@ -62,9 +62,9 @@ struct CellResult {
     std::size_t shard_count);
 
 /// Serialises one cell result as a cell block — the `cell` line followed
-/// by its telemetry and `point` lines.  The elastic service ships it in
-/// `result` messages; a cell-log record is this block plus its `crc` line.
-/// Decoding it back yields a bitwise-identical record (`%.17g` doubles).
+/// by its telemetry and `point` lines; a cell-log record is this block
+/// plus its `crc` line.  Decoding it back yields a bitwise-identical
+/// record (`%.17g` doubles).
 [[nodiscard]] std::string encode_cell_result(const CellResult& result);
 
 /// Parses one cell block produced by `encode_cell_result`.  `total_cells`
@@ -104,8 +104,8 @@ struct CellLog {
                                     const ExperimentPlan& plan);
 
 /// Writes `results` as one cell log at `path`, atomically (tmp + fsync +
-/// rename), creating the parent directory on demand — the `--shard` files,
-/// the campaign store's final rewrite and its repair all go through
+/// rename), creating the parent directory on demand — every store's
+/// repair and final rewrite, and `--merge`'s campaign store, go through
 /// here.  Throws std::runtime_error naming the path on I/O failure.
 void write_cell_log(const std::string& path, const ExperimentPlan& plan,
                     const std::vector<CellResult>& results);
@@ -114,19 +114,25 @@ void write_cell_log(const std::string& path, const ExperimentPlan& plan,
 [[nodiscard]] std::string cell_store_path(const std::string& dir,
                                           const ExperimentPlan& plan);
 
-/// One run's handle on the campaign store of `plan` under `dir`, shared by
-/// `ExperimentDriver::run` and the elastic coordinator.
+/// `<dir>/shard_<i>_of_<N>.manifest` — the cell log of shard `shard_index`
+/// of `shard_count`.
+[[nodiscard]] std::string shard_log_path(const std::string& dir,
+                                         std::size_t shard_index,
+                                         std::size_t shard_count);
+
+/// One run's handle on a cell log of `plan` — the campaign store of
+/// `ExperimentDriver::run` or the shard file of `run_shard`.
 class CampaignStore {
  public:
-  /// Replays the store's verified prefix — a defect (torn tail, flipped
-  /// byte, another plan's header, ...) is logged as a warning and the rest
-  /// recomputes — rewrites the file to exactly that prefix when it is
-  /// missing or damaged (atomically, `write_cell_log`), and opens it for
-  /// append.  A whole, clean store is not written.  When the
-  /// `io.cache.write_fail` fault site fires the run writes nothing to the
-  /// store: no repair, no append, and `writable()` is false.  Throws
+  /// Replays the verified prefix of the cell log at `path` — a defect
+  /// (torn tail, flipped byte, another plan's header, ...) is logged as a
+  /// warning and the rest recomputes — rewrites the file to exactly that
+  /// prefix when it is missing or damaged (atomically, `write_cell_log`),
+  /// and opens it for append.  A whole, clean file is not written.  When
+  /// the `io.cache.write_fail` fault site fires the run writes nothing to
+  /// the file: no repair, no append, and `writable()` is false.  Throws
   /// std::runtime_error when the repair cannot be written.
-  CampaignStore(const std::string& dir, const ExperimentPlan& plan);
+  CampaignStore(std::string path, const ExperimentPlan& plan);
 
   /// The verified prefix, in file order (the caller may move from it).
   [[nodiscard]] std::vector<CellResult>& replayed() noexcept {
@@ -152,27 +158,25 @@ class CampaignStore {
   std::unique_ptr<std::ostream> journal_;  ///< null: not appending
 };
 
-/// The end of every campaign executor (`ExperimentDriver::run`, the elastic
-/// coordinator, `merge_campaign`): reduces `records` — every cell of
-/// `plan`, in grid order — to indicator samples, folds their telemetry
-/// and, unless `store_dir` is empty, writes the indicator CSV
-/// (`indicator_csv_path`, with its `#crc32` trailer) under it when that
-/// file is missing or its bytes differ, and rewrites the campaign store
-/// whole, in plan order, when `rewrite_store` is set.  A cache hit thus
-/// writes nothing.  Returns the samples, the telemetry and the records.
-/// Throws std::runtime_error when a file cannot be written.
+/// The end of both full-campaign executors (`ExperimentDriver::run`,
+/// `merge_campaign`): reduces `records` — every cell of `plan`, in grid
+/// order — to indicator samples, folds their telemetry and, unless
+/// `csv_dir` is empty, writes the indicator CSV (`indicator_csv_path`,
+/// with its `#crc32` trailer) under it when that file is missing or its
+/// bytes differ, so a cache hit writes nothing.  Returns the samples, the
+/// telemetry and the records.  Throws std::runtime_error when the CSV
+/// cannot be written.
 [[nodiscard]] ExperimentResult finish_campaign(const ExperimentPlan& plan,
                                                std::vector<RunRecord> records,
-                                               const std::string& store_dir,
-                                               bool rewrite_store);
+                                               const std::string& csv_dir);
 
 /// The whole `--merge` mode: reads every `*.manifest` regular file under
-/// `manifest_dir` (in filename order), reassembles the grid and finishes
-/// it into `cache_dir` (`finish_campaign`: the indicator CSV CI diffs
-/// against an unsharded run, and the campaign store, so a later run on
-/// `cache_dir` is a cache hit).  Throws std::invalid_argument naming the
-/// file on any defect, on a cell that two files hold, on missing cells,
-/// and when the directory holds no manifest.
+/// `manifest_dir` (in filename order), reassembles the grid, writes it as
+/// the campaign store under `cache_dir` (so a later run there is a cache
+/// hit) and finishes it into `cache_dir` (`finish_campaign`: the indicator
+/// CSV CI diffs against an unsharded run).  Throws std::invalid_argument
+/// naming the file on any defect, on a cell that two files hold, on
+/// missing cells, and when the directory holds no manifest.
 [[nodiscard]] ExperimentResult merge_campaign(const ExperimentPlan& plan,
                                               const std::string& manifest_dir,
                                               const std::string& cache_dir);

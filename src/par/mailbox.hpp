@@ -2,10 +2,8 @@
 
 /// Blocking multi-producer/multi-consumer mailbox.
 ///
-/// The queue under the in-process message passing: `ThreadPool` task
-/// queues and the per-rank inboxes of the in-process and TCP byte
-/// transports.  A mailbox can be closed; receivers
-/// then drain remaining messages and get `std::nullopt`.
+/// The queue under `ThreadPool`'s task hand-off.  A mailbox can be closed;
+/// receivers then drain remaining messages and get `std::nullopt`.
 
 #include <condition_variable>
 #include <deque>

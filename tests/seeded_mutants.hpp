@@ -1,7 +1,7 @@
 #pragma once
 
 /// Seeded byte-level mutation operators shared by the decoder harnesses
-/// (cell log, telemetry lines, fault plans, frames): flip a few bytes, or
+/// (cell log, telemetry lines, fault plans): flip a few bytes, or
 /// splice in a run of donor bytes.  Truncation needs no helper — harnesses
 /// cut at every byte.  Everything draws from one `Xoshiro256`, so a harness
 /// replays the same mutants on every run.

@@ -1,6 +1,6 @@
 // CampaignOptions — the unified campaign CLI surface: table-driven flag
-// parsing, strict operands, distribution-mode mutual exclusion and
-// durable telemetry dumps.
+// parsing, strict operands, distribution-mode mutual exclusion, the
+// removed elastic-service flags and durable telemetry dumps.
 
 #include "expt/campaign_options.hpp"
 
@@ -82,15 +82,34 @@ TEST(CampaignOptions, ParsesEachDistributionMode) {
   EXPECT_EQ(shard.shard_index, 1u);
   EXPECT_EQ(shard.shard_count, 4u);
   EXPECT_EQ(shard.shard_dir, "parts");
+  EXPECT_EQ(parse_campaign_options(args_of({"--shard=0/2"})).shard_dir,
+            "shards");
   EXPECT_EQ(parse_campaign_options(args_of({"--merge=dir"})).merge_dir, "dir");
-  const auto serve =
-      parse_campaign_options(args_of({"--serve=7000", "--workers=2"}));
-  EXPECT_EQ(serve.serve_port, 7000u);
-  EXPECT_EQ(serve.workers, 2u);
-  const auto connect =
-      parse_campaign_options(args_of({"--connect=10.0.0.1:7000"}));
-  EXPECT_EQ(connect.connect_host, "10.0.0.1");
-  EXPECT_EQ(connect.connect_port, 7000u);
+}
+
+TEST(CampaignOptions, RemovedServiceFlagsNameTheShardWorkflow) {
+  // Unknown flags are ignored, so the removed modes keep a row that fails
+  // instead of silently running the whole campaign locally — whatever the
+  // operand, and ahead of any mode conflict.
+  for (const std::vector<std::string>& words :
+       std::vector<std::vector<std::string>>{
+           {"--serve=7000", "--workers=2"},
+           {"--serve=0"},
+           {"--serve=70000", "--workers=1"},
+           {"--connect=h:1"},
+           {"--connect=10.0.0.1:7000"},
+           {"--connect=nohost"},
+           {"--shard=0/2", "--serve=0", "--workers=1"},
+           {"--connect=h:1", "--shard=1/2"},
+           {"--merge=a", "--connect=h:1"},
+           {"--connect=h:1", "--front-out=d"},
+       }) {
+    const std::string message = message_of(words);
+    EXPECT_NE(message.find("elastic service was removed"), std::string::npos)
+        << words[0] << ": " << message;
+    EXPECT_NE(message.find("--shard"), std::string::npos) << message;
+    EXPECT_NE(message.find("--merge"), std::string::npos) << message;
+  }
 }
 
 TEST(CampaignOptions, ParsesLocalWorkers) {
@@ -107,10 +126,10 @@ TEST(CampaignOptions, ModeConflictNamesTheClashingPair) {
   EXPECT_NE(message.find("--merge"), std::string::npos) << message;
   EXPECT_NE(message.find("pick one distribution mode"), std::string::npos)
       << message;
-  // Every pair conflicts, whatever the order.
-  EXPECT_FALSE(message_of({"--shard=0/2", "--serve=0", "--workers=1"}).empty());
-  EXPECT_FALSE(message_of({"--connect=h:1", "--shard=1/2"}).empty());
-  EXPECT_FALSE(message_of({"--merge=a", "--connect=h:1"}).empty());
+  // The pair conflicts whatever the order.
+  EXPECT_NE(message_of({"--merge=dir", "--shard=0/2"})
+                .find("pick one distribution mode"),
+            std::string::npos);
 }
 
 TEST(CampaignOptions, RejectsMalformedOperands) {
@@ -119,21 +138,22 @@ TEST(CampaignOptions, RejectsMalformedOperands) {
                            "--shard=-1/3", "--shard=0/0", "--shard=/3"}) {
     EXPECT_FALSE(message_of({spec}).empty()) << spec;
   }
-  // --connect grammar: HOST:PORT, port in [1, 65535].
-  for (const char* spec :
-       {"--connect=nohost", "--connect=:7000", "--connect=h:",
-        "--connect=h:0", "--connect=h:65536", "--connect=h:9x"}) {
-    EXPECT_FALSE(message_of({spec}).empty()) << spec;
-  }
   EXPECT_FALSE(message_of({"--merge="}).empty());
-  EXPECT_FALSE(message_of({"--serve=70000", "--workers=1"}).empty());
-  EXPECT_FALSE(message_of({"--serve=0"}).empty());  // missing --workers
-  EXPECT_FALSE(message_of({"--serve=0", "--workers=0"}).empty());
-  // Ports are digits only: no sign, no whitespace.
-  for (const char* spec : {"--serve=+7000", "--serve=-0", "--serve= 7000"}) {
-    EXPECT_NE(message_of({spec, "--workers=1"}).find("--serve"),
-              std::string::npos)
-        << spec;
+  // Directory operands: `--flag=` and a bare `--flag` followed by another
+  // flag parse to "", which would put the files at the filesystem root.
+  const struct {
+    std::vector<std::string> words;
+    const char* refusal;
+  } empty_dirs[] = {
+      {{"--cache-dir="}, "--cache-dir needs a directory"},
+      {{"--cache-dir", "--no-cache"}, "--cache-dir needs a directory"},
+      {{"--shard=0/2", "--shard-dir="}, "--shard-dir needs a directory"},
+      {{"--shard=0/2", "--shard-dir", "--workers=1"},
+       "--shard-dir needs a directory"},
+  };
+  for (const auto& [words, refusal] : empty_dirs) {
+    const std::string message = message_of(words);
+    EXPECT_NE(message.find(refusal), std::string::npos) << message;
   }
   // --progress=N grammar: digits only, N >= 1 (a bare --progress is 1).
   for (const char* spec :
@@ -153,7 +173,6 @@ TEST(CampaignOptions, FrontOutRejectsPartialResultModes) {
   EXPECT_NE(
       message_of({"--shard=0/2", "--front-out=d"}).find("--front-out"),
       std::string::npos);
-  EXPECT_FALSE(message_of({"--connect=h:1", "--front-out=d"}).empty());
   // ...but composes with the full-campaign modes.
   EXPECT_EQ(parse_campaign_options(args_of({"--merge=dir", "--front-out=d"}))
                 .front_out,

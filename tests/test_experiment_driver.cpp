@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -24,6 +23,7 @@
 #include "expt/algorithm_registry.hpp"
 #include "expt/experiment.hpp"
 #include "expt/manifest.hpp"
+#include "failing_algorithm.hpp"
 
 namespace aedbmls::expt {
 namespace {
@@ -294,26 +294,6 @@ TEST(ExperimentDriver, CampaignEvaluatesOnAtMostWorkersThreads) {
   EXPECT_LE(log.ids.size(), 2u);
 }
 
-/// Runs `inner`, except that the `nth` run counted by `runs` throws.
-class FailingAlgorithm final : public moo::Algorithm {
- public:
-  FailingAlgorithm(std::unique_ptr<moo::Algorithm> inner,
-                   std::atomic<int>& runs, int nth)
-      : inner_(std::move(inner)), runs_(runs), nth_(nth) {}
-
-  [[nodiscard]] moo::AlgorithmResult run(const moo::Problem& problem,
-                                         std::uint64_t seed) override {
-    if (++runs_ == nth_) throw std::runtime_error("injected cell failure");
-    return inner_->run(problem, seed);
-  }
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-
- private:
-  std::unique_ptr<moo::Algorithm> inner_;
-  std::atomic<int>& runs_;
-  int nth_;
-};
-
 TEST(ExperimentDriver, FailedCampaignKeepsItsFinishedCellsInTheStore) {
   // The driver appends each cell to the store as it completes: a campaign
   // that dies at its third cell leaves the two finished ones, and the
@@ -331,17 +311,10 @@ TEST(ExperimentDriver, FailedCampaignKeepsItsFinishedCellsInTheStore) {
   (void)ExperimentDriver(options).run(plan);
   options.cache_dir = dir;
 
-  AlgorithmRegistry& registry = AlgorithmRegistry::instance();
-  const AlgorithmRegistry::Entry original = *registry.find("Random");
-  std::atomic<int> runs{0};
-  registry.add({original.name, original.description,
-                [factory = original.factory, &runs](
-                    const Scale& scale, const moo::EvaluationEngine* evaluator) {
-                  return std::make_unique<FailingAlgorithm>(
-                      factory(scale, evaluator), runs, 3);
-                }});
-  EXPECT_THROW((void)ExperimentDriver(options).run(plan), std::runtime_error);
-  registry.add(original);
+  {
+    const ScopedFailingAlgorithm failing("Random", 3);
+    EXPECT_THROW((void)ExperimentDriver(options).run(plan), std::runtime_error);
+  }
 
   const CellLog log = read_cell_log(slurp(cell_store_path(dir, plan)), plan);
   EXPECT_EQ(log.defect, "");

@@ -1,12 +1,10 @@
 /// The fault-injection subsystem and the durable I/O it attacks: plan
 /// grammar + trigger semantics + seeded determinism, CRC32 trailers and
-/// atomic file replacement, manifest corruption handling, the campaign
-/// store under adversarial inputs (torn tail, bit flips, repeated and
-/// contradicting cells, wrong fingerprint, empty file) replayed by both
-/// the driver and the elastic coordinator, worker-side coordinator-loss detection
-/// (typed error + heartbeat deadline over real sockets), and the four
-/// `net.*` sites wired into TcpTransport.  Thread-based only — the forked
-/// chaos drill lives in test_chaos_campaign.
+/// atomic file replacement, the `cell.stall_ms` site in the driver's cell
+/// loop, manifest corruption handling, a torn store append, and the
+/// campaign store under adversarial inputs (torn tail, bit flips, repeated
+/// and contradicting cells, wrong fingerprint, empty file) replayed by
+/// both the driver and a shard.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -28,17 +24,13 @@
 #include "common/durable_file.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
-#include "expt/campaign_service.hpp"
 #include "expt/experiment.hpp"
 #include "expt/manifest.hpp"
-#include "par/net/tcp_transport.hpp"
-#include "par/net/transport.hpp"
+#include "failing_algorithm.hpp"
 #include "seeded_mutants.hpp"
 
 namespace aedbmls::expt {
 namespace {
-
-using namespace std::chrono_literals;
 
 Scale tiny_scale() {
   Scale scale;
@@ -52,6 +44,14 @@ Scale tiny_scale() {
 
 ExperimentPlan tiny_plan() {
   return ExperimentPlan::of({"NSGAII", "Random"}, tiny_scale());
+}
+
+ExperimentDriver::Options quiet(std::size_t workers) {
+  ExperimentDriver::Options options;
+  options.workers = workers;
+  options.use_cache = false;
+  options.verbose = false;
+  return options;
 }
 
 std::string scratch_dir(const std::string& name) {
@@ -96,56 +96,56 @@ std::string fabricated_log(const ExperimentPlan& plan) {
 TEST(FaultPlan, InactiveByDefaultAndAfterClear) {
   fault::clear();
   EXPECT_FALSE(fault::active());
-  EXPECT_FALSE(fault::fire("net.frame.drop"));
+  EXPECT_FALSE(fault::fire("io.cache.write_fail"));
   EXPECT_EQ(fault::describe(), "");
 
-  fault::configure("net.frame.drop=always");
+  fault::configure("io.cache.write_fail=always");
   EXPECT_TRUE(fault::active());
   fault::clear();
   EXPECT_FALSE(fault::active());
-  EXPECT_FALSE(fault::fire("net.frame.drop"));
+  EXPECT_FALSE(fault::fire("io.cache.write_fail"));
 }
 
 TEST(FaultPlan, DescribeRoundTripsTheSpec) {
   const std::string spec =
-      "seed=42;cell.stall_ms=always,value=1500;net.frame.drop=nth:6";
+      "seed=42;cell.stall_ms=always,value=1500;io.journal.torn_tail=nth:6";
   fault::configure(spec);
   const std::string canonical = fault::describe();
   fault::configure(canonical);
   EXPECT_EQ(fault::describe(), canonical);
   EXPECT_NE(canonical.find("seed=42"), std::string::npos);
-  EXPECT_NE(canonical.find("net.frame.drop=nth:6"), std::string::npos);
+  EXPECT_NE(canonical.find("io.journal.torn_tail=nth:6"), std::string::npos);
   EXPECT_NE(canonical.find("cell.stall_ms=always,value=1500"),
             std::string::npos);
   fault::clear();
 }
 
 TEST(FaultPlan, RejectsMalformedSpecsWithoutInstallingThem) {
-  fault::configure("net.frame.drop=nth:2");
+  fault::configure("io.journal.torn_tail=nth:2");
   const char* bad[] = {
-      "net.frame.dorp=always",        // unknown site (typo must fail loudly)
-      "net.frame.drop",               // no trigger
-      "net.frame.drop=nth:0",         // nth is 1-based
-      "net.frame.drop=every:0",       // zero period
-      "net.frame.drop=prob:1.5",      // probability out of range
-      "net.frame.drop=maybe",         // unknown trigger
-      "net.frame.drop=nth:2,delay=5", // unknown option
-      "net.frame.drop=always,value=x",
+      "io.journal.torn_tial=always",         // unknown site: a typo fails
+      "io.journal.torn_tail",                // no trigger
+      "io.journal.torn_tail=nth:0",          // nth is 1-based
+      "io.journal.torn_tail=every:0",        // zero period
+      "io.journal.torn_tail=prob:1.5",       // probability out of range
+      "io.journal.torn_tail=maybe",          // unknown trigger
+      "io.journal.torn_tail=nth:2,delay=5",  // unknown option
+      "io.journal.torn_tail=always,value=x",
       "seed=notanumber",
-      "net.frame.drop=always;net.frame.drop=off",  // duplicate site
+      "io.journal.torn_tail=always;io.journal.torn_tail=off",  // duplicate site
       // Signed counts must not wrap to 2^64 - n: nth:-1 would install a
       // site that silently never fires.
-      "net.frame.drop=nth:-1",
-      "net.frame.drop=every:-2",
-      "net.frame.drop=after:-1",
+      "io.journal.torn_tail=nth:-1",
+      "io.journal.torn_tail=every:-2",
+      "io.journal.torn_tail=after:-1",
       "seed=-7",
-      "net.frame.drop=nth:+3",
+      "io.journal.torn_tail=nth:+3",
   };
   for (const char* spec : bad) {
     EXPECT_THROW(fault::configure(spec), std::invalid_argument) << spec;
   }
   // A rejected spec never replaces the active plan.
-  EXPECT_EQ(fault::describe(), "net.frame.drop=nth:2");
+  EXPECT_EQ(fault::describe(), "io.journal.torn_tail=nth:2");
   fault::clear();
 }
 
@@ -154,14 +154,16 @@ TEST(FaultPlan, SeededMutantsAreRejectedOrDescribeStably) {
   // every byte, seeded byte flips, seeded splices of another plan.  A
   // mutant either throws std::invalid_argument and leaves the previous
   // plan installed, or installs a plan whose describe() configures back
-  // to the same describe().
+  // to the same describe().  Between them the spec and the donor use every
+  // trigger; the spec's largest seed makes each cut inside it a valid plan
+  // and most digit flips an overflow.
   const std::string spec =
-      "seed=7;net.frame.drop=nth:6;net.frame.corrupt=after:2;"
-      "net.send.short_write=every:3;io.cache.write_fail=prob:0.25;"
-      "io.journal.torn_tail=off;cell.stall_ms=always,value=1500";
+      "seed=18446744073709551615;io.cache.write_fail=nth:6;"
+      "io.journal.torn_tail=after:2;cell.stall_ms=always,value=1500";
   const std::string donor =
-      "seed=18446744073709551615; net.connect.refuse = every:12 ;"
-      "cell.stall_ms=prob:1,value=-2.5e-3";
+      "seed=7; io.journal.torn_tail = every:12 ;"
+      "io.cache.write_fail=prob:0.25;cell.stall_ms=prob:1,value=-2.5e-3;"
+      "io.cache.write_fail=off";
   Xoshiro256 rng(20261017);
 
   std::size_t checked = 0;
@@ -199,19 +201,24 @@ TEST(FaultPlan, SeededMutantsAreRejectedOrDescribeStably) {
 }
 
 TEST(FaultPlan, TriggerSemantics) {
-  fault::ScopedPlan plan(
-      "net.frame.drop=nth:3;net.frame.corrupt=after:2;"
-      "net.send.short_write=every:3;io.cache.write_fail=always;"
-      "io.journal.torn_tail=off");
+  {
+    fault::ScopedPlan plan(
+        "io.cache.write_fail=nth:3;io.journal.torn_tail=after:2;"
+        "cell.stall_ms=every:3");
+    for (int i = 1; i <= 9; ++i) {
+      EXPECT_EQ(fault::fire("io.cache.write_fail"), i == 3) << i;
+      EXPECT_EQ(fault::fire("io.journal.torn_tail"), i > 2) << i;
+      EXPECT_EQ(fault::fire("cell.stall_ms"), i % 3 == 0) << i;
+    }
+    EXPECT_EQ(fault::hits("io.cache.write_fail"), 9u);
+  }
+  fault::ScopedPlan plan("io.cache.write_fail=always;io.journal.torn_tail=off");
   for (int i = 1; i <= 9; ++i) {
-    EXPECT_EQ(fault::fire("net.frame.drop"), i == 3) << i;
-    EXPECT_EQ(fault::fire("net.frame.corrupt"), i > 2) << i;
-    EXPECT_EQ(fault::fire("net.send.short_write"), i % 3 == 0) << i;
     EXPECT_TRUE(fault::fire("io.cache.write_fail")) << i;
     EXPECT_FALSE(fault::fire("io.journal.torn_tail")) << i;
     EXPECT_FALSE(fault::fire("cell.stall_ms")) << i;  // unconfigured
   }
-  EXPECT_EQ(fault::hits("net.frame.drop"), 9u);
+  EXPECT_EQ(fault::hits("io.cache.write_fail"), 9u);
   EXPECT_EQ(fault::hits("cell.stall_ms"), 0u);
 }
 
@@ -221,23 +228,23 @@ TEST(FaultPlan, SeededProbabilityReplaysDeterministically) {
     std::vector<bool> fired;
     fired.reserve(256);
     for (int i = 0; i < 256; ++i) {
-      fired.push_back(fault::fire("net.frame.drop"));
+      fired.push_back(fault::fire("io.cache.write_fail"));
     }
     return fired;
   };
-  const auto a = draw("seed=1;net.frame.drop=prob:0.5");
-  const auto b = draw("seed=1;net.frame.drop=prob:0.5");
-  const auto c = draw("seed=2;net.frame.drop=prob:0.5");
+  const auto a = draw("seed=1;io.cache.write_fail=prob:0.5");
+  const auto b = draw("seed=1;io.cache.write_fail=prob:0.5");
+  const auto c = draw("seed=2;io.cache.write_fail=prob:0.5");
   EXPECT_EQ(a, b);  // same plan string => same injection sequence
   EXPECT_NE(a, c);  // the seed is load-bearing
   const std::size_t fired = std::count(a.begin(), a.end(), true);
   EXPECT_GT(fired, 64u);  // crude sanity: roughly half fire
   EXPECT_LT(fired, 192u);
 
-  fault::configure("net.frame.drop=prob:1");
-  EXPECT_TRUE(fault::fire("net.frame.drop"));
-  fault::configure("net.frame.drop=prob:0");
-  EXPECT_FALSE(fault::fire("net.frame.drop"));
+  fault::configure("io.cache.write_fail=prob:1");
+  EXPECT_TRUE(fault::fire("io.cache.write_fail"));
+  fault::configure("io.cache.write_fail=prob:0");
+  EXPECT_FALSE(fault::fire("io.cache.write_fail"));
   fault::clear();
 }
 
@@ -251,7 +258,7 @@ TEST(FaultPlan, ValueParameterRidesTheTrigger) {
 }
 
 TEST(FaultPlan, EveryKIsExactUnderConcurrency) {
-  fault::ScopedPlan plan("net.frame.drop=every:4");
+  fault::ScopedPlan plan("io.journal.torn_tail=every:4");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
   std::atomic<int> fired{0};
@@ -259,7 +266,7 @@ TEST(FaultPlan, EveryKIsExactUnderConcurrency) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&fired] {
       for (int i = 0; i < kPerThread; ++i) {
-        if (fault::fire("net.frame.drop")) fired.fetch_add(1);
+        if (fault::fire("io.journal.torn_tail")) fired.fetch_add(1);
       }
     });
   }
@@ -267,29 +274,30 @@ TEST(FaultPlan, EveryKIsExactUnderConcurrency) {
   // Occurrence numbers are atomic, so exactly every 4th of the 4000 total
   // occurrences fired no matter how the threads interleaved.
   EXPECT_EQ(fired.load(), kThreads * kPerThread / 4);
-  EXPECT_EQ(fault::hits("net.frame.drop"),
+  EXPECT_EQ(fault::hits("io.journal.torn_tail"),
             static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
 TEST(FaultPlan, ScopedPlanRestoresThePreviousPlan) {
-  fault::configure("net.frame.drop=nth:1");
+  fault::configure("io.journal.torn_tail=nth:1");
   {
     fault::ScopedPlan inner("io.cache.write_fail=always");
     EXPECT_EQ(fault::describe(), "io.cache.write_fail=always");
   }
-  EXPECT_EQ(fault::describe(), "net.frame.drop=nth:1");
-  EXPECT_TRUE(fault::fire("net.frame.drop"));  // counters reset on restore
+  EXPECT_EQ(fault::describe(), "io.journal.torn_tail=nth:1");
+  // Counters reset on restore.
+  EXPECT_TRUE(fault::fire("io.journal.torn_tail"));
   fault::clear();
 }
 
 TEST(FaultPlan, ConfiguresFromTheEnvironment) {
   fault::clear();
-  ::setenv("AEDB_FAULT_PLAN", "net.frame.drop=nth:7", 1);
+  ::setenv("AEDB_FAULT_PLAN", "io.journal.torn_tail=nth:7", 1);
   EXPECT_TRUE(fault::configure_from_env());
-  EXPECT_EQ(fault::describe(), "net.frame.drop=nth:7");
+  EXPECT_EQ(fault::describe(), "io.journal.torn_tail=nth:7");
   ::unsetenv("AEDB_FAULT_PLAN");
   EXPECT_TRUE(fault::configure_from_env());  // unset leaves the plan alone
-  EXPECT_EQ(fault::describe(), "net.frame.drop=nth:7");
+  EXPECT_EQ(fault::describe(), "io.journal.torn_tail=nth:7");
   fault::clear();
 }
 
@@ -396,11 +404,21 @@ TEST(ManifestHardening, RetiredManifestFormatIsRejectedByName) {
 // ---------------------------------------------------------------------------
 // The campaign store under adversarial inputs
 
+/// How many cells a verbose driver run printed as computed.
+std::size_t cells_run(const std::string& printed) {
+  std::size_t ran = 0;
+  for (std::size_t at = printed.find("[cell "); at != std::string::npos;
+       at = printed.find("[cell ", at + 1)) {
+    ++ran;
+  }
+  return ran;
+}
+
 TEST(JournalAdversarial, RestartReplaysExactlyTheValidPrefix) {
-  // A restarted driver or coordinator replays the store's valid prefix —
+  // A restarted driver or shard replays its file's valid prefix —
   // whatever the damage after it — runs exactly the missing cells, and
-  // lands on the clean run's bytes with a whole, clean store.  Three cheap
-  // cells keep the fourteen campaigns fast.
+  // lands on the clean run's bytes with a whole, clean file.  Three cheap
+  // cells keep the fourteen campaigns fast; shard 0 of 1 holds them all.
   auto scale = tiny_scale();
   scale.runs = 3;
   scale.evals = 6;
@@ -458,43 +476,36 @@ TEST(JournalAdversarial, RestartReplaysExactlyTheValidPrefix) {
       ::testing::internal::CaptureStdout();
       const auto result = ExperimentDriver(options).run(plan);
       const std::string printed = ::testing::internal::GetCapturedStdout();
-      std::size_t ran = 0;
-      for (std::size_t at = printed.find("[cell "); at != std::string::npos;
-           at = printed.find("[cell ", at + 1)) {
-        ++ran;
-      }
-      EXPECT_EQ(ran, missing) << printed;
+      EXPECT_EQ(cells_run(printed), missing) << printed;
       EXPECT_EQ(result.from_cache, missing == 0);
       expect_clean_finish(options.cache_dir);
     }
     {
-      SCOPED_TRACE("coordinator");
-      const std::string dir = scratch_dir("journal_adversarial");
-      spit(cell_store_path(dir, plan), store.bytes);
-      par::net::InProcWorld world(2);
-      WorkerReport report;
-      std::thread worker([&] {
-        CampaignWorkerOptions options;
-        options.driver.workers = 1;
-        options.driver.verbose = false;
-        report = run_campaign_worker(plan, world.endpoint(1), options);
-      });
-      CampaignCoordinatorOptions coordinator;
-      coordinator.driver = driver;
-      coordinator.driver.cache_dir = dir;
-      (void)run_campaign_coordinator(plan, world.endpoint(0), coordinator);
-      worker.join();
-      EXPECT_EQ(report.cells_completed, missing);
-      expect_clean_finish(dir);
+      SCOPED_TRACE("shard");
+      ExperimentDriver::Options options = driver;
+      options.verbose = true;
+      const std::string dir = scratch_dir("journal_adversarial_shard");
+      const std::string shard = shard_log_path(dir, 0, 1);
+      spit(shard, store.bytes);
+      ::testing::internal::CaptureStdout();
+      (void)ExperimentDriver(options).run_shard(plan, 0, 1, dir);
+      const std::string printed = ::testing::internal::GetCapturedStdout();
+      EXPECT_EQ(cells_run(printed), missing) << printed;
+      const CellLog log = read_cell_log(slurp(shard), plan);
+      EXPECT_EQ(log.results.size(), plan.cell_count());
+      EXPECT_EQ(log.defect, "");
+      const std::string merged = scratch_dir("journal_adversarial_merged");
+      (void)merge_campaign(plan, dir, merged);
+      expect_clean_finish(merged);
     }
   }
 }
 
 TEST(CampaignStore, CacheHitWritesNothing) {
-  // A warm run — driver or coordinator — finds every cell in a whole,
-  // clean store: it returns the same samples, records and telemetry and
-  // writes neither the store nor the CSV (both keep their back-dated
-  // modification times).  A store with a torn tail is still rewritten
+  // A warm run — driver or shard — finds every cell in a whole, clean
+  // file: it returns the same records and telemetry (and the driver the
+  // same samples) and writes nothing (every file keeps its back-dated
+  // modification time).  A store with a torn tail is still rewritten
   // whole.
   namespace fs = std::filesystem;
   auto scale = tiny_scale();
@@ -542,21 +553,23 @@ TEST(CampaignStore, CacheHitWritesNothing) {
     expect_same_result(ExperimentDriver(driver).run(plan));
   }
   {
-    SCOPED_TRACE("coordinator");
-    par::net::InProcWorld world(2);
-    WorkerReport report;
-    std::thread worker([&] {
-      CampaignWorkerOptions options;
-      options.driver.workers = 1;
-      options.driver.verbose = false;
-      report = run_campaign_worker(plan, world.endpoint(1), options);
-    });
-    CampaignCoordinatorOptions coordinator;
-    coordinator.driver = driver;
-    const auto warm = run_campaign_coordinator(plan, world.endpoint(0), coordinator);
-    worker.join();
-    EXPECT_EQ(report.cells_completed, 0u);
-    expect_same_result(warm);
+    SCOPED_TRACE("shard");
+    // Shard 0 of 1 holds every cell in plan order, so the finished store
+    // is byte for byte a finished shard file.
+    const std::string dir = scratch_dir("cache_hit_shard");
+    const std::string shard = shard_log_path(dir, 0, 1);
+    fs::copy_file(store, shard);
+    fs::last_write_time(shard, backdated);
+    const auto warm = ExperimentDriver(driver).run_shard(plan, 0, 1, dir);
+    ASSERT_EQ(warm.size(), fresh.records.size());
+    for (std::size_t i = 0; i < fresh.records.size(); ++i) {
+      EXPECT_EQ(encode_cell_result({i, warm[i]}),
+                encode_cell_result({i, fresh.records[i]}))
+          << i;
+    }
+    EXPECT_EQ(merge_telemetry(warm), fresh.telemetry);
+    EXPECT_EQ(fs::last_write_time(shard), backdated);
+    EXPECT_EQ(slurp(shard), store_bytes);
   }
   {
     SCOPED_TRACE("torn tail");
@@ -571,261 +584,74 @@ TEST(CampaignStore, CacheHitWritesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-side coordinator-loss detection
+// Faults in the driver's cell loop
 
-TEST(CoordinatorLoss, HandshakeAgainstDeadCoordinatorThrowsTypedError) {
-  par::net::InProcWorld world(2);
-  world.endpoint(0).close();
-  CampaignWorkerOptions options;
-  options.driver.workers = 1;
-  options.driver.verbose = false;
-  EXPECT_THROW(run_campaign_worker(tiny_plan(), world.endpoint(1), options),
-               CoordinatorLostError);
-}
-
-TEST(CoordinatorLoss, MidCampaignDepartureThrowsTypedError) {
+TEST(CellStall, FiresOncePerComputedCellWithoutChangingBytes) {
+  // The site is consulted once per computed cell — by the driver and by a
+  // shard, never for a replayed one — and stalling every other cell
+  // perturbs nothing but wall time.
   const auto plan = tiny_plan();
-  par::net::InProcWorld world(2);
-  std::thread coordinator([&world] {
-    auto ready = world.endpoint(0).recv();
-    ASSERT_TRUE(ready.has_value());
-    world.endpoint(0).close();  // vanish without a `done`
-  });
-  CampaignWorkerOptions options;
-  options.driver.workers = 1;
-  options.driver.verbose = false;
-  try {
-    (void)run_campaign_worker(plan, world.endpoint(1), options);
-    FAIL() << "worker must notice the coordinator vanishing";
-  } catch (const CoordinatorLostError& error) {
-    EXPECT_NE(std::string(error.what()).find("coordinator lost"),
-              std::string::npos);
-  }
-  coordinator.join();
-}
-
-TEST(CoordinatorLoss, MissedHeartbeatDeadlineOverTcpThrowsTypedError) {
-  // The coordinator accepts the worker and then goes silent (its
-  // heartbeats are disabled); the worker's deadline monitor must declare
-  // it dead — the worker exits with a typed error instead of hanging.
-  par::net::TcpOptions mute;
-  mute.heartbeat_interval = 0ms;
-  mute.peer_deadline = 0ms;
-  par::net::TcpListener listener(0, mute);
-
-  std::unique_ptr<par::net::TcpTransport> coordinator;
-  std::thread accept([&] { coordinator = listener.accept_workers(1); });
-
-  par::net::TcpOptions watchful;
-  watchful.heartbeat_interval = 50ms;
-  watchful.peer_deadline = 300ms;
-  watchful.connect_backoff_base = 10ms;
-  auto worker =
-      par::net::TcpTransport::connect("127.0.0.1", listener.port(), watchful);
-  accept.join();
-
-  CampaignWorkerOptions options;
-  options.driver.workers = 1;
-  options.driver.verbose = false;
-  try {
-    (void)run_campaign_worker(tiny_plan(), *worker, options);
-    FAIL() << "worker must miss the heartbeat deadline";
-  } catch (const CoordinatorLostError& error) {
-    EXPECT_NE(std::string(error.what()).find("heartbeat deadline exceeded"),
-              std::string::npos);
-  }
-  worker->close();
-  coordinator->close();
-}
-
-// ---------------------------------------------------------------------------
-// Net fault sites over real sockets
-
-/// A quiet two-endpoint TCP world (no heartbeats, no deadlines) so the
-/// only write_all/reader traffic is the handshake plus what the test
-/// sends — fault-site occurrence numbers are deterministic.
-struct QuietTcpPair {
-  par::net::TcpOptions options;
-  std::unique_ptr<par::net::TcpListener> listener;
-  std::unique_ptr<par::net::TcpTransport> coordinator;
-  std::unique_ptr<par::net::TcpTransport> worker;
-
-  QuietTcpPair() {
-    options.heartbeat_interval = 0ms;
-    options.peer_deadline = 0ms;
-    options.connect_backoff_base = 1ms;
-    listener = std::make_unique<par::net::TcpListener>(0, options);
-    std::thread accept([this] { coordinator = listener->accept_workers(1); });
-    worker =
-        par::net::TcpTransport::connect("127.0.0.1", listener->port(), options);
-    accept.join();
-  }
-
-  ~QuietTcpPair() {
-    if (worker) worker->close();
-    if (coordinator) coordinator->close();
-  }
-};
-
-TEST(NetFaultSites, ShortWriteTearsTheFrameAndBothSidesNotice) {
-  // Occurrences: 1 = worker hello, 2 = coordinator welcome, 3 = the data
-  // frame below — torn mid-write.
-  fault::ScopedPlan plan("net.send.short_write=nth:3");
-  QuietTcpPair net;
-  EXPECT_FALSE(net.worker->send(0, "ping"));
-  auto seen = net.coordinator->recv();
-  ASSERT_TRUE(seen.has_value());
-  EXPECT_EQ(seen->kind, par::net::Message::Kind::kPeerLeft);
-  EXPECT_NE(seen->payload.find("mid-frame"), std::string::npos)
-      << seen->payload;
-}
-
-TEST(NetFaultSites, CorruptedBytePoisonsTheConnection) {
-  QuietTcpPair net;
-  // Configure after the handshake: the first post-handshake chunk any
-  // reader receives is the ping below, corrupted at the frame-type byte.
-  fault::ScopedPlan plan("net.frame.corrupt=nth:1");
-  EXPECT_TRUE(net.worker->send(0, "ping"));
-  auto seen = net.coordinator->recv();
-  ASSERT_TRUE(seen.has_value());
-  EXPECT_EQ(seen->kind, par::net::Message::Kind::kPeerLeft);
-  EXPECT_NE(seen->payload.find("malformed frame"), std::string::npos)
-      << seen->payload;
-}
-
-TEST(NetFaultSites, DroppedFrameSeversTheConnection) {
-  QuietTcpPair net;
-  fault::ScopedPlan plan("net.frame.drop=nth:1");
-  EXPECT_TRUE(net.worker->send(0, "ping"));
-  auto seen = net.coordinator->recv();
-  ASSERT_TRUE(seen.has_value());
-  EXPECT_EQ(seen->kind, par::net::Message::Kind::kPeerLeft);
-  EXPECT_NE(seen->payload.find("dropped data frame"), std::string::npos)
-      << seen->payload;
-}
-
-TEST(NetFaultSites, RefusedConnectConsumesRetryAttempts) {
-  par::net::TcpOptions options;
-  options.connect_attempts = 2;
-  options.connect_backoff_base = 1ms;
-  {
-    // Every attempt refused before touching the network: no listener
-    // needed, and the error names the injection.
-    fault::ScopedPlan refuse_all("net.connect.refuse=always");
-    try {
-      (void)par::net::TcpTransport::connect("127.0.0.1", 1, options);
-      FAIL() << "connect must exhaust its attempts";
-    } catch (const std::runtime_error& error) {
-      EXPECT_NE(std::string(error.what()).find("fault injection"),
-                std::string::npos);
-      EXPECT_NE(std::string(error.what()).find("2 attempts"),
-                std::string::npos);
-    }
-  }
-  {
-    // First attempt refused, second lands: the retry loop absorbs the
-    // fault exactly like a coordinator that boots late.
-    fault::ScopedPlan refuse_once("net.connect.refuse=nth:1");
-    options.heartbeat_interval = 0ms;
-    options.peer_deadline = 0ms;
-    par::net::TcpListener listener(0, options);
-    std::unique_ptr<par::net::TcpTransport> coordinator;
-    std::thread accept([&] { coordinator = listener.accept_workers(1); });
-    auto worker =
-        par::net::TcpTransport::connect("127.0.0.1", listener.port(), options);
-    accept.join();
-    // Two occurrences drawn (one per attempt); only the first fired.
-    EXPECT_EQ(fault::hits("net.connect.refuse"), 2u);
-    EXPECT_EQ(worker->rank(), 1u);
-    worker->close();
-    coordinator->close();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator-side protocol hardening
-
-TEST(CoordinatorHardening, MalformedResultFailsTheWorkerNotTheCampaign) {
-  const auto plan = tiny_plan();
-  const auto cells = plan.cells();
-  const std::string ref_dir = scratch_dir("hardening_ref");
-  ExperimentDriver::Options ref_options;
-  ref_options.workers = 2;
-  ref_options.verbose = false;
-  ref_options.use_cache = true;
-  ref_options.cache_dir = ref_dir;
-  const auto reference = ExperimentDriver(ref_options).run(plan);
-
-  // Two liars answer their first assignment: one with bytes that are no
-  // cell block, one with a well-formed block whose seed contradicts the
-  // plan's cell table.
-  const std::vector<std::function<std::string(std::size_t)>> lies = {
-      [](std::size_t) { return std::string("not a cell block\n"); },
-      [&cells](std::size_t index) {
-        CellResult forged;
-        forged.index = index;
-        forged.record.algorithm = cells[index].algorithm;
-        forged.record.scenario = cells[index].scenario;
-        forged.record.run_seed = cells[index].seed ^ 1;
-        return encode_cell_result(forged);
-      },
-  };
-  par::net::InProcWorld world(2 + lies.size());
-  // Rank 1: an honest worker that can carry the whole campaign.
-  std::thread honest([&world, &plan] {
-    CampaignWorkerOptions options;
-    options.driver.workers = 1;
-    options.driver.verbose = false;
-    (void)run_campaign_worker(plan, world.endpoint(1), options);
-  });
-  std::vector<std::string> rejections(lies.size());
-  std::vector<std::thread> liars;
-  for (std::size_t l = 0; l < lies.size(); ++l) {
-    liars.emplace_back([&world, &plan, &rejections, &lies, l] {
-      auto& me = world.endpoint(2 + l);
-      char buffer[32];
-      std::snprintf(buffer, sizeof buffer, "%llx",
-                    static_cast<unsigned long long>(plan.fingerprint()));
-      me.send(0, std::string("ready ") + buffer);
-      for (;;) {
-        auto message = me.recv();
-        if (!message) return;
-        if (message->kind != par::net::Message::Kind::kData) continue;
-        if (message->payload.rfind("cell ", 0) == 0) {
-          const std::string index = message->payload.substr(5);
-          me.send(0, "result " + index + "\n" + lies[l](std::stoul(index)));
-          continue;
-        }
-        if (message->payload.rfind("reject ", 0) == 0) {
-          rejections[l] = message->payload;
-          me.close();
-          return;
-        }
-        return;
-      }
-    });
-  }
-
-  CampaignCoordinatorOptions coordinator;
-  coordinator.driver.workers = 1;
-  coordinator.driver.verbose = false;
-  coordinator.driver.use_cache = false;
-  const auto result =
-      run_campaign_coordinator(plan, world.endpoint(0), coordinator);
-  honest.join();
-  for (std::thread& liar : liars) liar.join();
-
-  // The campaign survived the liars, recomputed their cells elsewhere, and
-  // each liar was told why it was dropped.
-  ASSERT_EQ(result.samples.size(), reference.samples.size());
-  for (std::size_t i = 0; i < result.samples.size(); ++i) {
-    EXPECT_EQ(result.samples[i].hypervolume, reference.samples[i].hypervolume)
+  const auto reference = ExperimentDriver(quiet(2)).run(plan);
+  fault::ScopedPlan stalls("cell.stall_ms=every:2,value=1");
+  const auto stalled = ExperimentDriver(quiet(2)).run(plan);
+  EXPECT_EQ(fault::hits("cell.stall_ms"), plan.cell_count());
+  ASSERT_EQ(stalled.samples.size(), reference.samples.size());
+  for (std::size_t i = 0; i < reference.samples.size(); ++i) {
+    EXPECT_EQ(stalled.samples[i].hypervolume, reference.samples[i].hypervolume)
         << i;
+    EXPECT_EQ(stalled.samples[i].igd, reference.samples[i].igd) << i;
+    EXPECT_EQ(stalled.samples[i].spread, reference.samples[i].spread) << i;
   }
-  EXPECT_NE(rejections[0].find("bad result"), std::string::npos)
-      << rejections[0];
-  EXPECT_NE(rejections[1].find("contradicts the plan"), std::string::npos)
-      << rejections[1];
+
+  const std::string dir = scratch_dir("stall_shard");
+  (void)ExperimentDriver(quiet(2)).run_shard(plan, 1, 2, dir);
+  EXPECT_EQ(fault::hits("cell.stall_ms"),
+            plan.cell_count() + cells_for_shard(plan, 1, 2).size());
+  (void)ExperimentDriver(quiet(2)).run_shard(plan, 1, 2, dir);  // replays
+  EXPECT_EQ(fault::hits("cell.stall_ms"),
+            plan.cell_count() + cells_for_shard(plan, 1, 2).size());
+}
+
+TEST(CacheHardening, TornAppendResumesFromTheValidPrefix) {
+  // The store's second append tears halfway (a crash inside write()) and
+  // the campaign then dies at its third cell, so nothing repairs the
+  // file: it replays exactly the record committed before the tear, and
+  // the clean rerun runs the other two cells and lands on the unbroken
+  // run's bytes with a whole, clean store.
+  auto scale = tiny_scale();
+  scale.runs = 3;
+  scale.evals = 6;
+  scale.scenarios = {"static-grid"};
+  const auto plan = ExperimentPlan::of({"Random"}, scale);
+  ExperimentDriver::Options options;
+  options.workers = 1;
+  options.verbose = false;
+  options.cache_dir = scratch_dir("torn_append_ref");
+  (void)ExperimentDriver(options).run(plan);
+  const std::string reference =
+      slurp(indicator_csv_path(options.cache_dir, plan));
+
+  options.cache_dir = scratch_dir("torn_append");
+  {
+    fault::ScopedPlan torn("io.journal.torn_tail=nth:2");
+    const ScopedFailingAlgorithm failing("Random", 3);
+    EXPECT_THROW((void)ExperimentDriver(options).run(plan),
+                 std::runtime_error);
+  }
+  const std::string store = cell_store_path(options.cache_dir, plan);
+  const CellLog torn = read_cell_log(slurp(store), plan);
+  EXPECT_EQ(torn.results.size(), 1u);
+  EXPECT_NE(torn.defect.find("torn"), std::string::npos) << torn.defect;
+
+  options.verbose = true;
+  ::testing::internal::CaptureStdout();
+  EXPECT_FALSE(ExperimentDriver(options).run(plan).from_cache);
+  const std::string printed = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(cells_run(printed), 2u) << printed;
+  EXPECT_EQ(slurp(indicator_csv_path(options.cache_dir, plan)), reference);
+  const CellLog whole = read_cell_log(slurp(store), plan);
+  EXPECT_EQ(whole.results.size(), plan.cell_count());
+  EXPECT_EQ(whole.defect, "");
 }
 
 }  // namespace

@@ -2,15 +2,18 @@
 /// decoder contract (bitwise round trips; adversarial counts and seeded
 /// truncation / bit-flip / splice mutants either decode or throw
 /// std::invalid_argument), `read_cell_log` (the verified prefix plus the
-/// first defect, never a throw), and `--merge` — a 2- or 3-way shard/merge
-/// round trip reproduces the single-driver indicator samples, CSV bytes,
-/// reference fronts and exact telemetry and leaves a campaign store a
-/// later driver run hits, while foreign, damaged, missing and duplicate
-/// shards are refused by name.
+/// first defect, never a throw), resumable shards (a killed shard keeps
+/// its finished cells, its rerun runs only the missing ones, a finished
+/// shard's rerun writes nothing), and `--merge` — a 2- or 3-way
+/// shard/merge round trip reproduces the single-driver indicator samples,
+/// CSV bytes, reference fronts and exact telemetry and leaves a campaign
+/// store a later driver run hits, while foreign, damaged, missing and
+/// duplicate shards are refused by name.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -26,6 +29,7 @@
 #include "expt/campaign_options.hpp"
 #include "expt/experiment.hpp"
 #include "expt/manifest.hpp"
+#include "failing_algorithm.hpp"
 #include "seeded_mutants.hpp"
 
 namespace aedbmls::expt {
@@ -97,21 +101,23 @@ std::string scratch_dir(const std::string& name) {
   return dir;
 }
 
-/// Runs every cell of `plan` sharded `count` ways via run_cells and writes
-/// each shard's cell log under `dir` the way `--shard=i/N` does.
+/// Runs every shard of `plan` split `count` ways, leaving each shard's cell
+/// log under `dir` the way `--shard=i/N` does.
 void write_shards(const ExperimentPlan& plan, std::size_t count,
                   const std::string& dir) {
   for (std::size_t index = 0; index < count; ++index) {
-    const auto cells = cells_for_shard(plan, index, count);
-    auto records = ExperimentDriver(quiet(2)).run_cells(plan, cells);
-    std::vector<CellResult> results;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      results.push_back(CellResult{cells[i].index, std::move(records[i])});
-    }
-    write_cell_log(dir + "/shard_" + std::to_string(index) + "_of_" +
-                       std::to_string(count) + ".manifest",
-                   plan, results);
+    (void)ExperimentDriver(quiet(2)).run_shard(plan, index, count, dir);
   }
+}
+
+/// How many cells a verbose driver run printed as computed.
+std::size_t cells_run(const std::string& printed) {
+  std::size_t ran = 0;
+  for (std::size_t at = printed.find("[cell "); at != std::string::npos;
+       at = printed.find("[cell ", at + 1)) {
+    ++ran;
+  }
+  return ran;
 }
 
 /// A cell result matching `cell`'s plan metadata, with a seeded random
@@ -236,6 +242,48 @@ TEST(CellLog, RecordsRoundTripBitwise) {
               std::bit_cast<std::uint64_t>(tricky.constraint_violation));
   }
   EXPECT_EQ(record.telemetry, result.record.telemetry);
+}
+
+TEST(CellLog, CellResultCodecRoundTripsBitwise) {
+  CellResult original;
+  original.index = 5;
+  original.record.algorithm = "NSGAII";
+  original.record.scenario = "d100";
+  original.record.run_seed = 0xDEADBEEFu;
+  original.record.evaluations = 24;
+  original.record.wall_seconds = 0.12345678901234567;
+  original.record.telemetry.counters["evaluations"] = 24;
+  original.record.telemetry.gauges["cell.wall_s"].observe(0.125);
+  moo::Solution solution;
+  solution.objectives = {0.25, -1.0 / 3.0, 7.0};
+  solution.x = {0.1, 0.2, 0.3, 0.4, 0.5};
+  solution.constraint_violation = 0.0;
+  solution.evaluated = true;
+  original.record.front = {solution, solution};
+
+  const std::string block = encode_cell_result(original);
+  const CellResult decoded = decode_cell_result(block, /*total_cells=*/8);
+  EXPECT_EQ(decoded.index, original.index);
+  EXPECT_EQ(decoded.record.algorithm, original.record.algorithm);
+  EXPECT_EQ(decoded.record.scenario, original.record.scenario);
+  EXPECT_EQ(decoded.record.run_seed, original.record.run_seed);
+  EXPECT_EQ(decoded.record.evaluations, original.record.evaluations);
+  EXPECT_EQ(decoded.record.wall_seconds, original.record.wall_seconds);
+  EXPECT_EQ(decoded.record.telemetry, original.record.telemetry);
+  ASSERT_EQ(decoded.record.front.size(), 2u);
+  for (const moo::Solution& point : decoded.record.front) {
+    EXPECT_EQ(point.objectives, solution.objectives);
+    EXPECT_EQ(point.x, solution.x);
+    EXPECT_EQ(point.constraint_violation, solution.constraint_violation);
+  }
+
+  // Malformed blocks are rejected, never mis-decoded.
+  EXPECT_THROW((void)decode_cell_result(block, /*total_cells=*/5),
+               std::invalid_argument);  // index out of range
+  EXPECT_THROW((void)decode_cell_result(block.substr(0, block.size() / 2), 8),
+               std::invalid_argument);  // truncated mid-block
+  EXPECT_THROW((void)decode_cell_result(block + "trailing\n", 8),
+               std::invalid_argument);  // trailing garbage
 }
 
 TEST(CellLog, DamageEndsTheVerifiedPrefix) {
@@ -486,6 +534,90 @@ TEST(ShardManifest, MergedTelemetryIsShardLayoutInvariant) {
       EXPECT_EQ(merged.telemetry.gauges.at(name).count, gauge.count) << name;
     }
   }
+}
+
+TEST(ShardManifest, KilledShardResumesOnlyItsMissingCells) {
+  // A shard appends each cell to its file as it completes.  Shard 1 of 3
+  // holds cells 1, 4 and 7; on one worker its second cell (the second
+  // NSGA-II run) throws, which leaves a defect-free file holding cell 1.
+  // The clean rerun runs exactly the two missing cells, the three shards
+  // merge to the unsharded CSV bytes, and rerunning the finished shard
+  // writes nothing.
+  const ExperimentPlan plan = tiny_plan();
+  const auto full = ExperimentDriver(quiet(2)).run(plan);
+  const std::string dir = scratch_dir("killed_shard");
+  const std::string shard = shard_log_path(dir, 1, 3);
+  ExperimentDriver::Options one = quiet(1);
+  {
+    const ScopedFailingAlgorithm failing("NSGAII", 2);
+    EXPECT_THROW((void)ExperimentDriver(one).run_shard(plan, 1, 3, dir),
+                 std::runtime_error);
+  }
+  const CellLog killed = read_cell_log(slurp(shard), plan);
+  EXPECT_EQ(killed.defect, "");
+  ASSERT_EQ(killed.results.size(), 1u);
+  EXPECT_EQ(killed.results[0].index, 1u);
+
+  one.verbose = true;
+  ::testing::internal::CaptureStdout();
+  const auto resumed = ExperimentDriver(one).run_shard(plan, 1, 3, dir);
+  std::string printed = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(cells_run(printed), 2u) << printed;
+  ASSERT_EQ(resumed.size(), 3u);
+  const CellLog whole = read_cell_log(slurp(shard), plan);
+  EXPECT_EQ(whole.defect, "");
+  EXPECT_EQ(whole.results.size(), 3u);
+
+  for (const std::size_t index : {std::size_t{0}, std::size_t{2}}) {
+    (void)ExperimentDriver(quiet(2)).run_shard(plan, index, 3, dir);
+  }
+  const std::string merged = scratch_dir("killed_shard_merged");
+  expect_identical(full.samples, merge_campaign(plan, dir, merged).samples);
+  EXPECT_EQ(slurp(indicator_csv_path(merged, plan)),
+            io::with_crc_trailer(indicator_csv(full.samples)));
+
+  const std::string bytes = slurp(shard);
+  const auto backdated =
+      fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(shard, backdated);
+  ::testing::internal::CaptureStdout();
+  const auto again = ExperimentDriver(one).run_shard(plan, 1, 3, dir);
+  printed = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(cells_run(printed), 0u) << printed;
+  EXPECT_EQ(fs::last_write_time(shard), backdated);
+  EXPECT_EQ(slurp(shard), bytes);
+  ASSERT_EQ(again.size(), resumed.size());
+  for (std::size_t i = 0; i < resumed.size(); ++i) {
+    EXPECT_EQ(encode_cell_result({i, again[i]}),
+              encode_cell_result({i, resumed[i]}))
+        << i;
+  }
+}
+
+TEST(ShardManifest, AnotherShardsCellsAreRecomputedNotReplayed) {
+  // A shard file copied over another shard's path holds only foreign
+  // cells: the shard replays none of them, runs all of its own, and its
+  // rewrite keeps exactly its own cells, so the merge still holds.
+  const ExperimentPlan plan = tiny_plan();
+  const std::string dir = scratch_dir("foreign_shard");
+  (void)ExperimentDriver(quiet(2)).run_shard(plan, 0, 2, dir);
+  fs::copy_file(shard_log_path(dir, 0, 2), shard_log_path(dir, 1, 2));
+  auto options = quiet(2);
+  options.verbose = true;
+  ::testing::internal::CaptureStdout();
+  (void)ExperimentDriver(options).run_shard(plan, 1, 2, dir);
+  const std::string printed = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(cells_run(printed), cells_for_shard(plan, 1, 2).size())
+      << printed;
+  const CellLog log = read_cell_log(slurp(shard_log_path(dir, 1, 2)), plan);
+  EXPECT_EQ(log.defect, "");
+  ASSERT_EQ(log.results.size(), cells_for_shard(plan, 1, 2).size());
+  for (const CellResult& result : log.results) {
+    EXPECT_EQ(result.index % 2, 1u) << result.index;
+  }
+  EXPECT_EQ(merge_campaign(plan, dir, scratch_dir("foreign_shard_merged"))
+                .records.size(),
+            plan.cell_count());
 }
 
 TEST(ShardManifest, MergeRejectsForeignDamagedMissingAndDuplicateShards) {
