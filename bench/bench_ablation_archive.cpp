@@ -57,6 +57,7 @@ ArchiveScore feed(moo::Archive& archive, const std::string& name,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  check_flags_or_exit(args, {expt::kScaleFlags});
   const expt::Scale scale = expt::resolve_scale_or_exit(args);
   expt::print_header("bench_ablation_archive",
                      "ablation: AGA vs crowding vs unbounded archiving (§IV-A)",

@@ -18,6 +18,7 @@
 int main(int argc, char** argv) {
   using namespace aedbmls;
   const CliArgs args(argc, argv);
+  check_flags_or_exit(args, {expt::kScaleFlags, expt::campaign_flags()});
   const expt::Scale scale = expt::resolve_scale_or_exit(args);
   expt::print_header("bench_ablation_operators",
                      "ablation: sensitivity-guided criteria & Eq.-2 step",

@@ -96,32 +96,39 @@ bool fronts_identical(const std::vector<aedbmls::moo::Solution>& a,
 int main(int argc, char** argv) {
   using namespace aedbmls;
   const CliArgs args(argc, argv);
+  constexpr std::string_view kOwnFlags[] = {"bench-seeds", "json"};
+  check_flags_or_exit(args, {expt::kScaleFlags, kOwnFlags});
   expt::Scale scale = expt::resolve_scale_or_exit(args);
   // Default sweep: one regime per screening economics class — loose
   // deadlines (d100/d300), sparse multi-hop topologies, and the
   // deadline-tight preset the racing mode is built for.  An explicit
-  // --scenarios/--densities flag still wins.
-  if (!args.has("scenarios") && !args.has("scenario") &&
-      !args.has("densities")) {
+  // --scenarios flag still wins.
+  if (!args.has("scenarios")) {
     scale.scenarios = {"d100", "d300", "sparse-wide", "deadline-tight"};
   }
   // Longer walks than the smoke default: the per-thread initialisation
   // evaluations can never be screened (best-of-retries compares exact
   // violations), so short walks understate the racing win.
   if (!args.has("evals")) scale.evals = 960;
+
+  const auto seed_count = parse_u64(args.get("bench-seeds", "3"));
+  if (!seed_count || *seed_count == 0) {
+    std::fprintf(stderr,
+                 "error: --bench-seeds needs a positive count, digits only "
+                 "(got '%s')\n",
+                 args.get("bench-seeds").c_str());
+    return 2;
+  }
+  const std::string json_path = args.get("json");
+  if (args.has("json") && json_path.empty()) {
+    std::fprintf(stderr, "error: --json needs a file path\n");
+    return 2;
+  }
   expt::print_header("bench_fidelity_screening",
                      "multi-fidelity racing: evaluations/s at equal front",
                      scale);
-
-  const long seed_count = args.get_int("bench-seeds", 3);
-  if (seed_count < 1) {
-    std::fprintf(stderr, "--bench-seeds needs a positive count\n");
-    return 2;
-  }
   std::vector<std::uint64_t> seeds;
-  for (long s = 1; s <= seed_count; ++s) {
-    seeds.push_back(static_cast<std::uint64_t>(s));
-  }
+  for (std::uint64_t s = 1; s <= *seed_count; ++s) seeds.push_back(s);
 
   core::MlsConfig base;
   base.populations = 1;
@@ -271,7 +278,7 @@ int main(int argc, char** argv) {
               best_scenario.c_str(), best_ratio, best_ratio_wall_speedup,
               all_fronts_identical ? "yes" : "NO (FAIL)");
 
-  if (args.has("json")) {
+  if (!json_path.empty()) {
     std::ostringstream json;
     json << "{\n  \"bench\": \"bench_fidelity_screening\",\n"
          << "  \"scale\": \"" << scale.name << "\",\n"
@@ -287,9 +294,9 @@ int main(int argc, char** argv) {
          << format_double(best_ratio, 3)
          << ", \"wall_speedup\": " << format_double(best_ratio_wall_speedup, 3)
          << "}\n}\n";
-    const std::string path = args.get("json");
-    io::atomic_write_file_or_throw(path, io::with_crc_trailer(json.str()));
-    std::printf("wrote %s\n", path.c_str());
+    io::atomic_write_file_or_throw(json_path,
+                                   io::with_crc_trailer(json.str()));
+    std::printf("wrote %s\n", json_path.c_str());
   }
   return all_fronts_identical ? 0 : 2;
 }

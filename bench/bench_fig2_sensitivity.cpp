@@ -1,6 +1,7 @@
 /// E1/E2 — regenerates **Figure 2** (FAST99 main effect + interaction per
 /// parameter, per objective, 300 devices/km²) and **Table I** (sensitivity
-/// summary across all densities: direction △/▽ and interaction strength).
+/// summary across every swept scenario: direction △/▽ and interaction
+/// strength).
 ///
 /// Output: per-objective bar tables (ASCII rendition of Fig. 2's bar plots),
 /// the Table I reproduction next to the paper's published entries, and CSV
@@ -53,6 +54,7 @@ constexpr ObjectiveView kObjectives[] = {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  check_flags_or_exit(args, {expt::kScaleFlags});
   const expt::Scale scale = expt::resolve_scale_or_exit(args);
   expt::print_header("bench_fig2_sensitivity",
                      "Figure 2 (FAST99 indices) and Table I (summary)", scale);
@@ -68,7 +70,7 @@ int main(int argc, char** argv) {
                                                       domain_array.end());
   par::ThreadPool pool;
 
-  // Table I accumulators: per parameter x objective across densities.
+  // Table I accumulators: per parameter x objective across scenarios.
   struct Cell {
     double direction = 0.0;
     double interaction = 0.0;

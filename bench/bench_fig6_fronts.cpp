@@ -1,6 +1,6 @@
 /// E4 — regenerates **Figure 6**: the Pareto front approximations of
-/// AEDB-MLS versus the Reference front (best of NSGA-II + CellDE) for the
-/// three densities, plus §VI's mutual-dominance counts ("AEDB-MLS dominates
+/// AEDB-MLS versus the Reference front (best of NSGA-II + CellDE) for
+/// d100/d200/d300, plus §VI's mutual-dominance counts ("AEDB-MLS dominates
 /// 13 / is dominated by 54" etc.).
 ///
 /// Output: per-scenario front listings (energy dBm-sum, coverage,
@@ -51,6 +51,7 @@ void print_front(const char* label, const std::vector<moo::Solution>& front) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  check_flags_or_exit(args, {expt::kScaleFlags, expt::campaign_flags()});
   const expt::Scale scale = expt::resolve_scale_or_exit(args);
   expt::print_header("bench_fig6_fronts",
                      "Figure 6 (Pareto fronts) + §VI dominance counts", scale);

@@ -19,9 +19,11 @@
 int main(int argc, char** argv) {
   using namespace aedbmls;
   const CliArgs args(argc, argv);
+  check_flags_or_exit(args, {expt::kScaleFlags, expt::campaign_flags(),
+                            expt::kAlgorithmFlags});
   const expt::Scale scale = expt::resolve_scale_or_exit(args);
   expt::print_header("bench_fig7_indicators",
-                     "Figure 7 (indicator boxplots, 3 metrics x 3 densities)",
+                     "Figure 7 (indicator boxplots, 3 metrics x 3 scenarios)",
                      scale);
   const auto algorithms =
       expt::algorithms_or_exit(args, expt::paper_algorithms());

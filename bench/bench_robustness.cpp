@@ -37,6 +37,7 @@ constexpr Condition kConditions[] = {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  check_flags_or_exit(args, {expt::kScaleFlags});
   const expt::Scale scale = expt::resolve_scale_or_exit(args);
   expt::print_header("bench_robustness",
                      "extension E12: tuned configuration under other regimes",

@@ -21,6 +21,7 @@
 int main(int argc, char** argv) {
   using namespace aedbmls;
   const CliArgs args(argc, argv);
+  check_flags_or_exit(args, {expt::kScaleFlags});
   const expt::Scale scale = expt::resolve_scale_or_exit(args);
   expt::print_header("bench_runtime_speedup",
                      "§VI wall-clock comparison (38x claim)", scale);

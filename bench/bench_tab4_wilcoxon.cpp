@@ -25,7 +25,7 @@ struct Metric {
   bool smaller_better;
 };
 
-/// The paper's Table IV symbols, row-vs-column, three densities each
+/// The paper's Table IV symbols, row-vs-column, one per density
 /// (100/200/300), translated to our "N"/"v"/"-" alphabet.
 struct PaperRow {
   const char* metric;
@@ -60,6 +60,7 @@ const char* paper_symbols(const char* metric, const std::string& row,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  check_flags_or_exit(args, {expt::kScaleFlags, expt::campaign_flags()});
   const expt::Scale scale = expt::resolve_scale_or_exit(args);
   expt::print_header("bench_tab4_wilcoxon",
                      "Table IV (pairwise Wilcoxon, 95% confidence)", scale);

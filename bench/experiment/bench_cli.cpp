@@ -11,7 +11,6 @@
 #include "common/telemetry.hpp"
 
 #include "expt/algorithm_registry.hpp"
-#include "expt/campaign_options.hpp"
 #include "expt/manifest.hpp"
 #include "expt/scenario_catalog.hpp"
 
@@ -23,7 +22,7 @@ void maybe_list_catalogs_and_exit(const CliArgs& args) {
   if (!scenarios && !algorithms) return;
   if (scenarios) {
     std::printf("registered scenarios (plus dynamic d<N> Table II "
-                "densities):\n");
+                "density keys):\n");
     for (const ScenarioSpec& spec : ScenarioCatalog::instance().specs()) {
       std::printf("  %-14s %s\n", spec.key.c_str(), spec.description.c_str());
     }
@@ -84,34 +83,19 @@ void maybe_write_fronts(const CampaignOptions& campaign,
 
 ExperimentResult run_campaign_or_exit(const CliArgs& args,
                                       const ExperimentPlan& plan) {
-  CampaignOptions campaign;
   try {
-    campaign = parse_campaign_options(args);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    std::exit(2);
-  }
-  ExperimentDriver::Options options;
-  options.workers = campaign.workers;
-  if (campaign.cache_dir) options.cache_dir = *campaign.cache_dir;
-  options.use_cache = campaign.use_cache;
-  // Chaos drills: `--fault-plan=SPEC` wins over AEDB_FAULT_PLAN (see
-  // common/fault.hpp for the grammar and EXPERIMENTS.md for the drills).
-  try {
-    if (campaign.fault_plan) {
-      fault::configure(*campaign.fault_plan);
-    } else {
-      fault::configure_from_env();
+    const CampaignOptions campaign = parse_campaign_options(args);
+    ExperimentDriver::Options options;
+    options.workers = campaign.workers;
+    if (campaign.cache_dir) options.cache_dir = *campaign.cache_dir;
+    options.use_cache = campaign.use_cache;
+    // Chaos drills (common/fault.hpp has the grammar, EXPERIMENTS.md the
+    // drills); an empty plan installs nothing.
+    fault::configure(campaign.fault_plan);
+    if (fault::active()) {
+      std::fprintf(stderr, "[fault] plan active: %s\n",
+                   fault::describe().c_str());
     }
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    std::exit(2);
-  }
-  if (fault::active()) {
-    std::fprintf(stderr, "[fault] plan active: %s\n",
-                 fault::describe().c_str());
-  }
-  try {
     switch (campaign.mode) {
       case CampaignMode::kMerge: {
         auto result =
@@ -140,8 +124,8 @@ ExperimentResult run_campaign_or_exit(const CliArgs& args,
         std::printf("[shard %zu/%zu] done: %zu cells in %s\n",
                     campaign.shard_index, campaign.shard_count,
                     records.size(),
-                    shard_log_path(campaign.shard_dir, campaign.shard_index,
-                                   campaign.shard_count)
+                    shard_log_path(campaign.shard_dir, plan,
+                                   campaign.shard_index, campaign.shard_count)
                         .c_str());
         std::exit(0);
       }
@@ -219,8 +203,8 @@ void print_header(const std::string& bench_name, const std::string& regenerates,
     std::printf(" %s", key.c_str());
   }
   std::printf(")\n");
-  std::printf("  (set AEDB_SCALE=paper, AEDB_SCENARIO=..., --fidelity=race, "
-              "or --runs/--evals/--scenarios=... to rescale)\n");
+  std::printf("  (pass --scale=paper, --scenarios=..., --fidelity=race, "
+              "or --runs/--evals=... to rescale)\n");
   std::printf("================================================================\n\n");
 }
 

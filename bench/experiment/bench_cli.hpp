@@ -4,6 +4,11 @@
 /// resolution with user-facing error reporting, algorithm-list parsing
 /// against the registry, and the standard bench header.
 ///
+/// Each helper declares the flags it reads (`kScaleFlags`,
+/// `campaign_flags()`, `kAlgorithmFlags`).  A bench's `main` passes the
+/// lists of the helpers it calls, plus its own flags, to
+/// `check_flags_or_exit` before anything else, so undeclared input exits 2.
+///
 /// The experiment machinery itself (AlgorithmRegistry, ScenarioCatalog,
 /// ExperimentPlan/Driver) lives in `src/expt/`; see EXPERIMENTS.md for the
 /// migration note from the old `make_algorithm`/`collect_indicator_samples`
@@ -13,6 +18,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "expt/campaign_options.hpp"
 #include "expt/experiment.hpp"
 #include "expt/scale.hpp"
 
@@ -26,9 +32,11 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 
 /// `resolve_scale`, but invalid input (unknown scale/scenario names,
 /// malformed numeric overrides, a `--fidelity` tier no swept scenario
-/// declares) prints the error — which lists the valid options — to stderr
+/// declares, a variable that once spelled a setting) prints the error —
+/// which lists the valid options or names the flag to pass — to stderr
 /// and exits with status 2.  Also honours the `--list-scenarios` /
-/// `--list-algorithms` listing flags (exit 0).
+/// `--list-algorithms` listing flags (exit 0).  Its flags are
+/// `kScaleFlags`.
 [[nodiscard]] Scale resolve_scale_or_exit(const CliArgs& args);
 
 /// Runs (or merges) a campaign, honouring the flags shared by every
@@ -37,14 +45,14 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 ///                  population batches and their MLS walks (digits only;
 ///                  0, the default, is one per hardware thread)
 ///   --shard=i/N    run only shard i of N (0-based) with its cell log
-///                  (expt/manifest.hpp) under --shard-dir (default
-///                  "shards") as the store: each finished cell is appended
-///                  at once, and a rerun replays the file and runs only the
-///                  missing cells — then exit 0.  A later --merge run
-///                  reassembles the campaign (see EXPERIMENTS.md
-///                  "Distributed campaigns")
-///   --merge=DIR    skip execution: read + merge the cell logs under DIR
-///                  against the plan, write the canonical indicator CSV
+///                  (`shard_log_path`, named for the plan) under
+///                  --shard-dir (default "shards") as the store: each
+///                  finished cell is appended at once, and a rerun replays
+///                  the file and runs only the missing cells — then exit
+///                  0.  A later --merge run reassembles the campaign (see
+///                  EXPERIMENTS.md "Distributed campaigns")
+///   --merge=DIR    skip execution: read + merge the plan's shard files
+///                  under DIR, write the canonical indicator CSV
 ///                  and the campaign store under --cache-dir, and
 ///                  continue the bench on the merged samples
 ///   --cache-dir=D  where the campaign store (a cell log: the cache and
@@ -74,17 +82,18 @@ void maybe_list_catalogs_and_exit(const CliArgs& args);
 ///   --fault-plan=SPEC  chaos drills: install a seeded deterministic
 ///                  fault-injection plan (grammar in common/fault.hpp,
 ///                  drills in EXPERIMENTS.md "Fault drills & chaos
-///                  testing").  Falls back to the AEDB_FAULT_PLAN env var;
-///                  a malformed spec exits 2
-/// Without any of these flags this is exactly
-/// `ExperimentDriver().run(plan)`.  The distribution modes are
-/// mutually exclusive — a conflict names the clashing pair and exits 2,
-/// as do malformed specs, empty directory operands, the removed
-/// `--serve` / `--connect` (the message names --shard and --merge) and
-/// campaign/merge failures.  Exit statuses: 0 success, 2 bad invocation
-/// or failed campaign.
+///                  testing"); a malformed spec exits 2
+/// These are `campaign_flags()`, which a bench that calls this declares.
+/// Without any of them this is exactly `ExperimentDriver().run(plan)`.
+/// The distribution modes are mutually exclusive — a conflict names the
+/// clashing pair and exits 2, as do malformed specs, empty directory
+/// operands and campaign/merge failures.  Exit statuses: 0 success, 2 bad
+/// invocation or failed campaign.
 [[nodiscard]] ExperimentResult run_campaign_or_exit(const CliArgs& args,
                                                    const ExperimentPlan& plan);
+
+/// The flag `algorithms_or_exit` reads.
+inline constexpr std::string_view kAlgorithmFlags[] = {"algorithms"};
 
 /// Algorithm names from `--algorithms=a,b` (default: `fallback`), validated
 /// against the registry; unknown names print the registered list and exit 2.

@@ -8,10 +8,12 @@
 ///                        [--seed=3] [--algorithms=NSGAII,CellDE,...]
 ///
 /// Any catalog scenario works: --scenario=sparse-wide, highspeed,
-/// static-grid, d250, ...  (--density=N is accepted as shorthand for dN.)
+/// static-grid, d250, ...  Any other argument, a malformed operand or an
+/// unknown algorithm exits 2.
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include "aedb/tuning_problem.hpp"
 #include "common/cli.hpp"
@@ -26,9 +28,12 @@
 #include "moo/indicators/spread.hpp"
 #include "par/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace aedbmls;
   const CliArgs args(argc, argv);
+  constexpr std::string_view kFlags[] = {"scenario", "evals", "networks",
+                                         "seed", "algorithms"};
+  check_flags_or_exit(args, {kFlags});
 
   expt::Scale scale;
   scale.evals = static_cast<std::size_t>(args.get_int("evals", 120));
@@ -37,29 +42,22 @@ int main(int argc, char** argv) {
   scale.mls_populations = 2;
   scale.mls_threads = 2;
 
-  const expt::ScenarioSpec spec = expt::scenario_from_cli_or_exit(args);
+  const expt::ScenarioSpec spec =
+      expt::ScenarioCatalog::instance().resolve(args.get("scenario", "d100"));
   std::vector<std::unique_ptr<moo::Algorithm>> algorithms;
   par::ThreadPool pool;  // parallel evaluation for the generational EAs
   const moo::EvaluationEngine engine(&pool);
-  std::vector<std::string> names{"NSGAII", "CellDE", "AEDB-MLS", "Random"};
-  if (args.has("algorithms")) {
-    names = split_csv(args.get("algorithms"));
-    if (names.empty()) {
-      std::fprintf(stderr,
-                   "error: --algorithms is empty; expected e.g. "
-                   "--algorithms=NSGAII,CellDE\n");
-      return 2;
-    }
+  const std::vector<std::string> names =
+      split_csv(args.get("algorithms", "NSGAII,CellDE,AEDB-MLS,Random"));
+  if (names.empty()) {
+    throw std::invalid_argument(
+        "--algorithms is empty; expected e.g. --algorithms=NSGAII,CellDE");
   }
-  try {
-    for (const std::string& name : names) {
-      algorithms.push_back(
-          expt::AlgorithmRegistry::instance().create(name, scale, &engine));
-    }
-  } catch (const std::exception& error) {
-    // Unknown algorithm: the message lists the registered options.
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
+  // An unknown algorithm throws std::invalid_argument listing the
+  // registered options.
+  for (const std::string& name : names) {
+    algorithms.push_back(
+        expt::AlgorithmRegistry::instance().create(name, scale, &engine));
   }
   const aedb::AedbTuningProblem problem(spec.problem_config(scale));
 
@@ -97,4 +95,7 @@ int main(int argc, char** argv) {
   std::printf("(HV: higher better; IGD/spread: lower better; reference = "
               "merged best of all runs)\n");
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
 }

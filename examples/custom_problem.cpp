@@ -2,11 +2,12 @@
 /// related at all.  It defines a custom welded-beam-style constrained
 /// problem inline, then runs AEDB-MLS and NSGA-II on it and on the bundled
 /// DTLZ2 benchmark — the same `moo::Problem` interface the AEDB tuning
-/// problem implements.
+/// problem implements.  It takes no arguments; any argument exits 2.
 
 #include <cmath>
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "core/mls.hpp"
 #include "moo/algorithms/nsga2.hpp"
 #include "moo/core/front_io.hpp"
@@ -52,8 +53,9 @@ void report(const char* title, const aedbmls::moo::AlgorithmResult& result) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace aedbmls;
+  check_flags_or_exit(CliArgs(argc, argv), {});
 
   std::printf("AEDB-MLS as a general multi-objective optimiser\n\n");
 

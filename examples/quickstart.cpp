@@ -6,23 +6,29 @@
 ///                [--min-delay=0.1] [--max-delay=0.8]
 ///
 /// `--scenario` accepts any ScenarioCatalog key (d100/d200/d300,
-/// static-grid, highspeed, sparse-wide, or d<N> for any density);
-/// `--density=N` is shorthand for dN.
+/// static-grid, highspeed, sparse-wide, or d<N> for any density).  Any
+/// other argument, or a malformed operand, exits 2.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "aedb/scenario.hpp"
 #include "common/cli.hpp"
 #include "expt/scenario_catalog.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace aedbmls;
   const CliArgs args(argc, argv);
+  constexpr std::string_view kFlags[] = {
+      "scenario", "seed",      "network",  "border",
+      "margin",   "neighbors", "min-delay", "max-delay"};
+  check_flags_or_exit(args, {kFlags});
 
   // A workload from the scenario catalog (Table II density d100 by default:
   // 500 m x 500 m, random-walk mobility at up to 2 m/s, beacons every
   // second, broadcast at t = 30 s).
-  const expt::ScenarioSpec spec = expt::scenario_from_cli_or_exit(args);
+  const expt::ScenarioSpec spec =
+      expt::ScenarioCatalog::instance().resolve(args.get("scenario", "d100"));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   const auto network = static_cast<std::uint64_t>(args.get_int("network", 0));
   const aedb::ScenarioConfig scenario = spec.scenario_config(seed, network);
@@ -62,4 +68,7 @@ int main(int argc, char** argv) {
   std::printf("simulator events: %llu\n",
               static_cast<unsigned long long>(result.events_executed));
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
 }

@@ -5,10 +5,11 @@
 ///   ./sensitivity_analysis [--scenario=d100] [--samples=65] [--networks=2]
 ///                          [--seed=1]
 ///
-/// `--scenario` accepts any ScenarioCatalog key (`--density=N` is shorthand
-/// for dN).
+/// `--scenario` accepts any ScenarioCatalog key.  Any other argument, or a
+/// malformed operand, exits 2.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "aedb/tuning_problem.hpp"
 #include "common/cli.hpp"
@@ -18,11 +19,15 @@
 #include "moo/sa/fast99.hpp"
 #include "par/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace aedbmls;
   const CliArgs args(argc, argv);
+  constexpr std::string_view kFlags[] = {"scenario", "samples", "networks",
+                                         "seed"};
+  check_flags_or_exit(args, {kFlags});
 
-  const expt::ScenarioSpec spec = expt::scenario_from_cli_or_exit(args);
+  const expt::ScenarioSpec spec =
+      expt::ScenarioCatalog::instance().resolve(args.get("scenario", "d100"));
   expt::Scale scale;
   scale.networks = static_cast<std::size_t>(args.get_int("networks", 2));
   scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -36,7 +41,7 @@ int main(int argc, char** argv) {
   moo::Fast99Config config;
   config.samples_per_curve =
       static_cast<std::size_t>(args.get_int("samples", 65));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  config.seed = scale.seed;
   const moo::Fast99 fast(config);
 
   // One simulation campaign yields all four outputs.
@@ -74,4 +79,7 @@ int main(int argc, char** argv) {
   }
   std::printf("total model evaluations: %zu\n", result.evaluations);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
 }

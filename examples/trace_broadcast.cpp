@@ -2,10 +2,14 @@
 /// forwarded at what power, who dropped and why.  Useful for understanding
 /// the protocol's border/density adaptation on a concrete topology.
 ///
-///   ./trace_broadcast [--nodes=12] [--seed=5] [--border=-86] [--static]
+///   ./trace_broadcast [--nodes=12] [--seed=5] [--border=-86] [--area=250]
+///                     [--static]
+///
+/// Any other argument, or a malformed operand, exits 2.
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "aedb/aedb_app.hpp"
@@ -14,9 +18,12 @@
 #include "common/table.hpp"
 #include "sim/net/network.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace aedbmls;
   const CliArgs args(argc, argv);
+  constexpr std::string_view kFlags[] = {"nodes", "seed", "area", "border",
+                                         "static"};
+  check_flags_or_exit(args, {kFlags});
 
   sim::NetworkConfig network_config;
   network_config.node_count = static_cast<std::size_t>(args.get_int("nodes", 12));
@@ -111,4 +118,7 @@ int main(int argc, char** argv) {
               stats.coverage, stats.network_size - 1, stats.forwardings,
               stats.energy_dbm_sum, stats.broadcast_time_s);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
 }

@@ -5,11 +5,12 @@
 ///               [--evals=40] [--reset=20] [--alpha=0.2] [--networks=5]
 ///               [--seed=1]
 ///
-/// `--scenario` accepts any ScenarioCatalog key (`--density=N` is shorthand
-/// for dN).  Paper-scale run: --populations=8 --threads=12 --evals=250
-/// --networks=10.
+/// `--scenario` accepts any ScenarioCatalog key.  Paper-scale run:
+/// --populations=8 --threads=12 --evals=250 --networks=10.  Any other
+/// argument, or a malformed operand, exits 2.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "aedb/tuning_problem.hpp"
 #include "common/cli.hpp"
@@ -19,11 +20,16 @@
 #include "expt/scenario_catalog.hpp"
 #include "moo/analysis/knee.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace aedbmls;
   const CliArgs args(argc, argv);
+  constexpr std::string_view kFlags[] = {"scenario", "populations", "threads",
+                                         "evals",    "reset",       "alpha",
+                                         "networks", "seed"};
+  check_flags_or_exit(args, {kFlags});
 
-  const expt::ScenarioSpec spec = expt::scenario_from_cli_or_exit(args);
+  const expt::ScenarioSpec spec =
+      expt::ScenarioCatalog::instance().resolve(args.get("scenario", "d100"));
   expt::Scale scale;
   scale.networks = static_cast<std::size_t>(args.get_int("networks", 5));
   scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -46,8 +52,7 @@ int main(int argc, char** argv) {
               config.alpha, config.reset_period);
 
   core::AedbMls mls(config);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const moo::AlgorithmResult result = mls.run(problem, seed);
+  const moo::AlgorithmResult result = mls.run(problem, scale.seed);
 
   std::printf("\n%zu evaluations in %.1f s (%.1f evals/s), %zu front points\n",
               result.evaluations, result.wall_seconds,
@@ -87,4 +92,7 @@ int main(int argc, char** argv) {
                 result.front[pick].objectives[2]);
   }
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
 }

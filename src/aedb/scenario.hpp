@@ -39,7 +39,8 @@ struct ScenarioConfig {
   double stop_when_bt_exceeds_s = -1.0;
 };
 
-/// Table II densities: devices per km^2 on the 500 m x 500 m arena.
+/// Node count for `devices_per_km2` on the arena (Table II's 500 m x 500 m
+/// by default).
 [[nodiscard]] std::size_t nodes_for_density(int devices_per_km2,
                                             double area_width = 500.0,
                                             double area_height = 500.0);

@@ -1,7 +1,11 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace aedbmls {
@@ -9,7 +13,10 @@ namespace aedbmls {
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
+    if (arg.rfind("--", 0) != 0) {
+      strays_.push_back(std::move(arg));
+      continue;
+    }
     arg.erase(0, 2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -32,19 +39,56 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
 }
 
 long CliArgs::get_int(const std::string& name, long fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : fallback;
+  if (!has(name)) return fallback;
+  const std::string text = get(name);
+  const auto value = parse_u64(text);
+  if (!value ||
+      *value > static_cast<std::uint64_t>(std::numeric_limits<long>::max())) {
+    throw std::invalid_argument("--" + name +
+                                " needs a non-negative integer, digits only "
+                                "(got '" + text + "')");
+  }
+  return static_cast<long>(*value);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end != nullptr && *end == '\0') ? v : fallback;
+  if (!has(name)) return fallback;
+  const std::string text = get(name);
+  const char* end = text.data() + text.size();
+  double value = 0.0;
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || !std::isfinite(value)) {
+    throw std::invalid_argument("--" + name + " needs a finite number (got '" +
+                                text + "')");
+  }
+  return value;
+}
+
+void check_flags_or_exit(const CliArgs& args,
+                         std::initializer_list<FlagList> lists) {
+  std::string listing;
+  for (const FlagList list : lists) {
+    for (const std::string_view flag : list) listing.append(" --").append(flag);
+  }
+  const auto declared = [&lists](const std::string& name) {
+    return std::any_of(lists.begin(), lists.end(), [&name](FlagList list) {
+      return std::find(list.begin(), list.end(), name) != list.end();
+    });
+  };
+  std::string problem;
+  if (!args.strays_.empty()) {
+    problem = "unexpected argument '" + args.strays_.front() +
+              "' (flags are spelled --name=value)";
+  }
+  for (const auto& option : args.options_) {
+    if (problem.empty() && !declared(option.first)) {
+      problem = "unknown flag --" + option.first;
+    }
+  }
+  if (problem.empty()) return;
+  std::fprintf(stderr, "error: %s; this program takes%s\n", problem.c_str(),
+               listing.empty() ? " no flags" : listing.c_str());
+  std::exit(2);
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -62,20 +106,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-std::optional<long> parse_positive_long(const std::string& text) {
-  long value = 0;
-  std::size_t consumed = 0;
-  try {
-    value = std::stol(text, &consumed);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (text.empty() || consumed != text.size() || value <= 0) {
-    return std::nullopt;
-  }
-  return value;
-}
-
 std::optional<std::uint64_t> parse_u64(std::string_view text) {
   if (text.empty()) return std::nullopt;
   std::uint64_t value = 0;
@@ -83,19 +113,6 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
   const auto [stop, error] = std::from_chars(text.data(), end, value);
   if (error != std::errc{} || stop != end) return std::nullopt;
   return value;
-}
-
-std::string env_or(const std::string& name, const std::string& fallback) {
-  const char* v = std::getenv(name.c_str());
-  return v == nullptr ? fallback : std::string(v);
-}
-
-long env_or_int(const std::string& name, long fallback) {
-  const char* v = std::getenv(name.c_str());
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const long out = std::strtol(v, &end, 10);
-  return (end != nullptr && *end == '\0') ? out : fallback;
 }
 
 }  // namespace aedbmls

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -282,12 +281,6 @@ void configure(const std::string& spec) {
   std::unique_lock lock(g_mutex);
   g_plan = std::move(plan);
   detail::g_active.store(live, std::memory_order_relaxed);
-}
-
-bool configure_from_env() {
-  const char* spec = std::getenv("AEDB_FAULT_PLAN");
-  if (spec != nullptr && spec[0] != '\0') configure(spec);
-  return active();
 }
 
 void clear() { configure(""); }

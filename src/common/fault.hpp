@@ -10,8 +10,7 @@
 //   double stall_ms = 0.0;
 //   if (aedbmls::fault::fire("cell.stall_ms", stall_ms)) { sleep(stall_ms); }
 //
-// Plans come from one spec string (CLI `--fault-plan=SPEC` or the
-// `AEDB_FAULT_PLAN` environment variable):
+// Plans come from one spec string (the campaign benches' `--fault-plan=SPEC`):
 //
 //   spec    := entry (';' entry)*
 //   entry   := 'seed=' u64
@@ -56,11 +55,6 @@ bool fire_slow(std::string_view site, double* value);
 /// grammar) on unknown sites or malformed triggers.  Resets all occurrence
 /// counters, so the injection sequence replays from the start.
 void configure(const std::string& spec);
-
-/// Installs the plan from `AEDB_FAULT_PLAN` if the variable is set and
-/// non-empty (throws like `configure` on a bad spec; leaves any current
-/// plan untouched when unset).  Returns whether a plan is active afterward.
-bool configure_from_env();
 
 /// Removes any active plan and resets all counters.
 void clear();

@@ -39,19 +39,10 @@ std::string directory_operand(const CliArgs& args, const char* flag) {
   return dir;
 }
 
-/// The elastic service's flags.  Unknown flags are ignored, so without
-/// these rows `--serve=7000 --workers=3` would run the whole campaign
-/// locally.
-void removed_service(const CliArgs&, CampaignOptions&) {
-  fail("the elastic service was removed; run `--shard=i/N` on each "
-       "machine, then `--merge=DIR`");
-}
-
 /// One distribution mode: its flag spelling, the mode it selects and the
 /// operand parser.  The whole mutual-exclusion policy is this table plus
 /// the single conflict loop in `parse_campaign_options` — adding a mode
-/// is one row, not another scattered if-chain.  The removed rows come
-/// first, so their message wins over any conflict.
+/// is one row, not another scattered if-chain.
 struct ModeRow {
   const char* flag;
   CampaignMode mode;
@@ -59,8 +50,6 @@ struct ModeRow {
 };
 
 constexpr ModeRow kModes[] = {
-    {"serve", CampaignMode::kLocal, removed_service},
-    {"connect", CampaignMode::kLocal, removed_service},
     {"shard", CampaignMode::kShard,
      [](const CliArgs& args, CampaignOptions& out) {
        parse_shard_spec(args.get("shard"), out);
@@ -83,14 +72,7 @@ struct FlagRow {
 constexpr FlagRow kFlags[] = {
     {"workers",
      [](const CliArgs& args, CampaignOptions& out) {
-       const std::string spec = args.get("workers");
-       const auto workers = parse_u64(spec);
-       if (!workers) {
-         fail("bad --workers value '" + spec +
-              "'; expected a task count, digits only (0 = one per "
-              "hardware thread)");
-       }
-       out.workers = static_cast<std::size_t>(*workers);
+       out.workers = static_cast<std::size_t>(args.get_int("workers", 0));
      }},
     {"cache-dir",
      [](const CliArgs& args, CampaignOptions& out) {
@@ -101,14 +83,10 @@ constexpr FlagRow kFlags[] = {
     {"progress",
      [](const CliArgs& args, CampaignOptions& out) {
        out.progress = true;
-       const std::string spec = args.get("progress");
-       if (spec.empty()) return;  // bare --progress: every cell
-       const auto every = parse_u64(spec);
-       if (!every || *every == 0) {
-         fail("bad --progress value '" + spec +
-              "'; expected a cell count >= 1, digits only");
-       }
-       out.progress_every = static_cast<std::size_t>(*every);
+       if (args.get("progress").empty()) return;  // bare: every cell
+       out.progress_every =
+           static_cast<std::size_t>(args.get_int("progress", 1));
+       if (out.progress_every == 0) fail("--progress needs a cell count >= 1");
      }},
     {"telemetry-out",
      [](const CliArgs& args, CampaignOptions& out) {
@@ -128,6 +106,16 @@ constexpr FlagRow kFlags[] = {
 };
 
 }  // namespace
+
+const std::vector<std::string_view>& campaign_flags() {
+  static const std::vector<std::string_view> flags = [] {
+    std::vector<std::string_view> out{"shard-dir"};  // read by the shard row
+    for (const ModeRow& row : kModes) out.emplace_back(row.flag);
+    for (const FlagRow& row : kFlags) out.emplace_back(row.flag);
+    return out;
+  }();
+  return flags;
+}
 
 CampaignOptions parse_campaign_options(const CliArgs& args) {
   CampaignOptions out;

@@ -2,11 +2,12 @@
 
 /// CampaignOptions — the unified campaign CLI surface.
 ///
-/// Every campaign bench accepts the same distribution / observability
-/// flags (`--workers`, `--shard`, `--merge`, `--progress`,
-/// `--telemetry-out`, `--front-out`, `--fault-plan`, `--cache-dir`,
-/// `--no-cache`).  This header owns their parsing and
-/// validation as one table-driven pass: each flag has a single descriptor
+/// Every bench that runs a campaign accepts the same distribution /
+/// observability flags (`--workers`, `--shard`, `--shard-dir`, `--merge`,
+/// `--progress`, `--telemetry-out`, `--front-out`, `--fault-plan`,
+/// `--cache-dir`, `--no-cache`), and declares them through
+/// `campaign_flags()`.  This header owns their parsing and validation as
+/// one table-driven pass: each flag has a single descriptor
 /// (spelling, operand grammar, which mode it selects), mode mutual
 /// exclusion is diagnosed in one loop that names the clashing pair, and
 /// every malformed operand throws `std::invalid_argument` with the
@@ -16,6 +17,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -63,16 +65,19 @@ struct CampaignOptions {
   /// under DIR.  Needs the full record set, so it is rejected in --shard
   /// mode (partial results only).
   std::string front_out;
-  /// --fault-plan=SPEC verbatim; nullopt falls back to AEDB_FAULT_PLAN.
-  std::optional<std::string> fault_plan;
+  /// --fault-plan=SPEC verbatim (empty: no plan).
+  std::string fault_plan;
 };
 
+/// The campaign flags, derived from the tables `parse_campaign_options`
+/// reads them with: a campaign bench's part of its declared flags
+/// (`check_flags_or_exit`).
+[[nodiscard]] const std::vector<std::string_view>& campaign_flags();
+
 /// Parses + validates the campaign flags in one pass.  Throws
-/// `std::invalid_argument` on any malformed operand, on conflicting
-/// distribution modes (the message names the clashing pair) and on the
-/// removed `--serve` / `--connect` (the message names `--shard` and
-/// `--merge`).  Flags outside the campaign surface are ignored (benches
-/// layer their own options on top).
+/// `std::invalid_argument` on any malformed operand and on conflicting
+/// distribution modes (the message names the clashing pair).  Other flags
+/// are the calling binary's to declare and check.
 [[nodiscard]] CampaignOptions parse_campaign_options(const CliArgs& args);
 
 /// Durably writes `snapshot` through the line codec to `path`: the bytes

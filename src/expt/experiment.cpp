@@ -399,8 +399,8 @@ std::vector<RunRecord> ExperimentDriver::run_shard(
     std::size_t shard_count, const std::string& shard_dir) const {
   validate_plan(plan);
   const auto cells = cells_for_shard(plan, shard_index, shard_count);
-  CampaignStore store(shard_log_path(shard_dir, shard_index, shard_count),
-                      plan);
+  CampaignStore store(
+      shard_log_path(shard_dir, plan, shard_index, shard_count), plan);
   if (options_.verbose) {
     std::printf("[shard %zu/%zu] %zu of %zu cells, kept in %s\n",
                 shard_index, shard_count, cells.size(), plan.cell_count(),

@@ -155,7 +155,7 @@ class ExperimentDriver {
   [[nodiscard]] ExperimentResult run(const ExperimentPlan& plan) const;
 
   /// Runs shard `shard_index` of `shard_count` (`cells_for_shard`) with
-  /// the shard's cell log `shard_log_path(shard_dir, shard_index,
+  /// the shard's cell log `shard_log_path(shard_dir, plan, shard_index,
   /// shard_count)` as its store: it replays the shard cells that file
   /// holds, runs the rest — appending each as it completes, so a killed
   /// shard keeps its finished cells and its rerun runs only the missing

@@ -335,18 +335,28 @@ void write_cell_log(const std::string& path, const ExperimentPlan& plan,
   io::atomic_write_file_or_throw(path, log);
 }
 
-std::string cell_store_path(const std::string& dir,
-                            const ExperimentPlan& plan) {
-  std::ostringstream path;
-  path << dir << "/cells_" << plan.scale.name << "_" << std::hex
-       << plan.fingerprint() << ".log";
-  return path.str();
+namespace {
+
+/// `<kind>_<scale>_<fp hex>`: the stem every file of `plan` is named by.
+std::string plan_stem(const char* kind, const ExperimentPlan& plan) {
+  std::ostringstream stem;
+  stem << kind << "_" << plan.scale.name << "_" << std::hex
+       << plan.fingerprint();
+  return stem.str();
 }
 
-std::string shard_log_path(const std::string& dir, std::size_t shard_index,
-                           std::size_t shard_count) {
-  return dir + "/shard_" + std::to_string(shard_index) + "_of_" +
-         std::to_string(shard_count) + ".manifest";
+}  // namespace
+
+std::string cell_store_path(const std::string& dir,
+                            const ExperimentPlan& plan) {
+  return dir + "/" + plan_stem("cells", plan) + ".log";
+}
+
+std::string shard_log_path(const std::string& dir, const ExperimentPlan& plan,
+                           std::size_t shard_index, std::size_t shard_count) {
+  return dir + "/" + plan_stem("shard", plan) + "_" +
+         std::to_string(shard_index) + "_of_" + std::to_string(shard_count) +
+         ".manifest";
 }
 
 CampaignStore::CampaignStore(std::string path, const ExperimentPlan& plan)
@@ -426,10 +436,14 @@ ExperimentResult merge_campaign(const ExperimentPlan& plan,
                                 const std::string& cache_dir) {
   namespace fs = std::filesystem;
   validate_plan(plan);
+  // Only the shard files named for this plan: shards of several plans can
+  // share one directory.
+  const std::string prefix = plan_stem("shard", plan) + "_";
   std::error_code ec;
   std::vector<fs::path> paths;
   for (const auto& entry : fs::directory_iterator(manifest_dir, ec)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".manifest") {
+    if (entry.is_regular_file() && entry.path().extension() == ".manifest" &&
+        entry.path().filename().string().rfind(prefix, 0) == 0) {
       paths.push_back(entry.path());
     }
   }
@@ -438,7 +452,9 @@ ExperimentResult merge_campaign(const ExperimentPlan& plan,
                                 manifest_dir + ": " + ec.message());
   }
   if (paths.empty()) {
-    throw std::invalid_argument("no *.manifest files under " + manifest_dir);
+    throw std::invalid_argument("no shard of this plan under " +
+                                manifest_dir + " (expected " + prefix +
+                                "<i>_of_<N>.manifest)");
   }
   std::sort(paths.begin(), paths.end());
 

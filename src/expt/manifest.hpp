@@ -11,9 +11,9 @@
 ///     and the crash-resume journal of `ExperimentDriver::run`;
 ///   - `--shard=i/N` (`ExperimentDriver::run_shard`) keeps the cells of
 ///     `cells_for_shard(plan, i, N)` in
-///     `shard_log_path(shard_dir, i, N)`, and `--merge=DIR` reads every
-///     `*.manifest` under DIR back into the exact record set of the
-///     unsharded run.
+///     `shard_log_path(shard_dir, plan, i, N)`, and `--merge=DIR` reads
+///     every shard file of the plan under DIR back into the exact record
+///     set of the unsharded run.
 /// All of them go through one writer (`write_cell_log`) and one reader
 /// (`read_cell_log`); the indicator CSV is write-only output.
 ///
@@ -114,9 +114,11 @@ void write_cell_log(const std::string& path, const ExperimentPlan& plan,
 [[nodiscard]] std::string cell_store_path(const std::string& dir,
                                           const ExperimentPlan& plan);
 
-/// `<dir>/shard_<i>_of_<N>.manifest` — the cell log of shard `shard_index`
-/// of `shard_count`.
+/// `<dir>/shard_<scale>_<fp hex>_<i>_of_<N>.manifest` — the cell log of
+/// shard `shard_index` of `shard_count` of `plan`.  Named for the plan like
+/// the store, so shards of several plans can share one directory.
 [[nodiscard]] std::string shard_log_path(const std::string& dir,
+                                         const ExperimentPlan& plan,
                                          std::size_t shard_index,
                                          std::size_t shard_count);
 
@@ -171,12 +173,13 @@ class CampaignStore {
                                                const std::string& csv_dir);
 
 /// The whole `--merge` mode: reads every `*.manifest` regular file under
-/// `manifest_dir` (in filename order), reassembles the grid, writes it as
+/// `manifest_dir` named for `plan` (`shard_log_path`'s prefix; in filename
+/// order), reassembles the grid, writes it as
 /// the campaign store under `cache_dir` (so a later run there is a cache
 /// hit) and finishes it into `cache_dir` (`finish_campaign`: the indicator
 /// CSV CI diffs against an unsharded run).  Throws std::invalid_argument
 /// naming the file on any defect, on a cell that two files hold, on
-/// missing cells, and when the directory holds no manifest.
+/// missing cells, and when the directory holds no shard of the plan.
 [[nodiscard]] ExperimentResult merge_campaign(const ExperimentPlan& plan,
                                               const std::string& manifest_dir,
                                               const std::string& cache_dir);

@@ -1,5 +1,6 @@
 #include "expt/scale.hpp"
 
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -34,91 +35,63 @@ Scale preset(const std::string& name) {
   return scale;
 }
 
-/// `--densities=100,200` compatibility spelling: each entry becomes a
-/// Table II scenario key ("100" -> "d100").  Malformed entries (negative,
-/// non-numeric, overflowing) are rejected by the catalog's strict d<N>
-/// validation in the resolve loop below, which lists the valid options.
-std::vector<std::string> densities_to_scenarios(const std::string& csv) {
-  std::vector<std::string> out;
-  for (const std::string& token : split_csv(csv)) out.push_back("d" + token);
-  if (out.empty()) {
-    throw std::invalid_argument(
-        "--densities is empty; expected e.g. --densities=100,200");
-  }
-  return out;
-}
-
-std::size_t positive_override(const CliArgs& args, const std::string& flag,
-                              std::size_t fallback) {
+/// `--flag`'s operand, digits only and at least `minimum`, or `fallback`
+/// when absent.  Strict: a typo'd override that silently fell back to the
+/// preset would run a different campaign (or make every iteration of a
+/// seed sweep identical).
+std::uint64_t u64_override(const CliArgs& args, const std::string& flag,
+                           std::uint64_t fallback, std::uint64_t minimum) {
   if (!args.has(flag)) return fallback;
   const std::string text = args.get(flag);
-  const std::optional<long> value = parse_positive_long(text);
-  if (!value.has_value()) {
-    throw std::invalid_argument("--" + flag +
-                                " must be a positive integer (got '" + text +
-                                "')");
+  const auto value = parse_u64(text);
+  if (!value || *value < minimum) {
+    throw std::invalid_argument("--" + flag + " must be a " +
+                                (minimum > 0 ? "positive" : "non-negative") +
+                                " integer (got '" + text + "')");
   }
-  return static_cast<std::size_t>(*value);
+  return *value;
 }
 
-/// Strict --seed parsing: a typo'd seed that silently fell back to the
-/// preset would make every iteration of a seed sweep identical.
-std::uint64_t seed_override(const CliArgs& args, std::uint64_t fallback) {
-  if (!args.has("seed")) return fallback;
-  const std::string text = args.get("seed");
-  if (const auto value = parse_u64(text)) return *value;
-  throw std::invalid_argument("--seed must be a non-negative integer (got '" +
-                              text + "')");
-}
+/// The environment variables that once spelled a setting, and the flag
+/// that is now its one spelling.
+constexpr struct {
+  const char* variable;
+  const char* flag;
+} kRemovedVariables[] = {
+    {"AEDB_SCALE", "--scale"},
+    {"AEDB_SCENARIO", "--scenarios"},
+    {"AEDB_FIDELITY", "--fidelity"},
+    {"AEDB_FAULT_PLAN", "--fault-plan"},
+};
 
 }  // namespace
 
 Scale resolve_scale(const CliArgs& args) {
-  const std::string name = args.get("scale", env_or("AEDB_SCALE", "smoke"));
-  Scale scale = preset(name);
-  scale.networks = positive_override(args, "networks", scale.networks);
-  scale.runs = positive_override(args, "runs", scale.runs);
-  scale.evals = positive_override(args, "evals", scale.evals);
-  scale.sa_samples = positive_override(args, "sa-samples", scale.sa_samples);
-  scale.seed = seed_override(args, scale.seed);
-
-  // Scenario selection: --scenarios=a,b / --scenario=a, or the --densities
-  // compatibility spelling, or AEDB_SCENARIO.  The flag spellings name the
-  // same sweep, so mixing them would silently drop one — reject instead of
-  // running a different workload than the user asked for.
-  if ((args.has("scenarios") || args.has("scenario")) &&
-      args.has("densities")) {
-    throw std::invalid_argument(
-        "--scenario(s) and --densities both given; they select the same "
-        "sweep (--densities=100,200 is shorthand for --scenarios=d100,d200), "
-        "pass exactly one");
-  }
-  if (args.has("scenarios") && args.has("scenario")) {
-    throw std::invalid_argument(
-        "--scenario and --scenarios both given; they are spellings of the "
-        "same sweep, pass exactly one");
-  }
-  if (args.has("scenarios") || args.has("scenario")) {
-    scale.scenarios = split_csv(
-        args.has("scenarios") ? args.get("scenarios") : args.get("scenario"));
-    if (scale.scenarios.empty()) {
-      throw std::invalid_argument(
-          "--scenario(s) is empty; expected e.g. --scenarios=d100,sparse-wide");
+  for (const auto& [variable, flag] : kRemovedVariables) {
+    const char* value = std::getenv(variable);
+    if (value != nullptr && *value != '\0') {
+      throw std::invalid_argument(std::string(variable) +
+                                  " is no longer read; pass " + flag + "=" +
+                                  value);
     }
-  } else if (args.has("densities")) {
-    scale.scenarios = densities_to_scenarios(args.get("densities"));
-  } else if (const std::string env = env_or("AEDB_SCENARIO", "");
-             !env.empty()) {
-    scale.scenarios = split_csv(env);
+  }
+  Scale scale = preset(args.get("scale", "smoke"));
+  scale.networks = u64_override(args, "networks", scale.networks, 1);
+  scale.runs = u64_override(args, "runs", scale.runs, 1);
+  scale.evals = u64_override(args, "evals", scale.evals, 1);
+  scale.sa_samples = u64_override(args, "sa-samples", scale.sa_samples, 1);
+  scale.seed = u64_override(args, "seed", scale.seed, 0);
+  if (args.has("scenarios")) {
+    scale.scenarios = split_csv(args.get("scenarios"));
     if (scale.scenarios.empty()) {
       throw std::invalid_argument(
-          "AEDB_SCENARIO is set but names no scenarios (got '" + env + "')");
+          "--scenarios is empty; expected e.g. --scenarios=d100,sparse-wide");
     }
   }
   // Fidelity mode: "full"/"race", or a ladder tier name (validated against
   // every swept scenario's ladder below — a typo'd tier silently running
   // the exact campaign would defeat the point of asking for a cheap one).
-  scale.fidelity = args.get("fidelity", env_or("AEDB_FIDELITY", "full"));
+  scale.fidelity = args.get("fidelity", "full");
   if (scale.fidelity.empty()) {
     throw std::invalid_argument(
         "--fidelity is empty; expected full, race, or a ladder tier name "

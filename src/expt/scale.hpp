@@ -3,7 +3,7 @@
 /// Experiment scale management for the `expt` layer.
 ///
 /// Every table/figure bench honours three preset scales selected by the
-/// `AEDB_SCALE` environment variable or `--scale=` flag:
+/// `--scale=` flag:
 ///   * smoke (default) — minutes on a laptop: fewer evaluation networks,
 ///     small budgets, few repetitions.  Shapes are preserved, variance is
 ///     higher.
@@ -11,11 +11,9 @@
 ///   * paper — the paper's §V setup: 10 networks per evaluation,
 ///     8 populations x 12 threads x 250 evaluations, 30 repetitions.
 /// Individual knobs can be overridden by flags (--runs, --evals,
-/// --networks).  The workloads swept by an experiment are scenario keys
-/// from the `ScenarioCatalog`, selected with `--scenario=`/`--scenarios=`
-/// or the `AEDB_SCENARIO` environment variable; the historical
-/// `--densities=100,200` spelling still works and maps to the Table II
-/// keys `d100,d200`.
+/// --networks, --sa-samples, --seed).  The workloads swept by an
+/// experiment are scenario keys from the `ScenarioCatalog`, selected with
+/// `--scenarios=`.  Each setting has exactly that one spelling.
 ///
 /// Unknown scale names, unknown scenario keys and malformed numeric
 /// overrides are rejected with a `std::invalid_argument` that lists the
@@ -24,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -41,7 +40,7 @@ struct Scale {
   /// Scenario-catalog keys swept by the experiment (Table II by default).
   std::vector<std::string> scenarios{"d100", "d200", "d300"};
   std::uint64_t seed = 20130520;  ///< master seed (network ensemble + runs)
-  /// Fidelity mode (`--fidelity=` / AEDB_FIDELITY):
+  /// Fidelity mode (`--fidelity=`):
   ///   * "full" (default) — every evaluation at full fidelity, exactly
   ///     today's behaviour;
   ///   * "race"           — exact results, cheaper search: optimisers
@@ -82,12 +81,22 @@ struct Scale {
   }
 };
 
-/// Resolves the scale from AEDB_SCALE / --scale, then applies flag
-/// overrides and validates them.  Throws `std::invalid_argument` (message
-/// lists the valid options) on: unknown scale names, unknown scenario keys,
-/// empty/negative `--densities`, the sweep spellings mixed with each other
-/// (`--scenario` / `--scenarios` / `--densities` name the same sweep), and
-/// non-positive --runs/--evals/--networks.
+/// The flags a campaign bench's scale comes from: the eight
+/// `resolve_scale` reads, plus the two catalog listings
+/// `resolve_scale_or_exit` answers before it.
+inline constexpr std::string_view kScaleFlags[] = {
+    "scale",     "networks", "runs",           "evals",
+    "sa-samples", "seed",    "scenarios",      "fidelity",
+    "list-scenarios",        "list-algorithms"};
+
+/// Resolves the scale from --scale, then applies flag overrides and
+/// validates them.  Throws `std::invalid_argument` (message lists the
+/// valid options) on: unknown scale names, unknown or duplicate scenario
+/// keys, an empty --scenarios, non-positive --runs/--evals/--networks/
+/// --sa-samples, and any set environment variable that once spelled a
+/// setting (the scale, the sweep, the fidelity or the fault plan), so a
+/// stale one in a user's shell fails, naming the flag that replaced it,
+/// instead of silently running the default.
 [[nodiscard]] Scale resolve_scale(const CliArgs& args);
 
 /// The preset scale names accepted by `resolve_scale` (smoke/small/paper).

@@ -1,12 +1,9 @@
 #include "expt/scenario_catalog.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/cli.hpp"
 #include "expt/scale.hpp"
 
 namespace aedbmls::expt {
@@ -218,12 +215,10 @@ std::optional<ScenarioSpec> ScenarioCatalog::find(
   // the value cannot overflow an int) — every accepted key is canonical,
   // i.e. equal to density_key() of its density.
   if (key.size() > 1 && key.size() <= 8 && key.front() == 'd' &&
-      key[1] != '0' &&
-      std::all_of(key.begin() + 1, key.end(), [](unsigned char c) {
-        return std::isdigit(c) != 0;
-      })) {
-    const int density = std::stoi(key.substr(1));
-    return table2_spec(density);
+      key[1] != '0') {
+    if (const auto density = parse_u64(std::string_view(key).substr(1))) {
+      return table2_spec(static_cast<int>(*density));
+    }
   }
   return std::nullopt;
 }
@@ -251,52 +246,6 @@ const std::vector<std::string>& paper_scenarios() {
 
 std::string density_key(int devices_per_km2) {
   return "d" + std::to_string(devices_per_km2);
-}
-
-ScenarioSpec scenario_from_cli_or_exit(const CliArgs& args,
-                                       const std::string& fallback_key) {
-  // The campaign benches' sweep spellings are easy slips here; ignoring
-  // them would silently run the fallback workload instead of the one the
-  // user named.
-  if (args.has("scenarios") || args.has("densities")) {
-    std::fprintf(stderr,
-                 "error: this binary runs a single workload; use "
-                 "--scenario=<key> or --density=<N> (the --scenarios= / "
-                 "--densities= sweeps belong to the campaign benches)\n");
-    std::exit(2);
-  }
-  // The two flags name the same thing (--density=N is shorthand for
-  // --scenario=dN); letting one silently override the other would run a
-  // different workload than the user asked for.
-  if (args.has("scenario") && args.has("density")) {
-    std::fprintf(stderr,
-                 "error: --scenario and --density both given; they select "
-                 "the same thing (--density=N is shorthand for "
-                 "--scenario=dN), pass exactly one\n");
-    std::exit(2);
-  }
-  std::string key = args.get("scenario", fallback_key);
-  if (args.has("density")) {
-    // Validate here instead of falling through to a baffling "unknown
-    // scenario 'd0'"/"'d-5'" catalog error.  Bounds mirror the catalog's
-    // strict d<N> rule (positive, at most 7 digits so an int can't wrap).
-    const std::string text = args.get("density");
-    const std::optional<long> value = parse_positive_long(text);
-    if (!value.has_value() || *value > 9'999'999) {
-      std::fprintf(stderr,
-                   "error: --density must be a positive integer in "
-                   "devices/km^2 (got '%s')\n",
-                   text.c_str());
-      std::exit(2);
-    }
-    key = density_key(static_cast<int>(*value));
-  }
-  try {
-    return ScenarioCatalog::instance().resolve(key);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    std::exit(2);
-  }
 }
 
 }  // namespace aedbmls::expt

@@ -2,14 +2,14 @@
 
 /// ScenarioCatalog — named workload presets for the AEDB tuning problem.
 ///
-/// The paper's evaluation (§VI) sweeps the three Table II densities on one
-/// fixed arena; this catalog generalises "a density" into "a scenario key"
-/// so experiments can sweep any workload the simulator supports through the
-/// same `ExperimentPlan` API.  Built-in presets:
+/// The paper's evaluation (§VI) sweeps the three Table II density levels
+/// on one fixed arena; this catalog generalises "a density" into "a
+/// scenario key" so experiments can sweep any workload the simulator
+/// supports through the same `ExperimentPlan` API.  Built-in presets:
 ///
 ///   d100 / d200 / d300  — Table II: 500x500 m arena, random walk <= 2 m/s
 ///   d<N>                — any positive density on the Table II arena
-///                         (resolved dynamically, e.g. `--densities=150`)
+///                         (resolved dynamically, e.g. `d150`)
 ///   static-grid         — no mobility: topologies are frozen at placement
 ///   highspeed           — vehicular-style random waypoint at 10..30 m/s
 ///   sparse-wide         — 50 devices/km^2 on a 1000x1000 m arena
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "aedb/tuning_problem.hpp"
-#include "common/cli.hpp"
 
 namespace aedbmls::expt {
 
@@ -144,13 +143,5 @@ class ScenarioCatalog {
 
 /// Table II key for a density ("d100" for 100 devices/km^2).
 [[nodiscard]] std::string density_key(int devices_per_km2);
-
-/// CLI adapter for single-scenario binaries (examples): resolves
-/// `--scenario=<key>` (default `fallback_key`), with `--density=N` as
-/// shorthand for dN.  Passing both flags, a non-positive/malformed
-/// `--density`, or an unknown key prints the problem (with the catalog
-/// listing where relevant) to stderr and exits with status 2.
-[[nodiscard]] ScenarioSpec scenario_from_cli_or_exit(
-    const CliArgs& args, const std::string& fallback_key = "d100");
 
 }  // namespace aedbmls::expt

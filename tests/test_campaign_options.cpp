@@ -1,6 +1,6 @@
 // CampaignOptions — the unified campaign CLI surface: table-driven flag
-// parsing, strict operands, distribution-mode mutual exclusion, the
-// removed elastic-service flags and durable telemetry dumps.
+// parsing, strict operands, distribution-mode mutual exclusion, the flags
+// a campaign bench declares and durable telemetry dumps.
 
 #include "expt/campaign_options.hpp"
 
@@ -14,9 +14,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/durable_file.hpp"
+#include "expt/scale.hpp"
 
 namespace aedbmls::expt {
 namespace {
@@ -63,7 +65,7 @@ TEST(CampaignOptions, DefaultsToLocalMode) {
   EXPECT_TRUE(options.telemetry_out.empty());
   EXPECT_TRUE(options.front_out.empty());
   EXPECT_TRUE(options.use_cache);
-  EXPECT_FALSE(options.fault_plan.has_value());
+  EXPECT_TRUE(options.fault_plan.empty());
 }
 
 TEST(CampaignOptions, ParsesCacheAndProgressFlags) {
@@ -87,29 +89,39 @@ TEST(CampaignOptions, ParsesEachDistributionMode) {
   EXPECT_EQ(parse_campaign_options(args_of({"--merge=dir"})).merge_dir, "dir");
 }
 
-TEST(CampaignOptions, RemovedServiceFlagsNameTheShardWorkflow) {
-  // Unknown flags are ignored, so the removed modes keep a row that fails
-  // instead of silently running the whole campaign locally — whatever the
-  // operand, and ahead of any mode conflict.
-  for (const std::vector<std::string>& words :
-       std::vector<std::vector<std::string>>{
-           {"--serve=7000", "--workers=2"},
-           {"--serve=0"},
-           {"--serve=70000", "--workers=1"},
-           {"--connect=h:1"},
-           {"--connect=10.0.0.1:7000"},
-           {"--connect=nohost"},
-           {"--shard=0/2", "--serve=0", "--workers=1"},
-           {"--connect=h:1", "--shard=1/2"},
-           {"--merge=a", "--connect=h:1"},
-           {"--connect=h:1", "--front-out=d"},
-       }) {
-    const std::string message = message_of(words);
-    EXPECT_NE(message.find("elastic service was removed"), std::string::npos)
-        << words[0] << ": " << message;
-    EXPECT_NE(message.find("--shard"), std::string::npos) << message;
-    EXPECT_NE(message.find("--merge"), std::string::npos) << message;
+/// bench_fig7_indicators' table: the scale, campaign and algorithm flags
+/// (the last is bench_cli's `kAlgorithmFlags`).
+constexpr std::string_view kAlgorithmFlags[] = {"algorithms"};
+
+void check_fig7_flags(const std::vector<std::string>& words) {
+  check_flags_or_exit(args_of(words),
+                      {kScaleFlags, campaign_flags(), kAlgorithmFlags});
+}
+
+TEST(CampaignOptions, CampaignFlagsDeclareEveryFlagTheParserReads) {
+  // Returning is the pass: a rejection exits the process.
+  check_fig7_flags({"--shard=0/2", "--shard-dir=d", "--merge=m",
+                    "--workers=2", "--cache-dir=c", "--no-cache",
+                    "--progress=3", "--telemetry-out=t", "--front-out=f",
+                    "--fault-plan="});
+}
+
+TEST(CampaignOptionsDeathTest, RemovedServiceFlagsNameTheShardWorkflow) {
+  // The elastic service is gone and its two rows with it: --serve and
+  // --connect are undeclared, so fig7's table refuses them by name, and
+  // its listing names the shard workflow that replaced them.  So for the
+  // campaign's old --scenario spelling and a typo.
+  for (const std::string flag : {"--serve", "--connect"}) {
+    EXPECT_EXIT(check_fig7_flags({flag + "=7000", "--workers=2"}),
+                ::testing::ExitedWithCode(2),
+                "unknown flag " + flag + ";.* --shard --merge ")
+        << flag;
   }
+  EXPECT_EXIT(check_fig7_flags({"--scenario=d100"}),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --scenario;.* --scenarios ");
+  EXPECT_EXIT(check_fig7_flags({"--evlas=8"}), ::testing::ExitedWithCode(2),
+              "unknown flag --evlas;");
 }
 
 TEST(CampaignOptions, ParsesLocalWorkers) {

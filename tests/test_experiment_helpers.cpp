@@ -19,11 +19,23 @@ CliArgs args_of(std::initializer_list<const char*> argv) {
   return CliArgs(static_cast<int>(full.size()), full.data());
 }
 
+/// The variables `resolve_scale` refuses, and the flag each names.
+constexpr struct {
+  const char* variable;
+  const char* flag;
+} kRemovedVariables[] = {
+    {"AEDB_SCALE", "--scale"},
+    {"AEDB_SCENARIO", "--scenarios"},
+    {"AEDB_FIDELITY", "--fidelity"},
+    {"AEDB_FAULT_PLAN", "--fault-plan"},
+};
+
 class ScaleTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ::unsetenv("AEDB_SCALE");
-    ::unsetenv("AEDB_SCENARIO");
+    for (const auto& removed : kRemovedVariables) {
+      ::unsetenv(removed.variable);
+    }
   }
 };
 
@@ -65,18 +77,37 @@ TEST_F(ScaleTest, MlsBudgetRemainderIsDistributedNotTruncated) {
   EXPECT_EQ(scale.mls_total_evaluations(), 96u);
 }
 
-TEST_F(ScaleTest, EnvironmentVariableSelectsPreset) {
-  ::setenv("AEDB_SCALE", "small", 1);
-  const Scale scale = resolve_scale(args_of({}));
-  EXPECT_EQ(scale.name, "small");
-  EXPECT_EQ(scale.runs, 10u);
-  ::unsetenv("AEDB_SCALE");
+TEST_F(ScaleTest, RemovedVariablesThrowNamingTheirFlag) {
+  // These variables once spelled a setting; a stale `AEDB_SCALE=paper` in
+  // a shell would otherwise silently run the smoke preset.
+  for (const auto& [variable, flag] : kRemovedVariables) {
+    ::setenv(variable, "x", 1);
+    try {
+      (void)resolve_scale(args_of({}));
+      ADD_FAILURE() << variable << " was not refused";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string(variable) + " is no longer read; pass " + flag +
+                    "=x");
+    }
+    ::unsetenv(variable);
+  }
+}
+
+TEST_F(ScaleTest, EmptyRemovedVariableIsIgnored) {
+  for (const auto& removed : kRemovedVariables) {
+    ::setenv(removed.variable, "", 1);
+  }
+  EXPECT_EQ(resolve_scale(args_of({})).name, "smoke");
+  for (const auto& removed : kRemovedVariables) {
+    ::unsetenv(removed.variable);
+  }
 }
 
 TEST_F(ScaleTest, FlagsOverridePreset) {
   const Scale scale = resolve_scale(
-      args_of({"--runs=7", "--evals=99", "--networks=2", "--densities=100,300",
-               "--seed=5"}));
+      args_of({"--runs=7", "--evals=99", "--networks=2",
+               "--scenarios=d100,d300", "--seed=5"}));
   EXPECT_EQ(scale.runs, 7u);
   EXPECT_EQ(scale.evals, 99u);
   EXPECT_EQ(scale.networks, 2u);
@@ -89,15 +120,8 @@ TEST_F(ScaleTest, ScenarioFlagSelectsCatalogKeys) {
       resolve_scale(args_of({"--scenarios=sparse-wide,highspeed"}));
   EXPECT_EQ(scale.scenarios,
             (std::vector<std::string>{"sparse-wide", "highspeed"}));
-  const Scale single = resolve_scale(args_of({"--scenario=static-grid"}));
-  EXPECT_EQ(single.scenarios, (std::vector<std::string>{"static-grid"}));
-}
-
-TEST_F(ScaleTest, ScenarioEnvironmentVariableIsHonoured) {
-  ::setenv("AEDB_SCENARIO", "d150", 1);
-  const Scale scale = resolve_scale(args_of({}));
-  EXPECT_EQ(scale.scenarios, (std::vector<std::string>{"d150"}));
-  ::unsetenv("AEDB_SCENARIO");
+  EXPECT_THROW((void)resolve_scale(args_of({"--scenarios="})),
+               std::invalid_argument);
 }
 
 TEST_F(ScaleTest, UnknownScaleNameIsRejectedWithTheOptions) {
@@ -123,40 +147,17 @@ TEST_F(ScaleTest, UnknownScenarioIsRejectedWithTheCatalog) {
   }
 }
 
-TEST_F(ScaleTest, MalformedDensitiesAreRejected) {
-  EXPECT_THROW((void)resolve_scale(args_of({"--densities="})),
-               std::invalid_argument);
-  EXPECT_THROW((void)resolve_scale(args_of({"--densities=100,-50"})),
-               std::invalid_argument);
-  EXPECT_THROW((void)resolve_scale(args_of({"--densities=abc"})),
-               std::invalid_argument);
-}
-
-TEST_F(ScaleTest, ConflictingWorkloadSpellingsAreRejected) {
-  // --scenario(s) and --densities name the same sweep; mixing them used to
-  // silently drop the --densities list.
-  for (const char* scenario_flag :
-       {"--scenario=d100", "--scenarios=d100,sparse-wide"}) {
-    try {
-      (void)resolve_scale(args_of({scenario_flag, "--densities=200,300"}));
-      FAIL() << "expected std::invalid_argument for " << scenario_flag;
-    } catch (const std::invalid_argument& error) {
-      const std::string message = error.what();
-      EXPECT_NE(message.find("--scenario(s)"), std::string::npos);
-      EXPECT_NE(message.find("--densities"), std::string::npos);
-    }
-  }
-  EXPECT_THROW((void)resolve_scale(args_of(
-                   {"--scenario=d100", "--scenarios=sparse-wide"})),
-               std::invalid_argument);
-}
-
 TEST_F(ScaleTest, NonPositiveNumericOverridesAreRejected) {
   EXPECT_THROW((void)resolve_scale(args_of({"--runs=0"})),
                std::invalid_argument);
   EXPECT_THROW((void)resolve_scale(args_of({"--evals=-5"})),
                std::invalid_argument);
   EXPECT_THROW((void)resolve_scale(args_of({"--networks=two"})),
+               std::invalid_argument);
+  // Digits only, as every integer operand: a sign or a blank is malformed.
+  EXPECT_THROW((void)resolve_scale(args_of({"--runs=+5"})),
+               std::invalid_argument);
+  EXPECT_THROW((void)resolve_scale(args_of({"--sa-samples= 5"})),
                std::invalid_argument);
 }
 
@@ -170,8 +171,6 @@ TEST_F(ScaleTest, MalformedSeedIsRejectedNotSilentlyDefaulted) {
 
 TEST_F(ScaleTest, DuplicateScenariosAreRejected) {
   EXPECT_THROW((void)resolve_scale(args_of({"--scenarios=d100,d100"})),
-               std::invalid_argument);
-  EXPECT_THROW((void)resolve_scale(args_of({"--densities=100,100"})),
                std::invalid_argument);
 }
 

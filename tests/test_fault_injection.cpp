@@ -290,17 +290,6 @@ TEST(FaultPlan, ScopedPlanRestoresThePreviousPlan) {
   fault::clear();
 }
 
-TEST(FaultPlan, ConfiguresFromTheEnvironment) {
-  fault::clear();
-  ::setenv("AEDB_FAULT_PLAN", "io.journal.torn_tail=nth:7", 1);
-  EXPECT_TRUE(fault::configure_from_env());
-  EXPECT_EQ(fault::describe(), "io.journal.torn_tail=nth:7");
-  ::unsetenv("AEDB_FAULT_PLAN");
-  EXPECT_TRUE(fault::configure_from_env());  // unset leaves the plan alone
-  EXPECT_EQ(fault::describe(), "io.journal.torn_tail=nth:7");
-  fault::clear();
-}
-
 // ---------------------------------------------------------------------------
 // Durable file primitives
 
@@ -368,7 +357,7 @@ TEST(CacheHardening, WriteFailSiteSkipsTheStore) {
 TEST(ManifestHardening, CorruptManifestIsRejectedByName) {
   const auto plan = tiny_plan();
   const std::string dir = scratch_dir("manifest_hardening");
-  const std::string path = dir + "/shard_0_of_1.manifest";
+  const std::string path = shard_log_path(dir, plan, 0, 1);
   io::atomic_write_file_or_throw(path, fabricated_log(plan));
   EXPECT_EQ(read_cell_log(slurp(path), plan).defect, "");
 
@@ -385,11 +374,11 @@ TEST(ManifestHardening, CorruptManifestIsRejectedByName) {
 }
 
 TEST(ManifestHardening, RetiredManifestFormatIsRejectedByName) {
-  // Shard files of the retired v2 manifest format read as a foreign
+  // A shard file of the retired v2 manifest format reads as a foreign
   // header: regenerate the shard.
   const auto plan = tiny_plan();
   const std::string dir = scratch_dir("manifest_retired");
-  const std::string path = dir + "/shard_0_of_1.manifest";
+  const std::string path = shard_log_path(dir, plan, 0, 1);
   spit(path, "aedbmls-shard-manifest v2\nfingerprint 0\nend\n");
   try {
     (void)merge_campaign(plan, dir, scratch_dir("manifest_retired_out"));
@@ -485,7 +474,7 @@ TEST(JournalAdversarial, RestartReplaysExactlyTheValidPrefix) {
       ExperimentDriver::Options options = driver;
       options.verbose = true;
       const std::string dir = scratch_dir("journal_adversarial_shard");
-      const std::string shard = shard_log_path(dir, 0, 1);
+      const std::string shard = shard_log_path(dir, plan, 0, 1);
       spit(shard, store.bytes);
       ::testing::internal::CaptureStdout();
       (void)ExperimentDriver(options).run_shard(plan, 0, 1, dir);
@@ -557,7 +546,7 @@ TEST(CampaignStore, CacheHitWritesNothing) {
     // Shard 0 of 1 holds every cell in plan order, so the finished store
     // is byte for byte a finished shard file.
     const std::string dir = scratch_dir("cache_hit_shard");
-    const std::string shard = shard_log_path(dir, 0, 1);
+    const std::string shard = shard_log_path(dir, plan, 0, 1);
     fs::copy_file(store, shard);
     fs::last_write_time(shard, backdated);
     const auto warm = ExperimentDriver(driver).run_shard(plan, 0, 1, dir);

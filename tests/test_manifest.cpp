@@ -546,7 +546,7 @@ TEST(ShardManifest, KilledShardResumesOnlyItsMissingCells) {
   const ExperimentPlan plan = tiny_plan();
   const auto full = ExperimentDriver(quiet(2)).run(plan);
   const std::string dir = scratch_dir("killed_shard");
-  const std::string shard = shard_log_path(dir, 1, 3);
+  const std::string shard = shard_log_path(dir, plan, 1, 3);
   ExperimentDriver::Options one = quiet(1);
   {
     const ScopedFailingAlgorithm failing("NSGAII", 2);
@@ -601,7 +601,8 @@ TEST(ShardManifest, AnotherShardsCellsAreRecomputedNotReplayed) {
   const ExperimentPlan plan = tiny_plan();
   const std::string dir = scratch_dir("foreign_shard");
   (void)ExperimentDriver(quiet(2)).run_shard(plan, 0, 2, dir);
-  fs::copy_file(shard_log_path(dir, 0, 2), shard_log_path(dir, 1, 2));
+  fs::copy_file(shard_log_path(dir, plan, 0, 2),
+                shard_log_path(dir, plan, 1, 2));
   auto options = quiet(2);
   options.verbose = true;
   ::testing::internal::CaptureStdout();
@@ -609,7 +610,8 @@ TEST(ShardManifest, AnotherShardsCellsAreRecomputedNotReplayed) {
   const std::string printed = ::testing::internal::GetCapturedStdout();
   EXPECT_EQ(cells_run(printed), cells_for_shard(plan, 1, 2).size())
       << printed;
-  const CellLog log = read_cell_log(slurp(shard_log_path(dir, 1, 2)), plan);
+  const CellLog log =
+      read_cell_log(slurp(shard_log_path(dir, plan, 1, 2)), plan);
   EXPECT_EQ(log.defect, "");
   ASSERT_EQ(log.results.size(), cells_for_shard(plan, 1, 2).size());
   for (const CellResult& result : log.results) {
@@ -624,27 +626,37 @@ TEST(ShardManifest, MergeRejectsForeignDamagedMissingAndDuplicateShards) {
   const ExperimentPlan plan = tiny_plan();
   const std::string shard_dir = scratch_dir("reject_shards");
   write_shards(plan, 2, shard_dir);
-  const std::string first = shard_dir + "/shard_0_of_2.manifest";
-  const std::string first_bytes = slurp(first);
-  // A fresh copy of the two good shards to tamper with.
+  const std::string first_bytes = slurp(shard_log_path(shard_dir, plan, 0, 2));
+  // A fresh copy of the two good shards to tamper with, and the path of
+  // its first shard file.
+  std::string first;
   auto copy = [&](const std::string& name) {
     const std::string dir = scratch_dir(name);
     fs::copy(shard_dir, dir);
+    first = shard_log_path(dir, plan, 0, 2);
     return dir;
   };
 
-  // Another plan's shards: refused at the first file's header.
-  EXPECT_NE(message_of(reseeded(plan), shard_dir).find(first),
-            std::string::npos);
+  // Another plan finds no shard of its own here.
+  EXPECT_NE(
+      message_of(reseeded(plan), shard_dir).find("no shard of this plan"),
+      std::string::npos);
+  // A file named for this plan under another plan's header is damage:
+  // refused at the header, naming the file.
+  {
+    const std::string dir = copy("reject_foreign");
+    spit(first, cell_log_header(reseeded(plan)) +
+                    first_bytes.substr(first_bytes.find('\n') + 1));
+    EXPECT_NE(message_of(plan, dir).find(first), std::string::npos);
+  }
   // One flipped byte inside a record: refused, naming the file.
   {
     const std::string dir = copy("reject_flipped");
     std::string bytes = first_bytes;
     bytes[bytes.find("point ") + 8] ^= 0x01;
-    spit(dir + "/shard_0_of_2.manifest", bytes);
+    spit(first, bytes);
     const std::string message = message_of(plan, dir);
-    EXPECT_NE(message.find("shard_0_of_2.manifest"), std::string::npos)
-        << message;
+    EXPECT_NE(message.find(first), std::string::npos) << message;
     EXPECT_NE(message.find("crc"), std::string::npos) << message;
   }
   // Cut at a record boundary the file itself reads clean, so the merge
@@ -652,32 +664,58 @@ TEST(ShardManifest, MergeRejectsForeignDamagedMissingAndDuplicateShards) {
   {
     const std::string dir = copy("reject_cut");
     const std::size_t last_record = first_bytes.rfind("\ncell ") + 1;
-    spit(dir + "/shard_0_of_2.manifest", first_bytes.substr(0, last_record));
+    spit(first, first_bytes.substr(0, last_record));
     EXPECT_NE(message_of(plan, dir).find("1 of 8 cells missing"),
               std::string::npos);
   }
   // A missing shard leaves holes.
   {
     const std::string dir = copy("reject_missing");
-    fs::remove(dir + "/shard_1_of_2.manifest");
+    fs::remove(shard_log_path(dir, plan, 1, 2));
     EXPECT_NE(message_of(plan, dir).find("4 of 8 cells missing"),
               std::string::npos);
   }
-  // The same shard twice double-covers its cells.
+  // The same cells under a second shard layout double-cover them.
   {
     const std::string dir = copy("reject_duplicate");
-    fs::copy_file(first, dir + "/shard_0_of_2.again.manifest");
+    fs::copy_file(first, shard_log_path(dir, plan, 0, 3));
     EXPECT_NE(message_of(plan, dir).find("also in another manifest"),
               std::string::npos);
   }
   // An empty directory holds no shard at all.
-  EXPECT_NE(
-      message_of(plan, scratch_dir("reject_empty")).find("no *.manifest"),
-      std::string::npos);
+  EXPECT_NE(message_of(plan, scratch_dir("reject_empty"))
+                .find("no shard of this plan"),
+            std::string::npos);
   // The untampered pair still merges.
   EXPECT_EQ(merge_campaign(plan, shard_dir, scratch_dir("reject_ok_out"))
                 .records.size(),
             plan.cell_count());
+}
+
+TEST(ShardManifest, PlansShareAShardDirectory) {
+  // Shard files are named for their plan, so another plan's shards in the
+  // same --shard-dir neither overwrite nor join this plan's: once a shard
+  // of plan B replaced plan A's finished `shard_0_of_2.manifest`.
+  const ExperimentPlan a = tiny_plan();
+  const ExperimentPlan b = reseeded(a);
+  const std::string dir = scratch_dir("shared_shards");
+  write_shards(a, 2, dir);
+  const std::string a_first = shard_log_path(dir, a, 0, 2);
+  const std::string a_bytes = slurp(a_first);
+  const auto backdated =
+      fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(a_first, backdated);
+
+  write_shards(b, 2, dir);
+  EXPECT_EQ(slurp(a_first), a_bytes);
+  EXPECT_EQ(fs::last_write_time(a_first), backdated);
+  for (const ExperimentPlan& plan : {a, b}) {
+    const std::string merged = scratch_dir("shared_shards_merged");
+    (void)merge_campaign(plan, dir, merged);
+    EXPECT_EQ(slurp(indicator_csv_path(merged, plan)),
+              io::with_crc_trailer(indicator_csv(
+                  ExperimentDriver(quiet(2)).run(plan).samples)));
+  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-/// ScenarioCatalog preset invariants: the Table II densities plus the
+/// ScenarioCatalog preset invariants: the Table II density keys plus the
 /// non-paper regimes, the dynamic d<N> keys, and the derived simulator /
 /// tuning-problem configurations.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "aedb/tuning_problem.hpp"
+#include "common/cli.hpp"
 #include "expt/scale.hpp"
 #include "expt/scenario_catalog.hpp"
 
@@ -225,51 +227,18 @@ TEST(ScenarioCatalog, ProblemConfigWiresScaleAndScenarioThrough) {
   EXPECT_EQ(problem.config().scenario.network.seed, 99u);
 }
 
-ScenarioSpec cli_spec(const std::vector<const char*>& argv) {
+TEST(ScenarioCatalogDeathTest, ExampleTableRejectsTheCampaignSweep) {
+  // --scenarios (the campaign benches' sweep) was once silently ignored by
+  // the examples, which ran their fallback workload instead.  An example
+  // declares only its own --scenario (quickstart's table here).
+  constexpr std::string_view kQuickstartFlags[] = {
+      "scenario", "seed",      "network",   "border",
+      "margin",   "neighbors", "min-delay", "max-delay"};
+  const std::vector<const char*> argv{"quickstart", "--scenarios=urban-canyon"};
   const CliArgs args(static_cast<int>(argv.size()), argv.data());
-  return scenario_from_cli_or_exit(args);
-}
-
-TEST(ScenarioCatalog, CliResolvesScenarioOrDensity) {
-  EXPECT_EQ(cli_spec({"bench"}).key, "d100");  // fallback
-  EXPECT_EQ(cli_spec({"bench", "--scenario=urban-canyon"}).key,
-            "urban-canyon");
-  EXPECT_EQ(cli_spec({"bench", "--density=150"}).key, "d150");
-}
-
-TEST(ScenarioCatalogDeathTest, CliRejectsConflictingWorkloadFlags) {
-  // --density silently overriding an explicit --scenario ran a different
-  // workload than asked for; both flags together must exit 2 naming them.
-  EXPECT_EXIT(
-      (void)cli_spec({"bench", "--scenario=urban-canyon", "--density=200"}),
-      ::testing::ExitedWithCode(2), "--scenario and --density");
-}
-
-TEST(ScenarioCatalogDeathTest, CliRejectsNonPositiveAndMalformedDensities) {
-  // These used to fall through to a baffling "unknown scenario 'd0'" /
-  // "'d-5'" catalog error; the boundary must say what is actually wrong.
-  for (const char* flag : {"--density=0", "--density=-5", "--density=abc",
-                           "--density=12x", "--density=", "--density",
-                           "--density=99999999999999999999"}) {
-    EXPECT_EXIT((void)cli_spec({"bench", flag}),
-                ::testing::ExitedWithCode(2),
-                "--density must be a positive integer")
-        << flag;
-  }
-}
-
-TEST(ScenarioCatalogDeathTest, CliRejectsCampaignSweepSpellings) {
-  // --scenarios/--densities (the campaign benches' sweeps) used to be
-  // silently ignored here, running the fallback workload instead.
-  EXPECT_EXIT((void)cli_spec({"bench", "--scenarios=urban-canyon"}),
-              ::testing::ExitedWithCode(2), "single workload");
-  EXPECT_EXIT((void)cli_spec({"bench", "--densities=100,200"}),
-              ::testing::ExitedWithCode(2), "single workload");
-}
-
-TEST(ScenarioCatalogDeathTest, CliRejectsUnknownScenarioWithTheCatalog) {
-  EXPECT_EXIT((void)cli_spec({"bench", "--scenario=underwater"}),
-              ::testing::ExitedWithCode(2), "unknown scenario 'underwater'");
+  EXPECT_EXIT(check_flags_or_exit(args, {kQuickstartFlags}),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --scenarios; this program takes --scenario ");
 }
 
 TEST(ScenarioCatalog, ScenarioConfigIsDeterministic) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/cli.hpp"
 #include "common/table.hpp"
 
@@ -45,13 +50,91 @@ TEST(Cli, ParsesKeyValueForms) {
   EXPECT_FALSE(args.has("positional"));
 }
 
-TEST(Cli, FallbacksWhenAbsentOrInvalid) {
-  const char* argv[] = {"prog", "--bad=xyz"};
-  const CliArgs args(2, argv);
+CliArgs args_of(std::vector<const char*> words) {
+  words.insert(words.begin(), "prog");
+  return CliArgs(static_cast<int>(words.size()), words.data());
+}
+
+constexpr std::string_view kRunFlags[] = {"runs", "alpha"};
+constexpr std::string_view kVerboseFlag[] = {"verbose"};
+
+TEST(Cli, FallsBackOnlyWhenAbsent) {
+  // A malformed operand used to give the fallback too, so `--seed=abc`
+  // silently ran the default seed; now it throws naming the flag.
+  const CliArgs args = args_of({"--bad=xyz"});
   EXPECT_EQ(args.get_int("missing", 7), 7);
-  EXPECT_EQ(args.get_int("bad", 7), 7);
-  EXPECT_DOUBLE_EQ(args.get_double("bad", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(args.get_double("missing", 1.5), 1.5);
   EXPECT_EQ(args.get("missing", "x"), "x");
+  const auto message_of = [](const auto& read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(message_of([&] { (void)args.get_int("bad", 7); }),
+            "--bad needs a non-negative integer, digits only (got 'xyz')");
+  EXPECT_EQ(message_of([&] { (void)args.get_double("bad", 1.5); }),
+            "--bad needs a finite number (got 'xyz')");
+}
+
+TEST(Cli, IntegerOperandsAreDigitsOnly) {
+  EXPECT_EQ(args_of({"--n=007"}).get_int("n", 1), 7);
+  EXPECT_EQ(args_of({"--n=9223372036854775807"}).get_int("n", 1),
+            9223372036854775807L);
+  // A sign, whitespace, a trailing letter, an empty or bare operand, and a
+  // value past a long: `--network=-1` once ran network 2^64 - 1.
+  for (const char* word : {"--n=-1", "--n=+5", "--n= 5", "--n=4O", "--n=",
+                           "--n", "--n=0x10", "--n=9223372036854775808"}) {
+    EXPECT_THROW((void)args_of({word}).get_int("n", 1), std::invalid_argument)
+        << word;
+  }
+}
+
+TEST(Cli, DoubleOperandsAreOneFiniteNumber) {
+  EXPECT_DOUBLE_EQ(args_of({"--x=0.2"}).get_double("x", 0.0), 0.2);
+  EXPECT_DOUBLE_EQ(args_of({"--x", "-90"}).get_double("x", 0.0), -90.0);
+  EXPECT_DOUBLE_EQ(args_of({"--x=1e3"}).get_double("x", 0.0), 1000.0);
+  for (const char* word : {"--x=abc", "--x=1.5x", "--x=", "--x", "--x= 1",
+                           "--x=inf", "--x=nan", "--x=1e400"}) {
+    EXPECT_THROW((void)args_of({word}).get_double("x", 0.0),
+                 std::invalid_argument)
+        << word;
+  }
+}
+
+TEST(CheckFlags, AcceptsEveryOperandFormOfADeclaredFlag) {
+  // Returning is the pass: a rejection exits the process.
+  check_flags_or_exit(args_of({"--runs", "30", "--alpha=0.2", "--verbose"}),
+                      {kRunFlags, kVerboseFlag});
+  check_flags_or_exit(args_of({}), {});
+}
+
+TEST(CheckFlagsDeathTest, RejectsUndeclaredInputByName) {
+  const struct {
+    std::vector<const char*> words;
+    const char* named;
+  } cases[] = {
+      {{"--runs=3", "--evlas=8"}, "unknown flag --evlas;"},
+      {{"--verbose=1"}, "unknown flag --verbose;"},
+      {{"-runs=9"}, "unexpected argument '-runs=9'"},
+      {{"--runs", "3", "urban-canyon"}, "unexpected argument 'urban-canyon'"},
+      {{"urban-canyon", "--evlas=8"}, "unexpected argument 'urban-canyon'"},
+  };
+  for (const auto& [words, named] : cases) {
+    EXPECT_EXIT(check_flags_or_exit(args_of(words), {kRunFlags}),
+                ::testing::ExitedWithCode(2), named)
+        << named;
+  }
+}
+
+TEST(CheckFlagsDeathTest, MessageListsTheDeclaredFlags) {
+  EXPECT_EXIT(check_flags_or_exit(args_of({"--x"}), {kRunFlags, kVerboseFlag}),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --x; this program takes --runs --alpha --verbose");
+  EXPECT_EXIT(check_flags_or_exit(args_of({"stray"}), {}),
+              ::testing::ExitedWithCode(2), "this program takes no flags");
 }
 
 TEST(Cli, ParseU64TakesDigitsOnly) {
@@ -62,14 +145,6 @@ TEST(Cli, ParseU64TakesDigitsOnly) {
                            "18446744073709551616"}) {
     EXPECT_FALSE(parse_u64(text).has_value()) << "'" << text << "'";
   }
-}
-
-TEST(Env, ReadsWithFallback) {
-  ::setenv("AEDB_TEST_ENV_VAR", "41", 1);
-  EXPECT_EQ(env_or_int("AEDB_TEST_ENV_VAR", 0), 41);
-  EXPECT_EQ(env_or("AEDB_TEST_ENV_VAR", ""), "41");
-  ::unsetenv("AEDB_TEST_ENV_VAR");
-  EXPECT_EQ(env_or_int("AEDB_TEST_ENV_VAR", 9), 9);
 }
 
 TEST(WriteTextFile, RoundTrips) {

@@ -4,15 +4,21 @@
   python3 tools/ci/gates.py perf bench_micro_sim.json
       The perf-smoke gates over a `bench_micro_sim --benchmark_format=json`
       run, in order: benchmark registration, pooled wall time against
-      BENCH_PR3.json (AEDB_PERF_GATE_FACTOR, default 1.30), heap
-      allocations per pooled run (AEDB_ALLOCS_PER_RUN_CEILING, default 16)
-      and the pinned simulator events per run.  Stops at the first gate
-      that fails.
+      BENCH_PR3.json (at most PERF_GATE_FACTOR slower), heap allocations
+      per pooled run (at most ALLOCS_PER_RUN_CEILING) and the pinned
+      simulator events per run.  Stops at the first gate that fails.
 
   python3 tools/ci/gates.py reachability
       Fails when a src/**/*.hpp header has no includer under src/, bench/,
       examples/, tools/ or perfbench/.  The header's own .cpp does not
       count, so library surface that only tests reach is reported.
+
+  python3 tools/ci/gates.py cli build
+      The command-line surface of the binaries under build/bench (bar the
+      two google-benchmark micro benches) and build/examples: an
+      undeclared flag or a stray argument exits 2 naming it before any
+      output, so do each removed spelling of a setting and a malformed
+      operand, and every binary accepts every flag it declares.
 
 Exit status: 0 when every gate passes, non-zero naming what failed.
 """
@@ -21,10 +27,20 @@ import json
 import os
 import re
 import statistics
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
+
+# Allowed pooled wall-time slowdown over the machine-calibrated baseline
+# before the perf gate fails.  Generous, because shared CI runners are
+# noisy; change it here when a runner generation changes.
+PERF_GATE_FACTOR = 1.30
+# Hard ceiling on heap allocations per pooled scenario run (see
+# gate_allocations).
+ALLOCS_PER_RUN_CEILING = 16
 
 
 def load_bench(path):
@@ -48,7 +64,7 @@ def gate_wall_time(path):
     # the pooled path at calibrated baseline x factor.  This catches the
     # pooling machinery regressing relative to the recorded split while
     # staying insensitive to how fast the runner happens to be.
-    factor = float(os.environ.get('AEDB_PERF_GATE_FACTOR', '1.30'))
+    factor = PERF_GATE_FACTOR
     baseline = json.load(open(ROOT / 'BENCH_PR3.json'))['per_run_scenario']
     bench = load_bench(path)
 
@@ -58,13 +74,13 @@ def gate_wall_time(path):
         assert entry.get('time_unit') == 'ms', entry
         return entry['real_time']
 
-    densities = ('d100', 'd200', 'd300')
+    table2 = ('d100', 'd200', 'd300')
     speed = statistics.median(
         ms(f'BM_FullScenario/{d[1:]}') / baseline[d]['after_fresh_ms']
-        for d in densities)
+        for d in table2)
     print(f'runner speed vs baseline box (fresh path, median): {speed:.2f}x')
     failures = []
-    for density in densities:
+    for density in table2:
         name = f'BM_FullScenarioPooled/{density[1:]}'
         now = ms(name)
         limit = baseline[density]['after_pooled_ms'] * speed * factor
@@ -85,7 +101,7 @@ def gate_allocations(path):
     # small budget absorbs benchmark-harness noise between iterations
     # without letting per-run container churn creep back in.  Allocation
     # counts are machine-independent, so no calibration is needed.
-    ceiling = float(os.environ.get('AEDB_ALLOCS_PER_RUN_CEILING', '16'))
+    ceiling = ALLOCS_PER_RUN_CEILING
     bench = load_bench(path)
     failures = []
     for density in (100, 200, 300):
@@ -115,10 +131,10 @@ def gate_events(path):
     # on 1000 x 1000 m, where most links lie beyond the interference floor
     # and the channel's range cull skips them) was pinned at the commit
     # before that cull.
-    densities = {100: 15388, 200: 60598, 300: 136627}
+    table2 = {100: 15388, 200: 60598, 300: 136627}
     pinned = {f'{kind}/{density}': expected
               for kind in ('BM_FullScenario', 'BM_FullScenarioPooled')
-              for density, expected in densities.items()}
+              for density, expected in table2.items()}
     pinned['BM_SparseWidePooled'] = 27050
     bench = load_bench(path)
     failures = []
@@ -173,11 +189,129 @@ def reachability():
     print('every src/ header has an includer outside tests/')
 
 
+# One small operand per flag name (None: a bare flag), for the leg that
+# runs each binary with every flag it declares.  A declared flag missing
+# here fails the gate, so a new flag gets a value.
+TINY_OPERANDS = {
+    # kScaleFlags: every bench; --list-scenarios makes it exit 0 at once
+    'scale': 'smoke', 'networks': '1', 'runs': '1', 'evals': '8',
+    'sa-samples': '65', 'seed': '1', 'scenarios': 'd100',
+    'fidelity': 'full', 'list-scenarios': None, 'list-algorithms': None,
+    # campaign_flags() and kAlgorithmFlags: the campaign benches
+    'shard': '0/2', 'shard-dir': 'shards', 'merge': 'shards',
+    'workers': '1', 'cache-dir': 'results', 'no-cache': None,
+    'progress': '1', 'telemetry-out': 'run.telemetry',
+    'front-out': 'fronts', 'fault-plan': '', 'algorithms': 'Random',
+    # bench_fidelity_screening
+    'bench-seeds': '1', 'json': 'screening.json',
+    # the examples, which run for real at these sizes
+    'scenario': 'd100', 'network': '0', 'border': '-86', 'margin': '1',
+    'neighbors': '8', 'min-delay': '0.1', 'max-delay': '0.5',
+    'populations': '1', 'threads': '2', 'reset': '4', 'alpha': '0.2',
+    'samples': '65', 'nodes': '6', 'area': '200', 'static': None,
+}
+# The variables that once spelled a setting, and the flag each names.
+REMOVED_VARIABLES = {
+    'AEDB_SCALE': '--scale', 'AEDB_SCENARIO': '--scenarios',
+    'AEDB_FIDELITY': '--fidelity', 'AEDB_FAULT_PLAN': '--fault-plan',
+}
+
+
+def cli(build):
+    # The binaries run in a scratch directory, so whatever one writes goes.
+    with tempfile.TemporaryDirectory(prefix='aedb-cli-gate-') as workdir:
+        cli_checks(Path(build).resolve(), workdir)
+
+
+def cli_checks(build, workdir):
+    env = {k: v for k, v in os.environ.items() if k not in REMOVED_VARIABLES}
+    failures = []
+
+    def run(command, timeout=30, **variables):
+        # A binary that ignores its input may run a whole campaign: stop it.
+        try:
+            return subprocess.run([str(part) for part in command],
+                                  cwd=workdir, env=dict(env, **variables),
+                                  capture_output=True, text=True,
+                                  timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return subprocess.CompletedProcess(
+                command, 'timeout', '', f'still running after {timeout} s')
+
+    def refused(command, *needles, **variables):
+        # Exit 2, nothing on stdout, and every needle on stderr.
+        result = run(command, **variables)
+        ok = (result.returncode == 2 and not result.stdout
+              and all(needle in result.stderr for needle in needles))
+        shown = ' '.join(f'{k}={v}' for k, v in variables.items())
+        shown += ' '.join(str(part) for part in [''] + command)
+        print(f'{"ok  " if ok else "FAIL"} {shown.strip()}: exit '
+              f'{result.returncode}: {result.stderr.strip()[:120]}')
+        if not ok:
+            failures.append(shown.strip())
+        return result.stderr
+
+    benches = sorted(path for path in (build / 'bench').glob('bench_*')
+                     if os.access(path, os.X_OK) and path.is_file()
+                     and not path.name.startswith('bench_micro_'))
+    examples = sorted(path for path in (build / 'examples').iterdir()
+                      if os.access(path, os.X_OK) and path.is_file())
+    assert benches and examples, f'no binaries under {build}'
+    print(f'{len(benches)} benches, {len(examples)} examples')
+
+    for binary in benches + examples:
+        listing = refused([binary, '--no-such-flag'],
+                          'unknown flag --no-such-flag;')
+        refused([binary, 'stray'], "unexpected argument 'stray'")
+        declared = re.findall(r' --([a-z-]+)', listing.split('takes', 1)[-1])
+        missing = [flag for flag in declared if flag not in TINY_OPERANDS]
+        if missing:
+            failures.append(f'{binary.name}: no tiny operand for {missing}')
+            continue
+        command = [binary] + [
+            f'--{flag}' if TINY_OPERANDS[flag] is None
+            else f'--{flag}={TINY_OPERANDS[flag]}' for flag in declared]
+        result = run(command, timeout=600)
+        print(f'{"ok  " if result.returncode == 0 else "FAIL"} '
+              f'{binary.name} with its {len(declared)} flags: exit '
+              f'{result.returncode}')
+        if result.returncode != 0:
+            print(result.stderr)
+            failures.append(f'{binary.name} with every declared flag')
+
+    fig7 = build / 'bench' / 'bench_fig7_indicators'
+    refused([fig7, '--scenario=d100'], 'unknown flag --scenario;',
+            ' --scenarios ')
+    refused([fig7, '--serve=7000'], 'unknown flag --serve;', ' --shard ',
+            ' --merge ')
+    for variable, flag in REMOVED_VARIABLES.items():
+        refused([fig7], f'{variable} is no longer read; pass {flag}=x',
+                **{variable: 'x'})
+    quickstart = build / 'examples' / 'quickstart'
+    refused([quickstart, '--density=100'], 'unknown flag --density;',
+            ' --scenario ')
+    # Malformed operands and unknown names exit 2 too, before any output.
+    screening = build / 'bench' / 'bench_fidelity_screening'
+    refused([quickstart, '--seed=abc'], "--seed needs a non-negative integer")
+    refused([quickstart, '--scenario=underwater'],
+            "unknown scenario 'underwater'")
+    refused([build / 'examples' / 'tune_aedb', '--threads=-1'],
+            "--threads needs a non-negative integer")
+    refused([screening, '--bench-seeds=abc'], '--bench-seeds needs')
+    refused([screening, '--json'], '--json needs a file path')
+    if failures:
+        sys.exit(f'{len(failures)} command-line check(s) failed: '
+                 + '; '.join(failures))
+    print('every binary rejects undeclared input and takes its own flags')
+
+
 def main(argv):
     if len(argv) == 3 and argv[1] == 'perf':
         perf(argv[2])
     elif len(argv) == 2 and argv[1] == 'reachability':
         reachability()
+    elif len(argv) == 3 and argv[1] == 'cli':
+        cli(argv[2])
     else:
         sys.exit(__doc__)
 
