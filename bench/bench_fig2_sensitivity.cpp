@@ -171,8 +171,12 @@ int main(int argc, char** argv) {
               "FAST99 indices.  Expected agreements: border & neighbors drive\n"
               "everything; margin is inert; delays own the bt constraint.\n");
 
-  write_text_file("results/fig2_sensitivity_" + scale.name + ".csv",
-                  csv.to_csv());
-  std::printf("\n[out] results/fig2_sensitivity_%s.csv\n", scale.name.c_str());
+  // No campaign plan names this study, so its scenario keys do: a sweep of
+  // other scenarios at this scale writes its own file.
+  std::string path = "results/fig2_sensitivity_" + scale.name;
+  for (const std::string& key : scale.scenarios) path += "_" + key;
+  path += ".csv";
+  write_text_file(path, csv.to_csv());
+  std::printf("\n[out] %s\n", path.c_str());
   return 0;
 }

@@ -69,8 +69,9 @@ int main(int argc, char** argv) {
   // Every campaign result carries the raw fronts: a cache hit reads them
   // from the campaign store, and a --merge=DIR run rebuilds them from the
   // shard manifests, so this records-hungry figure needs no recompute.
-  const auto result = expt::run_campaign_or_exit(
-      args, expt::ExperimentPlan::of(expt::paper_algorithms(), scale));
+  const expt::ExperimentPlan plan =
+      expt::ExperimentPlan::of(expt::paper_algorithms(), scale);
+  const auto result = expt::run_campaign_or_exit(args, plan);
   const std::vector<expt::RunRecord>& records = result.records;
 
   for (const std::string& scenario : scale.scenarios) {
@@ -96,14 +97,15 @@ int main(int argc, char** argv) {
       }
     }
 
-    write_text_file("results/fig6_front_mls_" + scenario + "_" + scale.name +
-                        ".csv",
+    // Named by the plan, like its campaign store: another campaign at this
+    // scale writes its own files.
+    const std::string stem = expt::plan_file_stem(scenario, plan) + ".csv";
+    write_text_file("results/fig6_front_mls_" + stem,
                     moo::front_to_csv(mls_front));
-    write_text_file("results/fig6_front_reference_" + scenario + "_" +
-                        scale.name + ".csv",
+    write_text_file("results/fig6_front_reference_" + stem,
                     moo::front_to_csv(reference));
-    std::printf("[out] results/fig6_front_{mls,reference}_%s_%s.csv\n\n",
-                scenario.c_str(), scale.name.c_str());
+    std::printf("[out] results/fig6_front_{mls,reference}_%s\n\n",
+                stem.c_str());
   }
 
   std::printf("shape check vs the paper: both fronts should show the two-\n"

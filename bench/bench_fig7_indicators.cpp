@@ -4,7 +4,8 @@
 /// reference front (the paper's protocol).
 ///
 /// Output: ASCII boxplot panels mirroring Fig. 7's 3x3 grid, per-cell
-/// medians/IQRs, and a CSV of all samples under results/.
+/// medians/IQRs, and a CSV of all samples under results/, named by the
+/// campaign plan (`fig7_indicators_<scale>_<fingerprint>.csv`).
 ///
 /// Beyond the paper: sweep any catalog workload with e.g.
 /// `--scenarios=sparse-wide,highspeed` or contenders with `--algorithms=`.
@@ -30,10 +31,8 @@ int main(int argc, char** argv) {
 
   // Honours --shard=i/N / --merge=DIR for distributed campaigns
   // (EXPERIMENTS.md "Distributed campaigns").
-  const auto samples =
-      expt::run_campaign_or_exit(args,
-                                 expt::ExperimentPlan::of(algorithms, scale))
-          .samples;
+  const expt::ExperimentPlan plan = expt::ExperimentPlan::of(algorithms, scale);
+  const auto samples = expt::run_campaign_or_exit(args, plan).samples;
 
   struct Panel {
     const char* title;
@@ -71,8 +70,11 @@ int main(int argc, char** argv) {
               "competitive on spread (beats NSGA-II at 200/300 dev), while\n"
               "both MOEAs beat it on IGD and hypervolume at every density.\n");
 
-  write_text_file("results/fig7_indicators_" + scale.name + ".csv",
-                  csv.to_csv());
-  std::printf("[out] results/fig7_indicators_%s.csv\n", scale.name.c_str());
+  // Named by the plan, like its campaign store: another campaign at this
+  // scale writes its own file.
+  const std::string path =
+      "results/" + expt::plan_file_stem("fig7_indicators", plan) + ".csv";
+  write_text_file(path, csv.to_csv());
+  std::printf("[out] %s\n", path.c_str());
   return 0;
 }

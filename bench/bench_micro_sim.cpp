@@ -169,6 +169,34 @@ void BM_FullScenarioPooled(benchmark::State& state) {
 BENCHMARK(BM_FullScenarioPooled)->Arg(100)->Arg(200)->Arg(300)
     ->Unit(benchmark::kMillisecond);
 
+void BM_ScreenScenarioPooled(benchmark::State& state) {
+  // The racing screen tier's run shape on the pooled path: d200 truncated
+  // to 2.25 s after the broadcast, with the infeasibility stop armed.  The
+  // beacon warm-up before the broadcast is most of such a run.
+  aedb::ScenarioConfig config = aedb::make_paper_scenario(200, 1, 0);
+  config.end_at = config.broadcast_at + sim::seconds_d(2.25);
+  config.stop_when_bt_exceeds_s = 0.5;
+  const aedb::AedbParams params = bench_params();
+  aedb::ScenarioWorkspace workspace;
+  benchmark::DoNotOptimize(
+      aedb::run_scenario(config, params, workspace).stats.coverage);
+  std::uint64_t events = 0;
+  const unsigned long long allocs0 = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    const auto result = aedb::run_scenario(config, params, workspace);
+    events += result.events_executed;
+    benchmark::DoNotOptimize(result.stats.coverage);
+  }
+  state.counters["allocs_per_run"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocs0) /
+      static_cast<double>(state.iterations()));
+  state.counters["events_per_run"] = benchmark::Counter(
+      static_cast<double>(events) / static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.SetLabel("events/s");
+}
+BENCHMARK(BM_ScreenScenarioPooled)->Unit(benchmark::kMillisecond);
+
 void BM_SparseWidePooled(benchmark::State& state) {
   // The catalog's sparse-wide shape (50 nodes on a 1000 x 1000 m arena,
   // random walk) on the pooled path.  Most node pairs there lie beyond the

@@ -158,23 +158,17 @@ std::vector<std::string> algorithms_or_exit(
     std::fprintf(stderr, "\n");
     std::exit(2);
   }
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (!AlgorithmRegistry::instance().contains(names[i])) {
+  // A repeated name is the plan's to refuse (`validate_plan`, which every
+  // campaign mode runs before any cell).
+  for (const std::string& name : names) {
+    if (!AlgorithmRegistry::instance().contains(name)) {
       std::fprintf(stderr, "error: unknown algorithm '%s'; registered:",
-                   names[i].c_str());
+                   name.c_str());
       for (const auto& known : AlgorithmRegistry::instance().names()) {
         std::fprintf(stderr, " %s", known.c_str());
       }
       std::fprintf(stderr, "\n");
       std::exit(2);
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (names[i] == names[j]) {
-        std::fprintf(stderr,
-                     "error: duplicate algorithm '%s' in --algorithms\n",
-                     names[i].c_str());
-        std::exit(2);
-      }
     }
   }
   return names;

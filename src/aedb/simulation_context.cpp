@@ -3,6 +3,21 @@
 #include "common/assert.hpp"
 
 namespace aedbmls::aedb {
+namespace {
+
+/// The beacon app's settings: with `broadcast_at`, all of a scenario that
+/// acts before the broadcast besides the network.
+sim::BeaconApp::Config beacon_settings(const ScenarioConfig& config) {
+  sim::BeaconApp::Config beacon;
+  beacon.start_at = config.beacon_start;
+  beacon.period = config.beacon_period;
+  beacon.jitter = config.beacon_jitter;
+  beacon.beacon_bytes = config.beacon_bytes;
+  beacon.tx_power_dbm = config.default_tx_dbm;
+  return beacon;
+}
+
+}  // namespace
 
 bool SimulationContext::bind_network(const sim::NetworkConfig& config) {
   if (network_.has_value() && sim::equivalent(network_->config(), config)) {
@@ -17,19 +32,13 @@ bool SimulationContext::bind_network(const sim::NetworkConfig& config) {
 
 void SimulationContext::configure_apps(const ScenarioConfig& config,
                                        const AedbParams& params,
-                                       bool reinstall) {
+                                       bool reinstall, bool start_beacons) {
   const std::size_t n = network_->size();
   data_duration_s_ =
       network_->node(0).device().phy().frame_duration(config.data_bytes).seconds();
   collector_.reset();
 
-  sim::BeaconApp::Config beacon_config;
-  beacon_config.start_at = config.beacon_start;
-  beacon_config.period = config.beacon_period;
-  beacon_config.jitter = config.beacon_jitter;
-  beacon_config.beacon_bytes = config.beacon_bytes;
-  beacon_config.tx_power_dbm = config.default_tx_dbm;
-
+  const sim::BeaconApp::Config beacon_config = beacon_settings(config);
   AedbApp::Config aedb_config;
   aedb_config.params = params;
   aedb_config.default_tx_dbm = config.default_tx_dbm;
@@ -52,8 +61,8 @@ void SimulationContext::configure_apps(const ScenarioConfig& config,
       auto& app = node.add_app<AedbApp>(aedb_config, beacons, collector_,
                                         app_stream.child(2 * i + 1));
       // Size the per-node statistics once per topology: the flat
-      // NodeId-indexed neighbor table then never grows on the hot path,
-      // and every later reset is an allocation-free fill.
+      // NodeId-indexed neighbor table then never reallocates on the hot
+      // path, and every later reset or restore is an allocation-free copy.
       beacons.neighbor_table().reserve(n);
       beacons_.push_back(&beacons);
       apps_.push_back(&app);
@@ -81,9 +90,27 @@ void SimulationContext::configure_apps(const ScenarioConfig& config,
     // fresh-construction path one for one.
     for (std::size_t i = 0; i < n; ++i) {
       beacons_[i]->reset(beacon_config, app_stream.child(2 * i));
-      beacons_[i]->start();
+      if (start_beacons) beacons_[i]->start();
       apps_[i]->reset(aedb_config, app_stream.child(2 * i + 1));
     }
+  }
+}
+
+void SimulationContext::save_warmup() {
+  simulator_.save(warmup_.simulator);
+  network_->save(warmup_.network);
+  warmup_.beacons.resize(beacons_.size());
+  for (std::size_t i = 0; i < beacons_.size(); ++i) {
+    beacons_[i]->save(warmup_.beacons[i]);
+  }
+  warmup_.valid = true;
+}
+
+void SimulationContext::restore_warmup() {
+  simulator_.restore(warmup_.simulator);
+  network_->restore(warmup_.network);
+  for (std::size_t i = 0; i < beacons_.size(); ++i) {
+    beacons_[i]->restore(warmup_.beacons[i]);
   }
 }
 
@@ -97,7 +124,18 @@ ScenarioResult SimulationContext::run(const ScenarioConfig& config,
   simulator_.reset(
       CounterRng(config.network.seed, {config.network.network_index}).key());
   const bool reinstall = bind_network(config.network);
-  configure_apps(config, params, reinstall);
+  const sim::BeaconApp::Config beacon = beacon_settings(config);
+  const bool restore = !reinstall && warmup_.valid &&
+                       warmup_.beacon == beacon &&
+                       warmup_.broadcast_at == config.broadcast_at;
+  if (restore) {
+    ++stats_.restores;
+  } else {
+    warmup_.valid = false;
+    warmup_.beacon = beacon;
+    warmup_.broadcast_at = config.broadcast_at;
+  }
+  configure_apps(config, params, reinstall, !restore);
   const std::size_t n = network_->size();
 
   // Source selection: fixed per (seed, network_index), so every candidate
@@ -106,11 +144,20 @@ ScenarioResult SimulationContext::run(const ScenarioConfig& config,
       config.random_source ? network_->scenario_stream().bits(0x50BCE) % n : 0;
   const MessageId message = 1;
 
-  simulator_.schedule_at(config.broadcast_at, [this, source_index, message] {
+  // On a restoring run the broadcast is the only pending event: it puts
+  // back the state the capturing run had at this point, so the
+  // dissemination below runs as it would after a simulated warm-up.
+  const auto broadcast = [this, source_index, message, restore] {
+    if (restore) {
+      restore_warmup();
+    } else {
+      save_warmup();
+    }
     collector_.begin(message, static_cast<NodeId>(source_index),
                      simulator_.now(), network_->size());
     apps_[source_index]->originate(message);
-  });
+  };
+  simulator_.schedule_at(config.broadcast_at, broadcast);
 
   collector_.arm_infeasibility_stop(
       config.stop_when_bt_exceeds_s >= 0.0 ? &simulator_ : nullptr,

@@ -1,7 +1,6 @@
 #include "expt/campaign_options.hpp"
 
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -132,6 +131,12 @@ CampaignOptions parse_campaign_options(const CliArgs& args) {
     out.mode = row.mode;
     row.parse(args, out);
   }
+  // The shard row is the only reader of --shard-dir: anywhere else the
+  // flag would be silently inert.
+  if (args.has("shard-dir") && out.mode != CampaignMode::kShard) {
+    fail("--shard-dir names where a --shard run keeps its shard file; it "
+         "needs --shard=i/N");
+  }
   for (const FlagRow& row : kFlags) {
     if (args.has(row.flag)) row.parse(args, out);
   }
@@ -162,10 +167,9 @@ void write_front_csvs(const std::string& dir, const ExperimentPlan& plan,
   for (const std::string& scenario : plan.scenarios) {
     auto front = reference_front(records, scenario);
     moo::sort_canonical(front);
-    std::ostringstream path;
-    path << dir << "/reference_" << plan.scale.name << "_" << std::hex
-         << plan.fingerprint() << std::dec << "_" << scenario << ".csv";
-    io::atomic_write_file_or_throw(path.str(), moo::front_to_csv(front));
+    io::atomic_write_file_or_throw(
+        dir + "/" + plan_file_stem("reference", plan) + "_" + scenario + ".csv",
+        moo::front_to_csv(front));
   }
 }
 

@@ -263,12 +263,17 @@ std::string indicator_csv(const std::vector<IndicatorSample>& samples) {
   return out.str();
 }
 
+std::string plan_file_stem(const std::string& kind,
+                           const ExperimentPlan& plan) {
+  std::ostringstream stem;
+  stem << kind << "_" << plan.scale.name << "_" << std::hex
+       << plan.fingerprint();
+  return stem.str();
+}
+
 std::string indicator_csv_path(const std::string& dir,
                                const ExperimentPlan& plan) {
-  std::ostringstream path;
-  path << dir << "/indicators_" << plan.scale.name << "_" << std::hex
-       << plan.fingerprint() << ".csv";
-  return path.str();
+  return dir + "/" + plan_file_stem("indicators", plan) + ".csv";
 }
 
 std::vector<RunRecord> ExperimentDriver::run_cells(

@@ -228,6 +228,12 @@ void validate_plan(const ExperimentPlan& plan);
 [[nodiscard]] std::string indicator_csv(
     const std::vector<IndicatorSample>& samples);
 
+/// `<kind>_<scale>_<fp hex>`: the stem every file of `plan` is named by
+/// (campaign store, shard files, indicator, front and figure CSVs), so two
+/// plans at one scale never share a file.
+[[nodiscard]] std::string plan_file_stem(const std::string& kind,
+                                         const ExperimentPlan& plan);
+
 /// Fingerprint-keyed CSV path: `<dir>/indicators_<scale>_<fp hex>.csv`.
 [[nodiscard]] std::string indicator_csv_path(const std::string& dir,
                                              const ExperimentPlan& plan);

@@ -335,26 +335,14 @@ void write_cell_log(const std::string& path, const ExperimentPlan& plan,
   io::atomic_write_file_or_throw(path, log);
 }
 
-namespace {
-
-/// `<kind>_<scale>_<fp hex>`: the stem every file of `plan` is named by.
-std::string plan_stem(const char* kind, const ExperimentPlan& plan) {
-  std::ostringstream stem;
-  stem << kind << "_" << plan.scale.name << "_" << std::hex
-       << plan.fingerprint();
-  return stem.str();
-}
-
-}  // namespace
-
 std::string cell_store_path(const std::string& dir,
                             const ExperimentPlan& plan) {
-  return dir + "/" + plan_stem("cells", plan) + ".log";
+  return dir + "/" + plan_file_stem("cells", plan) + ".log";
 }
 
 std::string shard_log_path(const std::string& dir, const ExperimentPlan& plan,
                            std::size_t shard_index, std::size_t shard_count) {
-  return dir + "/" + plan_stem("shard", plan) + "_" +
+  return dir + "/" + plan_file_stem("shard", plan) + "_" +
          std::to_string(shard_index) + "_of_" + std::to_string(shard_count) +
          ".manifest";
 }
@@ -438,7 +426,7 @@ ExperimentResult merge_campaign(const ExperimentPlan& plan,
   validate_plan(plan);
   // Only the shard files named for this plan: shards of several plans can
   // share one directory.
-  const std::string prefix = plan_stem("shard", plan) + "_";
+  const std::string prefix = plan_file_stem("shard", plan) + "_";
   std::error_code ec;
   std::vector<fs::path> paths;
   for (const auto& entry : fs::directory_iterator(manifest_dir, ec)) {

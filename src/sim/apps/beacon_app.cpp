@@ -6,12 +6,12 @@ BeaconApp::BeaconApp(Simulator& simulator, Node& node, Config config,
                      CounterRng stream)
     : Application(simulator, node),
       config_(config),
-      rng_(stream.engine()),
-      table_(config.neighbor_expiry) {}
+      run_{.rng = stream.engine(),
+           .table = NeighborTable(config.neighbor_expiry)} {}
 
 void BeaconApp::start() {
   // Random phase in [0, period) staggers beacon slots across nodes.
-  const double phase_s = rng_.uniform(0.0, config_.period.seconds());
+  const double phase_s = run_.rng.uniform(0.0, config_.period.seconds());
   simulator().schedule_at(config_.start_at + seconds_d(phase_s),
                           [this] { send_beacon(); });
 }
@@ -21,17 +21,17 @@ void BeaconApp::send_beacon() {
   frame.kind = FrameKind::kBeacon;
   frame.size_bytes = config_.beacon_bytes;
   node().device().send(frame, config_.tx_power_dbm);
-  ++sent_;
+  ++run_.sent;
 
-  const double jitter_s = rng_.uniform(0.0, config_.jitter.seconds());
+  const double jitter_s = run_.rng.uniform(0.0, config_.jitter.seconds());
   simulator().schedule(config_.period + seconds_d(jitter_s),
                        [this] { send_beacon(); });
 }
 
 void BeaconApp::on_receive(const Frame& frame, double rx_dbm) {
   if (frame.kind != FrameKind::kBeacon) return;
-  ++heard_;
-  table_.update(frame.sender, rx_dbm, frame.tx_power_dbm, simulator().now());
+  ++run_.heard;
+  run_.table.update(frame.sender, rx_dbm, frame.tx_power_dbm, simulator().now());
 }
 
 }  // namespace aedbmls::sim

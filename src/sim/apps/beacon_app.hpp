@@ -23,6 +23,8 @@ class BeaconApp final : public Application {
     std::uint32_t beacon_bytes = 50;            ///< beacon frame size
     double tx_power_dbm = 16.02;                ///< beacons use default power
     Time neighbor_expiry = seconds_d(2.5);      ///< table entry lifetime
+
+    friend constexpr bool operator==(const Config&, const Config&) = default;
   };
 
   /// `stream` must be unique per node (derive from the network stream).
@@ -31,31 +33,39 @@ class BeaconApp final : public Application {
   void start() override;
   void on_receive(const Frame& frame, double rx_dbm) override;
 
+  /// Everything a run changes.  `{.rng = stream.engine(), .table =
+  /// NeighborTable(config.neighbor_expiry)}` is a just-built app.
+  struct RunState {
+    Xoshiro256 rng;
+    NeighborTable table;
+    std::uint64_t sent = 0;
+    std::uint64_t heard = 0;
+  };
+
   /// Re-arms the app for a fresh run, bitwise-equivalent to constructing a
   /// new app with these arguments (pooled contexts reuse the installed app
-  /// object).  Call `start()` afterwards to schedule the first beacon.
+  /// object, and the table its slot storage).  Call `start()` afterwards
+  /// to schedule the first beacon.
   void reset(Config config, CounterRng stream) {
     config_ = config;
-    rng_ = stream.engine();
-    table_.reset(config.neighbor_expiry);
-    sent_ = 0;
-    heard_ = 0;
+    restore(RunState{.rng = stream.engine(),
+                     .table = NeighborTable(config.neighbor_expiry)});
   }
+  void save(RunState& into) const { into = run_; }
+  /// Copy-assigns, so the table keeps its slot storage.
+  void restore(const RunState& from) { run_ = from; }
 
   /// The neighbor table maintained by this app (purged on access).
-  [[nodiscard]] NeighborTable& neighbor_table() noexcept { return table_; }
+  [[nodiscard]] NeighborTable& neighbor_table() noexcept { return run_.table; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
-  [[nodiscard]] std::uint64_t beacons_sent() const noexcept { return sent_; }
-  [[nodiscard]] std::uint64_t beacons_heard() const noexcept { return heard_; }
+  [[nodiscard]] std::uint64_t beacons_sent() const noexcept { return run_.sent; }
+  [[nodiscard]] std::uint64_t beacons_heard() const noexcept { return run_.heard; }
 
  private:
   void send_beacon();
 
   Config config_;
-  Xoshiro256 rng_;
-  NeighborTable table_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t heard_ = 0;
+  RunState run_;
 };
 
 }  // namespace aedbmls::sim

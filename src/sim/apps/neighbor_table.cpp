@@ -7,18 +7,16 @@ namespace aedbmls::sim {
 
 void NeighborTable::update(NodeId id, double rx_dbm, double tx_dbm, Time now) {
   if (id >= slots_.size()) slots_.resize(id + 1);
-  Entry& entry = slots_[id];
-  if (entry.id == kInvalidNode) ++size_;
-  entry.id = id;
-  entry.last_rx_dbm = rx_dbm;
-  entry.path_loss_db = tx_dbm - rx_dbm;
-  entry.last_heard = now;
+  Slot& slot = slots_[id];
+  if (slot.last_heard == kFree) ++size_;
+  slot.path_loss_db = tx_dbm - rx_dbm;
+  slot.last_heard = now;
 }
 
 void NeighborTable::purge(Time now) {
-  for (Entry& entry : slots_) {
-    if (entry.id != kInvalidNode && now - entry.last_heard > expiry_) {
-      entry = Entry{};
+  for (Slot& slot : slots_) {
+    if (slot.last_heard != kFree && now - slot.last_heard > expiry_) {
+      slot = Slot{};
       --size_;
     }
   }
@@ -26,22 +24,22 @@ void NeighborTable::purge(Time now) {
 
 bool NeighborTable::erase(NodeId id) {
   if (!contains(id)) return false;
-  slots_[id] = Entry{};
+  slots_[id] = Slot{};
   --size_;
   return true;
 }
 
 std::optional<NeighborTable::Entry> NeighborTable::find(NodeId id) const {
   if (!contains(id)) return std::nullopt;
-  return slots_[id];
+  return entry(id);
 }
 
 std::size_t NeighborTable::count_in_forwarding_area(double border_dbm,
                                                     double default_tx_dbm) const {
   std::size_t count = 0;
-  for (const Entry& entry : slots_) {
-    if (entry.id == kInvalidNode) continue;
-    const double predicted_rx = default_tx_dbm - entry.path_loss_db;
+  for (const Slot& slot : slots_) {
+    if (slot.last_heard == kFree) continue;
+    const double predicted_rx = default_tx_dbm - slot.path_loss_db;
     if (predicted_rx <= border_dbm) ++count;
   }
   return count;
@@ -51,12 +49,12 @@ std::optional<NeighborTable::Entry> NeighborTable::closest_to_border(
     double border_dbm, double default_tx_dbm) const {
   std::optional<Entry> best;
   double best_rx = -std::numeric_limits<double>::infinity();
-  for (const Entry& entry : slots_) {
-    if (entry.id == kInvalidNode) continue;
-    const double predicted_rx = default_tx_dbm - entry.path_loss_db;
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].last_heard == kFree) continue;
+    const double predicted_rx = default_tx_dbm - slots_[id].path_loss_db;
     if (predicted_rx <= border_dbm && predicted_rx > best_rx) {
       best_rx = predicted_rx;
-      best = entry;
+      best = entry(id);
     }
   }
   return best;
@@ -66,14 +64,15 @@ std::optional<NeighborTable::Entry> NeighborTable::furthest(
     const std::vector<NodeId>& exclude) const {
   std::optional<Entry> best;
   double best_loss = -1.0;
-  for (const Entry& entry : slots_) {
-    if (entry.id == kInvalidNode) continue;
-    if (std::find(exclude.begin(), exclude.end(), entry.id) != exclude.end()) {
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].last_heard == kFree) continue;
+    if (std::find(exclude.begin(), exclude.end(), static_cast<NodeId>(id)) !=
+        exclude.end()) {
       continue;
     }
-    if (entry.path_loss_db > best_loss) {
-      best_loss = entry.path_loss_db;
-      best = entry;
+    if (slots_[id].path_loss_db > best_loss) {
+      best_loss = slots_[id].path_loss_db;
+      best = entry(id);
     }
   }
   return best;
@@ -82,8 +81,8 @@ std::optional<NeighborTable::Entry> NeighborTable::furthest(
 std::vector<NeighborTable::Entry> NeighborTable::entries() const {
   std::vector<Entry> out;
   out.reserve(size_);
-  for (const Entry& entry : slots_) {
-    if (entry.id != kInvalidNode) out.push_back(entry);
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].last_heard != kFree) out.push_back(entry(id));
   }
   return out;
 }

@@ -3,20 +3,21 @@
 /// One-hop neighbor table fed by beacon receptions.
 ///
 /// AEDB is a cross-layer protocol: for every neighbor the table records the
-/// last *received power* and the link's path-loss estimate
-/// (beacon tx power − rx power).  Assuming link symmetry — the paper's
-/// assumption too — "the power at which neighbor j hears me when I transmit
-/// at P" is `P − path_loss(j)`, which is everything AEDB's forwarding-area
-/// and power-adaptation logic needs.
+/// link's path-loss estimate (beacon tx power − rx power).  Assuming link
+/// symmetry — the paper's assumption too — "the power at which neighbor j
+/// hears me when I transmit at P" is `P − path_loss(j)`, which is
+/// everything AEDB's forwarding-area and power-adaptation logic needs.
 ///
 /// Storage is a flat NodeId-indexed slot array (node ids are dense, starting
-/// at zero): lookups are O(1), the selection helpers walk the slots in
-/// NodeId order — deterministic by construction, independent of insertion
-/// history — and `reset()` is an O(capacity) fill that performs no heap
-/// allocation, so pooled simulation contexts reuse the table across runs
-/// for free.
+/// at zero) of 16-byte slots — the path loss and when it was heard; the slot
+/// index is the neighbor's id and a sentinel time marks a free slot.
+/// Lookups are O(1), the selection helpers walk the slots in NodeId order —
+/// deterministic by construction, independent of insertion history — and
+/// copying a table into one that has the capacity (a pooled context's
+/// per-run reset, or a warm-up snapshot) performs no heap allocation.
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -27,10 +28,10 @@ namespace aedbmls::sim {
 
 class NeighborTable {
  public:
+  /// A neighbor, as the lookups report it.
   struct Entry {
     NodeId id = kInvalidNode;
-    double last_rx_dbm = 0.0;    ///< power of the most recent beacon
-    double path_loss_db = 0.0;   ///< beacon tx power − rx power
+    double path_loss_db = 0.0;  ///< beacon tx power − rx power
     Time last_heard{};
   };
 
@@ -38,20 +39,9 @@ class NeighborTable {
   explicit NeighborTable(Time expiry = aedbmls::sim::seconds_d(2.5)) noexcept
       : expiry_(expiry) {}
 
-  /// Returns the table to its just-constructed state under a (possibly new)
-  /// expiry.  Slot storage is retained: a pooled context's per-run reset is
-  /// a fill, not a rebuild.
-  void reset(Time expiry) noexcept {
-    expiry_ = expiry;
-    for (Entry& slot : slots_) slot = Entry{};
-    size_ = 0;
-  }
-
-  /// Preallocates slots for node ids [0, capacity).  Pooled contexts size
+  /// Reserves storage for node ids [0, capacity).  Pooled contexts size
   /// the table once per topology so steady-state updates never allocate.
-  void reserve(std::size_t capacity) {
-    if (capacity > slots_.size()) slots_.resize(capacity);
-  }
+  void reserve(std::size_t capacity) { slots_.reserve(capacity); }
 
   /// Records a beacon from `id` heard at `rx_dbm` (sent at `tx_dbm`).
   void update(NodeId id, double rx_dbm, double tx_dbm, Time now);
@@ -65,7 +55,7 @@ class NeighborTable {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool contains(NodeId id) const {
-    return id < slots_.size() && slots_[id].id != kInvalidNode;
+    return id < slots_.size() && slots_[id].last_heard != kFree;
   }
   [[nodiscard]] std::optional<Entry> find(NodeId id) const;
 
@@ -93,9 +83,23 @@ class NeighborTable {
   [[nodiscard]] std::vector<Entry> entries() const;
 
  private:
+  /// Marks a free slot (no neighbor is heard before the epoch).
+  static constexpr Time kFree =
+      Time::from_ns(std::numeric_limits<std::int64_t>::min());
+
+  struct Slot {
+    double path_loss_db = 0.0;
+    Time last_heard = kFree;
+  };
+
+  [[nodiscard]] Entry entry(std::size_t id) const {
+    return Entry{static_cast<NodeId>(id), slots_[id].path_loss_db,
+                 slots_[id].last_heard};
+  }
+
   Time expiry_;
-  std::vector<Entry> slots_;  ///< NodeId-indexed; id == kInvalidNode is empty
-  std::size_t size_ = 0;      ///< occupied slots
+  std::vector<Slot> slots_;  ///< NodeId-indexed
+  std::size_t size_ = 0;     ///< occupied slots
 };
 
 }  // namespace aedbmls::sim

@@ -9,11 +9,14 @@
 /// destruction never touch the heap.  Callables that do not fit are
 /// rejected at compile time (`static_assert`) — check `fits_v<F>` to probe
 /// without an error.  Move-only callables are supported (an upgrade over
-/// `std::function`, which requires copyability).
+/// `std::function`, which requires copyability); `clone` copies a copyable
+/// one, which is how a scheduler snapshot keeps its pending events.
 
 #include <cstddef>
 #include <type_traits>
 #include <utility>
+
+#include "common/assert.hpp"
 
 namespace aedbmls::sim {
 
@@ -21,8 +24,9 @@ class InlineFunction {
  public:
   /// Sized for the largest scheduler callback in the simulator, with
   /// headroom: the broadcast origination in `aedb::SimulationContext`
-  /// (context + source index + message id, 24 bytes).  The channel's
-  /// fan-out events capture two pointers; the frame lives in the wave.
+  /// (context + source index + message id + restore flag, 32 bytes).  The
+  /// channel's fan-out events capture two pointers; the frame lives in the
+  /// wave.
   static constexpr std::size_t kCapacity = 48;
   static constexpr std::size_t kAlignment = alignof(std::max_align_t);
 
@@ -70,6 +74,18 @@ class InlineFunction {
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// A copy of the stored callable (empty when empty).  Requires a
+  /// copyable callable.
+  [[nodiscard]] InlineFunction clone() const {
+    InlineFunction copy;
+    if (ops_ != nullptr) {
+      AEDB_REQUIRE(ops_->copy != nullptr, "cloning a move-only callback");
+      ops_->copy(copy.storage_, storage_);
+      copy.ops_ = ops_;
+    }
+    return copy;
+  }
+
   /// Invokes the stored callable.  Requires non-empty.
   void operator()() { ops_->invoke(storage_); }
 
@@ -78,7 +94,20 @@ class InlineFunction {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src);  ///< move-construct dst, destroy src
     void (*destroy)(void*);
+    void (*copy)(void* dst, const void* src);  ///< null when Fn is move-only
   };
+  using CopyFn = void (*)(void* dst, const void* src);
+
+  template <typename Fn>
+  static constexpr CopyFn copier() noexcept {
+    if constexpr (std::is_copy_constructible_v<Fn>) {
+      return [](void* dst, const void* src) {
+        ::new (dst) Fn(*static_cast<const Fn*>(src));
+      };
+    } else {
+      return nullptr;
+    }
+  }
 
   template <typename Fn>
   static constexpr Ops kOps{
@@ -88,6 +117,7 @@ class InlineFunction {
         static_cast<Fn*>(src)->~Fn();
       },
       [](void* p) { static_cast<Fn*>(p)->~Fn(); },
+      copier<Fn>(),
   };
 
   void move_from(InlineFunction& other) noexcept {

@@ -91,4 +91,23 @@ void Scheduler::clear() noexcept {
   next_seq_ = 1;
 }
 
+void Scheduler::save(RunState& into) const {
+  into.events.clear();
+  into.events.reserve(live_);
+  for (const HeapNode& node : heap_) {
+    const Slot& slot = slots_[node.slot];
+    if (slot.generation != node.generation) continue;  // cancelled
+    into.events.push_back({node.when, node.seq, slot.callback.clone()});
+  }
+  into.next_seq = next_seq_;
+}
+
+void Scheduler::restore(const RunState& from) {
+  clear();
+  for (const RunState::Event& event : from.events) {
+    insert_keyed(event.when, event.seq, event.callback.clone());
+  }
+  next_seq_ = from.next_seq;
+}
+
 }  // namespace aedbmls::sim

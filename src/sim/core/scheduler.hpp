@@ -74,8 +74,31 @@ class Scheduler {
   /// Drops every pending event and resets the insertion sequence, keeping
   /// slot/heap storage (and slot generations, so stale ids from before the
   /// clear still cancel as no-ops).  This is the per-run reset of pooled
-  /// simulators.
+  /// simulators: `restore(RunState{})`.
   void clear() noexcept;
+
+  /// What a run leaves in the scheduler: the pending events, under their
+  /// (time, sequence) keys, and the next insertion sequence.  A snapshot
+  /// keeps copies of the callbacks (`InlineFunction::clone`), so it can
+  /// be restored any number of times into the scheduler that took it.
+  struct RunState {
+    struct Event {
+      Time when;
+      std::uint64_t seq;
+      Callback callback;
+    };
+    std::vector<Event> events;  ///< in no particular order
+    std::uint64_t next_seq = 1;
+  };
+
+  /// Copies the pending events and the sequence counter into `into`
+  /// (reusing its storage).
+  void save(RunState& into) const;
+
+  /// Replaces the pending events and the sequence counter with `from`'s.
+  /// Event ids issued before do not carry over: the restored events run
+  /// under their keys but cannot be cancelled by an old id.
+  void restore(const RunState& from);
 
   /// Slots ever allocated (high-water mark of concurrent events; test/bench
   /// visibility into arena recycling).

@@ -24,15 +24,38 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
+  /// What a run leaves in the simulator: the pending events, the clock and
+  /// the executed-event count.  The default is the just-constructed state.
+  struct RunState {
+    Scheduler::RunState events;
+    Time now{};
+    std::uint64_t executed = 0;
+  };
+
+  /// Copies the run state into `into` (reusing its storage).  Called from
+  /// inside an event, it leaves that event out: it has left the scheduler
+  /// and is already counted as executed.
+  void save(RunState& into) const {
+    scheduler_.save(into.events);
+    into.now = now_;
+    into.executed = executed_;
+  }
+
+  /// Replaces the run state with `from`.  Called from inside an event, the
+  /// run loop goes on from the restored state once that event returns.
+  void restore(const RunState& from) {
+    scheduler_.restore(from.events);
+    now_ = from.now;
+    executed_ = from.executed;
+  }
+
   /// Returns the simulator to its just-constructed state under a (possibly
   /// new) seed: pending events dropped, clock at zero, event counter reset,
   /// RNG root re-keyed.  Scheduler arena storage is retained, which is what
   /// makes pooled simulation contexts allocation-free in steady state.
-  void reset(std::uint64_t seed) noexcept {
-    scheduler_.clear();
-    now_ = Time{};
+  void reset(std::uint64_t seed) {
+    restore(RunState{});
     stopped_ = false;
-    executed_ = 0;
     root_stream_ = CounterRng(seed);
   }
 

@@ -46,16 +46,12 @@ class CsmaBroadcastMac {
   /// radio's [min,max] range at enqueue time).
   void enqueue(Frame frame, double tx_power_dbm);
 
-  /// Rearms the MAC for a fresh run: queue flushed, RNG re-seeded, flags
-  /// and counters cleared.  Parameters and drop/sent callbacks are kept
-  /// (pooled contexts install them once at graph build).  Bitwise-equivalent
-  /// to constructing a new MAC with the same parameters and `rng_seed`.
-  void reset(std::uint64_t rng_seed);
-
   void set_drop_callback(DropCallback cb) { on_drop_ = std::move(cb); }
   void set_sent_callback(SentCallback cb) { on_sent_ = std::move(cb); }
 
-  [[nodiscard]] std::size_t queue_length() const noexcept { return queue_count_; }
+  [[nodiscard]] std::size_t queue_length() const noexcept {
+    return run_.queue.size();
+  }
 
   struct Counters {
     std::uint64_t enqueued = 0;
@@ -63,45 +59,52 @@ class CsmaBroadcastMac {
     std::uint64_t dropped = 0;
     std::uint64_t cca_busy = 0;  ///< times the medium was found busy
   };
-  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
+  [[nodiscard]] const Counters& counters() const noexcept { return run_.counters; }
 
- private:
+  /// A queued frame.
   struct Pending {
     Frame frame;
     double tx_power_dbm;
     std::uint32_t attempts = 0;
   };
 
+  /// Everything a run changes.  `{.rng = Xoshiro256(rng_seed)}` is a
+  /// just-built MAC.
+  ///
+  /// The queue is a vector popped from the front.  It holds a few frames
+  /// (a node queues a beacon a second and at most one data frame per
+  /// broadcast), so the shift is cheap; unlike a `std::deque` it keeps its
+  /// capacity, so a warmed MAC never allocates, and a copy holds only the
+  /// queued frames.
+  struct RunState {
+    Xoshiro256 rng;
+    std::vector<Pending> queue{};  ///< oldest first
+    bool transmitting = false;
+    bool retry_scheduled = false;
+    Counters counters{};
+  };
+
+  /// Rearms the MAC for a fresh run, bitwise-equivalent to constructing a
+  /// new MAC with the same parameters and `rng_seed`.  Parameters and
+  /// drop/sent callbacks are kept (pooled contexts install them once at
+  /// graph build), and so is the queue's capacity.
+  void reset(std::uint64_t rng_seed) {
+    restore(RunState{.rng = Xoshiro256(rng_seed)});
+  }
+  void save(RunState& into) const { into = run_; }
+  /// Copy-assigns, so the queue keeps its capacity.
+  void restore(const RunState& from) { run_ = from; }
+
+ private:
   void try_send();
   void tx_finished();
-
-  /// FIFO access to the power-of-two ring below.  A `std::deque` here costs
-  /// one chunk allocation every few frames as the push/pop cursor migrates
-  /// across chunk boundaries — measurable per-run heap traffic under pooled
-  /// steady state.  The ring retains its capacity across `reset()`, so once
-  /// warmed it never allocates again.
-  [[nodiscard]] Pending& queue_front() noexcept {
-    return queue_[queue_head_ & (queue_.size() - 1)];
-  }
-  void queue_push(Pending pending);
-  void queue_pop() noexcept {
-    ++queue_head_;
-    --queue_count_;
-  }
-  [[nodiscard]] bool queue_empty() const noexcept { return queue_count_ == 0; }
 
   Simulator& simulator_;
   WirelessPhy& phy_;
   Params params_;
-  Xoshiro256 rng_;
-  std::vector<Pending> queue_;   ///< ring storage, size always a power of two
-  std::size_t queue_head_ = 0;   ///< index of the oldest pending frame
-  std::size_t queue_count_ = 0;  ///< live entries in the ring
-  bool transmitting_ = false;
-  bool retry_scheduled_ = false;
   DropCallback on_drop_;
   SentCallback on_sent_;
-  Counters counters_;
+  RunState run_;
 };
 
 }  // namespace aedbmls::sim

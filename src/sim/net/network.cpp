@@ -107,4 +107,24 @@ void Network::restart() {
   }
 }
 
+void Network::save(RunState& into) const {
+  channel_->save(into.channel);
+  into.phys.resize(nodes_.size());
+  into.macs.resize(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    nodes_[i]->device().phy().save(into.phys[i]);
+    nodes_[i]->device().mac().save(into.macs[i]);
+  }
+}
+
+void Network::restore(const RunState& from) {
+  AEDB_REQUIRE(from.phys.size() == nodes_.size(),
+               "restoring another network's state");
+  channel_->restore(from.channel);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    nodes_[i]->device().phy().restore(from.phys[i]);
+    nodes_[i]->device().mac().restore(from.macs[i]);
+  }
+}
+
 }  // namespace aedbmls::sim

@@ -72,6 +72,18 @@ class Network {
   /// events first.  This is the pooled-evaluation hot path.
   void restart();
 
+  /// What a run leaves in the network: the channel's state and every
+  /// node's radio state.  Mobility and propagation are pure functions of
+  /// time (their caches only speed up queries), so they keep nothing.
+  struct RunState {
+    WirelessChannel::RunState channel;
+    std::vector<WirelessPhy::RunState> phys;      ///< by node index
+    std::vector<CsmaBroadcastMac::RunState> macs;  ///< by node index
+  };
+  void save(RunState& into) const;
+  /// Replaces the run state with `from`, which `save` took on this network.
+  void restore(const RunState& from);
+
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] Node& node(std::size_t i) { return *nodes_.at(i); }
   [[nodiscard]] const Node& node(std::size_t i) const { return *nodes_.at(i); }

@@ -36,10 +36,27 @@ void WirelessChannel::attach(WirelessPhy* phy, const MobilityModel* mobility) {
                            floor});
 }
 
-void WirelessChannel::reset() noexcept {
-  signals_delivered_ = 0;
+void WirelessChannel::save(RunState& into) const {
+  into.signals_delivered = signals_delivered_;
+  into.flights.clear();
+  for (const auto& wave : waves_) {
+    if (std::find(free_waves_.begin(), free_waves_.end(), wave.get()) ==
+        free_waves_.end()) {
+      into.flights.push_back(Flight{wave.get(), *wave});
+    }
+  }
+}
+
+void WirelessChannel::restore(const RunState& from) {
+  signals_delivered_ = from.signals_delivered;
   free_waves_.clear();
-  for (const auto& wave : waves_) free_waves_.push_back(wave.get());
+  for (const auto& wave : waves_) {
+    const bool in_flight = std::any_of(
+        from.flights.begin(), from.flights.end(),
+        [&](const Flight& flight) { return flight.wave == wave.get(); });
+    if (!in_flight) free_waves_.push_back(wave.get());
+  }
+  for (const Flight& flight : from.flights) *flight.wave = flight.contents;
 }
 
 WirelessChannel::Wave& WirelessChannel::acquire_wave() {

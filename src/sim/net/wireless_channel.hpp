@@ -68,7 +68,7 @@ class WirelessChannel {
   /// Re-arms the medium for a fresh run: delivery counter cleared, every
   /// wave back in the pool (the caller has cleared the simulator's pending
   /// events).  Attached PHYs are kept.
-  void reset() noexcept;
+  void reset() { restore(RunState{}); }
 
   /// Radiates `frame` from `sender` (an attached PHY) for `duration`.
   void transmit(const WirelessPhy* sender, const Frame& frame, Time duration);
@@ -108,6 +108,30 @@ class WirelessChannel {
     bool ending = false;               ///< running signal ends, not arrivals
   };
 
+ public:
+  /// A wave in flight: the pooled object its pending event points at, and
+  /// a copy of its contents.
+  struct Flight {
+    Wave* wave;
+    Wave contents;
+  };
+
+  /// What a run leaves in the medium: the delivery count and the waves in
+  /// flight.  The default is a medium with every wave in the pool.
+  struct RunState {
+    std::uint64_t signals_delivered = 0;
+    std::vector<Flight> flights;
+  };
+
+  /// Copies the run state into `into`.
+  void save(RunState& into) const;
+
+  /// Replaces the run state with `from`, which `save` took on this
+  /// channel: each wave in flight is copied back into the pooled object
+  /// its pending event points at; every other wave returns to the pool.
+  void restore(const RunState& from);
+
+ private:
   [[nodiscard]] Vec2 position_of(const Entry& entry, Time now) const {
     return entry.walk != nullptr ? entry.walk->position(now)
                                  : entry.mobility->position(now);

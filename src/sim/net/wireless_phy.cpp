@@ -19,22 +19,22 @@ Time WirelessPhy::frame_duration(std::uint32_t size_bytes) const noexcept {
 }
 
 bool WirelessPhy::medium_busy() const noexcept {
-  if (state_ != State::kIdle) return true;
-  return total_rx_mw_ > dbm_to_mw(params_.cs_threshold_dbm);
+  if (run_.state != State::kIdle) return true;
+  return run_.total_rx_mw > dbm_to_mw(params_.cs_threshold_dbm);
 }
 
 bool WirelessPhy::start_tx(Frame frame, double tx_power_dbm) {
-  if (state_ == State::kTx) return false;
-  if (state_ == State::kRx) {
+  if (run_.state == State::kTx) return false;
+  if (run_.state == State::kRx) {
     // Half duplex: transmitting stomps the reception in progress.
-    ++counters_.rx_aborted_by_tx;
-    lock_.reset();
+    ++run_.counters.rx_aborted_by_tx;
+    run_.lock.reset();
   }
-  state_ = State::kTx;
-  ++counters_.tx_frames;
+  run_.state = State::kTx;
+  ++run_.counters.tx_frames;
 
   frame.sender = node_id_;
-  frame.sequence = ++tx_sequence_;
+  frame.sequence = ++run_.tx_sequence;
   frame.tx_power_dbm = std::clamp(tx_power_dbm, params_.min_tx_power_dbm,
                                   params_.max_tx_power_dbm);
   const Time duration = frame_duration(frame.size_bytes);
@@ -45,8 +45,8 @@ bool WirelessPhy::start_tx(Frame frame, double tx_power_dbm) {
 }
 
 void WirelessPhy::finish_tx() {
-  AEDB_REQUIRE(state_ == State::kTx, "finish_tx in wrong state");
-  state_ = State::kIdle;
+  AEDB_REQUIRE(run_.state == State::kTx, "finish_tx in wrong state");
+  run_.state = State::kIdle;
   // Signals that arrived during our transmission were interference-only and
   // remain unlockable (we missed their preamble); they drain via
   // signal_ended.  The MAC may immediately queue the next frame.
@@ -56,48 +56,49 @@ void WirelessPhy::finish_tx() {
 WirelessPhy::Signal WirelessPhy::begin_rx(const Frame& frame,
                                           double rx_power_dbm) {
   const double power_mw = dbm_to_mw(rx_power_dbm);
-  total_rx_mw_ += power_mw;
-  const std::uint64_t token = next_token_++;
+  run_.total_rx_mw += power_mw;
+  const std::uint64_t token = run_.next_token++;
 
   const bool decodable = rx_power_dbm >= params_.rx_sensitivity_dbm;
-  if (state_ == State::kIdle && decodable) {
+  if (run_.state == State::kIdle && decodable) {
     // Lock on and start decoding; pre-existing signals count as interference.
-    state_ = State::kRx;
-    lock_ = Lock{frame, power_mw, total_rx_mw_ - power_mw, token};
+    run_.state = State::kRx;
+    run_.lock = Lock{frame, power_mw, run_.total_rx_mw - power_mw, token};
   } else {
     if (decodable) {
-      if (state_ != State::kIdle) ++counters_.rx_missed_busy;
+      if (run_.state != State::kIdle) ++run_.counters.rx_missed_busy;
     } else {
-      ++counters_.rx_below_sensitivity;
+      ++run_.counters.rx_below_sensitivity;
     }
-    if (lock_) {
-      lock_->peak_interference_mw =
-          std::max(lock_->peak_interference_mw, total_rx_mw_ - lock_->signal_mw);
+    if (run_.lock) {
+      run_.lock->peak_interference_mw =
+          std::max(run_.lock->peak_interference_mw,
+                   run_.total_rx_mw - run_.lock->signal_mw);
     }
   }
   return Signal{power_mw, token};
 }
 
 void WirelessPhy::signal_ended(Signal signal) {
-  total_rx_mw_ -= signal.power_mw;
-  if (total_rx_mw_ < 0.0) total_rx_mw_ = 0.0;  // guard float drift
+  run_.total_rx_mw -= signal.power_mw;
+  if (run_.total_rx_mw < 0.0) run_.total_rx_mw = 0.0;  // guard float drift
 
   // An interferer ending needs no work: the remaining overlap can only be
   // weaker, and the lock's peak already recorded the stronger period.
-  if (lock_ && lock_->token == signal.token) {
+  if (run_.lock && run_.lock->token == signal.token) {
     // The locked frame completed: SINR decision against peak interference.
-    const Lock lock = *lock_;
-    lock_.reset();
-    AEDB_REQUIRE(state_ == State::kRx, "locked frame outside Rx state");
-    state_ = State::kIdle;
+    const Lock lock = *run_.lock;
+    run_.lock.reset();
+    AEDB_REQUIRE(run_.state == State::kRx, "locked frame outside Rx state");
+    run_.state = State::kIdle;
     const double noise_mw = dbm_to_mw(params_.noise_floor_dbm);
     const double sinr =
         lock.signal_mw / (noise_mw + lock.peak_interference_mw);
     if (sinr >= db_to_ratio(params_.sinr_threshold_db)) {
-      ++counters_.rx_ok;
+      ++run_.counters.rx_ok;
       if (rx_callback_) rx_callback_(lock.frame, mw_to_dbm(lock.signal_mw));
     } else {
-      ++counters_.rx_failed_sinr;
+      ++run_.counters.rx_failed_sinr;
     }
   }
 }

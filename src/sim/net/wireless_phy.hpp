@@ -62,19 +62,6 @@ class WirelessPhy {
   /// This PHY's attach slot on its channel (O(1) sender lookup).
   [[nodiscard]] std::uint32_t channel_slot() const noexcept { return channel_slot_; }
 
-  /// Rearms the radio for a fresh run: state back to idle, signal
-  /// accounting, tokens, sequence numbers and counters cleared.
-  /// Parameters, channel wiring and callbacks are kept — pooled simulation
-  /// contexts bind those once at graph build.
-  void reset() noexcept {
-    state_ = State::kIdle;
-    total_rx_mw_ = 0.0;
-    lock_.reset();
-    next_token_ = 1;
-    tx_sequence_ = 0;
-    counters_ = Counters{};
-  }
-
   void set_receive_callback(RxCallback callback) { rx_callback_ = std::move(callback); }
   void set_tx_done_callback(TxDoneCallback callback) { tx_done_ = std::move(callback); }
 
@@ -103,7 +90,7 @@ class WirelessPhy {
   /// 802.11-style clear channel assessment.
   [[nodiscard]] bool medium_busy() const noexcept;
 
-  [[nodiscard]] State state() const noexcept { return state_; }
+  [[nodiscard]] State state() const noexcept { return run_.state; }
   [[nodiscard]] NodeId node_id() const noexcept { return node_id_; }
   [[nodiscard]] const PhyParams& params() const noexcept { return params_; }
 
@@ -116,10 +103,9 @@ class WirelessPhy {
     std::uint64_t rx_missed_busy = 0;   ///< decodable frames while not idle
     std::uint64_t rx_below_sensitivity = 0;  ///< signals too weak to decode
   };
-  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
+  [[nodiscard]] const Counters& counters() const noexcept { return run_.counters; }
 
- private:
-  /// A signal currently on the air at this receiver.
+  /// The frame being decoded (state kRx).
   struct Lock {
     Frame frame;
     double signal_mw = 0.0;
@@ -127,6 +113,24 @@ class WirelessPhy {
     std::uint64_t token = 0;  ///< matches signal-end events to the lock
   };
 
+  /// Everything a run changes.  The default is a just-built radio.
+  struct RunState {
+    State state = State::kIdle;
+    double total_rx_mw = 0.0;  ///< sum of all ongoing signals at antenna
+    std::optional<Lock> lock;  ///< frame being decoded (state kRx)
+    std::uint64_t next_token = 1;
+    std::uint64_t tx_sequence = 0;
+    Counters counters;
+  };
+
+  /// Rearms the radio for a fresh run.  Parameters, channel wiring and
+  /// callbacks are kept — pooled simulation contexts bind those once at
+  /// graph build.
+  void reset() noexcept { run_ = RunState{}; }
+  void save(RunState& into) const noexcept { into = run_; }
+  void restore(const RunState& from) noexcept { run_ = from; }
+
+ private:
   void finish_tx();
 
   Simulator& simulator_;
@@ -137,12 +141,7 @@ class WirelessPhy {
   RxCallback rx_callback_;
   TxDoneCallback tx_done_;
 
-  State state_ = State::kIdle;
-  double total_rx_mw_ = 0.0;     ///< sum of all ongoing signals at antenna
-  std::optional<Lock> lock_;     ///< frame being decoded (state kRx)
-  std::uint64_t next_token_ = 1;
-  std::uint64_t tx_sequence_ = 0;
-  Counters counters_;
+  RunState run_;
 };
 
 }  // namespace aedbmls::sim

@@ -66,9 +66,10 @@ TEST(BeaconApp, RecordsPlausibleReceptionPower) {
   const auto entries = world.apps[0]->neighbor_table().entries();
   ASSERT_EQ(entries.size(), 1u);
   // Beacons go out at 16.02 dBm; anywhere in a 200 m arena the reception
-  // must sit between the reference loss and the sensitivity floor.
-  EXPECT_LT(entries[0].last_rx_dbm, 16.02 - 46.0);
-  EXPECT_GT(entries[0].last_rx_dbm, -95.0);
+  // must sit between the reference loss and the sensitivity floor, so the
+  // path loss (tx - rx) lies between the reference loss and tx - (-95).
+  EXPECT_GT(entries[0].path_loss_db, 46.0);
+  EXPECT_LT(entries[0].path_loss_db, 16.02 + 95.0);
 }
 
 TEST(BeaconApp, IgnoresDataFrames) {

@@ -124,6 +124,19 @@ TEST(CampaignOptionsDeathTest, RemovedServiceFlagsNameTheShardWorkflow) {
               "unknown flag --evlas;");
 }
 
+TEST(CampaignOptions, ShardDirWithoutShardIsRefused) {
+  // Only a --shard run reads --shard-dir; without one the flag would be
+  // silently inert, so the refusal names both flags.
+  for (const std::vector<std::string>& words :
+       {std::vector<std::string>{"--shard-dir=zz"},
+        std::vector<std::string>{"--shard-dir=zz", "--workers=1", "--no-cache"},
+        std::vector<std::string>{"--merge=m", "--shard-dir=zz"}}) {
+    const std::string message = message_of(words);
+    EXPECT_NE(message.find("--shard-dir"), std::string::npos) << message;
+    EXPECT_NE(message.find("--shard=i/N"), std::string::npos) << message;
+  }
+}
+
 TEST(CampaignOptions, ParsesLocalWorkers) {
   EXPECT_EQ(parse_campaign_options(args_of({})).workers, 0u);
   const auto local = parse_campaign_options(args_of({"--workers=3"}));

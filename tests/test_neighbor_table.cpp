@@ -11,8 +11,7 @@ TEST(NeighborTable, UpdateAndFind) {
   NeighborTable table;
   table.update(3, -80.0, kDefaultTx, seconds(1));
   ASSERT_TRUE(table.find(3).has_value());
-  EXPECT_DOUBLE_EQ(table.find(3)->last_rx_dbm, -80.0);
-  EXPECT_NEAR(table.find(3)->path_loss_db, kDefaultTx + 80.0, 1e-12);
+  EXPECT_EQ(table.find(3)->path_loss_db, kDefaultTx - -80.0);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_FALSE(table.find(4).has_value());
 }
@@ -22,7 +21,7 @@ TEST(NeighborTable, RefreshKeepsLatestPower) {
   table.update(3, -80.0, kDefaultTx, seconds(1));
   table.update(3, -70.0, kDefaultTx, seconds(2));
   EXPECT_EQ(table.size(), 1u);
-  EXPECT_DOUBLE_EQ(table.find(3)->last_rx_dbm, -70.0);
+  EXPECT_EQ(table.find(3)->path_loss_db, kDefaultTx - -70.0);
   EXPECT_EQ(table.find(3)->last_heard, seconds(2));
 }
 

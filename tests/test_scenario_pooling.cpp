@@ -2,13 +2,17 @@
 /// re-armed `run_scenario` must be **bitwise identical** to fresh
 /// construction — across repeated runs, across differing scenarios
 /// interleaved on one workspace (one context per network configuration)
-/// or driven through one context (which rebuilds its graph), and at any
+/// or driven through one context (which rebuilds its graph), when a run
+/// restores the beacon warm-up instead of simulating it, and at any
 /// evaluation thread count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "aedb/scenario.hpp"
@@ -165,6 +169,103 @@ TEST(ScenarioPooling, ConfigChangeOnOneContextRebuildsThenRebinds) {
   EXPECT_EQ(context.stats().rebinds, 1u);
 }
 
+TEST(WarmupRestore, MatchingRunRestoresAndEachKeyFieldRecaptures) {
+  // A run restores the warm-up only under the key it was captured with;
+  // any other key simulates its warm-up, and its capture replaces the
+  // context's one snapshot.
+  const ScenarioConfig base = make_paper_scenario(100, 17, 2);
+  const AedbParams params = test_params();
+  using Flip = std::function<void(ScenarioConfig&)>;
+  const std::vector<std::pair<const char*, Flip>> key_fields = {
+      {"beacon_start", [](ScenarioConfig& c) { c.beacon_start = sim::seconds(26); }},
+      {"beacon_period",
+       [](ScenarioConfig& c) { c.beacon_period = sim::milliseconds(900); }},
+      {"beacon_jitter",
+       [](ScenarioConfig& c) { c.beacon_jitter = sim::milliseconds(20); }},
+      {"beacon_bytes", [](ScenarioConfig& c) { c.beacon_bytes = 64; }},
+      {"default_tx_dbm", [](ScenarioConfig& c) { c.default_tx_dbm = 14.0; }},
+      {"broadcast_at", [](ScenarioConfig& c) { c.broadcast_at = sim::seconds(31); }},
+  };
+
+  SimulationContext context;
+  std::uint64_t restores = 0;
+  const auto expect_run = [&](const ScenarioConfig& config, bool restored) {
+    expect_bitwise_equal(context.run(config, params), run_scenario(config, params));
+    if (restored) ++restores;
+    EXPECT_EQ(context.stats().restores, restores);
+  };
+  expect_run(base, false);  // builds the graph and captures
+  expect_run(base, true);
+  for (const auto& [field, flip] : key_fields) {
+    SCOPED_TRACE(field);
+    ScenarioConfig flipped = base;
+    flip(flipped);
+    expect_run(flipped, false);  // recaptures under its own key...
+    expect_run(flipped, true);
+    expect_run(base, false);     // ...which replaced base's snapshot
+    expect_run(base, true);
+  }
+  EXPECT_EQ(context.stats().builds, 1u);
+}
+
+TEST(WarmupRestore, SettingsAfterTheBroadcastShareOneSnapshot) {
+  // The AEDB parameters, the payload, the source draw, `end_at` and the
+  // early stop act only from the broadcast on: none of them recaptures.
+  const ScenarioConfig base = make_paper_scenario(100, 23, 1);
+  AedbParams other = test_params();
+  other.max_delay_s = 1.4;
+  other.border_threshold_dbm = -80.0;
+  ScenarioConfig changed = base;
+  changed.data_bytes = 512;
+  changed.random_source = false;
+  changed.end_at = changed.broadcast_at + sim::seconds_d(2.25);
+  changed.stop_when_bt_exceeds_s = 0.2;
+
+  SimulationContext context;
+  expect_bitwise_equal(context.run(base, test_params()),
+                       run_scenario(base, test_params()));
+  expect_bitwise_equal(context.run(changed, other), run_scenario(changed, other));
+  expect_bitwise_equal(context.run(base, other), run_scenario(base, other));
+  EXPECT_EQ(context.stats().restores, 2u);
+}
+
+TEST(WarmupRestore, BeaconsStartingAfterTheBroadcastCaptureAndRestore) {
+  // No event fires before the broadcast: the snapshot holds every node's
+  // first beacon timer and nothing else has happened yet.
+  ScenarioConfig config = make_paper_scenario(100, 5, 2);
+  config.beacon_start = config.broadcast_at + sim::milliseconds(500);
+  const AedbParams params = test_params();
+  const ScenarioResult fresh = run_scenario(config, params);
+
+  SimulationContext context;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    expect_bitwise_equal(context.run(config, params), fresh);
+  }
+  EXPECT_EQ(context.stats().restores, 2u);
+}
+
+TEST(WarmupRestore, BusyChannelAtTheBroadcastRestoresExactly) {
+  // Beacons every 2 ms from 5 ms before the broadcast saturate the
+  // channel: when the broadcast fires, waves are in flight, receivers are
+  // locked mid-frame and MACs hold queued frames and pending backoffs.
+  ScenarioConfig config = make_paper_scenario(100, 29, 0);
+  config.beacon_start = config.broadcast_at - sim::milliseconds(5);
+  config.beacon_period = sim::milliseconds(2);
+  config.beacon_jitter = sim::milliseconds(1);
+  config.end_at = config.broadcast_at + sim::milliseconds(300);
+  AedbParams other = test_params();
+  other.max_delay_s = 0.2;
+  const ScenarioResult fresh = run_scenario(config, test_params());
+  const ScenarioResult fresh_other = run_scenario(config, other);
+
+  SimulationContext context;
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    expect_bitwise_equal(context.run(config, test_params()), fresh);
+    expect_bitwise_equal(context.run(config, other), fresh_other);
+  }
+  EXPECT_EQ(context.stats().restores, 3u);
+}
+
 TEST(ScenarioPooling, ContextEvictionKeepsResultsCorrect) {
   // More distinct topologies than the context pool holds: evicted keys are
   // rebuilt on return and must still match fresh construction.
@@ -205,18 +306,40 @@ std::string sanitized(std::string name) {
 class RegimePooling : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RegimePooling, FreshEqualsPooledBitwise) {
+  // Two candidates on both fidelity tiers, alternating on one workspace:
+  // every run after the first restores the first one's warm-up.
   const expt::ScenarioSpec spec =
       expt::ScenarioCatalog::instance().resolve(GetParam());
-  const ScenarioConfig config = spec.scenario_config(31, 1);
-  const AedbParams params = test_params();
-  const ScenarioResult fresh = run_scenario(config, params);
+  const ScenarioConfig full = spec.scenario_config(31, 1);
+  // The racing screen tier's shape: truncated 2.25 s after the broadcast,
+  // with the infeasibility stop armed.
+  ScenarioConfig screen = full;
+  screen.end_at = std::min(full.end_at, full.broadcast_at + sim::seconds_d(2.25));
+  screen.stop_when_bt_exceeds_s = 0.5;
+  AedbParams other = test_params();
+  other.max_delay_s = 1.4;
+  other.border_threshold_dbm = -80.0;
+  const std::vector<std::pair<const ScenarioConfig*, AedbParams>> runs = {
+      {&full, test_params()},
+      {&screen, other},
+      {&full, other},
+      {&screen, test_params()}};
+  std::vector<ScenarioResult> fresh;
+  for (const auto& [config, params] : runs) {
+    fresh.push_back(run_scenario(*config, params));
+  }
 
   ScenarioWorkspace workspace;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    expect_bitwise_equal(run_scenario(config, params, workspace), fresh);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_bitwise_equal(
+          run_scenario(*runs[i].first, runs[i].second, workspace), fresh[i]);
+    }
   }
   EXPECT_EQ(workspace.stats().context_misses, 1u);
-  EXPECT_EQ(workspace.stats().context_hits, 2u);
+  EXPECT_EQ(workspace.stats().context_hits, 7u);
+  EXPECT_EQ(workspace.context_for(full.network).stats().restores, 7u);
 }
 
 INSTANTIATE_TEST_SUITE_P(CatalogRegimes, RegimePooling,

@@ -1,8 +1,9 @@
 /// Arena/generation semantics of the allocation-free scheduler: recycled
 /// slots must make stale `EventId`s harmless, cancelled callbacks must be
 /// destroyed eagerly (no leaked captures), oversized callbacks must be
-/// rejected at compile time, and slot storage must be recycled instead of
-/// growing without bound.
+/// rejected at compile time, slot storage must be recycled instead of
+/// growing without bound, and a snapshot must restore the pending events
+/// under their keys.
 
 #include <gtest/gtest.h>
 
@@ -133,9 +134,36 @@ TEST(SchedulerArena, OversizedCallbacksRejectedAtCompileTime) {
     void* context;
     std::uint64_t source_index;
     std::uint64_t message;
+    bool restore;
     void operator()() const {}
   };
   static_assert(InlineFunction::fits_v<OriginationSized>);
+}
+
+TEST(SchedulerArena, SnapshotRestoresLiveEventsUnderTheirKeys) {
+  // A snapshot keeps each live event's (time, sequence) key and a copy of
+  // its callback, so every restore replays the same order, and inserts
+  // after a restore continue the saved sequence.
+  Scheduler scheduler;
+  std::vector<int> order;
+  scheduler.insert(seconds(2), [&order] { order.push_back(2); });
+  const EventId cancelled =
+      scheduler.insert(seconds(1), [&order] { order.push_back(-1); });
+  scheduler.insert(seconds(2), [&order] { order.push_back(3); });
+  scheduler.insert(seconds(1), [&order] { order.push_back(1); });
+  scheduler.cancel(cancelled);
+  Scheduler::RunState saved;
+  scheduler.save(saved);
+  EXPECT_EQ(saved.events.size(), 3u);
+  EXPECT_EQ(saved.next_seq, 5u);
+  for (int round = 0; round < 2; ++round) {
+    scheduler.restore(saved);
+    EXPECT_EQ(scheduler.size(), 3u);
+    scheduler.insert(seconds(2), [&order] { order.push_back(4); });
+    order.clear();
+    while (!scheduler.empty()) scheduler.pop().callback();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  }
 }
 
 TEST(SchedulerArena, EmptyAndSizeTrackLiveEventsOnly) {
