@@ -41,7 +41,7 @@ int main(int argc, char** argv) try {
   params.margin_threshold_db = 1.0;
   params.neighbors_threshold = 8.0;
 
-  sim::Simulator simulator(network_config.seed);
+  sim::Simulator simulator;
   sim::Network network(simulator, network_config);
   aedb::BroadcastStatsCollector collector;
 

@@ -45,11 +45,6 @@ AedbParams AedbParams::from_vector(const std::vector<double>& x) {
   return p;
 }
 
-std::vector<double> AedbParams::to_vector() const {
-  return {min_delay_s, max_delay_s, border_threshold_dbm, margin_threshold_db,
-          neighbors_threshold};
-}
-
 std::string AedbParams::to_string() const {
   std::ostringstream os;
   os << "AedbParams{delay=[" << min_delay_s << "," << max_delay_s

@@ -39,9 +39,6 @@ struct AedbParams {
   /// well-formed without biasing the search).
   static AedbParams from_vector(const std::vector<double>& x);
 
-  /// Encodes back to the decision-vector order.
-  [[nodiscard]] std::vector<double> to_vector() const;
-
   /// Human-readable one-liner for traces and tables.
   [[nodiscard]] std::string to_string() const;
 

@@ -48,18 +48,6 @@ void BroadcastStatsCollector::record_drop_decision(NodeId node) {
 
 void BroadcastStatsCollector::record_mac_drop(NodeId) { ++mac_drops_; }
 
-std::vector<std::pair<NodeId, sim::Time>>
-BroadcastStatsCollector::first_receptions() const {
-  std::vector<std::pair<NodeId, sim::Time>> out;
-  out.reserve(coverage_);
-  for (std::size_t node = 0; node < network_size_; ++node) {
-    if (received_[node] != 0) {
-      out.emplace_back(static_cast<NodeId>(node), first_rx_time_[node]);
-    }
-  }
-  return out;
-}
-
 BroadcastStats BroadcastStatsCollector::finalize(
     std::uint64_t total_collisions) const {
   BroadcastStats stats;

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -126,10 +125,6 @@ class BroadcastStatsCollector {
 
   [[nodiscard]] NodeId origin() const noexcept { return origin_; }
   [[nodiscard]] MessageId message() const noexcept { return message_; }
-
-  /// Per-node first-reception times in NodeId order (traces and examples).
-  [[nodiscard]] std::vector<std::pair<NodeId, sim::Time>> first_receptions()
-      const;
 
   /// Closes the ledger; `total_collisions` comes from summing PHY counters.
   [[nodiscard]] BroadcastStats finalize(std::uint64_t total_collisions) const;

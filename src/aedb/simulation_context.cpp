@@ -121,8 +121,7 @@ ScenarioResult SimulationContext::run(const ScenarioConfig& config,
   // back to default-power transmissions (exercised by the test suite).
   AEDB_REQUIRE(config.end_at > config.broadcast_at, "empty broadcast window");
 
-  simulator_.reset(
-      CounterRng(config.network.seed, {config.network.network_index}).key());
+  simulator_.reset();
   const bool reinstall = bind_network(config.network);
   const sim::BeaconApp::Config beacon = beacon_settings(config);
   const bool restore = !reinstall && warmup_.valid &&

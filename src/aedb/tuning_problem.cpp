@@ -60,7 +60,7 @@ std::size_t AedbTuningProblem::effective_tier(std::size_t requested) const {
 }
 
 AedbTuningProblem::Detail AedbTuningProblem::detail_at(
-    const AedbParams& params, ScenarioWorkspace* workspace, std::size_t tier,
+    const AedbParams& params, ScenarioWorkspace& workspace, std::size_t tier,
     bool allow_reject_stop) const {
   ScenarioConfig scenario = config_.scenario;
   bool conservative = false;
@@ -94,9 +94,7 @@ AedbTuningProblem::Detail AedbTuningProblem::detail_at(
       scenario.stop_when_bt_exceeds_s =
           bt_reject_sum - detail.mean_broadcast_time_s;
     }
-    const ScenarioResult run =
-        workspace != nullptr ? run_scenario(scenario, params, *workspace)
-                             : run_scenario(scenario, params);
+    const ScenarioResult run = run_scenario(scenario, params, workspace);
     ++runs;
     events += run.events_executed;
     detail.mean_energy_dbm += run.stats.energy_dbm_sum;
@@ -123,16 +121,16 @@ AedbTuningProblem::Detail AedbTuningProblem::detail_at(
 
 AedbTuningProblem::Detail AedbTuningProblem::evaluate_detail(
     const AedbParams& params) const {
-  return detail_at(params, nullptr, 0, false);
+  return detail_at(params, thread_workspace(), 0, false);
 }
 
 AedbTuningProblem::Detail AedbTuningProblem::evaluate_detail(
     const AedbParams& params, ScenarioWorkspace& workspace) const {
-  return detail_at(params, &workspace, 0, false);
+  return detail_at(params, workspace, 0, false);
 }
 
 moo::Problem::Result AedbTuningProblem::evaluate_with(
-    ScenarioWorkspace* workspace, const std::vector<double>& x,
+    ScenarioWorkspace& workspace, const std::vector<double>& x,
     std::size_t tier, bool explicit_tier) const {
   const AedbParams params = AedbParams::from_vector(x);
   const Detail detail = detail_at(params, workspace, tier, explicit_tier);
@@ -148,12 +146,12 @@ moo::Problem::Result AedbTuningProblem::evaluate_with(
 
 moo::Problem::Result AedbTuningProblem::evaluate(
     const std::vector<double>& x) const {
-  return evaluate_with(&thread_workspace(), x, effective_tier(0), false);
+  return evaluate_with(thread_workspace(), x, effective_tier(0), false);
 }
 
 moo::Problem::Result AedbTuningProblem::evaluate_at(
     const std::vector<double>& x, std::size_t tier) const {
-  return evaluate_with(&thread_workspace(), x, effective_tier(tier),
+  return evaluate_with(thread_workspace(), x, effective_tier(tier),
                        tier != 0);
 }
 
@@ -169,13 +167,9 @@ void AedbTuningProblem::evaluate_batch(std::span<moo::Solution> batch) const {
   for (moo::Solution& s : batch) {
     if (s.evaluated) continue;
     const std::size_t tier = effective_tier(s.fidelity);
-    store_result(s, evaluate_with(&workspace, s.x, tier, s.fidelity != 0));
+    store_result(s, evaluate_with(workspace, s.x, tier, s.fidelity != 0));
     s.fidelity = static_cast<std::uint32_t>(tier);
   }
-}
-
-std::uint64_t AedbTuningProblem::evaluations() const noexcept {
-  return tier_counts_[0].evaluations.load(std::memory_order_relaxed);
 }
 
 std::uint64_t AedbTuningProblem::scenario_runs() const noexcept {

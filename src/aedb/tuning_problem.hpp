@@ -103,18 +103,14 @@ class AedbTuningProblem final : public moo::Problem {
     double mean_broadcast_time_s = 0.0;
     double mean_energy_mj = 0.0;
   };
-  /// Full-fidelity detail computed on a fresh context per network.
+  /// Full-fidelity detail, on the calling thread's pooled contexts (the
+  /// ones `evaluate` uses).
   [[nodiscard]] Detail evaluate_detail(const AedbParams& params) const;
 
-  /// As above, reusing `workspace`'s cached network topologies and pooled
-  /// contexts across calls; identical results either way.
+  /// As above, on `workspace`'s pooled contexts; identical results either
+  /// way.
   [[nodiscard]] Detail evaluate_detail(const AedbParams& params,
                                        ScenarioWorkspace& workspace) const;
-
-  /// Number of *full-fidelity* (tier 0) evaluations so far (thread-safe;
-  /// benches report it).  Screening-tier evaluations are visible through
-  /// `tier_counters`.
-  [[nodiscard]] std::uint64_t evaluations() const noexcept;
 
   /// Scenario simulations run so far, all tiers (thread-safe).  The
   /// experiment layer snapshots this into its telemetry.
@@ -141,16 +137,16 @@ class AedbTuningProblem final : public moo::Problem {
   /// screen, whose only product is the rejection verdict) from a campaign
   /// rebased via `forced_tier` (whose objectives are the product): only the
   /// former may cut runs short once rejection is proven.
-  [[nodiscard]] Result evaluate_with(ScenarioWorkspace* workspace,
+  [[nodiscard]] Result evaluate_with(ScenarioWorkspace& workspace,
                                      const std::vector<double>& x,
                                      std::size_t tier,
                                      bool explicit_tier) const;
 
-  /// Detail at `tier` (0 = full).  `workspace` may be null (fresh runs).
+  /// Detail at `tier` (0 = full) on `workspace`'s pooled contexts.
   /// `allow_reject_stop` arms the conservative tiers' mid-run
   /// infeasibility stop (see `ScenarioConfig::stop_when_bt_exceeds_s`).
   [[nodiscard]] Detail detail_at(const AedbParams& params,
-                                 ScenarioWorkspace* workspace,
+                                 ScenarioWorkspace& workspace,
                                  std::size_t tier,
                                  bool allow_reject_stop) const;
 

@@ -297,10 +297,6 @@ std::uint64_t hits(std::string_view site) {
   return it->second->hit_count.load(std::memory_order_relaxed);
 }
 
-std::vector<std::string_view> known_sites() {
-  return {std::begin(kKnownSites), std::end(kKnownSites)};
-}
-
 ScopedPlan::ScopedPlan(const std::string& spec) : previous_(describe()) {
   configure(spec);
 }

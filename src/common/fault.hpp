@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace aedbmls::fault {
 
@@ -85,9 +84,6 @@ void clear();
 /// Occurrence count recorded for `site` under the active plan (0 when the
 /// site is unconfigured or no plan is active).
 [[nodiscard]] std::uint64_t hits(std::string_view site);
-
-/// The registry of valid site names, sorted.
-[[nodiscard]] std::vector<std::string_view> known_sites();
 
 /// RAII plan for tests: installs `spec`, restores the previous plan (and
 /// thereby resets counters) on destruction.

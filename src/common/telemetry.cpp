@@ -63,12 +63,6 @@ Snapshot Registry::snapshot() const {
   return out;
 }
 
-void Registry::reset() noexcept {
-  for (auto& [name, value] : counters_) value.reset();
-  for (auto& [name, stat] : gauges_) stat = GaugeStat{};
-  for (auto& [name, stat] : histograms_) stat = HistogramStat{};
-}
-
 namespace {
 
 /// `%.17g` round-trips IEEE-754 binary64 exactly (same contract as the
@@ -216,16 +210,6 @@ void ProgressMeter::cell_done(const Snapshot& cell) {
   merged_.merge(cell);
   ++done_;
   if (done_ % every_ == 0 || done_ == total_) print_locked();
-}
-
-Snapshot ProgressMeter::merged() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return merged_;
-}
-
-std::size_t ProgressMeter::done() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return done_;
 }
 
 void ProgressMeter::print_locked() {

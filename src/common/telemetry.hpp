@@ -48,7 +48,6 @@ class Counter {
  public:
   void add(std::uint64_t delta = 1) noexcept { value_ += delta; }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
@@ -126,9 +125,6 @@ class Registry {
 
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Zeroes every instrument, keeping registrations (and handles) alive.
-  void reset() noexcept;
-
  private:
   // Deques: handle stability under growth without per-instrument
   // indirection.
@@ -167,14 +163,10 @@ class ProgressMeter {
   /// Folds one completed cell's snapshot in; prints when due.
   void cell_done(const Snapshot& cell);
 
-  /// The fold so far (copy under the lock — safe while cells still run).
-  [[nodiscard]] Snapshot merged() const;
-  [[nodiscard]] std::size_t done() const;
-
  private:
   void print_locked();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   Snapshot merged_;
   std::size_t done_ = 0;
   const std::size_t total_;

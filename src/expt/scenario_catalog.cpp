@@ -239,11 +239,6 @@ std::vector<std::string> ScenarioCatalog::names() const {
   return out;
 }
 
-const std::vector<std::string>& paper_scenarios() {
-  static const std::vector<std::string> keys{"d100", "d200", "d300"};
-  return keys;
-}
-
 std::string density_key(int devices_per_km2) {
   return "d" + std::to_string(devices_per_km2);
 }

@@ -138,9 +138,6 @@ class ScenarioCatalog {
   std::vector<ScenarioSpec> specs_;
 };
 
-/// The paper's §VI sweep: {"d100", "d200", "d300"}.
-[[nodiscard]] const std::vector<std::string>& paper_scenarios();
-
 /// Table II key for a density ("d100" for 100 devices/km^2).
 [[nodiscard]] std::string density_key(int devices_per_km2);
 

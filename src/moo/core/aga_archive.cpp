@@ -65,20 +65,6 @@ std::uint64_t AgaArchive::cell_of(const std::vector<double>& objectives) const {
   return cell;
 }
 
-std::size_t AgaArchive::max_cell_count() const {
-  // std::map, not a hash map: archive contents reach the admitted fronts
-  // (and so the campaign CSVs), and the project-wide determinism contract
-  // keeps hash/pointer iteration order out of anything that can touch
-  // output bytes (docs/DETERMINISM.md).  At archive capacities (~100) the
-  // tree map is not measurable on any profile.
-  std::map<std::uint64_t, std::size_t> counts;
-  std::size_t best = 0;
-  for (const Solution& s : members_) {
-    best = std::max(best, ++counts[cell_of(s.objectives)]);
-  }
-  return best;
-}
-
 bool AgaArchive::is_extreme(std::size_t member_index) const {
   // A member attaining the minimum of any objective is an extreme of the
   // current front and must survive eviction (property i).
@@ -118,7 +104,12 @@ bool AgaArchive::try_insert(const Solution& candidate) {
   const std::size_t candidate_index = members_.size() - 1;
   const std::uint64_t candidate_cell = cell_of(candidate.objectives);
 
-  std::map<std::uint64_t, std::size_t> counts;  // ordered: see max_cell_count
+  // std::map, not a hash map: archive contents reach the admitted fronts
+  // (and so the campaign CSVs), and the project-wide determinism contract
+  // keeps hash/pointer iteration order out of anything that can touch
+  // output bytes (docs/DETERMINISM.md).  At archive capacities (~100) the
+  // tree map is not measurable on any profile.
+  std::map<std::uint64_t, std::size_t> counts;
   for (const Solution& s : members_) ++counts[cell_of(s.objectives)];
 
   // Most crowded cell(s); the candidate is only accepted if its region is

@@ -43,9 +43,6 @@ class AgaArchive final : public Archive {
   /// (exposed for the property tests).
   [[nodiscard]] std::uint64_t cell_of(const std::vector<double>& objectives) const;
 
-  /// Number of members in the most crowded cell (diagnostics).
-  [[nodiscard]] std::size_t max_cell_count() const;
-
  private:
   void recompute_grid();
   [[nodiscard]] bool is_extreme(std::size_t member_index) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 #include "moo/core/nds.hpp"
 
@@ -33,46 +32,6 @@ void sort_canonical(std::vector<Solution>& front) {
     }
     return a.x < b.x;
   });
-}
-
-std::vector<Solution> front_from_csv(const std::string& csv) {
-  std::istringstream is(csv);
-  std::string line;
-  if (!std::getline(is, line)) return {};
-
-  // Header: count x-columns and f-columns.
-  std::size_t dims = 0;
-  std::size_t objs = 0;
-  {
-    std::istringstream header(line);
-    std::string cell;
-    while (std::getline(header, cell, ',')) {
-      if (!cell.empty() && cell[0] == 'x') ++dims;
-      else if (!cell.empty() && cell[0] == 'f') ++objs;
-      else if (cell != "cv") throw std::runtime_error("bad front CSV header");
-    }
-  }
-
-  std::vector<Solution> front;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string cell;
-    Solution s;
-    s.evaluated = true;
-    for (std::size_t i = 0; i < dims; ++i) {
-      if (!std::getline(row, cell, ',')) throw std::runtime_error("short row");
-      s.x.push_back(std::stod(cell));
-    }
-    for (std::size_t i = 0; i < objs; ++i) {
-      if (!std::getline(row, cell, ',')) throw std::runtime_error("short row");
-      s.objectives.push_back(std::stod(cell));
-    }
-    if (!std::getline(row, cell, ',')) throw std::runtime_error("short row");
-    s.constraint_violation = std::stod(cell);
-    front.push_back(std::move(s));
-  }
-  return front;
 }
 
 std::vector<Solution> merge_fronts(

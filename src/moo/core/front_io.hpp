@@ -19,10 +19,6 @@ namespace aedbmls::moo {
 /// race==full contract, and `--front-out` artifacts).
 void sort_canonical(std::vector<Solution>& front);
 
-/// Parses the CSV produced by `front_to_csv` (dims/objs inferred from the
-/// header).  Throws std::runtime_error on malformed input.
-[[nodiscard]] std::vector<Solution> front_from_csv(const std::string& csv);
-
 /// Merges several fronts into their combined non-dominated set — the paper's
 /// "Reference Pareto front" construction (best of all runs/algorithms).
 [[nodiscard]] std::vector<Solution> merge_fronts(

@@ -7,22 +7,6 @@
 
 namespace aedbmls::moo {
 
-Problem::Result SchafferProblem::evaluate(const std::vector<double>& x) const {
-  AEDB_REQUIRE(x.size() == 1, "Schaffer is 1-D");
-  const double v = x[0];
-  return {{v * v, (v - 2.0) * (v - 2.0)}, 0.0};
-}
-
-Problem::Result Zdt1Problem::evaluate(const std::vector<double>& x) const {
-  AEDB_REQUIRE(x.size() == dimensions_, "ZDT1 dimension mismatch");
-  const double f1 = x[0];
-  double g = 0.0;
-  for (std::size_t i = 1; i < x.size(); ++i) g += x[i];
-  g = 1.0 + 9.0 * g / static_cast<double>(x.size() - 1);
-  const double f2 = g * (1.0 - std::sqrt(f1 / g));
-  return {{f1, f2}, 0.0};
-}
-
 Problem::Result Dtlz2Problem::evaluate(const std::vector<double>& x) const {
   AEDB_REQUIRE(x.size() == dimensions_, "DTLZ2 dimension mismatch");
   AEDB_REQUIRE(dimensions_ >= 3, "DTLZ2 needs >= 3 variables");
@@ -36,57 +20,6 @@ Problem::Result Dtlz2Problem::evaluate(const std::vector<double>& x) const {
   const double f2 = (1.0 + g) * std::cos(a) * std::sin(b);
   const double f3 = (1.0 + g) * std::sin(a);
   return {{f1, f2, f3}, 0.0};
-}
-
-Problem::Result BinhKornProblem::evaluate(const std::vector<double>& x) const {
-  AEDB_REQUIRE(x.size() == 2, "BinhKorn is 2-D");
-  const double f1 = 4.0 * x[0] * x[0] + 4.0 * x[1] * x[1];
-  const double f2 = (x[0] - 5.0) * (x[0] - 5.0) + (x[1] - 5.0) * (x[1] - 5.0);
-  // g1: (x0-5)^2 + x1^2 <= 25 ; g2: (x0-8)^2 + (x1+3)^2 >= 7.7
-  const double g1 = (x[0] - 5.0) * (x[0] - 5.0) + x[1] * x[1] - 25.0;
-  const double g2 = 7.7 - ((x[0] - 8.0) * (x[0] - 8.0) +
-                           (x[1] + 3.0) * (x[1] + 3.0));
-  const double violation = std::max(0.0, g1) + std::max(0.0, g2);
-  return {{f1, f2}, violation};
-}
-
-std::pair<double, double> MiniAedbLikeProblem::bounds(std::size_t dim) const {
-  // Mirrors AedbParams::domain() so MLS configs transfer unchanged.
-  switch (dim) {
-    case 0: return {0.0, 1.0};
-    case 1: return {0.0, 5.0};
-    case 2: return {-95.0, -70.0};
-    case 3: return {0.0, 3.0};
-    case 4: return {0.0, 50.0};
-    default: AEDB_UNREACHABLE("MiniAedbLike has 5 variables");
-  }
-}
-
-Problem::Result MiniAedbLikeProblem::evaluate(const std::vector<double>& x) const {
-  AEDB_REQUIRE(x.size() == 5, "MiniAedbLike is 5-D");
-  // Normalised variables in [0,1].
-  auto norm = [this, &x](std::size_t d) {
-    const auto [lo, hi] = bounds(d);
-    return (x[d] - lo) / (hi - lo);
-  };
-  const double delay = 0.5 * (norm(0) + norm(1));
-  const double border = norm(2);     // 0 = widest forwarding area
-  const double margin = norm(3);
-  const double neighbors = norm(4);
-
-  // Stylised trade-offs mimicking Table I's directions:
-  // wider forwarding ring (border high) and low neighbors threshold => more
-  // coverage but more forwardings and energy; margin has only a marginal
-  // effect (Table I: "very few"/"no" influence), as in the real protocol.
-  const double coverage =
-      0.8 * (1.0 - border) + 0.25 * (1.0 - neighbors) + 0.02 * margin;
-  const double forwardings =
-      0.7 * (1.0 - border) + 0.4 * (1.0 - neighbors) + 0.1 * (1.0 - delay);
-  const double energy = 0.6 * (1.0 - border) + 0.3 * (1.0 - neighbors) +
-                        0.05 * margin + 0.1 * (1.0 - delay);
-  const double bt = 2.5 * delay + 0.3 * (1.0 - border);  // constraint driver
-
-  return {{energy, -coverage, forwardings}, std::max(0.0, bt - 2.0)};
 }
 
 }  // namespace aedbmls::moo

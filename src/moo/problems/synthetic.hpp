@@ -1,46 +1,13 @@
 #pragma once
 
-/// Analytic multi-objective benchmark problems.
-///
-/// These serve three roles: unit/property tests with known Pareto fronts,
-/// examples of using the optimiser without the network simulator, and
-/// cheap stand-ins when exercising the parallel machinery (a simulation
-/// evaluation costs ~10^5 times more than ZDT1).
+/// An analytic multi-objective benchmark problem with a known Pareto
+/// front: an example of using the optimiser without the network simulator
+/// (examples/custom_problem), and a 3-objective check for indicators and
+/// archives.
 
 #include "moo/core/problem.hpp"
 
 namespace aedbmls::moo {
-
-/// Schaffer's single-variable problem: f1 = x^2, f2 = (x-2)^2, x in [-5,5].
-/// Pareto set: x in [0,2]; front: f2 = (sqrt(f1)-2)^2.
-class SchafferProblem final : public Problem {
- public:
-  [[nodiscard]] std::size_t dimensions() const override { return 1; }
-  [[nodiscard]] std::size_t objective_count() const override { return 2; }
-  [[nodiscard]] std::pair<double, double> bounds(std::size_t) const override {
-    return {-5.0, 5.0};
-  }
-  [[nodiscard]] Result evaluate(const std::vector<double>& x) const override;
-  [[nodiscard]] std::string name() const override { return "Schaffer"; }
-};
-
-/// ZDT1 (Zitzler et al. 2000): n variables in [0,1], convex front
-/// f2 = 1 - sqrt(f1) at g = 1.
-class Zdt1Problem final : public Problem {
- public:
-  explicit Zdt1Problem(std::size_t dimensions = 10) : dimensions_(dimensions) {}
-
-  [[nodiscard]] std::size_t dimensions() const override { return dimensions_; }
-  [[nodiscard]] std::size_t objective_count() const override { return 2; }
-  [[nodiscard]] std::pair<double, double> bounds(std::size_t) const override {
-    return {0.0, 1.0};
-  }
-  [[nodiscard]] Result evaluate(const std::vector<double>& x) const override;
-  [[nodiscard]] std::string name() const override { return "ZDT1"; }
-
- private:
-  std::size_t dimensions_;
-};
 
 /// DTLZ2 with three objectives: the Pareto front is the unit-sphere octant
 /// sum f_i^2 = 1.  Used to validate 3-objective indicators and archives.
@@ -58,32 +25,6 @@ class Dtlz2Problem final : public Problem {
 
  private:
   std::size_t dimensions_;
-};
-
-/// Binh & Korn's constrained bi-objective problem: two box variables, two
-/// inequality constraints aggregated into `constraint_violation`.  Validates
-/// constraint-domination end to end.
-class BinhKornProblem final : public Problem {
- public:
-  [[nodiscard]] std::size_t dimensions() const override { return 2; }
-  [[nodiscard]] std::size_t objective_count() const override { return 2; }
-  [[nodiscard]] std::pair<double, double> bounds(std::size_t dim) const override {
-    return dim == 0 ? std::pair{0.0, 5.0} : std::pair{0.0, 3.0};
-  }
-  [[nodiscard]] Result evaluate(const std::vector<double>& x) const override;
-  [[nodiscard]] std::string name() const override { return "BinhKorn"; }
-};
-
-/// A 3-objective, 5-variable, constrained toy with the same shape as the
-/// AEDB tuning problem (including a "broadcast time"-like constraint driven
-/// by variables 0 and 1).  Cheap enough for property sweeps of AEDB-MLS.
-class MiniAedbLikeProblem final : public Problem {
- public:
-  [[nodiscard]] std::size_t dimensions() const override { return 5; }
-  [[nodiscard]] std::size_t objective_count() const override { return 3; }
-  [[nodiscard]] std::pair<double, double> bounds(std::size_t dim) const override;
-  [[nodiscard]] Result evaluate(const std::vector<double>& x) const override;
-  [[nodiscard]] std::string name() const override { return "MiniAedbLike"; }
 };
 
 }  // namespace aedbmls::moo

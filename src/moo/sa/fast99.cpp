@@ -197,15 +197,4 @@ Fast99Result Fast99::analyze(
   return result;
 }
 
-Fast99Indices Fast99::analyze_scalar(
-    const std::vector<std::pair<double, double>>& domain,
-    const std::function<double(const std::vector<double>&)>& model,
-    par::ThreadPool* pool) const {
-  const Model wrapped = [&model](const std::vector<double>& x) {
-    return std::vector<double>{model(x)};
-  };
-  Fast99Result result = analyze(domain, wrapped, 1, pool);
-  return std::move(result.outputs.front());
-}
-
 }  // namespace aedbmls::moo

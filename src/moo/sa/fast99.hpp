@@ -64,12 +64,6 @@ class Fast99 {
       const std::vector<std::pair<double, double>>& domain, const Model& model,
       std::size_t output_count, par::ThreadPool* pool = nullptr) const;
 
-  /// Scalar-model convenience wrapper.
-  [[nodiscard]] Fast99Indices analyze_scalar(
-      const std::vector<std::pair<double, double>>& domain,
-      const std::function<double(const std::vector<double>&)>& model,
-      par::ThreadPool* pool = nullptr) const;
-
   [[nodiscard]] const Fast99Config& config() const noexcept { return config_; }
 
  private:

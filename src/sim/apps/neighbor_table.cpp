@@ -22,18 +22,6 @@ void NeighborTable::purge(Time now) {
   }
 }
 
-bool NeighborTable::erase(NodeId id) {
-  if (!contains(id)) return false;
-  slots_[id] = Slot{};
-  --size_;
-  return true;
-}
-
-std::optional<NeighborTable::Entry> NeighborTable::find(NodeId id) const {
-  if (!contains(id)) return std::nullopt;
-  return entry(id);
-}
-
 std::size_t NeighborTable::count_in_forwarding_area(double border_dbm,
                                                     double default_tx_dbm) const {
   std::size_t count = 0;
@@ -76,15 +64,6 @@ std::optional<NeighborTable::Entry> NeighborTable::furthest(
     }
   }
   return best;
-}
-
-std::vector<NeighborTable::Entry> NeighborTable::entries() const {
-  std::vector<Entry> out;
-  out.reserve(size_);
-  for (std::size_t id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].last_heard != kFree) out.push_back(entry(id));
-  }
-  return out;
 }
 
 }  // namespace aedbmls::sim

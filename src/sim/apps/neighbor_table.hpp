@@ -11,7 +11,7 @@
 /// Storage is a flat NodeId-indexed slot array (node ids are dense, starting
 /// at zero) of 16-byte slots — the path loss and when it was heard; the slot
 /// index is the neighbor's id and a sentinel time marks a free slot.
-/// Lookups are O(1), the selection helpers walk the slots in NodeId order —
+/// Updates are O(1), the selection helpers walk the slots in NodeId order —
 /// deterministic by construction, independent of insertion history — and
 /// copying a table into one that has the capacity (a pooled context's
 /// per-run reset, or a warm-up snapshot) performs no heap allocation.
@@ -49,15 +49,7 @@ class NeighborTable {
   /// Drops entries not refreshed within the expiry window.
   void purge(Time now);
 
-  /// Removes a neighbor explicitly (AEDB discards known forwarders).
-  /// Returns true if present.
-  bool erase(NodeId id);
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool contains(NodeId id) const {
-    return id < slots_.size() && slots_[id].last_heard != kFree;
-  }
-  [[nodiscard]] std::optional<Entry> find(NodeId id) const;
 
   /// Neighbors in *my* forwarding area: those that would receive my
   /// default-power transmission at or below `border_dbm` — under symmetry,
@@ -78,9 +70,6 @@ class NeighborTable {
   /// resolve to the lowest NodeId.
   [[nodiscard]] std::optional<Entry> furthest(
       const std::vector<NodeId>& exclude = {}) const;
-
-  /// Snapshot of all entries, in NodeId order.
-  [[nodiscard]] std::vector<Entry> entries() const;
 
  private:
   /// Marks a free slot (no neighbor is heard before the epoch).

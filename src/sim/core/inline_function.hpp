@@ -6,17 +6,14 @@
 /// tiny SSO buffer (16 bytes in libstdc++), which put one malloc/free pair
 /// on every scheduled simulation event.  `InlineFunction` stores the
 /// callable in a fixed inline buffer instead: construction, move and
-/// destruction never touch the heap.  Callables that do not fit are
-/// rejected at compile time (`static_assert`) — check `fits_v<F>` to probe
-/// without an error.  Move-only callables are supported (an upgrade over
-/// `std::function`, which requires copyability); `clone` copies a copyable
-/// one, which is how a scheduler snapshot keeps its pending events.
+/// destruction never touch the heap.  Callables must be copyable, since
+/// `clone` is how a scheduler snapshot keeps its pending events; a callable
+/// that is too large or move-only is rejected at compile time
+/// (`static_assert`) — check `fits_v<F>` to probe without an error.
 
 #include <cstddef>
 #include <type_traits>
 #include <utility>
-
-#include "common/assert.hpp"
 
 namespace aedbmls::sim {
 
@@ -31,11 +28,13 @@ class InlineFunction {
   static constexpr std::size_t kAlignment = alignof(std::max_align_t);
 
   /// True when callable `F` can be stored inline (size, alignment and a
-  /// noexcept move, which the arena relies on when recycling slots).
+  /// noexcept move, which the arena relies on when recycling slots) and
+  /// copied (`clone`).
   template <typename F>
   static constexpr bool fits_v = sizeof(std::decay_t<F>) <= kCapacity &&
                                  alignof(std::decay_t<F>) <= kAlignment &&
-                                 std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+                                 std::is_nothrow_move_constructible_v<std::decay_t<F>> &&
+                                 std::is_copy_constructible_v<std::decay_t<F>>;
 
   InlineFunction() noexcept = default;
 
@@ -46,8 +45,9 @@ class InlineFunction {
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     using Fn = std::decay_t<F>;
     static_assert(fits_v<Fn>,
-                  "callback exceeds the InlineFunction buffer: shrink its "
-                  "captures or raise InlineFunction::kCapacity");
+                  "callback is move-only or exceeds the InlineFunction "
+                  "buffer: capture copyable values, shrink the captures or "
+                  "raise InlineFunction::kCapacity");
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     ops_ = &kOps<Fn>;
   }
@@ -74,12 +74,10 @@ class InlineFunction {
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  /// A copy of the stored callable (empty when empty).  Requires a
-  /// copyable callable.
+  /// A copy of the stored callable (empty when empty).
   [[nodiscard]] InlineFunction clone() const {
     InlineFunction copy;
     if (ops_ != nullptr) {
-      AEDB_REQUIRE(ops_->copy != nullptr, "cloning a move-only callback");
       ops_->copy(copy.storage_, storage_);
       copy.ops_ = ops_;
     }
@@ -94,20 +92,8 @@ class InlineFunction {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src);  ///< move-construct dst, destroy src
     void (*destroy)(void*);
-    void (*copy)(void* dst, const void* src);  ///< null when Fn is move-only
+    void (*copy)(void* dst, const void* src);
   };
-  using CopyFn = void (*)(void* dst, const void* src);
-
-  template <typename Fn>
-  static constexpr CopyFn copier() noexcept {
-    if constexpr (std::is_copy_constructible_v<Fn>) {
-      return [](void* dst, const void* src) {
-        ::new (dst) Fn(*static_cast<const Fn*>(src));
-      };
-    } else {
-      return nullptr;
-    }
-  }
 
   template <typename Fn>
   static constexpr Ops kOps{
@@ -117,7 +103,9 @@ class InlineFunction {
         static_cast<Fn*>(src)->~Fn();
       },
       [](void* p) { static_cast<Fn*>(p)->~Fn(); },
-      copier<Fn>(),
+      [](void* dst, const void* src) {
+        ::new (dst) Fn(*static_cast<const Fn*>(src));
+      },
   };
 
   void move_from(InlineFunction& other) noexcept {

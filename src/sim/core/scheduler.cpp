@@ -7,97 +7,53 @@
 
 namespace aedbmls::sim {
 
-EventId Scheduler::insert_keyed(Time when, std::uint64_t seq, Callback callback) {
-  std::uint32_t slot;
+void Scheduler::insert_keyed(Time when, std::uint64_t seq, Callback callback) {
+  std::size_t slot;
   if (!free_.empty()) {
     slot = free_.back();
     free_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
+    slot = slots_.size();
     slots_.emplace_back();
   }
-  slots_[slot].callback = std::move(callback);
-  heap_.push_back(HeapNode{when, seq, slot, slots_[slot].generation});
+  slots_[slot] = std::move(callback);
+  heap_.push_back(HeapNode{when, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_;
-  return encode(slot, slots_[slot].generation);
 }
 
-bool Scheduler::cancel(EventId id) {
-  if (!id.valid()) return false;
-  const std::uint64_t index = (id.raw() & 0xffffffffULL) - 1;
-  const auto generation = static_cast<std::uint32_t>(id.raw() >> 32);
-  if (index >= slots_.size()) return false;
-  Slot& slot = slots_[index];
-  // A generation mismatch means the event already ran, was already
-  // cancelled, or its slot was recycled by a newer event — all no-ops.
-  if (slot.generation != generation) return false;
-  slot.callback.reset();
-  ++slot.generation;  // invalidates the id and the stale heap node
-  free_.push_back(static_cast<std::uint32_t>(index));
-  --live_;
-  return true;
+bool Scheduler::precedes_all(Time when, std::uint64_t seq) const {
+  return heap_.empty() || Later{}(heap_.front(), HeapNode{when, seq, 0});
 }
 
-void Scheduler::drop_stale_top() noexcept {
-  while (!heap_.empty() &&
-         slots_[heap_.front().slot].generation != heap_.front().generation) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
-}
-
-void Scheduler::pop_top_node() noexcept {
-  Slot& slot = slots_[heap_.front().slot];
-  slot.callback.reset();
-  ++slot.generation;
-  free_.push_back(heap_.front().slot);
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
-  --live_;
-}
-
-bool Scheduler::precedes_all(Time when, std::uint64_t seq) {
-  drop_stale_top();
-  return heap_.empty() || Later{}(heap_.front(), HeapNode{when, seq, 0, 0});
-}
-
-Time Scheduler::next_time() {
-  drop_stale_top();
+Time Scheduler::next_time() const {
   AEDB_REQUIRE(!heap_.empty(), "next_time on empty scheduler");
   return heap_.front().when;
 }
 
 Scheduler::Entry Scheduler::pop() {
-  drop_stale_top();
   AEDB_REQUIRE(!heap_.empty(), "pop on empty scheduler");
-  const HeapNode& top = heap_.front();
-  Entry entry{top.when, encode(top.slot, top.generation),
-              std::move(slots_[top.slot].callback)};
-  pop_top_node();
+  const std::size_t slot = heap_.front().slot;
+  Entry entry{heap_.front().when, std::move(slots_[slot])};
+  free_.push_back(slot);
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
   return entry;
 }
 
 void Scheduler::clear() noexcept {
   for (const HeapNode& node : heap_) {
-    Slot& slot = slots_[node.slot];
-    if (slot.generation != node.generation) continue;  // already cancelled
-    slot.callback.reset();
-    ++slot.generation;
+    slots_[node.slot].reset();
     free_.push_back(node.slot);
   }
   heap_.clear();
-  live_ = 0;
   next_seq_ = 1;
 }
 
 void Scheduler::save(RunState& into) const {
   into.events.clear();
-  into.events.reserve(live_);
+  into.events.reserve(heap_.size());
   for (const HeapNode& node : heap_) {
-    const Slot& slot = slots_[node.slot];
-    if (slot.generation != node.generation) continue;  // cancelled
-    into.events.push_back({node.when, node.seq, slot.callback.clone()});
+    into.events.push_back({node.when, node.seq, slots_[node.slot].clone()});
   }
   into.next_seq = next_seq_;
 }

@@ -8,20 +8,20 @@
 
 namespace aedbmls::sim {
 
-EventId Simulator::schedule(Time delay, Scheduler::Callback callback) {
+void Simulator::schedule(Time delay, Scheduler::Callback callback) {
   AEDB_REQUIRE(delay >= Time{}, "negative delay");
-  return scheduler_.insert(now_ + delay, std::move(callback));
+  scheduler_.insert(now_ + delay, std::move(callback));
 }
 
-EventId Simulator::schedule_at(Time when, Scheduler::Callback callback) {
+void Simulator::schedule_at(Time when, Scheduler::Callback callback) {
   AEDB_REQUIRE(when >= now_, "scheduling into the past");
-  return scheduler_.insert(when, std::move(callback));
+  scheduler_.insert(when, std::move(callback));
 }
 
-EventId Simulator::schedule_keyed(Time when, std::uint64_t seq,
-                                  Scheduler::Callback callback) {
+void Simulator::schedule_keyed(Time when, std::uint64_t seq,
+                               Scheduler::Callback callback) {
   AEDB_REQUIRE(when >= now_, "scheduling into the past");
-  return scheduler_.insert_keyed(when, seq, std::move(callback));
+  scheduler_.insert_keyed(when, seq, std::move(callback));
 }
 
 bool Simulator::claim_next(Time when, std::uint64_t seq) {

@@ -6,11 +6,12 @@
 /// independent object so that optimiser threads can each run their own
 /// simulations concurrently (the paper evaluates with 96 parallel workers).
 /// A Simulator is single-threaded internally: all events of one instance run
-/// on the thread calling `run()`.
+/// on the thread calling `run()`.  It holds no randomness: every random
+/// stream a run draws comes from its network configuration
+/// (`Network::scenario_stream`) and the apps' own streams.
 
 #include <cstdint>
 
-#include "common/rng.hpp"
 #include "sim/core/scheduler.hpp"
 #include "sim/core/time.hpp"
 
@@ -18,8 +19,7 @@ namespace aedbmls::sim {
 
 class Simulator {
  public:
-  /// `seed` roots all random streams drawn through `stream()`.
-  explicit Simulator(std::uint64_t seed = 1) : root_stream_(seed) {}
+  Simulator() = default;
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -49,24 +49,23 @@ class Simulator {
     executed_ = from.executed;
   }
 
-  /// Returns the simulator to its just-constructed state under a (possibly
-  /// new) seed: pending events dropped, clock at zero, event counter reset,
-  /// RNG root re-keyed.  Scheduler arena storage is retained, which is what
-  /// makes pooled simulation contexts allocation-free in steady state.
-  void reset(std::uint64_t seed) {
+  /// Returns the simulator to its just-constructed state: pending events
+  /// dropped, clock at zero, event counter reset.  Scheduler arena storage
+  /// is retained, which is what makes pooled simulation contexts
+  /// allocation-free in steady state.
+  void reset() {
     restore(RunState{});
     stopped_ = false;
-    root_stream_ = CounterRng(seed);
   }
 
   /// Current simulation time.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// Schedules `callback` to run `delay` from now (delay >= 0).
-  EventId schedule(Time delay, Scheduler::Callback callback);
+  void schedule(Time delay, Scheduler::Callback callback);
 
   /// Schedules `callback` at absolute time `when` (>= now).
-  EventId schedule_at(Time when, Scheduler::Callback callback);
+  void schedule_at(Time when, Scheduler::Callback callback);
 
   /// Reserves `n` consecutive event sequence numbers (returns the first).
   std::uint64_t reserve_seq(std::uint64_t n) noexcept {
@@ -74,8 +73,8 @@ class Simulator {
   }
 
   /// Schedules `callback` at `when` (>= now) under a reserved sequence.
-  EventId schedule_keyed(Time when, std::uint64_t seq,
-                         Scheduler::Callback callback);
+  void schedule_keyed(Time when, std::uint64_t seq,
+                      Scheduler::Callback callback);
 
   /// Lets a running batched event claim its next member, keyed
   /// (when, seq), without a scheduler round trip.  True only when the run
@@ -84,9 +83,6 @@ class Simulator {
   /// pending event.  Then now() and executed_events() advance exactly as
   /// the run loop would advance them.
   bool claim_next(Time when, std::uint64_t seq);
-
-  /// Cancels a pending event; ignores already-run/cancelled ids.
-  void cancel(EventId id) { scheduler_.cancel(id); }
 
   /// Runs until the event set is exhausted or `stop()` is called.
   void run();
@@ -111,21 +107,12 @@ class Simulator {
     return executed_;
   }
 
-  /// Deterministic sub-stream derived from the simulator seed and `id`.
-  [[nodiscard]] CounterRng stream(std::uint64_t id) const noexcept {
-    return root_stream_.child(id);
-  }
-
-  /// The root seed this simulator was constructed with.
-  [[nodiscard]] std::uint64_t seed() const noexcept { return root_stream_.key(); }
-
  private:
   Scheduler scheduler_;
   Time now_{};
   Time until_{};  ///< bound of the current run (run: the end of time)
   bool stopped_ = false;
   std::uint64_t executed_ = 0;
-  CounterRng root_stream_;
 };
 
 }  // namespace aedbmls::sim

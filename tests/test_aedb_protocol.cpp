@@ -92,7 +92,7 @@ class AedbWorld {
 
  private:
   AedbParams params_;
-  sim::Simulator simulator_{31};
+  sim::Simulator simulator_;
   sim::LogDistancePropagation propagation_{};
   sim::WirelessChannel channel_{simulator_, propagation_, true};
   BroadcastStatsCollector collector_;
@@ -272,16 +272,13 @@ TEST(AedbProtocol, RepairSwapsInvertedDelays) {
   EXPECT_DOUBLE_EQ(params.max_delay_s, 0.9);
 }
 
-TEST(AedbProtocol, VectorRoundTrip) {
-  AedbParams params;
-  params.min_delay_s = 0.25;
-  params.max_delay_s = 2.5;
-  params.border_threshold_dbm = -80.0;
-  params.margin_threshold_db = 2.0;
-  params.neighbors_threshold = 20.0;
-  const AedbParams back = AedbParams::from_vector(params.to_vector());
-  EXPECT_DOUBLE_EQ(back.border_threshold_dbm, -80.0);
-  EXPECT_DOUBLE_EQ(back.neighbors_threshold, 20.0);
+TEST(AedbProtocol, FromVectorReadsDecisionOrder) {
+  const AedbParams params = AedbParams::from_vector({0.25, 2.5, -80.0, 2.0, 20.0});
+  EXPECT_DOUBLE_EQ(params.min_delay_s, 0.25);
+  EXPECT_DOUBLE_EQ(params.max_delay_s, 2.5);
+  EXPECT_DOUBLE_EQ(params.border_threshold_dbm, -80.0);
+  EXPECT_DOUBLE_EQ(params.margin_threshold_db, 2.0);
+  EXPECT_DOUBLE_EQ(params.neighbors_threshold, 20.0);
   EXPECT_EQ(AedbParams::names().size(), AedbParams::kDimensions);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/rng.hpp"
 #include "moo/core/dominance.hpp"
@@ -16,6 +17,16 @@ Solution make(std::vector<double> objectives, double violation = 0.0) {
   s.constraint_violation = violation;
   s.evaluated = true;
   return s;
+}
+
+/// Number of members in the archive's most crowded grid cell.
+std::size_t max_cell_count(const AgaArchive& archive) {
+  std::map<std::uint64_t, std::size_t> counts;
+  std::size_t best = 0;
+  for (const Solution& s : archive.contents()) {
+    best = std::max(best, ++counts[archive.cell_of(s.objectives)]);
+  }
+  return best;
 }
 
 TEST(AgaArchive, AcceptsNonDominatedRejectsDominated) {
@@ -103,7 +114,7 @@ TEST(AgaArchive, PropertyCrowdedRegionsAreThinned) {
   // ...then candidates from empty regions must be accepted.
   EXPECT_TRUE(archive.try_insert(make({0.05, 0.95})));
   EXPECT_TRUE(archive.try_insert(make({0.95, 0.05})));
-  EXPECT_EQ(archive.max_cell_count(), archive.size() - 2);
+  EXPECT_EQ(max_cell_count(archive), archive.size() - 2);
 }
 
 TEST(AgaArchive, RejectsCandidateFromMostCrowdedCell) {

@@ -19,7 +19,7 @@ struct BeaconWorld {
     // ~140 m, so a 70 m box (diagonal ~99 m) guarantees full connectivity.
     config.area_width = 70.0;
     config.area_height = 70.0;
-    simulator = std::make_unique<Simulator>(9);
+    simulator = std::make_unique<Simulator>();
     network = std::make_unique<Network>(*simulator, config);
     for (std::size_t i = 0; i < nodes; ++i) {
       BeaconApp::Config beacon_config;
@@ -63,13 +63,14 @@ TEST(BeaconApp, NoBeaconsBeforeStart) {
 
 TEST(BeaconApp, RecordsPlausibleReceptionPower) {
   BeaconWorld world(2, seconds(1), seconds(4));
-  const auto entries = world.apps[0]->neighbor_table().entries();
-  ASSERT_EQ(entries.size(), 1u);
+  const NeighborTable& table = world.apps[0]->neighbor_table();
+  ASSERT_EQ(table.size(), 1u);
+  const auto neighbor = table.furthest();  // the one entry
   // Beacons go out at 16.02 dBm; anywhere in a 200 m arena the reception
   // must sit between the reference loss and the sensitivity floor, so the
   // path loss (tx - rx) lies between the reference loss and tx - (-95).
-  EXPECT_GT(entries[0].path_loss_db, 46.0);
-  EXPECT_LT(entries[0].path_loss_db, 16.02 + 95.0);
+  EXPECT_GT(neighbor->path_loss_db, 46.0);
+  EXPECT_LT(neighbor->path_loss_db, 16.02 + 95.0);
 }
 
 TEST(BeaconApp, IgnoresDataFrames) {

@@ -15,14 +15,14 @@ NetworkConfig small_config() {
 }
 
 TEST(Network, BuildsRequestedNodeCount) {
-  Simulator simulator(1);
+  Simulator simulator;
   Network network(simulator, small_config());
   EXPECT_EQ(network.size(), 10u);
   EXPECT_EQ(network.channel().device_count(), 10u);
 }
 
 TEST(Network, NodesHaveDistinctIdsAndPositions) {
-  Simulator simulator(1);
+  Simulator simulator;
   Network network(simulator, small_config());
   for (std::size_t i = 0; i < network.size(); ++i) {
     EXPECT_EQ(network.node(i).id(), i);
@@ -35,8 +35,8 @@ TEST(Network, NodesHaveDistinctIdsAndPositions) {
 }
 
 TEST(Network, SameSeedSameTopology) {
-  Simulator sim_a(1);
-  Simulator sim_b(2);  // simulator seed must NOT affect topology
+  Simulator sim_a;
+  Simulator sim_b;
   Network a(sim_a, small_config());
   Network b(sim_b, small_config());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -48,7 +48,7 @@ TEST(Network, SameSeedSameTopology) {
 }
 
 TEST(Network, DifferentNetworkIndexDifferentTopology) {
-  Simulator simulator(1);
+  Simulator simulator;
   NetworkConfig config_b = small_config();
   config_b.network_index = 1;
   Network a(simulator, small_config());
@@ -63,7 +63,7 @@ TEST(Network, DifferentNetworkIndexDifferentTopology) {
 }
 
 TEST(Network, StaticNodesDoNotMove) {
-  Simulator simulator(1);
+  Simulator simulator;
   NetworkConfig config = small_config();
   config.mobility = MobilityKind::kStatic;
   Network network(simulator, config);
@@ -74,7 +74,7 @@ TEST(Network, StaticNodesDoNotMove) {
 }
 
 TEST(Network, MobileNodesMove) {
-  Simulator simulator(1);
+  Simulator simulator;
   Network network(simulator, small_config());
   bool any_moved = false;
   for (std::size_t i = 0; i < network.size(); ++i) {
@@ -89,7 +89,7 @@ TEST(Network, MobilityKindsAllBuildAndMove) {
   for (const MobilityKind kind :
        {MobilityKind::kRandomWalk, MobilityKind::kRandomWaypoint,
         MobilityKind::kGaussMarkov}) {
-    Simulator simulator(1);
+    Simulator simulator;
     NetworkConfig config = small_config();
     config.mobility = kind;
     Network network(simulator, config);
@@ -111,7 +111,7 @@ TEST(Network, ShadowingChangesLinkBudgetDeterministically) {
   config.shadowing_sigma_db = 6.0;
 
   auto measure = [](const NetworkConfig& c) {
-    Simulator simulator(1);
+    Simulator simulator;
     Network network(simulator, c);
     double sum_rx = 0.0;
     int received = 0;
@@ -141,7 +141,7 @@ TEST(Network, ShadowingChangesLinkBudgetDeterministically) {
 }
 
 TEST(Network, BroadcastReachesNeighboursEndToEnd) {
-  Simulator simulator(1);
+  Simulator simulator;
   NetworkConfig config = small_config();
   config.mobility = MobilityKind::kStatic;
   Network network(simulator, config);

@@ -9,8 +9,8 @@
 
 #include "aedb/tuning_problem.hpp"
 #include "common/rng.hpp"
-#include "moo/problems/synthetic.hpp"
 #include "par/thread_pool.hpp"
+#include "synthetic_problems.hpp"
 
 namespace aedbmls::moo {
 namespace {

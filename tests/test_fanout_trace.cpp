@@ -95,7 +95,7 @@ std::uint64_t phy_trace_digest(const expt::ScenarioSpec& spec, bool delay) {
   const aedb::ScenarioConfig scenario = spec.scenario_config(kSeed, 0);
   sim::NetworkConfig config = scenario.network;
   config.model_propagation_delay = delay;
-  sim::Simulator simulator(kSeed);
+  sim::Simulator simulator;
   sim::Network network(simulator, config);
 
   Fnv1a digest;

@@ -15,32 +15,20 @@ Solution make(std::vector<double> x, std::vector<double> objectives,
   return s;
 }
 
-TEST(FrontIo, CsvRoundTrip) {
+TEST(FrontIo, CsvHoldsEveryValueAtFullPrecision) {
+  // 17 significant digits: every double reads back to the same bits.
   const std::vector<Solution> front{
       make({0.1, 0.2}, {1.0, 2.0, 3.0}, 0.0),
       make({0.3, 0.4}, {4.0, 5.0, 6.0}, 0.25),
   };
-  const std::string csv = front_to_csv(front);
-  const std::vector<Solution> back = front_from_csv(csv);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].x, front[0].x);
-  EXPECT_EQ(back[0].objectives, front[0].objectives);
-  EXPECT_DOUBLE_EQ(back[1].constraint_violation, 0.25);
-  EXPECT_TRUE(back[0].evaluated);
+  EXPECT_EQ(front_to_csv(front),
+            "x0,x1,f0,f1,f2,cv\n"
+            "0.10000000000000001,0.20000000000000001,1,2,3,0\n"
+            "0.29999999999999999,0.40000000000000002,4,5,6,0.25\n");
 }
 
 TEST(FrontIo, EmptyFrontSerialisesEmpty) {
   EXPECT_TRUE(front_to_csv({}).empty());
-  EXPECT_TRUE(front_from_csv("").empty());
-}
-
-TEST(FrontIo, MalformedHeaderThrows) {
-  EXPECT_THROW((void)front_from_csv("a,b,c\n1,2,3\n"), std::runtime_error);
-}
-
-TEST(FrontIo, ShortRowThrows) {
-  const std::string csv = "x0,f0,f1,cv\n0.5,1.0\n";
-  EXPECT_THROW((void)front_from_csv(csv), std::runtime_error);
 }
 
 TEST(MergeFronts, KeepsOnlyGlobalNonDominated) {

@@ -40,7 +40,7 @@ class MacFixture : public ::testing::Test {
     return frame;
   }
 
-  Simulator simulator_{2};
+  Simulator simulator_;
   PhyParams params_{};
   LogDistancePropagation propagation_{};
   WirelessChannel channel_{simulator_, propagation_, true};

@@ -15,8 +15,8 @@
 #include "moo/core/nds.hpp"
 #include "moo/core/normalization.hpp"
 #include "moo/indicators/hypervolume.hpp"
-#include "moo/problems/synthetic.hpp"
 #include "par/thread_pool.hpp"
+#include "synthetic_problems.hpp"
 
 namespace aedbmls::core {
 namespace {

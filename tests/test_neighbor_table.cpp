@@ -7,13 +7,17 @@ namespace {
 
 constexpr double kDefaultTx = 16.02;
 
+// `furthest()` on a one-entry table reads that entry back.
+
 TEST(NeighborTable, UpdateAndFind) {
   NeighborTable table;
   table.update(3, -80.0, kDefaultTx, seconds(1));
-  ASSERT_TRUE(table.find(3).has_value());
-  EXPECT_EQ(table.find(3)->path_loss_db, kDefaultTx - -80.0);
+  const auto entry = table.furthest();
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->id, 3u);
+  EXPECT_EQ(entry->path_loss_db, kDefaultTx - -80.0);
   EXPECT_EQ(table.size(), 1u);
-  EXPECT_FALSE(table.find(4).has_value());
+  EXPECT_FALSE(table.furthest({3}).has_value());
 }
 
 TEST(NeighborTable, RefreshKeepsLatestPower) {
@@ -21,8 +25,8 @@ TEST(NeighborTable, RefreshKeepsLatestPower) {
   table.update(3, -80.0, kDefaultTx, seconds(1));
   table.update(3, -70.0, kDefaultTx, seconds(2));
   EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.find(3)->path_loss_db, kDefaultTx - -70.0);
-  EXPECT_EQ(table.find(3)->last_heard, seconds(2));
+  EXPECT_EQ(table.furthest()->path_loss_db, kDefaultTx - -70.0);
+  EXPECT_EQ(table.furthest()->last_heard, seconds(2));
 }
 
 TEST(NeighborTable, PurgeDropsStaleEntries) {
@@ -30,16 +34,8 @@ TEST(NeighborTable, PurgeDropsStaleEntries) {
   table.update(1, -80.0, kDefaultTx, seconds(1));
   table.update(2, -80.0, kDefaultTx, seconds(3));
   table.purge(seconds(4));  // entry 1 is 3 s old, entry 2 is 1 s old
-  EXPECT_FALSE(table.contains(1));
-  EXPECT_TRUE(table.contains(2));
-}
-
-TEST(NeighborTable, EraseRemoves) {
-  NeighborTable table;
-  table.update(1, -80.0, kDefaultTx, seconds(1));
-  EXPECT_TRUE(table.erase(1));
-  EXPECT_FALSE(table.erase(1));
-  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.furthest()->id, 2u);
 }
 
 TEST(NeighborTable, ForwardingAreaCountsWeakLinks) {
@@ -86,13 +82,6 @@ TEST(NeighborTable, FurthestHonoursExclusions) {
   ASSERT_TRUE(target.has_value());
   EXPECT_EQ(target->id, 2u);
   EXPECT_FALSE(table.furthest({1, 2}).has_value());
-}
-
-TEST(NeighborTable, EntriesSnapshot) {
-  NeighborTable table;
-  table.update(1, -90.0, kDefaultTx, seconds(1));
-  table.update(2, -80.0, kDefaultTx, seconds(1));
-  EXPECT_EQ(table.entries().size(), 2u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include "moo/core/dominance.hpp"
 #include "moo/core/nds.hpp"
 #include "moo/indicators/hypervolume.hpp"
-#include "moo/problems/synthetic.hpp"
+#include "synthetic_problems.hpp"
 
 namespace aedbmls::moo {
 namespace {

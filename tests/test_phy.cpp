@@ -40,7 +40,7 @@ class PhyFixture : public ::testing::Test {
     return frame;
   }
 
-  Simulator simulator_{1};
+  Simulator simulator_;
   PhyParams params_{};
   LogDistancePropagation propagation_{};
   WirelessChannel channel_{simulator_, propagation_, true};
@@ -216,7 +216,7 @@ struct Line {
     phys[0]->start_tx(frame, 16.02);
   }
 
-  Simulator simulator{1};
+  Simulator simulator;
   LogDistancePropagation propagation{};
   WirelessChannel channel{simulator, propagation, true};
   std::vector<std::unique_ptr<ConstantPositionMobility>> mobilities;
@@ -326,7 +326,7 @@ std::map<NodeId, std::uint64_t> transmit_once(const PropagationModel& propagatio
                                               const std::vector<CullNode>& nodes,
                                               double tx_dbm,
                                               std::uint64_t* delivered) {
-  Simulator simulator(1);
+  Simulator simulator;
   WirelessChannel channel(simulator, propagation, true);
   RandomWalkMobility::Config still;
   still.width = 1e6;
@@ -428,7 +428,7 @@ TEST(PhyWaveDeathTest, AirtimeShorterThanArrivalSpreadIsRejected) {
         PhyParams params;
         params.preamble = Time{};
         params.bitrate_bps = 1e9;
-        Simulator simulator(1);
+        Simulator simulator;
         const LogDistancePropagation propagation;
         WirelessChannel channel(simulator, propagation, true);
         std::vector<std::unique_ptr<ConstantPositionMobility>> mobilities;

@@ -30,7 +30,7 @@ class PhyConservation : public ::testing::TestWithParam<StressCase> {};
 
 TEST_P(PhyConservation, EverySignalAccountedFor) {
   const StressCase c = GetParam();
-  Simulator simulator(c.seed);
+  Simulator simulator;
   const LogDistancePropagation propagation;
   WirelessChannel channel(simulator, propagation, true);
 
@@ -98,7 +98,7 @@ TEST_P(PhyConservation, EverySignalAccountedFor) {
 TEST_P(PhyConservation, DeterministicAcrossIdenticalRuns) {
   const StressCase c = GetParam();
   auto run_once = [&c]() {
-    Simulator simulator(c.seed);
+    Simulator simulator;
     const LogDistancePropagation propagation;
     WirelessChannel channel(simulator, propagation, true);
     std::vector<std::unique_ptr<ConstantPositionMobility>> mobilities;

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "moo/core/dominance.hpp"
-#include "moo/problems/synthetic.hpp"
+#include "synthetic_problems.hpp"
 
 namespace aedbmls::moo {
 namespace {

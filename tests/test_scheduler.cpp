@@ -27,45 +27,13 @@ TEST(Scheduler, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(Scheduler, CancelledEventsSkipped) {
-  Scheduler scheduler;
-  std::vector<int> order;
-  scheduler.insert(seconds(1), [&] { order.push_back(1); });
-  const EventId id = scheduler.insert(seconds(2), [&] { order.push_back(2); });
-  scheduler.insert(seconds(3), [&] { order.push_back(3); });
-  EXPECT_TRUE(scheduler.cancel(id));
-  while (!scheduler.empty()) scheduler.pop().callback();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(Scheduler, CancelReturnsFalseForUnknownId) {
-  Scheduler scheduler;
-  EXPECT_FALSE(scheduler.cancel(kNoEvent));
-  EXPECT_FALSE(scheduler.cancel(EventId(99999)));
-}
-
-TEST(Scheduler, DoubleCancelIsIdempotent) {
-  Scheduler scheduler;
-  const EventId id = scheduler.insert(seconds(1), [] {});
-  EXPECT_TRUE(scheduler.cancel(id));
-  EXPECT_FALSE(scheduler.cancel(id));
-  EXPECT_TRUE(scheduler.empty());
-}
-
 TEST(Scheduler, SizeCountsPendingOnly) {
   Scheduler scheduler;
-  const EventId a = scheduler.insert(seconds(1), [] {});
+  scheduler.insert(seconds(1), [] {});
   scheduler.insert(seconds(2), [] {});
   EXPECT_EQ(scheduler.size(), 2u);
-  scheduler.cancel(a);
+  scheduler.pop().callback();
   EXPECT_EQ(scheduler.size(), 1u);
-}
-
-TEST(Scheduler, NextTimeSkipsCancelled) {
-  Scheduler scheduler;
-  const EventId a = scheduler.insert(seconds(1), [] {});
-  scheduler.insert(seconds(2), [] {});
-  scheduler.cancel(a);
   EXPECT_EQ(scheduler.next_time(), seconds(2));
 }
 

@@ -1,9 +1,8 @@
-/// Arena/generation semantics of the allocation-free scheduler: recycled
-/// slots must make stale `EventId`s harmless, cancelled callbacks must be
-/// destroyed eagerly (no leaked captures), oversized callbacks must be
-/// rejected at compile time, slot storage must be recycled instead of
-/// growing without bound, and a snapshot must restore the pending events
-/// under their keys.
+/// Arena semantics of the allocation-free scheduler: dropped callbacks must
+/// be destroyed eagerly (no leaked captures), oversized and move-only
+/// callbacks must be rejected at compile time, slot storage must be
+/// recycled instead of growing without bound, and a snapshot must restore
+/// the pending events under their keys.
 
 #include <gtest/gtest.h>
 
@@ -16,52 +15,6 @@
 
 namespace aedbmls::sim {
 namespace {
-
-TEST(SchedulerArena, CancelAfterRecycleIsNoOp) {
-  Scheduler scheduler;
-  const EventId stale = scheduler.insert(seconds(1), [] {});
-  EXPECT_TRUE(scheduler.cancel(stale));
-  // The freed slot is recycled by the next insert; the stale id's
-  // generation no longer matches, so cancelling it again must not disturb
-  // the new occupant.
-  bool ran = false;
-  scheduler.insert(seconds(2), [&] { ran = true; });
-  EXPECT_EQ(scheduler.arena_slots(), 1u);  // same slot, reused
-  EXPECT_FALSE(scheduler.cancel(stale));
-  EXPECT_EQ(scheduler.size(), 1u);
-  scheduler.pop().callback();
-  EXPECT_TRUE(ran);
-}
-
-TEST(SchedulerArena, CancelAfterExecuteIsNoOp) {
-  Scheduler scheduler;
-  const EventId id = scheduler.insert(seconds(1), [] {});
-  scheduler.pop().callback();
-  EXPECT_FALSE(scheduler.cancel(id));
-}
-
-TEST(SchedulerArena, StaleIdAcrossClearIsNoOp) {
-  Scheduler scheduler;
-  const EventId before = scheduler.insert(seconds(1), [] {});
-  scheduler.clear();
-  EXPECT_TRUE(scheduler.empty());
-  EXPECT_FALSE(scheduler.cancel(before));
-  // Even once the slot is re-occupied after the clear.
-  scheduler.insert(seconds(1), [] {});
-  EXPECT_FALSE(scheduler.cancel(before));
-  EXPECT_EQ(scheduler.size(), 1u);
-}
-
-TEST(SchedulerArena, CancelDestroysCallbackEagerly) {
-  Scheduler scheduler;
-  auto token = std::make_shared<int>(42);
-  const EventId id = scheduler.insert(seconds(1), [token] {});
-  EXPECT_EQ(token.use_count(), 2);
-  EXPECT_TRUE(scheduler.cancel(id));
-  // Lazy-cancel schemes keep the entry (and its captures) alive until the
-  // heap drains past it; the arena must release captures immediately.
-  EXPECT_EQ(token.use_count(), 1);
-}
 
 TEST(SchedulerArena, ClearDestroysAllPendingCallbacks) {
   Scheduler scheduler;
@@ -107,16 +60,6 @@ TEST(SchedulerArena, InsertionOrderTiesSurviveClear) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(SchedulerArena, MoveOnlyCallbacksAreSupported) {
-  Scheduler scheduler;
-  auto payload = std::make_unique<int>(99);
-  int seen = 0;
-  scheduler.insert(seconds(1),
-                   [p = std::move(payload), &seen] { seen = *p; });
-  scheduler.pop().callback();
-  EXPECT_EQ(seen, 99);
-}
-
 TEST(SchedulerArena, OversizedCallbacksRejectedAtCompileTime) {
   // `fits_v` is the compile-time gate the InlineFunction constructor
   // static_asserts on: anything over the inline buffer can never reach the
@@ -140,22 +83,26 @@ TEST(SchedulerArena, OversizedCallbacksRejectedAtCompileTime) {
   static_assert(InlineFunction::fits_v<OriginationSized>);
 }
 
+TEST(SchedulerArena, MoveOnlyCallbacksRejectedAtCompileTime) {
+  // A warm-up snapshot copies every pending callback (`clone`), so a
+  // callback that cannot be copied must never reach the scheduler.
+  const auto move_only = [p = std::make_unique<int>(99)] { (void)*p; };
+  static_assert(!InlineFunction::fits_v<decltype(move_only)>);
+}
+
 TEST(SchedulerArena, SnapshotRestoresLiveEventsUnderTheirKeys) {
-  // A snapshot keeps each live event's (time, sequence) key and a copy of
-  // its callback, so every restore replays the same order, and inserts
+  // A snapshot keeps each pending event's (time, sequence) key and a copy
+  // of its callback, so every restore replays the same order, and inserts
   // after a restore continue the saved sequence.
   Scheduler scheduler;
   std::vector<int> order;
   scheduler.insert(seconds(2), [&order] { order.push_back(2); });
-  const EventId cancelled =
-      scheduler.insert(seconds(1), [&order] { order.push_back(-1); });
   scheduler.insert(seconds(2), [&order] { order.push_back(3); });
   scheduler.insert(seconds(1), [&order] { order.push_back(1); });
-  scheduler.cancel(cancelled);
   Scheduler::RunState saved;
   scheduler.save(saved);
   EXPECT_EQ(saved.events.size(), 3u);
-  EXPECT_EQ(saved.next_seq, 5u);
+  EXPECT_EQ(saved.next_seq, 4u);
   for (int round = 0; round < 2; ++round) {
     scheduler.restore(saved);
     EXPECT_EQ(scheduler.size(), 3u);
@@ -168,12 +115,12 @@ TEST(SchedulerArena, SnapshotRestoresLiveEventsUnderTheirKeys) {
 
 TEST(SchedulerArena, EmptyAndSizeTrackLiveEventsOnly) {
   Scheduler scheduler;
-  const EventId a = scheduler.insert(seconds(1), [] {});
-  const EventId b = scheduler.insert(seconds(2), [] {});
+  scheduler.insert(seconds(1), [] {});
+  scheduler.insert(seconds(2), [] {});
   scheduler.insert(seconds(3), [] {});
   EXPECT_EQ(scheduler.size(), 3u);
-  scheduler.cancel(a);
-  scheduler.cancel(b);
+  scheduler.pop().callback();
+  scheduler.pop().callback();
   EXPECT_EQ(scheduler.size(), 1u);
   EXPECT_EQ(scheduler.next_time(), seconds(3));
   scheduler.pop().callback();

@@ -1,4 +1,5 @@
 #include "moo/problems/synthetic.hpp"
+#include "synthetic_problems.hpp"
 
 #include <gtest/gtest.h>
 

@@ -65,10 +65,10 @@ TEST(TuningProblem, ConstraintViolationTracksBroadcastTime) {
 
 TEST(TuningProblem, CountsEvaluations) {
   const AedbTuningProblem problem(fast_config());
-  EXPECT_EQ(problem.evaluations(), 0u);
+  EXPECT_EQ(problem.tier_counters(0).evaluations, 0u);
   (void)problem.evaluate({0.1, 0.5, -90.0, 1.0, 10.0});
   (void)problem.evaluate({0.1, 0.5, -90.0, 1.0, 10.0});
-  EXPECT_EQ(problem.evaluations(), 2u);
+  EXPECT_EQ(problem.tier_counters(0).evaluations, 2u);
 }
 
 TEST(TuningProblem, DensityChangesNodeCount) {

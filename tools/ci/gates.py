@@ -9,9 +9,19 @@
       simulator events per run.  Stops at the first gate that fails.
 
   python3 tools/ci/gates.py reachability
-      Fails when a src/**/*.hpp header has no includer under src/, bench/,
-      examples/, tools/ or perfbench/.  The header's own .cpp does not
-      count, so library surface that only tests reach is reported.
+      Two legs.  Headers: fails when a src/**/*.hpp header has no includer
+      under src/, bench/, examples/, tools/ or perfbench/; the header's own
+      .cpp does not count.  Functions: builds the tree (tests and tools
+      off) and perfbench/ in a temporary directory at -O0 with one section
+      per function, links with --gc-sections, and fails, by demangled
+      name, on every out-of-line function in namespace aedbmls that a
+      libaedbmls_*.a defines and no executable under bench/ or examples/,
+      nor perfbench, contains; TEST_SEAMS lists the exceptions.  Both
+      report library surface that only tests reach.  Functions defined
+      inline in a header are outside the function leg's view: a library
+      object holds one only when library code calls it.  The leg refuses
+      to run without the google-benchmark micro benches (libbenchmark-dev),
+      which are consumers too.
 
   python3 tools/ci/gates.py cli build
       The command-line surface of the binaries under build/bench (bar the
@@ -171,6 +181,11 @@ CONSUMERS = ('src', 'bench', 'examples', 'tools', 'perfbench')
 
 
 def reachability():
+    header_reachability()
+    function_reachability()
+
+
+def header_reachability():
     reached = set()
     for top in CONSUMERS:
         for path in sorted((ROOT / top).rglob('*')):
@@ -193,6 +208,111 @@ def reachability():
     if unreached:
         sys.exit(f'{len(unreached)} src/ header(s) that only tests reach')
     print('every src/ header has an includer outside tests/')
+
+
+# The function leg's build: -O0 so that no call is inlined away, and one
+# section per function so that --gc-sections drops each function no
+# reachable code calls.  NDEBUG as in Release, so assert-only calls do not
+# count as reached.
+FUNCTION_GATE_CMAKE = [
+    '-DCMAKE_BUILD_TYPE=Debug',
+    '-DCMAKE_CXX_FLAGS_DEBUG=-O0 -DNDEBUG -ffunction-sections -fdata-sections',
+    '-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections',
+]
+# Mangled names in namespace aedbmls (members of const objects included),
+# so that std:: instantiations over the project's types are not reported.
+AEDBMLS_SYMBOL = re.compile(r'_ZN7aedbmls|_ZNK7aedbmls')
+MICRO_BENCHES = ('bench_micro_sim', 'bench_micro_moo')
+# Functions only tests reach, kept on purpose: demangled-name prefix ->
+# reason.  An entry that matches nothing fails the gate, so it goes when
+# its function gains a caller or is deleted.
+TEST_SEAMS = {
+    'aedbmls::fault::ScopedPlan::':
+        'installs a fault plan for one test and puts the previous one back',
+    'aedbmls::fault::clear(':
+        'uninstalls the fault plan between tests',
+    'aedbmls::fault::hits(':
+        "a site's trigger count, to become the fault.<site>.hits counter",
+    'aedbmls::set_log_level(':
+        'lets the logging tests raise and lower the threshold',
+}
+
+
+def defined_functions(path):
+    """Mangled names of the text symbols `path` defines in aedbmls."""
+    listing = subprocess.run(['nm', '--defined-only', '--format=posix',
+                              str(path)], check=True, capture_output=True,
+                             text=True).stdout
+    names = set()
+    for line in listing.splitlines():
+        fields = line.split()
+        if (len(fields) >= 2 and fields[1] in 'TtWw'
+                and AEDBMLS_SYMBOL.match(fields[0])):
+            names.add(fields[0])
+    return names
+
+
+def demangle(names):
+    out = subprocess.run(['c++filt'], input='\n'.join(names), check=True,
+                         capture_output=True, text=True).stdout
+    return out.splitlines()
+
+
+def function_reachability():
+    with tempfile.TemporaryDirectory(prefix='aedb-reach-') as work:
+        tree, bench = Path(work, 'tree'), Path(work, 'perfbench')
+        for source, build, extra in (
+                (ROOT, tree, ['-DAEDBMLS_BUILD_TESTS=OFF',
+                              '-DAEDBMLS_BUILD_TOOLS=OFF']),
+                (ROOT / 'perfbench', bench, [])):
+            subprocess.run(['cmake', '-S', str(source), '-B', str(build)]
+                           + FUNCTION_GATE_CMAKE + extra, check=True,
+                           stdout=subprocess.DEVNULL)
+            subprocess.run(['cmake', '--build', str(build), '--parallel',
+                            str(os.cpu_count() or 1)], check=True,
+                           stdout=subprocess.DEVNULL)
+        missing = [name for name in MICRO_BENCHES
+                   if not (tree / 'bench' / name).is_file()]
+        if missing:
+            sys.exit(f'{", ".join(missing)} not built: the function leg '
+                     'needs google-benchmark (libbenchmark-dev), whose '
+                     'micro benches are consumers too')
+        libraries = sorted((tree / 'src').rglob('libaedbmls_*.a'))
+        binaries = [path for top in ('bench', 'examples')
+                    for path in sorted((tree / top).iterdir())
+                    if path.is_file() and os.access(path, os.X_OK)]
+        binaries.append(bench / 'perfbench')
+        defined = {}
+        for library in libraries:
+            for name in defined_functions(library):
+                defined.setdefault(name, library.name)
+        reached = set()
+        for binary in binaries:
+            reached |= defined_functions(binary)
+        unreached = sorted(set(defined) - reached)
+        print(f'{len(defined)} aedbmls functions in {len(libraries)} '
+              f'libraries, {len(binaries)} consuming binaries')
+    by_name = {}
+    for mangled, name in zip(unreached, demangle(unreached)):
+        by_name.setdefault(name, defined[mangled])
+    failures, used_seams = 0, set()
+    for name, library in sorted(by_name.items()):
+        seam = next((seam for seam in TEST_SEAMS if name.startswith(seam)),
+                    None)
+        if seam is None:
+            failures += 1
+            print(f'{library}: {name}: in no bench, example or perfbench')
+        else:
+            used_seams.add(seam)
+            print(f'{library}: {name}: test seam ({TEST_SEAMS[seam]})')
+    stale = sorted(set(TEST_SEAMS) - used_seams)
+    for seam in stale:
+        print(f'TEST_SEAMS entry {seam!r} matches no unreached function')
+    if failures or stale:
+        sys.exit(f'{failures} src/ function(s) that only tests reach, '
+                 f'{len(stale)} stale TEST_SEAMS entr(ies)')
+    print(f'every src/ function is in a shipped binary, bar '
+          f'{len(by_name)} test seam function(s)')
 
 
 # One small operand per flag name (None: a bare flag), for the leg that
